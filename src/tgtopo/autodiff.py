@@ -72,11 +72,6 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, rng=None):
-    """A trainable tensor."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
 def _unbroadcast(g, shape):
     """Sum gradient g down to the given broadcast source shape."""
     while g.ndim > len(shape):

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import data, pipeline, stability
 from .data import DataError
-from .pipeline import NonFiniteLossError, RunConfig
-from .spectral import NonConvergenceError
+from .pipeline import NonFiniteLossError, PipelineError, RunConfig
+from .temporal import TemporalGraphError
 
 
 def _build_parser():
@@ -166,10 +166,10 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except DataError as exc:
+    except (DataError, PipelineError, TemporalGraphError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteLossError, NonConvergenceError, FloatingPointError) as exc:
+    except (NonFiniteLossError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

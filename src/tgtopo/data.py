@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .temporal import TemporalGraph, from_events
+from .temporal import TemporalGraph, TemporalGraphError, from_events
 
 MANIFEST = "manifest.txt"
 
@@ -23,7 +23,8 @@ class DataError(ValueError):
 
 class ParseError(DataError):
     def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line_no = line_no
 
@@ -85,7 +86,10 @@ def load_graph(path) -> TemporalGraph:
             events.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise ParseError(path, i, str(exc)) from exc
-    return from_events(num_nodes, events, label=label)
+    try:
+        return from_events(num_nodes, events, label=label)
+    except TemporalGraphError as exc:
+        raise ParseError(path, None, str(exc)) from exc
 
 
 def save_dataset(dataset: Dataset, directory):

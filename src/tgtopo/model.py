@@ -193,7 +193,7 @@ def _transpose(t: Tensor) -> Tensor:
 
 
 def _row(t: Tensor) -> Tensor:
-    """Reshape a 1-d tensor to a single-row matrix."""
+    """Reshape a tensor to a single-row matrix."""
     out_data = t.data.reshape(1, -1)
 
     def backward(g):
@@ -220,19 +220,9 @@ def fusion_attention(views: Tensor, wq, wk, wv):
     scores = ad.scale(ad.matmul(q, _transpose(k)), 1.0 / np.sqrt(VIEW_DIM))
     probs = ad.softmax(scores)
     attended = ad.add(views, ad.matmul(probs, v))
-    fused = _row_flatten(attended)
+    fused = _row(attended)
     weights = probs.data.sum(axis=0) / probs.data.shape[0]
     return fused, weights
-
-
-def _row_flatten(t: Tensor) -> Tensor:
-    out_data = t.data.reshape(1, -1)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g.reshape(t.data.shape))
-
-    return Tensor(out_data, parents=(t,), backward=backward)
 
 
 def classify(fused: Tensor, w, b) -> Tensor:

@@ -76,8 +76,11 @@ class RunConfig:
                 cast = casts[key]
                 if cast is bool:
                     setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-                else:
+                    continue
+                try:
                     setattr(cfg, key, cast(value))
+                except ValueError as exc:
+                    raise PipelineError(f"{path}:{i}: {key}: {exc}") from exc
         return cfg
 
 

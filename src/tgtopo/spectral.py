@@ -1,9 +1,10 @@
 """Normalized Laplacian spectra and density-of-states histograms.
 
-Eigenvalues are computed exactly with a Householder reduction to
-tridiagonal form followed by implicit-shift QL iteration; window graphs are
-small enough that the dense solve is cheap and keeps the harness free of
-approximation error.
+Eigenvalues come from numpy's LAPACK ``eigvalsh``.  Normalized-Laplacian
+eigenvalues pile up exactly on bin edges (the spike at 1 above all), where
+round-off of a few ulps would decide the bin; ``dos_histogram`` therefore
+snaps eigenvalues to a 1e-9 grid before binning, so histograms do not depend
+on the solver's round-off.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ class SpectralError(ValueError):
 
 
 class EmptyWindowError(SpectralError):
-    pass
-
-
-class NonConvergenceError(SpectralError):
     pass
 
 
@@ -80,112 +77,22 @@ def normalized_laplacian(win) -> SymMatrix:
     return SymMatrix.from_dense(lap)
 
 
-def _householder_tridiagonal(a: np.ndarray):
-    """Orthogonal-similarity reduction to tridiagonal form; returns (diag, offdiag)."""
-    a = a.copy()
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        alpha = -np.copysign(norm_x, x[0] if x[0] != 0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        s = a[k + 1 :, k + 1 :]
-        w = s @ v
-        tau = v @ w
-        s -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v) - 4.0 * tau * np.outer(v, v)
-        a[k + 1 :, k + 1 :] = 0.5 * (s + s.T)
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        a[k + 2 :, k] = 0.0
-        a[k, k + 2 :] = 0.0
-    d = np.diag(a).copy()
-    e = np.diag(a, -1).copy() if n > 1 else np.zeros(0)
-    return d, e
+def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``).
 
-
-def _tridiagonal_eigenvalues(d, e, tol, max_sweeps=60):
-    """Implicit-shift QL iteration on a symmetric tridiagonal matrix."""
-    n = len(d)
-    d = d.astype(np.float64).copy()
-    e = np.append(e.astype(np.float64), 0.0)
-    floor = np.finfo(np.float64).eps
-    thresh = max(tol, floor)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= thresh * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise NonConvergenceError(
-                    f"eigenvalue {l} failed to converge in {max_sweeps} sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + np.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            broke = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    broke = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if broke:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return np.sort(d)
-
-
-def eigenvalues_sym(m: SymMatrix, tol: float = 1e-12) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    Deterministic for a fixed input; raises NonConvergenceError if the
-    implicit-shift iteration exceeds its sweep cap.
+    Raises ``numpy.linalg.LinAlgError`` if LAPACK fails to converge.
     """
-    if not tol > 0:
-        raise SpectralError(f"tol must be positive, got {tol}")
-    if m.order == 0:
-        return np.zeros(0)
-    if m.order == 1:
-        return np.array([m.array[0, 0]])
-    d, e = _householder_tridiagonal(m.array)
-    return _tridiagonal_eigenvalues(d, e, tol)
+    return np.linalg.eigvalsh(m.array)
 
 
 def dos_histogram(eigs, bin_count: int = 4, slack: float = 1e-6) -> DosHistogram:
     """Equal-width normalized histogram of eigenvalues over [0, 2].
 
     Bins are half-open except the last, which is closed on the right.
-    Eigenvalues are clamped into [0, 2]; values beyond ``slack`` outside the
-    interval indicate a broken Laplacian and raise.
+    Eigenvalues are snapped to a 1e-9 grid first, so one within round-off of
+    an interior edge lands in the upper bin.  They are then clamped into
+    [0, 2]; values beyond ``slack`` outside the interval indicate a broken
+    Laplacian and raise.
     """
     edges = tuple(2.0 * j / bin_count for j in range(bin_count + 1))
     eigs = np.asarray(list(eigs), dtype=np.float64)
@@ -196,7 +103,7 @@ def dos_histogram(eigs, bin_count: int = 4, slack: float = 1e-6) -> DosHistogram
             f"eigenvalues outside [0,2] by more than {slack}: "
             f"range [{eigs.min()}, {eigs.max()}]"
         )
-    clamped = np.clip(eigs, 0.0, 2.0)
+    clamped = np.clip(np.round(eigs, 9), 0.0, 2.0)
     idx = np.minimum((clamped / (2.0 / bin_count)).astype(int), bin_count - 1)
     counts = np.bincount(idx, minlength=bin_count).astype(np.float64)
     mass = counts / eigs.size
@@ -213,11 +120,11 @@ def wasserstein1_hist(a: DosHistogram, b: DosHistogram) -> float:
     return float(np.abs(cdf_a - cdf_b).sum() * width)
 
 
-def spectral_descriptor(win, bin_count: int = 4, tol: float = 1e-12) -> DosHistogram:
+def spectral_descriptor(win, bin_count: int = 4) -> DosHistogram:
     """DoS histogram of a window's normalized Laplacian; empty windows get
     the flagged all-zero sentinel so token streams keep a fixed length."""
     if win.num_nodes == 0:
         edges = tuple(2.0 * j / bin_count for j in range(bin_count + 1))
         return DosHistogram(edges, (0.0,) * bin_count, empty=True)
-    eigs = eigenvalues_sym(normalized_laplacian(win), tol=tol)
+    eigs = eigenvalues_sym(normalized_laplacian(win))
     return dos_histogram(eigs, bin_count)

@@ -203,10 +203,6 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
     return out
 
 
-def distinct_timestamps(graph: TemporalGraph) -> list:
-    return sorted({t for _, _, t in graph.events})
-
-
 def static_projection(graph: TemporalGraph) -> StaticGraph:
     """Union of all event pairs with timestamps discarded."""
     pairs = sorted({(u, v) if u < v else (v, u) for u, v, _ in graph.events})

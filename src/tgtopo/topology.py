@@ -100,16 +100,15 @@ def clique_complex(win) -> CliqueComplex2:
     return CliqueComplex2(n, tuple(sorted(local)), tuple(sorted(triangles)))
 
 
+def _components(n, edges) -> int:
+    """Connected components of the graph on vertices 0..n-1."""
+    uf = _UnionFind(range(n))
+    return n - sum(uf.union(i, j) for i, j in edges)
+
+
 def betti0(win) -> int:
     """Connected components of the window (0 for the empty window)."""
-    if win.num_nodes == 0:
-        return 0
-    uf = _UnionFind(range(win.num_nodes))
-    comps = win.num_nodes
-    for i, j in win.local_edges():
-        if uf.union(i, j):
-            comps -= 1
-    return comps
+    return _components(win.num_nodes, win.local_edges())
 
 
 def gf2_rank(matrix) -> int:
@@ -132,17 +131,6 @@ def gf2_rank(matrix) -> int:
     return rank
 
 
-def _complex_betti0(cx: CliqueComplex2) -> int:
-    if cx.vertices == 0:
-        return 0
-    uf = _UnionFind(range(cx.vertices))
-    comps = cx.vertices
-    for i, j in cx.edges:
-        if uf.union(i, j):
-            comps -= 1
-    return comps
-
-
 def boundary2_matrix(cx: CliqueComplex2):
     """Edge-by-triangle incidence matrix of the 2-boundary map (GF(2))."""
     edge_idx = {e: i for i, e in enumerate(cx.edges)}
@@ -154,8 +142,7 @@ def boundary2_matrix(cx: CliqueComplex2):
 
 def betti1(cx: CliqueComplex2) -> int:
     """First Betti number: cycle rank minus the rank of the triangle boundary."""
-    b0 = _complex_betti0(cx)
-    cycles = len(cx.edges) - cx.vertices + b0
+    cycles = len(cx.edges) - cx.vertices + _components(cx.vertices, cx.edges)
     if not cx.triangles:
         return cycles
     return cycles - gf2_rank(boundary2_matrix(cx))

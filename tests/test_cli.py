@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import tgtopo.spectral
 from tgtopo.cli import main
 from tgtopo.data import load_dataset, synth_generate, save_dataset
 
@@ -12,6 +14,26 @@ def dataset_dir(tmp_path_factory):
     spec = dict(num_graphs=10, nodes=10, timesteps=12, classes=2, cycle_density=[0, 3])
     save_dataset(synth_generate(spec, 2), root / "ds")
     return root / "ds"
+
+
+def _graph_args(root, dataset_dir, events):
+    ds = root / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_text("g.txt\n")
+    (ds / "g.txt").write_text("n 3 label 0\n" + events)
+    return ["extract", "--data", str(ds), "--out", str(root / "o")]
+
+
+def _cv_args(root, dataset_dir, config):
+    cfg = root / "run.cfg"
+    cfg.write_text("epochs = 1\n" + config)
+    return ["cv", "--data", str(dataset_dir), "--config", str(cfg)]
+
+
+def _synth_args(root, dataset_dir, spec):
+    (root / "spec.json").write_text(spec)
+    return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "x"),
+            "--seed", "0"]
 
 
 class TestExitCodes:
@@ -27,6 +49,31 @@ class TestExitCodes:
     def test_success(self, dataset_dir, tmp_path, capsys):
         code = main(["extract", "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
         assert code == 0
+
+    @pytest.mark.parametrize("build, text", [
+        pytest.param(_graph_args, "0 0 1.0\n", id="self_loop"),
+        pytest.param(_graph_args, "0 7 1.0\n", id="node_out_of_range"),
+        pytest.param(_cv_args, "frobs = 1\n", id="unknown_config_key"),
+        pytest.param(_cv_args, "epochs = abc\n", id="uncastable_config_value"),
+        pytest.param(_cv_args, "delta = 4.0\nsigma = 4.0\n", id="sigma_not_below_delta"),
+        pytest.param(_cv_args, "folds = 11\n", id="fewer_graphs_than_folds"),
+        pytest.param(_synth_args, "{not json", id="spec_not_json"),
+    ])
+    def test_malformed_input_is_data_error(self, build, text, dataset_dir, tmp_path,
+                                           capsys):
+        assert main(build(tmp_path, dataset_dir, text)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    def test_eigensolver_failure_is_numerical_error(self, dataset_dir, tmp_path,
+                                                    monkeypatch, capsys):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(tgtopo.spectral, "eigenvalues_sym", fail)
+        code = main(["extract", "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,23 @@ class TestExtraction:
                     assert np.allclose(row, 0.0)
                 else:
                     assert row.sum() == pytest.approx(1.0)
+
+
+class TestDescriptorFingerprint:
+    # SHA-256 over each graph's phi, psi and psi_empty bytes in order, the
+    # same hash as perfbench's descriptor_digest.  A change to extraction that
+    # alters any descriptor byte changes this value; record the new one only
+    # for an intended behaviour change.
+    DIGEST = "4c30dbc757bf81cc8b9551d465a04a7352560d03cad9b2245100931c6ccde8a2"
+
+    def test_default_config_digest(self):
+        spec = dict(num_graphs=20, nodes=30, timesteps=24, classes=2,
+                    cycle_density=[0, 3])
+        h = hashlib.sha256()
+        for gf in extract_descriptors(synth_generate(spec, 1), RunConfig()):
+            for arr in (gf.phi, gf.psi, gf.psi_empty):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestDescriptorCache:
