@@ -3,6 +3,13 @@
 Each ``Tensor`` wraps a float64 array; operations record closures on a tape
 (the parent DAG) and ``backward`` replays them in reverse topological order.
 Only the operations needed by the classifier are provided.
+
+The tape holds only tensors that require a gradient: constant inputs such as
+token matrices never enter the backward order.  A tensor's first gradient is
+stored as a copy, because one backward closure may hand the same array to
+several parents.  Trainable tensors are usually views into the optimizer's
+flat parameter arena (see ``optim.Adam``), so code that changes a
+parameter's values writes into ``t.data`` in place rather than rebinding it.
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -60,7 +68,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):

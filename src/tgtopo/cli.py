@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (malformed, out-of-range or
+unreadable input, or an unwritable output path), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def _write_or_print(text, path):
 def _run(args) -> int:
     if args.command == "extract":
         cfg = RunConfig(delta=args.delta, sigma=args.sigma, dos_bins=args.bins)
+        cfg.validate()
         dataset = data.load_dataset(args.data)
         features = pipeline.extract_descriptors(dataset, cfg)
         pipeline.save_descriptors(features, args.out)
@@ -166,7 +168,8 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (DataError, PipelineError, TemporalGraphError, json.JSONDecodeError) as exc:
+    except (DataError, PipelineError, TemporalGraphError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteLossError, np.linalg.LinAlgError, FloatingPointError) as exc:

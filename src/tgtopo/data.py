@@ -7,6 +7,7 @@ followed by one ``u v t`` line per event.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -144,6 +145,14 @@ def _random_tree_edges(nodes, rng):
     return edges
 
 
+def _spec_int(key, value, low) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSpecError(f"spec {key} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidSpecError(f"spec {key} must be >= {low}, got {value}")
+    return int(value)
+
+
 def synth_generate(spec: dict, seed: int) -> Dataset:
     """Planted-cycle synthetic dataset.
 
@@ -157,25 +166,31 @@ def synth_generate(spec: dict, seed: int) -> Dataset:
     complex fills the extra cycles; the anchor spacing keeps windows sparse
     so the planted signal survives.  Deterministic per seed.
     """
+    if not isinstance(spec, dict):
+        raise InvalidSpecError(f"spec must be a JSON object, got {type(spec).__name__}")
     required = {"num_graphs", "nodes", "timesteps", "classes", "cycle_density"}
     missing = required - spec.keys()
     if missing:
         raise InvalidSpecError(f"missing spec keys: {sorted(missing)}")
-    num_graphs = int(spec["num_graphs"])
-    nodes = int(spec["nodes"])
-    timesteps = int(spec["timesteps"])
-    classes = int(spec["classes"])
-    density = [int(c) for c in spec["cycle_density"]]
-    if classes < 2:
-        raise InvalidSpecError("need at least 2 classes")
+    num_graphs = _spec_int("num_graphs", spec["num_graphs"], 1)
+    nodes = _spec_int("nodes", spec["nodes"], 3)
+    timesteps = _spec_int("timesteps", spec["timesteps"], 1)
+    classes = _spec_int("classes", spec["classes"], 2)
+    anchor_stride = _spec_int("anchor_stride", spec.get("anchor_stride", 4), 1)
+    if not isinstance(spec["cycle_density"], (list, tuple)):
+        raise InvalidSpecError("cycle_density must be a list")
+    density = [_spec_int("cycle_density", c, 0) for c in spec["cycle_density"]]
     if len(density) != classes:
         raise InvalidSpecError("cycle_density must list one value per class")
     if len(set(density)) != classes:
         raise InvalidSpecError("cycle_density values must be distinct across classes")
-    if nodes < 3:
-        raise InvalidSpecError("need at least 3 nodes")
+    # a spanning tree leaves this many free node pairs for chords
+    free_pairs = (nodes - 1) * (nodes - 2) // 2
+    if max(density) > free_pairs:
+        raise InvalidSpecError(
+            f"cycle_density values must be <= {free_pairs} for {nodes} nodes"
+        )
 
-    anchor_stride = int(spec.get("anchor_stride", 4))
     streams = np.random.SeedSequence(seed).spawn(num_graphs)
     graphs = []
     for i in range(num_graphs):

@@ -11,6 +11,7 @@ with the per-view attention mass.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -52,8 +53,11 @@ class FusionOutput:
     view_weights: np.ndarray  # 3 nonnegative reals summing to 1
 
 
+@functools.lru_cache(maxsize=64)
 def time_embedding(n: int, d_model: int) -> np.ndarray:
-    """Deterministic sinusoidal position code over window indices."""
+    """Deterministic sinusoidal position code over window indices.
+
+    Cached per (n, d_model); the shared table is read-only."""
     if n < 1:
         raise ValueError("sequence length must be >= 1")
     pos = np.arange(n)[:, None].astype(np.float64)
@@ -62,6 +66,7 @@ def time_embedding(n: int, d_model: int) -> np.ndarray:
     table = np.zeros((n, d_model))
     table[:, 0::2] = np.sin(angle[:, 0::2])
     table[:, 1::2] = np.cos(angle[:, 1::2])
+    table.flags.writeable = False
     return table
 
 
@@ -334,5 +339,5 @@ class TemporalGraphClassifier:
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if arr.shape != t.data.shape:
                 raise ad.ShapeMismatchError(f"checkpoint shape mismatch for {name}")
-            t.data = arr
+            t.data[...] = arr
         return model

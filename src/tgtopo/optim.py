@@ -1,4 +1,14 @@
-"""Adam with decoupled weight decay."""
+"""Adam with decoupled weight decay over one flat parameter arena.
+
+``Adam`` copies the parameters, in dict order, into one contiguous float64
+array ``flat`` and rebinds each tensor's ``data`` to a reshaped view of it,
+so a step is a handful of vectorized updates over every parameter at once
+instead of a Python loop over tensors.  The moments ``m`` and ``v`` are flat
+arrays of the same length.  Every element goes through the same float
+operations in the same order as a per-tensor loop would, so results are
+bit-identical to it.  Code that changes a parameter after the optimizer is
+built must write into ``t.data`` in place, not rebind it.
+"""
 
 from __future__ import annotations
 
@@ -22,30 +32,47 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.flat = np.empty(sum(t.data.size for t in params.values()))
+        self._grad = np.empty_like(self.flat)
+        self._tmp = np.empty_like(self.flat)
+        self._grad_views = []
+        offset = 0
+        for t in params.values():
+            end = offset + t.data.size
+            view = self.flat[offset:end].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self._grad_views.append(self._grad[offset:end].reshape(view.shape))
+            offset = end
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()
 
     def step(self):
+        for (name, p), gv in zip(self.params.items(), self._grad_views):
+            if p.grad is None:
+                gv[...] = 0.0
+            elif p.grad.shape != gv.shape:
+                raise ShapeMismatchError(f"gradient shape mismatch for {name}")
+            else:
+                gv[...] = p.grad
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ShapeMismatchError(f"gradient shape mismatch for {name}")
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p, g, m, v, tmp = self.flat, self._grad, self.m, self.v, self._tmp
+        if self.weight_decay:
+            p -= np.multiply(self.lr * self.weight_decay, p, out=tmp)
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=tmp)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        # g is not read again this step: reuse it for sqrt(v / bc2) + eps
+        np.sqrt(np.divide(v, bc2, out=g), out=g)
+        g += self.eps
+        np.multiply(self.lr, np.divide(m, bc1, out=tmp), out=tmp)
+        p -= np.divide(tmp, g, out=tmp)

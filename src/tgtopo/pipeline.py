@@ -12,6 +12,7 @@ from . import spectral, topology
 from .autodiff import NonFiniteValueError, cross_entropy_with_logits
 from .data import Dataset
 from .model import (
+    MODES,
     ModelConfig,
     TemporalGraphClassifier,
     mean_aggregation_matrix,
@@ -38,6 +39,10 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
+FEATURE_MODES = ("temporal_degree", "binary", "provided")
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class RunConfig:
     delta: float = 6.0
@@ -58,9 +63,30 @@ class RunConfig:
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.delta, self.sigma)
 
+    def validate(self):
+        """Raise PipelineError for the first value outside its range.
+
+        delta and sigma are checked by ``WindowSpec`` when windows are cut."""
+        for key, ok, expected in (
+            ("dos_bins", self.dos_bins >= 1, ">= 1"),
+            ("sage_layers", self.sage_layers >= 1, ">= 1"),
+            ("hidden_dim", self.hidden_dim >= 1, ">= 1"),
+            ("lr", 0 < self.lr < np.inf, "finite and > 0"),
+            ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+            ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("folds", self.folds >= 2, ">= 2"),
+            ("feature_mode", self.feature_mode in FEATURE_MODES,
+             f"one of {FEATURE_MODES}"),
+            ("mode", self.mode in MODES, f"one of {MODES}"),
+        ):
+            if not ok:
+                raise PipelineError(f"{key} must be {expected}, got {getattr(self, key)!r}")
+
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        """Line-oriented ``key = value`` config."""
+        """Line-oriented ``key = value`` config, checked by ``validate``."""
         cfg = cls()
         casts = {f: type(getattr(cfg, f)) for f in cfg.__dict__}
         with open(path) as fh:
@@ -74,13 +100,11 @@ class RunConfig:
                 if key not in casts:
                     raise PipelineError(f"{path}:{i}: unknown key {key!r}")
                 cast = casts[key]
-                if cast is bool:
-                    setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-                    continue
                 try:
-                    setattr(cfg, key, cast(value))
-                except ValueError as exc:
-                    raise PipelineError(f"{path}:{i}: {key}: {exc}") from exc
+                    setattr(cfg, key, _BOOLS[value.lower()] if cast is bool else cast(value))
+                except (KeyError, ValueError) as exc:
+                    raise PipelineError(f"{path}:{i}: {key}: bad value {value!r}") from exc
+        cfg.validate()
         return cfg
 
 

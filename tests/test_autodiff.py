@@ -236,6 +236,15 @@ class TestOpSemantics:
         w = np.random.default_rng(5).normal(size=(2, 1)).reshape(-1)
         assert np.allclose(x.grad.reshape(-1), 2.0 * w)
 
+    def test_add_parents_do_not_share_gradient_arrays(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.zeros((2, 3)), requires_grad=True)
+        weighted_sum(add(a, b), seed=6).backward()
+        before = b.grad.copy()
+        a._accumulate(np.ones((2, 3)))
+        assert np.array_equal(b.grad, before)
+        assert not np.array_equal(a.grad, before)
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeMismatchError):

@@ -30,6 +30,18 @@ def _cv_args(root, dataset_dir, config):
     return ["cv", "--data", str(dataset_dir), "--config", str(cfg)]
 
 
+def _missing_file_args(root, dataset_dir, command):
+    if command == "cv":
+        return ["cv", "--data", str(dataset_dir), "--config", str(root / "nonexist.cfg")]
+    return ["synth", "--spec", str(root / "nope.json"), "--out", str(root / "x"),
+            "--seed", "0"]
+
+
+def _extract_args(root, dataset_dir, bins):
+    return ["extract", "--data", str(dataset_dir), "--out", str(root / "o"),
+            "--bins", bins]
+
+
 def _synth_args(root, dataset_dir, spec):
     (root / "spec.json").write_text(spec)
     return ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "x"),
@@ -57,7 +69,21 @@ class TestExitCodes:
         pytest.param(_cv_args, "epochs = abc\n", id="uncastable_config_value"),
         pytest.param(_cv_args, "delta = 4.0\nsigma = 4.0\n", id="sigma_not_below_delta"),
         pytest.param(_cv_args, "folds = 11\n", id="fewer_graphs_than_folds"),
+        pytest.param(_cv_args, "mode = foo\n", id="unknown_mode"),
+        pytest.param(_cv_args, "feature_mode = foo\n", id="unknown_feature_mode"),
+        pytest.param(_cv_args, "lr = nan\n", id="nan_lr"),
+        pytest.param(_cv_args, "dos_bins = 0\n", id="zero_dos_bins"),
+        pytest.param(_cv_args, "epochs = 0\n", id="zero_epochs"),
+        pytest.param(_cv_args, "hidden_dim = 0\n", id="zero_hidden_dim"),
+        pytest.param(_cv_args, "dropout = 1.0\n", id="dropout_not_below_one"),
+        pytest.param(_cv_args, "count_edge_multiplicity = maybe\n", id="non_boolean_flag"),
+        pytest.param(_extract_args, "0", id="zero_bins_flag"),
+        pytest.param(_missing_file_args, "cv", id="missing_config_file"),
+        pytest.param(_missing_file_args, "synth", id="missing_spec_file"),
         pytest.param(_synth_args, "{not json", id="spec_not_json"),
+        pytest.param(_synth_args, "[1, 2]", id="spec_not_object"),
+        pytest.param(_synth_args, '{"num_graphs": 4, "nodes": "abc", "timesteps": 8, '
+                     '"classes": 2, "cycle_density": [0, 2]}', id="spec_value_not_integer"),
     ])
     def test_malformed_input_is_data_error(self, build, text, dataset_dir, tmp_path,
                                            capsys):

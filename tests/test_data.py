@@ -122,6 +122,21 @@ class TestSynthGenerate:
         with pytest.raises(InvalidSpecError):
             synth_generate(bad, 0)
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param([1, 2], id="not_an_object"),
+        pytest.param(dict(SPEC, nodes="abc"), id="string_value"),
+        pytest.param(dict(SPEC, nodes=12.5), id="float_value"),
+        pytest.param(dict(SPEC, num_graphs=True), id="bool_value"),
+        pytest.param(dict(SPEC, num_graphs=0), id="no_graphs"),
+        pytest.param(dict(SPEC, anchor_stride=0), id="zero_anchor_stride"),
+        pytest.param(dict(SPEC, cycle_density="03"), id="density_not_list"),
+        pytest.param(dict(SPEC, cycle_density=[-1, 3]), id="negative_density"),
+        pytest.param(dict(SPEC, nodes=4, cycle_density=[0, 4]), id="more_chords_than_pairs"),
+    ])
+    def test_invalid_spec_rejected(self, spec):
+        with pytest.raises(InvalidSpecError):
+            synth_generate(spec, 0)
+
     def test_betti1_separation(self):
         # planted chords must push mean per-window beta_1 of the dense class
         # at least 2 above the sparse class

@@ -44,6 +44,12 @@ class TestTimeEmbedding:
         with pytest.raises(ValueError):
             time_embedding(0, 8)
 
+    def test_cached_table_is_read_only(self):
+        e = time_embedding(5, 8)
+        assert e is time_embedding(5, 8)
+        with pytest.raises(ValueError):
+            e[0, 0] = 1.0
+
 
 class TestAggregation:
     def test_path_graph(self):
@@ -284,6 +290,24 @@ class TestClassifier:
         la, _ = model.forward(phi, psi, feats, agg)
         lb, _ = clone.forward(phi, psi, feats, agg)
         assert np.array_equal(la.data, lb.data)
+
+    def test_load_writes_into_existing_parameter_arrays(self, tmp_path, monkeypatch):
+        cfg = ModelConfig(mode="full", feature_dim=3)
+        model = TemporalGraphClassifier(cfg, seed=5)
+        path = tmp_path / "ckpt.json"
+        model.save(path)
+        created = {}
+        init = TemporalGraphClassifier.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.update((name, t.data) for name, t in self.parameters.items())
+
+        monkeypatch.setattr(TemporalGraphClassifier, "__init__", recording_init)
+        clone = TemporalGraphClassifier.load(path)
+        for name, t in clone.parameters.items():
+            assert t.data is created[name], name
+            assert np.array_equal(t.data, model.parameters[name].data), name
 
     def test_end_to_end_gradients_tiny_model(self):
         cfg = ModelConfig(

@@ -10,6 +10,22 @@ def _param(values):
     return t
 
 
+def _reference_adam_step(params, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """Per-tensor Adam loop: the arena must reproduce it bit for bit."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, (data, g) in params.items():
+        if g is None:
+            g = np.zeros_like(data)
+        if weight_decay:
+            data -= lr * weight_decay * data
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
 class TestAdam:
     def test_first_step_without_decay(self):
         # with zero moments the first bias-corrected step is lr * g/|g|
@@ -82,3 +98,29 @@ class TestAdam:
             p.grad = 2.0 * (p.data - 3.0)
             opt.step()
         assert p.data[0] == pytest.approx(3.0, abs=1e-3)
+
+
+class TestFlatArena:
+    def test_matches_per_tensor_reference_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        shapes = {"w": (3, 4), "b": (5,), "s": (), "t": (2, 1, 3), "u": (1, 7)}
+        init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = {name: _param(x) for name, x in init.items()}
+        hp = dict(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-3)
+        opt = Adam(params, **hp)
+        ref = {name: x.copy() for name, x in init.items()}
+        m = {name: np.zeros_like(x) for name, x in init.items()}
+        v = {name: np.zeros_like(x) for name, x in init.items()}
+        for step in range(1, 6):
+            grads = {
+                name: None if (step + i) % 3 == 0 else rng.normal(size=shapes[name])
+                for i, name in enumerate(shapes)
+            }
+            for name, p in params.items():
+                p.grad = grads[name]
+            opt.step()
+            _reference_adam_step({n: (ref[n], grads[n]) for n in shapes}, m, v, step, **hp)
+            for name, p in params.items():
+                assert p.data.shape == shapes[name]
+                assert p.data.tobytes() == ref[name].tobytes(), (step, name)
+        assert all(np.shares_memory(p.data, opt.flat) for p in params.values())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tgtopo.data import synth_generate
+from tgtopo.model import TemporalGraphClassifier
 from tgtopo.pipeline import (
     AttentionReport,
     Metrics,
@@ -106,6 +107,26 @@ class TestDescriptorFingerprint:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestTrainingFingerprint:
+    # SHA-256 over the float64 bytes of the loss history, then of every
+    # trained parameter in dict order, after 2 epochs on the descriptor
+    # fingerprint's dataset.  Optimizations that keep every float operation
+    # and its order leave this value unchanged; record a new one only for an
+    # intended change to the numerics of training.
+    DIGEST = "e23a3340d7b7d69c41407670bc8f7af38ec10f7129357f8a8aeac3e7e86ccfe0"
+
+    def test_default_config_digest(self):
+        spec = dict(num_graphs=20, nodes=30, timesteps=24, classes=2,
+                    cycle_density=[0, 3])
+        cfg = RunConfig(epochs=2)
+        feats = extract_descriptors(synth_generate(spec, 1), cfg)
+        model, metrics = train(feats, 2, cfg)
+        h = hashlib.sha256(np.array(metrics.loss_history, dtype=np.float64).tobytes())
+        for t in model.parameters.values():
+            h.update(np.ascontiguousarray(t.data, dtype=np.float64).tobytes())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestDescriptorCache:
     def test_roundtrip_bit_identical(self, small_features, tmp_path):
         save_descriptors(small_features, tmp_path / "cache")
@@ -179,6 +200,13 @@ class TestTraining:
         assert h1.loss_history == h2.loss_history
         for name, t in m1.parameters.items():
             assert np.array_equal(t.data, m2.parameters[name].data)
+
+    def test_checkpoint_after_training_bit_exact(self, small_features, tmp_path):
+        model, _ = train(small_features, 2, RunConfig(mode="full", epochs=1, seed=7))
+        model.save(tmp_path / "ckpt.json")
+        clone = TemporalGraphClassifier.load(tmp_path / "ckpt.json")
+        for name, t in model.parameters.items():
+            assert t.data.tobytes() == clone.parameters[name].data.tobytes(), name
 
     def test_constant_model_scores_class_balance(self, small_features):
         # zeroed classifier head ties every logit; argmax resolves to class 0,
