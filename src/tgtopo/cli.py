@@ -15,6 +15,7 @@ import numpy as np
 
 from . import data, pipeline, stability
 from .data import DataError
+from .model import CheckpointError, TemporalGraphClassifier
 from .pipeline import NonFiniteLossError, PipelineError, RunConfig
 from .temporal import TemporalGraphError
 
@@ -113,8 +114,6 @@ def _run(args) -> int:
         model.save(args.out)
         print(f"final loss {metrics.loss_history[-1]:.4f}; checkpoint at {args.out}")
     elif args.command == "eval":
-        from .model import TemporalGraphClassifier
-
         cfg = _load_config(args.config)
         model = TemporalGraphClassifier.load(args.model)
         dataset = data.load_dataset(args.data)
@@ -168,8 +167,8 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (DataError, PipelineError, TemporalGraphError, json.JSONDecodeError,
-            OSError) as exc:
+    except (DataError, PipelineError, TemporalGraphError, CheckpointError,
+            json.JSONDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteLossError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -25,6 +25,10 @@ VIEW_NAMES = ("structural", "topological", "spectral")
 MODES = ("full", "concat-fuse", "gsage-only", "topo-only", "dos-only")
 
 
+class CheckpointError(ValueError):
+    pass
+
+
 @dataclass
 class ModelConfig:
     num_classes: int = 2
@@ -328,16 +332,22 @@ class TemporalGraphClassifier:
 
     @classmethod
     def load(cls, path):
+        """Rebuild a saved model; raises CheckpointError for a malformed file."""
         with open(path) as fh:
             payload = json.load(fh)
-        if payload.get("format") != "tgtopo-checkpoint-v1":
-            raise ValueError(f"unrecognized checkpoint format in {path}")
-        cfg = ModelConfig(**payload["config"])
-        model = cls(cfg, seed=0)
-        for name, entry in payload["params"].items():
-            t = model.parameters[name]
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            if arr.shape != t.data.shape:
-                raise ad.ShapeMismatchError(f"checkpoint shape mismatch for {name}")
-            t.data[...] = arr
+        try:
+            if payload.get("format") != "tgtopo-checkpoint-v1":
+                raise ValueError("unrecognized checkpoint format")
+            model = cls(ModelConfig(**payload["config"]), seed=0)
+            params = payload["params"]
+            if set(params) != set(model.parameters):
+                raise ValueError("parameter names do not match the config")
+            for name, t in model.parameters.items():
+                entry = params[name]
+                arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                if arr.shape != t.data.shape:
+                    raise ValueError(f"shape mismatch for {name}")
+                t.data[...] = arr
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad checkpoint: {exc}") from exc
         return model

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -39,7 +38,7 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
-FEATURE_MODES = ("temporal_degree", "binary", "provided")
+FEATURE_MODES = ("temporal_degree", "binary")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -56,7 +55,7 @@ class RunConfig:
     epochs: int = 30
     seed: int = 0
     folds: int = 5
-    feature_mode: str = "temporal_degree"  # temporal_degree | binary | provided
+    feature_mode: str = "temporal_degree"  # temporal_degree | binary
     mode: str = "full"
     count_edge_multiplicity: bool = False
 
@@ -125,7 +124,6 @@ class GraphFeatures:
 class Metrics:
     fold_accuracies: list = field(default_factory=list)
     loss_history: list = field(default_factory=list)
-    wall_clock: dict = field(default_factory=dict)
 
     @property
     def accuracy_mean(self) -> float:
@@ -261,7 +259,6 @@ def train(features: list, num_classes: int, config: RunConfig):
     opt = Adam(model.parameters, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed + 1)
     metrics = Metrics()
-    start = time.perf_counter()
     for epoch in range(config.epochs):
         order = rng.permutation(len(features))
         losses = []
@@ -282,7 +279,6 @@ def train(features: list, num_classes: int, config: RunConfig):
             opt.step()
             losses.append(float(loss.data))
         metrics.loss_history.append(float(np.mean(losses)))
-    metrics.wall_clock["train"] = time.perf_counter() - start
     return model, metrics
 
 
@@ -291,7 +287,6 @@ def evaluate(model, features: list, dataset_name="dataset"):
     correct = 0
     weights = np.zeros(3)
     embeddings = []
-    start = time.perf_counter()
     for gf in features:
         logits, fusion = model.forward(gf.phi, gf.psi, gf.features, gf.agg, train=False)
         if int(np.argmax(logits.data)) == gf.label:
@@ -301,7 +296,6 @@ def evaluate(model, features: list, dataset_name="dataset"):
     n = len(features)
     weights /= max(n, 1)
     metrics = Metrics(fold_accuracies=[correct / max(n, 1)])
-    metrics.wall_clock["eval"] = time.perf_counter() - start
     report = AttentionReport(dataset_name, *[float(w) for w in weights])
     return metrics, report, np.array(embeddings)
 
@@ -325,7 +319,6 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
 
 def kfold_cv(dataset: Dataset, config: RunConfig, features=None):
     """Stratified k-fold cross-validation; returns (Metrics, AttentionReport)."""
-    start = time.perf_counter()
     if features is None:
         features = extract_descriptors(dataset, config)
     folds = stratified_folds([gf.label for gf in features], config.folds, config.seed)
@@ -342,7 +335,6 @@ def kfold_cv(dataset: Dataset, config: RunConfig, features=None):
         metrics.loss_history.append(fold_metrics.loss_history)
         weight_totals += np.array([report.structural, report.topological, report.spectral])
     weight_totals /= len(folds)
-    metrics.wall_clock["cv"] = time.perf_counter() - start
     report = AttentionReport(dataset.name, *[float(w) for w in weight_totals])
     return metrics, report
 

@@ -22,10 +22,6 @@ class EmptyWindowError(SpectralError):
     pass
 
 
-class EmptySpectrumError(SpectralError):
-    pass
-
-
 class BinMismatchError(SpectralError):
     pass
 
@@ -124,7 +120,6 @@ def spectral_descriptor(win, bin_count: int = 4) -> DosHistogram:
     """DoS histogram of a window's normalized Laplacian; empty windows get
     the flagged all-zero sentinel so token streams keep a fixed length."""
     if win.num_nodes == 0:
-        edges = tuple(2.0 * j / bin_count for j in range(bin_count + 1))
-        return DosHistogram(edges, (0.0,) * bin_count, empty=True)
+        return dos_histogram((), bin_count)
     eigs = eigenvalues_sym(normalized_laplacian(win))
     return dos_histogram(eigs, bin_count)

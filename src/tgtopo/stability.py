@@ -11,12 +11,13 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .spectral import spectral_descriptor, wasserstein1_hist
-from .temporal import TemporalGraph, WindowGraph
-from .topology import betti_curve, l1_distance, sublevel_persistence0
+from .temporal import TemporalGraph, WindowGraph, from_events
+from .topology import betti_curve, sublevel_persistence0
 
 
 class StabilityError(ValueError):
@@ -73,16 +74,7 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
         (u, v, t + float(dt)) for (u, v, t), dt in zip(graph.events, shifts)
     ]
     l1 = float(np.abs(shifts).sum())
-    return (
-        TemporalGraph(
-            graph.num_nodes,
-            tuple(sorted(events, key=lambda e: e[2])),
-            graph.label,
-            min(t for _, _, t in events),
-            max(t for _, _, t in events),
-        ),
-        l1,
-    )
+    return from_events(graph.num_nodes, events, graph.label), l1
 
 
 def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
@@ -92,17 +84,14 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
     when k exceeds the feasible modification count.
     """
     rng = np.random.default_rng(seed)
-    nodes = list(win.nodes)
-    n = len(nodes)
     edges = set(win.edges)
-    all_pairs = {(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)}
+    non_edges = sorted(p for p in combinations(win.nodes, 2) if p not in edges)
+    degree = dict.fromkeys(win.nodes, 0)
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
     touched = set()  # a pair is modified at most once, so |symmetric diff| == k
     for step in range(k):
-        non_edges = sorted(all_pairs - edges - touched)
-        degree = {v: 0 for v in nodes}
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
         deletable = sorted(
             e for e in edges
             if e not in touched and degree[e[0]] > 1 and degree[e[1]] > 1
@@ -116,11 +105,13 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
         else:
             choice = "insert" if rng.random() < 0.5 else "delete"
         if choice == "insert":
-            pick = non_edges[int(rng.integers(len(non_edges)))]
+            pick = non_edges.pop(int(rng.integers(len(non_edges))))
             edges.add(pick)
         else:
             pick = deletable[int(rng.integers(len(deletable)))]
             edges.remove(pick)
+        for x in pick:
+            degree[x] += 1 if choice == "insert" else -1
         touched.add(pick)
     edges = tuple(sorted(edges))
     return WindowGraph(
@@ -131,10 +122,6 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
         edges=edges,
         edge_multiplicity=(1,) * len(edges),
     )
-
-
-def _betti0_curve_from_events(events):
-    return sublevel_persistence0((u, v, t) for u, v, t in events)
 
 
 def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
@@ -149,8 +136,8 @@ def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
     if graph.num_events == 0:
         raise StabilityError("graph has no events")
     perturbed, l1 = perturb_timestamps(graph, eps, seed)
-    pd_a = _betti0_curve_from_events(graph.events)
-    pd_b = _betti0_curve_from_events(perturbed.events)
+    pd_a = sublevel_persistence0(graph.events)
+    pd_b = sublevel_persistence0(perturbed.events)
     grid = sorted(
         {t for _, _, t in graph.events} | {t for _, _, t in perturbed.events}
     )
@@ -183,8 +170,6 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
         u, v = rng.integers(0, n, size=2)
         if u != v:
             events.append((int(u), int(v), float(rng.uniform(0.0, 10.0))))
-    from .temporal import from_events
-
     return from_events(n, events)
 
 

@@ -9,7 +9,9 @@ subgraphs from which downstream descriptors are computed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +25,10 @@ class OutOfRangeNodeError(TemporalGraphError):
 
 
 class SelfLoopError(TemporalGraphError):
+    pass
+
+
+class NonFiniteTimestampError(TemporalGraphError):
     pass
 
 
@@ -73,8 +79,11 @@ class TemporalGraph:
         return len(self.events)
 
 
+_time = itemgetter(2)  # an event's timestamp
+
+
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
-    """Build a TemporalGraph, validating endpoints and sorting by time."""
+    """Build a TemporalGraph, validating endpoints and times, sorting by time."""
     if num_nodes <= 0:
         raise TemporalGraphError(f"num_nodes must be positive, got {num_nodes}")
     checked = []
@@ -84,12 +93,14 @@ def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGra
             raise OutOfRangeNodeError(f"event ({u},{v},{t}) outside [0,{num_nodes})")
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}, t={t}")
+        if not math.isfinite(t):
+            raise NonFiniteTimestampError(f"event ({u},{v}) has timestamp {t}")
         checked.append((u, v, t))
     if not checked:
         if not allow_empty:
             raise EmptyEventListError("empty event list (pass allow_empty=True to permit)")
         return TemporalGraph(num_nodes, (), label, math.nan, math.nan)
-    checked.sort(key=lambda e: e[2])
+    checked.sort(key=_time)
     ts = [t for _, _, t in checked]
     return TemporalGraph(num_nodes, tuple(checked), label, min(ts), max(ts))
 
@@ -121,12 +132,9 @@ class WindowGraph:
     def num_event_edges(self) -> int:
         return sum(self.edge_multiplicity)
 
-    def local_index(self) -> dict:
-        """Map from global node id to a dense local index."""
-        return {v: i for i, v in enumerate(self.nodes)}
-
     def local_edges(self) -> list:
-        idx = self.local_index()
+        """Edges renumbered to dense local indices in node order."""
+        idx = {v: i for i, v in enumerate(self.nodes)}
         return [(idx[u], idx[v]) for u, v in self.edges]
 
 
@@ -143,12 +151,15 @@ def window(graph: TemporalGraph, t: float, delta: float, window_index=0) -> Wind
     """Extract the subgraph of events with timestamp in the closed [t, t+delta]."""
     if not delta > 0:
         raise TemporalGraphError(f"delta must be > 0, got {delta}")
+    if math.isnan(t):  # would bisect to the whole event list
+        raise TemporalGraphError("window start is NaN")
     hi = t + delta
+    events = graph.events  # sorted by time (from_events)
+    lo = bisect_left(events, t, key=_time)
     mult = {}
-    for u, v, te in graph.events:
-        if t <= te <= hi:
-            pair = (u, v) if u < v else (v, u)
-            mult[pair] = mult.get(pair, 0) + 1
+    for u, v, _ in events[lo:bisect_right(events, hi, lo, key=_time)]:
+        pair = (u, v) if u < v else (v, u)
+        mult[pair] = mult.get(pair, 0) + 1
     edges = tuple(sorted(mult))
     nodes = tuple(sorted({x for pair in edges for x in pair}))
     return WindowGraph(

@@ -2,8 +2,8 @@
 
 Complexes are truncated at dimension 2 (triangles): beta_1 of a clique
 complex only depends on simplices up to dimension 2, and the per-window
-descriptor needs nothing higher.  Homology ranks are computed over GF(2)
-with bit-packed Gaussian elimination.
+descriptor needs nothing higher.  beta_1 takes the GF(2) rank of the triangle
+boundary columns, each packed into an int with bit i set for edge i.
 """
 
 from __future__ import annotations
@@ -111,28 +111,27 @@ def betti0(win) -> int:
     return _components(win.num_nodes, win.local_edges())
 
 
+def _rank(words) -> int:
+    """GF(2) rank of bit-packed vectors (Python ints)."""
+    pivots = {}  # lowest set bit -> pivot vector
+    for w in words:
+        while w:
+            low = w & -w
+            if low not in pivots:
+                pivots[low] = w
+                break
+            w ^= pivots[low]
+    return len(pivots)
+
+
 def gf2_rank(matrix) -> int:
     """Rank over GF(2); accepts any row-iterable of 0/1 entries."""
-    packed = []
-    for row in matrix:
-        word = 0
-        for j, bit in enumerate(row):
-            if int(bit) & 1:
-                word |= 1 << j
-        packed.append(word)
-    rank = 0
-    rows = [r for r in packed if r]
-    while rows:
-        pivot = rows.pop()
-        rank += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
+    return _rank(sum(1 << j for j, bit in enumerate(row) if int(bit) & 1)
+                 for row in matrix)
 
 
 def boundary2_matrix(cx: CliqueComplex2):
-    """Edge-by-triangle incidence matrix of the 2-boundary map (GF(2))."""
+    """Dense edge-by-triangle GF(2) boundary matrix, kept as an oracle for betti1."""
     edge_idx = {e: i for i, e in enumerate(cx.edges)}
     rows = [[0] * len(cx.triangles) for _ in range(len(cx.edges))]
     for t, (i, j, k) in enumerate(cx.triangles):
@@ -140,12 +139,12 @@ def boundary2_matrix(cx: CliqueComplex2):
             rows[edge_idx[e]][t] = 1
     return rows
 
+
 def betti1(cx: CliqueComplex2) -> int:
     """First Betti number: cycle rank minus the rank of the triangle boundary."""
     cycles = len(cx.edges) - cx.vertices + _components(cx.vertices, cx.edges)
-    if not cx.triangles:
-        return cycles
-    return cycles - gf2_rank(boundary2_matrix(cx))
+    bit = {e: 1 << i for i, e in enumerate(cx.edges)}
+    return cycles - _rank(bit[i, j] | bit[i, k] | bit[j, k] for i, j, k in cx.triangles)
 
 
 def topo_descriptor(win, count_edge_multiplicity=False) -> TopoDescriptor:

@@ -6,6 +6,7 @@ import pytest
 import tgtopo.spectral
 from tgtopo.cli import main
 from tgtopo.data import load_dataset, synth_generate, save_dataset
+from tgtopo.model import CheckpointError, ModelConfig, TemporalGraphClassifier
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +66,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("build, text", [
         pytest.param(_graph_args, "0 0 1.0\n", id="self_loop"),
         pytest.param(_graph_args, "0 7 1.0\n", id="node_out_of_range"),
+        pytest.param(_graph_args, "0 1 1.0\n0 1 nan\n", id="trailing_nan_timestamp"),
+        pytest.param(_graph_args, "0 1 inf\n1 2 1.0\n", id="inf_timestamp"),
         pytest.param(_cv_args, "frobs = 1\n", id="unknown_config_key"),
         pytest.param(_cv_args, "epochs = abc\n", id="uncastable_config_value"),
         pytest.param(_cv_args, "delta = 4.0\nsigma = 4.0\n", id="sigma_not_below_delta"),
         pytest.param(_cv_args, "folds = 11\n", id="fewer_graphs_than_folds"),
         pytest.param(_cv_args, "mode = foo\n", id="unknown_mode"),
         pytest.param(_cv_args, "feature_mode = foo\n", id="unknown_feature_mode"),
+        pytest.param(_cv_args, "feature_mode = provided\n", id="provided_feature_mode"),
         pytest.param(_cv_args, "lr = nan\n", id="nan_lr"),
         pytest.param(_cv_args, "dos_bins = 0\n", id="zero_dos_bins"),
         pytest.param(_cv_args, "epochs = 0\n", id="zero_epochs"),
@@ -88,6 +92,31 @@ class TestExitCodes:
     def test_malformed_input_is_data_error(self, build, text, dataset_dir, tmp_path,
                                            capsys):
         assert main(build(tmp_path, dataset_dir, text)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda p: {"format": "other"}, id="unknown_format"),
+        pytest.param(lambda p: [p], id="not_an_object"),
+        pytest.param(lambda p: p["params"]["cls.b"].update(shape=[1, 2]) or p,
+                     id="wrong_shape"),
+        pytest.param(lambda p: p["params"].update(bogus={"shape": [1], "data": [0.0]})
+                     or p, id="unknown_parameter"),
+        pytest.param(lambda p: p["config"].update(frobs=1) or p, id="unknown_config_key"),
+        pytest.param(lambda p: p["params"].pop("cls.w") and p, id="missing_parameter"),
+    ])
+    def test_malformed_checkpoint_is_data_error(self, mutate, dataset_dir, tmp_path,
+                                                capsys):
+        path = tmp_path / "model.json"
+        # the dataset's feature width, so that only the mutation can fail eval
+        width = len({t for g in load_dataset(dataset_dir).graphs for _, _, t in g.events})
+        TemporalGraphClassifier(ModelConfig(feature_dim=width)).save(path)
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(CheckpointError):
+            TemporalGraphClassifier.load(path)
+        code = main(["eval", "--model", str(path), "--data", str(dataset_dir),
+                     "--report", str(tmp_path / "r.csv")])
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 

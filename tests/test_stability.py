@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from tgtopo.stability import (
     spectral_stability_trial,
     topo_stability_trial,
 )
-from tgtopo.temporal import from_events
+from tgtopo.temporal import WindowGraph, from_events
 
 
 class TestPerturbationSpec:
@@ -84,6 +86,61 @@ class TestPerturbEdges:
         with pytest.raises(InfeasibleKError):
             perturb_edges(win, 1, seed=0)
 
+    def test_matches_reference_for_every_feasible_k(self):
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            win = random_er_window(rng, n_low=4, n_high=9, p=float(rng.choice([0.3, 0.7])))
+            for seed in range(3):
+                k = 0
+                while True:
+                    try:
+                        expected = perturb_edges_reference(win, k, seed)
+                    except InfeasibleKError as exc:
+                        with pytest.raises(InfeasibleKError, match=str(exc)):
+                            perturb_edges(win, k, seed)
+                        break
+                    assert perturb_edges(win, k, seed) == expected
+                    k += 1
+
+
+def perturb_edges_reference(win, k, seed):
+    """Straightforward perturb_edges: rebuilds the pair set and the degrees
+    on every step.  The optimized version must make the same draws."""
+    rng = np.random.default_rng(seed)
+    nodes = list(win.nodes)
+    n = len(nodes)
+    edges = set(win.edges)
+    all_pairs = {(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)}
+    touched = set()
+    for step in range(k):
+        non_edges = sorted(all_pairs - edges - touched)
+        degree = {v: 0 for v in nodes}
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        deletable = sorted(
+            e for e in edges
+            if e not in touched and degree[e[0]] > 1 and degree[e[1]] > 1
+        )
+        if not non_edges and not deletable:
+            raise InfeasibleKError(f"no feasible modification at step {step} of {k}")
+        if not deletable:
+            choice = "insert"
+        elif not non_edges:
+            choice = "delete"
+        else:
+            choice = "insert" if rng.random() < 0.5 else "delete"
+        if choice == "insert":
+            pick = non_edges[int(rng.integers(len(non_edges)))]
+            edges.add(pick)
+        else:
+            pick = deletable[int(rng.integers(len(deletable)))]
+            edges.remove(pick)
+        touched.add(pick)
+    edges = tuple(sorted(edges))
+    return WindowGraph(win.window_index, win.t_start, win.delta, win.nodes, edges,
+                       (1,) * len(edges))
+
 
 class TestTrials:
     def test_topo_trial_zero_distance_for_tiny_eps(self):
@@ -134,6 +191,20 @@ class TestCampaigns:
         assert lines[0] == "trial,mode,magnitude,distance,ratio"
         assert len([l for l in lines if l.startswith("summary,")]) == 1
         assert len(lines) == 32
+
+
+class TestCampaignFingerprint:
+    # SHA-256 of campaign_csv for one timestamp campaign and two edge
+    # campaigns.  Refactors of the perturbations and distances leave it
+    # unchanged; record a new value only for an intended change to the
+    # random draws or to a distance.
+    DIGEST = "d734dc75fab41a160015200635d7c052c3fd5c299022b4d557012592b4859465"
+
+    def test_digest(self):
+        reports = [run_campaign(PerturbationSpec("timestamp", 0.1, 30, 1)),
+                   run_campaign(PerturbationSpec("edge", 2, 30, 2)),
+                   run_campaign(PerturbationSpec("edge", 16, 30, 3))]
+        assert hashlib.sha256(campaign_csv(reports).encode()).hexdigest() == self.DIGEST
 
 
 class TestRandomGenerators:

@@ -8,6 +8,7 @@ from tgtopo.temporal import (
     EmptyEventListError,
     EmptyGraphError,
     EmptyTimestepsError,
+    NonFiniteTimestampError,
     OutOfRangeNodeError,
     SelfLoopError,
     TemporalGraphError,
@@ -48,6 +49,13 @@ class TestFromEvents:
     def test_duplicates_preserved(self):
         g = from_events(2, [(0, 1, 1.0), (0, 1, 1.0)])
         assert g.num_events == 2
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, t):
+        with pytest.raises(NonFiniteTimestampError):
+            from_events(2, [(0, 1, 1.0), (0, 1, t)])
+        with pytest.raises(NonFiniteTimestampError):
+            from_events(2, [(0, 1, t), (0, 1, 1.0)])
 
 
 class TestWindowSpec:
@@ -118,6 +126,42 @@ class TestWindow:
         g = from_events(5, [(0, 1, 1.0), (3, 4, 9.0)])
         w = window(g, 0.0, 2.0)
         assert w.nodes == (0, 1)
+
+    def test_nan_start_rejected(self):
+        g = from_events(2, [(0, 1, 1.0)])
+        with pytest.raises(TemporalGraphError):
+            window(g, math.nan, 1.0)
+
+    def test_matches_linear_scan(self):
+        # Integer timestamps make ties and events exactly on both window
+        # ends common; anchors and lengths are a mix of integers and floats.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            events = []
+            for _ in range(int(rng.integers(0, 40))):
+                u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+                events.append((u, v, float(rng.integers(0, 12))))
+            g = from_events(n, events, allow_empty=True)
+            for _ in range(10):
+                t = float(rng.integers(-2, 13)) if rng.random() < 0.7 else rng.uniform(-2, 13)
+                delta = float(rng.integers(1, 6)) if rng.random() < 0.7 else rng.uniform(0.1, 6)
+                w = window(g, t, delta)
+                edges, mult = window_linear_scan(g, t, delta)
+                assert (w.edges, w.edge_multiplicity) == (edges, mult)
+                assert w.nodes == tuple(sorted({x for e in edges for x in e}))
+
+
+def window_linear_scan(graph, t, delta):
+    """Reference window: test every event against the closed [t, t + delta]."""
+    hi = t + delta
+    mult = {}
+    for u, v, te in graph.events:
+        if t <= te <= hi:
+            pair = (u, v) if u < v else (v, u)
+            mult[pair] = mult.get(pair, 0) + 1
+    edges = tuple(sorted(mult))
+    return edges, tuple(mult[e] for e in edges)
 
 
 class TestWindowSequence:

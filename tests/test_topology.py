@@ -128,6 +128,23 @@ class TestBetti1:
             dim_ker_d1 = len(cx.edges) - rank_d1
             assert betti1(cx) == dim_ker_d1 - rank_d2
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_packed_columns_match_dense_boundary_on_complete_graphs(self, n):
+        self._check_against_dense_boundary([(i, j) for i in range(n) for j in range(i + 1, n)])
+
+    def test_packed_columns_match_dense_boundary_on_dense_random_graphs(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            edges = random_er_edges(rng, int(rng.integers(3, 12)), 0.9)
+            if edges:
+                self._check_against_dense_boundary(edges)
+
+    @staticmethod
+    def _check_against_dense_boundary(edges):
+        cx = clique_complex(window_from_edges(edges))
+        cycles = len(cx.edges) - cx.vertices + bfs_component_count(cx.vertices, cx.edges)
+        assert betti1(cx) == cycles - gf2_rank_dense(boundary2_matrix(cx))
+
     def test_euler_consistency_on_random_complexes(self):
         # |V| - |E| + |T| = b0 - b1 + b2' with b2' = |T| - rank(d2)
         rng = np.random.default_rng(23)
