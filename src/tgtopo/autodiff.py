@@ -4,12 +4,21 @@ Each ``Tensor`` wraps a float64 array; operations record closures on a tape
 (the parent DAG) and ``backward`` replays them in reverse topological order.
 Only the operations needed by the classifier are provided.
 
-The tape holds only tensors that require a gradient: constant inputs such as
-token matrices never enter the backward order.  A tensor's first gradient is
-stored as a copy, because one backward closure may hand the same array to
-several parents.  Trainable tensors are usually views into the optimizer's
-flat parameter arena (see ``optim.Adam``), so code that changes a
-parameter's values writes into ``t.data`` in place rather than rebinding it.
+The backward order holds only tensors that require a gradient and have a
+closure to run: constant inputs such as token matrices and leaf parameters
+never enter it.  A tensor's first gradient is stored as a copy, because one
+backward closure may hand the same array to several parents; a tensor bound
+to a gradient arena (``optim.Adam``) copies it into its arena view instead.
+Trainable tensors are usually views into the optimizer's flat parameter
+arena, so code that changes a parameter's values writes into ``t.data`` in
+place rather than rebinding it.
+
+Fused ops (``linear``, ``attention``) stand for a chain of the ops below as
+one tape node.  Their forward and backward run the same numpy expressions on
+arrays of the same layout as the chain would, and they call ``_accumulate``
+on each input once per contribution the chain made, in the order the chain's
+backward ran.  A gradient that sums several contributions is therefore bit
+for bit the gradient of the unfused chain.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ class NonFiniteValueError(FloatingPointError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_view")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -34,6 +43,7 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
+        self._grad_view = None  # arena slot the first gradient is written into
 
     @property
     def shape(self):
@@ -43,10 +53,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
     def _accumulate(self, g):
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self._grad_view is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
-            self.grad += g
+            if np.shape(g) != self._grad_view.shape:
+                raise ShapeMismatchError(
+                    f"gradient {np.shape(g)} for a tensor of shape {self._grad_view.shape}"
+                )
+            self._grad_view[...] = g
+            self.grad = self._grad_view
 
     def zero_grad(self):
         self.grad = None
@@ -55,25 +72,36 @@ class Tensor:
         """Populate gradients of every upstream tensor with requires_grad."""
         if self.data.size != 1:
             raise ShapeMismatchError("backward() requires a scalar output")
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+        order = _backward_order(self)
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        for node in order:
+            if node.grad is not None:
                 node._backward(node.grad)
+
+
+def _backward_order(root):
+    """Nodes with a backward closure, each after every node that consumes it.
+
+    Reversed post-order of a depth-first search from ``root``.  Leaves are
+    never pushed: they run nothing, and dropping them leaves the relative
+    order of the other nodes unchanged."""
+    order = []
+    seen = set()
+    stack = [(root, False)] if root._backward is not None else []
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p._backward is not None and p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    order.reverse()
+    return order
 
 
 def _as_tensor(x):
@@ -127,6 +155,68 @@ def matmul(a, b) -> Tensor:
             b._accumulate(a.data.T @ g)
 
     return Tensor(out_data, parents=(a, b), backward=backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """``add(matmul(x, w), b)`` as one tape node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeMismatchError(f"matmul {x.data.shape} @ {w.data.shape}")
+    out_data = x.data @ w.data + b.data
+
+    def backward(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+
+    return Tensor(out_data, parents=(x, w, b), backward=backward)
+
+
+def attention(x, heads, scale: float):
+    """Multi-head self-attention over the rows of ``x`` as one tape node.
+
+    ``heads`` is a sequence of ``(wq, wk, wv)``.  Head h computes
+    ``softmax(scale * (x wq)(x wk)^T) (x wv)``; the head outputs are
+    concatenated along the columns.  Returns ``(Tensor, [probs per head])``.
+    Forward and backward repeat the matmul -> transpose -> scale -> softmax
+    -> matmul -> concat chain operation for operation; ``x`` receives its
+    contributions in the chain's order q, k, v of head 0, then of head 1, ...
+    """
+    x = _as_tensor(x)
+    heads = [tuple(ws) for ws in heads]
+    scale = float(scale)
+    saved = []
+    for wq, wk, wv in heads:
+        q, k, v = x.data @ wq.data, x.data @ wk.data, x.data @ wv.data
+        scores = (q @ k.T) * scale
+        exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        saved.append((q, k, v, exp / exp.sum(axis=-1, keepdims=True)))
+
+    def backward(g):
+        offset = 0
+        for ws, (q, k, v, probs) in zip(heads, saved):
+            size = v.shape[1]
+            # the chain copied each head's column block before using it
+            g_out = np.array(g[:, offset:offset + size])
+            offset += size
+            g_probs = g_out @ v.T
+            g_v = probs.T @ g_out
+            dot = (g_probs * probs).sum(axis=-1, keepdims=True)
+            g_scores = scale * (probs * (g_probs - dot))
+            g_q = g_scores @ k
+            g_k = (q.T @ g_scores).T
+            for w, g_w in zip(ws, (g_q, g_k, g_v)):
+                if x.requires_grad:
+                    x._accumulate(g_w @ w.data.T)
+                if w.requires_grad:
+                    w._accumulate(x.data.T @ g_w)
+
+    out_data = np.concatenate([probs @ v for _, _, v, probs in saved], axis=1)
+    out = Tensor(out_data, parents=(x, *(w for ws in heads for w in ws)), backward=backward)
+    return out, [probs for *_, probs in saved]
 
 
 def relu(a) -> Tensor:

@@ -139,11 +139,8 @@ class TransformerEncoder:
                 "ln2_g": store.vector(f"{prefix}.{l}.ln2_g", d, 1.0),
                 "ln2_b": store.vector(f"{prefix}.{l}.ln2_b", d),
                 "heads": [
-                    {
-                        "wq": store.matrix(f"{prefix}.{l}.h{h}.wq", d, head_dim),
-                        "wk": store.matrix(f"{prefix}.{l}.h{h}.wk", d, head_dim),
-                        "wv": store.matrix(f"{prefix}.{l}.h{h}.wv", d, head_dim),
-                    }
+                    tuple(store.matrix(f"{prefix}.{l}.h{h}.{name}", d, head_dim)
+                          for name in ("wq", "wk", "wv"))
                     for h in range(cfg.tf_heads)
                 ],
                 "wo": store.matrix(f"{prefix}.{l}.wo", d, d),
@@ -160,45 +157,28 @@ class TransformerEncoder:
         """tokens: N x d_in; returns (view 1x10 Tensor, attention matrices)."""
         cfg = self.cfg
         n = tokens.shape[0]
-        x = ad.add(ad.matmul(Tensor(tokens), self.w_in), self.b_in)
+        x = ad.linear(tokens, self.w_in, self.b_in)
         x = ad.embedding_add(x, Tensor(time_embedding(n, cfg.tf_model_dim)))
         attn_all = []
         head_dim = cfg.tf_model_dim // cfg.tf_heads
         scale = 1.0 / np.sqrt(head_dim)
         for layer in self.layers:
             normed = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            head_outs = []
-            for head in layer["heads"]:
-                q = ad.matmul(normed, head["wq"])
-                k = ad.matmul(normed, head["wk"])
-                v = ad.matmul(normed, head["wv"])
-                scores = ad.scale(ad.matmul(q, _transpose(k)), scale)
-                probs = ad.softmax(scores)
-                attn_all.append(probs.data)
-                head_outs.append(ad.matmul(probs, v))
-            attended = ad.matmul(ad.concat(head_outs, axis=1), layer["wo"])
+            heads_out, probs = ad.attention(normed, layer["heads"], scale)
+            attn_all += probs
+            attended = ad.matmul(heads_out, layer["wo"])
             if train and cfg.dropout > 0:
                 attended = ad.dropout(attended, cfg.dropout, rng, train)
             x = ad.add(x, attended)
             normed2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
-            h = ad.relu(ad.add(ad.matmul(normed2, layer["w1"]), layer["b1"]))
-            h = ad.add(ad.matmul(h, layer["w2"]), layer["b2"])
+            h = ad.relu(ad.linear(normed2, layer["w1"], layer["b1"]))
+            h = ad.linear(h, layer["w2"], layer["b2"])
             if train and cfg.dropout > 0:
                 h = ad.dropout(h, cfg.dropout, rng, train)
             x = ad.add(x, h)
         pooled = ad.mean_pool(x, axis=0)
-        view = ad.add(ad.matmul(_row(pooled), self.w_out), self.b_out)
+        view = ad.linear(_row(pooled), self.w_out, self.b_out)
         return view, attn_all
-
-
-def _transpose(t: Tensor) -> Tensor:
-    out_data = t.data.T
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g.T)
-
-    return Tensor(out_data, parents=(t,), backward=backward)
 
 
 def _row(t: Tensor) -> Tensor:
@@ -223,20 +203,15 @@ def fusion_attention(views: Tensor, wq, wk, wv):
     """
     if views.data.shape != (3, VIEW_DIM):
         raise ad.ShapeMismatchError(f"expected 3x{VIEW_DIM} views, got {views.data.shape}")
-    q = ad.matmul(views, wq)
-    k = ad.matmul(views, wk)
-    v = ad.matmul(views, wv)
-    scores = ad.scale(ad.matmul(q, _transpose(k)), 1.0 / np.sqrt(VIEW_DIM))
-    probs = ad.softmax(scores)
-    attended = ad.add(views, ad.matmul(probs, v))
-    fused = _row(attended)
-    weights = probs.data.sum(axis=0) / probs.data.shape[0]
+    attended, (probs,) = ad.attention(views, [(wq, wk, wv)], 1.0 / np.sqrt(VIEW_DIM))
+    fused = _row(ad.add(views, attended))
+    weights = probs.sum(axis=0) / probs.shape[0]
     return fused, weights
 
 
 def classify(fused: Tensor, w, b) -> Tensor:
     """Affine map to class logits; no activation."""
-    return ad.add(ad.matmul(fused, w), b)
+    return ad.linear(fused, w, b)
 
 
 class TemporalGraphClassifier:
@@ -284,7 +259,7 @@ class TemporalGraphClassifier:
         for w_self, w_neigh, bias in self.sage_params:
             h = sage_layer(h, agg, w_self, w_neigh, bias)
         pooled = global_mean_pool(h)
-        return ad.add(ad.matmul(_row(pooled), self.sage_proj), self.sage_proj_b)
+        return ad.linear(_row(pooled), self.sage_proj, self.sage_proj_b)
 
     def forward(self, phi, psi, features, agg, rng=None, train=False):
         """Compute logits for one graph.

@@ -8,6 +8,11 @@ arrays of the same length.  Every element goes through the same float
 operations in the same order as a per-tensor loop would, so results are
 bit-identical to it.  Code that changes a parameter after the optimizer is
 built must write into ``t.data`` in place, not rebind it.
+
+The gradients live in a flat arena too: each parameter's ``_grad_view`` is
+its slice of ``Adam._grad``, and ``Tensor._accumulate`` writes a first
+gradient straight into it, so ``step`` copies only gradients set by hand.
+``step`` leaves the arena's gradients intact.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ class Adam:
         self.flat = np.empty(sum(t.data.size for t in params.values()))
         self._grad = np.empty_like(self.flat)
         self._tmp = np.empty_like(self.flat)
+        self._den = np.empty_like(self.flat)
         self._grad_views = []
         offset = 0
         for t in params.values():
@@ -42,7 +48,8 @@ class Adam:
             view = self.flat[offset:end].reshape(t.data.shape)
             view[...] = t.data
             t.data = view
-            self._grad_views.append(self._grad[offset:end].reshape(view.shape))
+            t._grad_view = self._grad[offset:end].reshape(view.shape)
+            self._grad_views.append(t._grad_view)
             offset = end
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -53,6 +60,8 @@ class Adam:
 
     def step(self):
         for (name, p), gv in zip(self.params.items(), self._grad_views):
+            if p.grad is gv:
+                continue
             if p.grad is None:
                 gv[...] = 0.0
             elif p.grad.shape != gv.shape:
@@ -63,7 +72,7 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        p, g, m, v, tmp = self.flat, self._grad, self.m, self.v, self._tmp
+        p, g, m, v, tmp, den = self.flat, self._grad, self.m, self.v, self._tmp, self._den
         if self.weight_decay:
             p -= np.multiply(self.lr * self.weight_decay, p, out=tmp)
         m *= self.beta1
@@ -71,8 +80,7 @@ class Adam:
         v *= self.beta2
         np.multiply(1.0 - self.beta2, g, out=tmp)
         v += np.multiply(tmp, g, out=tmp)
-        # g is not read again this step: reuse it for sqrt(v / bc2) + eps
-        np.sqrt(np.divide(v, bc2, out=g), out=g)
-        g += self.eps
+        np.sqrt(np.divide(v, bc2, out=den), out=den)
+        den += self.eps
         np.multiply(self.lr, np.divide(m, bc1, out=tmp), out=tmp)
-        p -= np.divide(tmp, g, out=tmp)
+        p -= np.divide(tmp, den, out=tmp)

@@ -236,12 +236,19 @@ def load_descriptors(directory) -> list:
 
 # -- training -----------------------------------------------------------------
 
+def _input_widths(gf: GraphFeatures) -> dict:
+    """The ModelConfig widths that a graph's extracted inputs determine."""
+    return {
+        "topo_dim": gf.phi.shape[1],
+        "dos_bins": gf.psi.shape[1],
+        "feature_dim": gf.features.shape[1],
+    }
+
+
 def _model_config(features, num_classes, config: RunConfig) -> ModelConfig:
     return ModelConfig(
         num_classes=num_classes,
-        topo_dim=features[0].phi.shape[1],
-        dos_bins=features[0].psi.shape[1],
-        feature_dim=features[0].features.shape[1],
+        **_input_widths(features[0]),
         hidden_dim=config.hidden_dim,
         sage_layers=config.sage_layers,
         dropout=config.dropout,
@@ -283,7 +290,17 @@ def train(features: list, num_classes: int, config: RunConfig):
 
 
 def evaluate(model, features: list, dataset_name="dataset"):
-    """Accuracy, mean per-view attention mass, and fused embeddings."""
+    """Accuracy, mean per-view attention mass, and fused embeddings.
+
+    Raises PipelineError if the extracted input widths differ from the
+    model's, e.g. a dataset with another number of distinct timestamps
+    (``feature_dim``) or another ``dos_bins``."""
+    for name, width in _input_widths(features[0]).items() if features else ():
+        expected = getattr(model.cfg, name)
+        if width != expected:
+            raise PipelineError(
+                f"the model was trained with {name} = {expected}, but the data gives {width}"
+            )
     correct = 0
     weights = np.zeros(3)
     embeddings = []

@@ -12,11 +12,13 @@ from tgtopo.autodiff import (
     ShapeMismatchError,
     Tensor,
     add,
+    attention,
     concat,
     cross_entropy_with_logits,
     dropout,
     embedding_add,
     layer_norm,
+    linear,
     matmul,
     mean_pool,
     relu,
@@ -72,6 +74,37 @@ def weighted_sum(t, seed=100):
     rng = np.random.default_rng(seed)
     w = Tensor(rng.normal(size=(t.data.size, 1)))
     return matmul(_reshape_row(t), w)
+
+
+def _transpose(t):
+    return Tensor(t.data.T, parents=(t,), backward=lambda g: (
+        t._accumulate(g.T) if t.requires_grad else None
+    ))
+
+
+def attention_chain(x, heads, s):
+    """The op chain that ``attention`` replaces, kept as its reference.
+
+    One head's output was used as is (fusion attention); several were
+    concatenated (the encoders)."""
+    outs, probs = [], []
+    for wq, wk, wv in heads:
+        q, k, v = matmul(x, wq), matmul(x, wk), matmul(x, wv)
+        p = softmax(scale(matmul(q, _transpose(k)), s))
+        probs.append(p.data)
+        outs.append(matmul(p, v))
+    return (outs[0] if len(outs) == 1 else concat(outs, axis=1)), probs
+
+
+def _attention_inputs(rng, n, d, num_heads):
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    ws = [Tensor(rng.normal(size=(d, d // num_heads)) * 0.5, requires_grad=True)
+          for _ in range(3 * num_heads)]
+    return [x, *ws]
+
+
+def _heads(ws):
+    return [tuple(ws[i:i + 3]) for i in range(0, len(ws), 3)]
 
 
 class TestFiniteDifferences:
@@ -168,6 +201,25 @@ class TestFiniteDifferences:
 
         fd_check(make, lambda ps: weighted_sum(embedding_add(ps[0], ps[1])))
 
+    def test_linear(self):
+        def make(rng):
+            return [
+                Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                Tensor(rng.normal(size=(4, 2)), requires_grad=True),
+                Tensor(rng.normal(size=(2,)), requires_grad=True),
+            ]
+
+        fd_check(make, lambda ps: weighted_sum(linear(ps[0], ps[1], ps[2])))
+
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_attention(self, num_heads, n):
+        def forward(ps):
+            out, _ = attention(ps[0], _heads(ps[1:]), 0.7)
+            return weighted_sum(out)
+
+        fd_check(lambda rng: _attention_inputs(rng, n, 4, num_heads), forward, n_trials=3)
+
     def test_cross_entropy(self):
         def make(rng):
             return [Tensor(rng.normal(size=(1, 4)), requires_grad=True)]
@@ -192,6 +244,45 @@ class TestFiniteDifferences:
             return cross_entropy_with_logits(h, 1)
 
         fd_check(make, forward)
+
+
+def _grads_after(loss, tensors):
+    loss.backward()
+    return [t.grad.tobytes() for t in tensors]
+
+
+class TestFusedOpsMatchChain:
+    """Fused ops give the same bytes as the node chains they replace: the
+    output and every input gradient, so the sum order into a shared input
+    is the chain's."""
+
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    def test_attention(self, num_heads, n, residual):
+        # residual: x also feeds an add, as the fusion views do, so x sums
+        # the residual's gradient first, then q, k, v of each head
+        rng = np.random.default_rng(31 + n + num_heads)
+        data = [t.data for t in _attention_inputs(rng, n, 8, num_heads)]
+        runs = []
+        for op in (attention, attention_chain):
+            ps = [Tensor(a.copy(), requires_grad=True) for a in data]
+            out, probs = op(ps[0], _heads(ps[1:]), 1.0 / np.sqrt(8 // num_heads))
+            if residual:
+                out = add(ps[0], out)
+            grads = _grads_after(weighted_sum(out, seed=n), ps)
+            runs.append((out.data.tobytes(), [p.tobytes() for p in probs], grads))
+        assert runs[0] == runs[1]
+
+    def test_linear(self):
+        rng = np.random.default_rng(12)
+        data = [rng.normal(size=(5, 6)), rng.normal(size=(6, 3)), rng.normal(size=(3,))]
+        runs = []
+        for op in (linear, lambda x, w, b: add(matmul(x, w), b)):
+            ps = [Tensor(a.copy(), requires_grad=True) for a in data]
+            out = op(*ps)
+            runs.append((out.data.tobytes(), _grads_after(weighted_sum(out), ps)))
+        assert runs[0] == runs[1]
 
 
 class TestOpSemantics:

@@ -120,6 +120,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra_timestamps, config, width", [
+        pytest.param(3, "", "feature_dim", id="timestamp_count"),
+        pytest.param(0, "dos_bins = 6\n", "dos_bins", id="dos_bins"),
+    ])
+    def test_checkpoint_width_mismatch_is_data_error(self, extra_timestamps, config, width,
+                                                     dataset_dir, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        count = len({t for g in load_dataset(dataset_dir).graphs for _, _, t in g.events})
+        TemporalGraphClassifier(ModelConfig(feature_dim=count + extra_timestamps)).save(path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code = main(["eval", "--model", str(path), "--data", str(dataset_dir),
+                     "--report", str(tmp_path / "r.csv"), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert width in err
+
     def test_eigensolver_failure_is_numerical_error(self, dataset_dir, tmp_path,
                                                     monkeypatch, capsys):
         def fail(m):

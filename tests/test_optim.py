@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tgtopo.autodiff import ShapeMismatchError, Tensor
+from tgtopo.autodiff import ShapeMismatchError, Tensor, add, linear, matmul
 from tgtopo.optim import Adam
 
 
@@ -124,3 +124,43 @@ class TestFlatArena:
                 assert p.data.shape == shapes[name]
                 assert p.data.tobytes() == ref[name].tobytes(), (step, name)
         assert all(np.shares_memory(p.data, opt.flat) for p in params.values())
+
+
+class TestGradientArena:
+    def _linear_loss(self, params):
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 4)))
+        out = linear(x, params["w"], params["b"])
+        return matmul(Tensor(np.ones((1, 3))), matmul(out, Tensor(np.ones((2, 1)))))
+
+    def test_backward_writes_into_arena_and_step_matches_copy(self):
+        rng = np.random.default_rng(9)
+        init = {"w": rng.normal(size=(4, 2)), "b": rng.normal(size=(2,))}
+        bound = {n: _param(x.copy()) for n, x in init.items()}
+        by_hand = {n: _param(x.copy()) for n, x in init.items()}
+        opt_bound, opt_hand = Adam(bound, lr=0.01), Adam(by_hand, lr=0.01)
+        for _ in range(3):
+            opt_bound.zero_grad()
+            self._linear_loss(bound).backward()
+            for name, p in bound.items():
+                assert np.shares_memory(p.grad, opt_bound._grad)
+                by_hand[name].grad = p.grad.copy()
+            opt_bound.step()
+            opt_hand.step()
+            assert opt_bound.flat.tobytes() == opt_hand.flat.tobytes()
+        # the step reads the arena's gradients but does not overwrite them
+        for name, p in bound.items():
+            assert p.grad.tobytes() == by_hand[name].grad.tobytes()
+
+    def test_gradient_accumulates_in_arena(self):
+        p = _param(np.ones((2, 3)))
+        Adam({"p": p})
+        add(p, p)._backward(np.full((2, 3), 0.5))
+        assert np.array_equal(p.grad, np.ones((2, 3)))
+
+    def test_arena_rejects_wrong_gradient_shape(self):
+        # a (16,) gradient would broadcast silently into a (32, 16) view
+        p = _param(np.zeros((32, 16)))
+        Adam({"p": p})
+        with pytest.raises(ShapeMismatchError):
+            p._accumulate(np.ones(16))
+        assert p.grad is None

@@ -111,20 +111,33 @@ class TestTrainingFingerprint:
     # SHA-256 over the float64 bytes of the loss history, then of every
     # trained parameter in dict order, after 2 epochs on the descriptor
     # fingerprint's dataset.  Optimizations that keep every float operation
-    # and its order leave this value unchanged; record a new one only for an
-    # intended change to the numerics of training.
+    # and its order leave these values unchanged; record new ones only for an
+    # intended change to the numerics of training.  The dropout digest also
+    # pins the rng draws around attention, and the concat-fuse digest the
+    # path without fusion attention.
     DIGEST = "e23a3340d7b7d69c41407670bc8f7af38ec10f7129357f8a8aeac3e7e86ccfe0"
+    DROPOUT_DIGEST = "20faa15add8f7d8bcd539e81a409c8f1fb886c956a0e5504171835520ed62133"
+    CONCAT_FUSE_DIGEST = "a634f78443a8fe3be46f77ee3bd8f2bbf000070cca057ac1e81590f1092413e7"
 
-    def test_default_config_digest(self):
+    @staticmethod
+    def _digest(cfg):
         spec = dict(num_graphs=20, nodes=30, timesteps=24, classes=2,
                     cycle_density=[0, 3])
-        cfg = RunConfig(epochs=2)
         feats = extract_descriptors(synth_generate(spec, 1), cfg)
         model, metrics = train(feats, 2, cfg)
         h = hashlib.sha256(np.array(metrics.loss_history, dtype=np.float64).tobytes())
         for t in model.parameters.values():
             h.update(np.ascontiguousarray(t.data, dtype=np.float64).tobytes())
-        assert h.hexdigest() == self.DIGEST
+        return h.hexdigest()
+
+    def test_default_config_digest(self):
+        assert self._digest(RunConfig(epochs=2)) == self.DIGEST
+
+    def test_dropout_digest(self):
+        assert self._digest(RunConfig(epochs=2, dropout=0.1)) == self.DROPOUT_DIGEST
+
+    def test_concat_fuse_digest(self):
+        assert self._digest(RunConfig(epochs=2, mode="concat-fuse")) == self.CONCAT_FUSE_DIGEST
 
 
 class TestDescriptorCache:
