@@ -53,15 +53,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
     def _accumulate(self, g):
+        if g.shape != self.data.shape:  # numpy would broadcast it silently
+            raise ShapeMismatchError(f"gradient {g.shape} for a tensor of shape {self.data.shape}")
         if self.grad is not None:
             self.grad += g
         elif self._grad_view is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
-            if np.shape(g) != self._grad_view.shape:
-                raise ShapeMismatchError(
-                    f"gradient {np.shape(g)} for a tensor of shape {self._grad_view.shape}"
-                )
             self._grad_view[...] = g
             self.grad = self._grad_view
 

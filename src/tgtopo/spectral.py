@@ -4,7 +4,9 @@ Eigenvalues come from numpy's LAPACK ``eigvalsh``.  Normalized-Laplacian
 eigenvalues pile up exactly on bin edges (the spike at 1 above all), where
 round-off of a few ulps would decide the bin; ``dos_histogram`` therefore
 snaps eigenvalues to a 1e-9 grid before binning, so histograms do not depend
-on the solver's round-off.
+on the solver's round-off.  The normalized Laplacian is exactly symmetric by
+construction (A holds only 0 and 1, so L[i, j] and L[j, i] are both
+``inv_i * inv_j``), so it needs no symmetrizing pass.
 """
 
 from __future__ import annotations
@@ -28,21 +30,10 @@ class BinMismatchError(SpectralError):
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Dense symmetric matrix; symmetrized on construction."""
+    """Dense symmetric matrix; ``normalized_laplacian`` builds it exactly so."""
 
     order: int
     array: np.ndarray
-
-    @staticmethod
-    def from_dense(a) -> "SymMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise SpectralError(f"expected square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise SpectralError("matrix entries must be finite")
-        sym = 0.5 * (a + a.T)
-        sym.flags.writeable = False
-        return SymMatrix(a.shape[0], sym)
 
 
 @dataclass(frozen=True)
@@ -64,13 +55,16 @@ def normalized_laplacian(win) -> SymMatrix:
     if n == 0:
         raise EmptyWindowError("cannot build a Laplacian for an empty window")
     a = np.zeros((n, n), dtype=np.float64)
-    for i, j in win.local_edges():
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+    # nodes are sorted, so searchsorted gives each endpoint's local index
+    i, j = np.searchsorted(win.nodes, np.array(win.edges).reshape(-1, 2)).T
+    a[i, j] = a[j, i] = 1.0
     deg = a.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)  # window nodes are edge endpoints: deg >= 1
+    if not deg.all():  # windows built by ``window`` hold edge endpoints only
+        raise SpectralError("window has a node without edges")
+    inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
-    return SymMatrix.from_dense(lap)
+    lap.flags.writeable = False
+    return SymMatrix(n, lap)
 
 
 def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
@@ -91,7 +85,7 @@ def dos_histogram(eigs, bin_count: int = 4, slack: float = 1e-6) -> DosHistogram
     Laplacian and raise.
     """
     edges = tuple(2.0 * j / bin_count for j in range(bin_count + 1))
-    eigs = np.asarray(list(eigs), dtype=np.float64)
+    eigs = np.asarray(eigs, dtype=np.float64)
     if eigs.size == 0:
         return DosHistogram(edges, (0.0,) * bin_count, empty=True)
     if eigs.min() < -slack or eigs.max() > 2.0 + slack:

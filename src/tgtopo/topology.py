@@ -2,8 +2,9 @@
 
 Complexes are truncated at dimension 2 (triangles): beta_1 of a clique
 complex only depends on simplices up to dimension 2, and the per-window
-descriptor needs nothing higher.  beta_1 takes the GF(2) rank of the triangle
-boundary columns, each packed into an int with bit i set for edge i.
+descriptor needs nothing higher.  A window runs one union-find, whose beta_0
+the complex carries as ``components``; beta_1 is the cycle rank minus the GF(2)
+rank of the triangle boundary columns, each an int with bit i set for edge i.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ class ThresholdMismatchError(TopologyError):
 
 @dataclass(frozen=True)
 class CliqueComplex2:
-    """2-truncated clique complex: vertices 0..n-1, edges, and all 3-cliques."""
+    """2-truncated clique complex: vertices 0..n-1, edges, 3-cliques, and beta_0."""
 
     vertices: int
     edges: tuple  # sorted (i, j), i < j
     triangles: tuple  # sorted (i, j, k), i < j < k
+    components: int
 
 
 @dataclass(frozen=True)
@@ -64,46 +66,37 @@ class TopoDescriptor:
         return [self.v_count, self.e_count, self.betti0, self.betti1]
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def clique_complex(win) -> CliqueComplex2:
-    """All vertices, edges, and triangles of a window's deduplicated edge set."""
-    local = win.local_edges()
-    n = win.num_nodes
-    adj = [set() for _ in range(n)]
-    for i, j in local:
-        adj[i].add(j)
-        adj[j].add(i)
-    triangles = []
-    for i, j in local:
-        for k in sorted(adj[i] & adj[j]):
-            if k > j:
-                triangles.append((i, j, k))
-    return CliqueComplex2(n, tuple(sorted(local)), tuple(sorted(triangles)))
+def _find(parent, x):
+    """Root of ``x`` in a list or dict union-find forest, halving the path
+    (which re-points non-roots only, so it never changes which node is a root)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _components(n, edges) -> int:
     """Connected components of the graph on vertices 0..n-1."""
-    uf = _UnionFind(range(n))
-    return n - sum(uf.union(i, j) for i, j in edges)
+    parent = list(range(n))
+    count = n
+    for i, j in edges:
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[rj] = ri
+            count -= 1
+    return count
+
+
+def clique_complex(win) -> CliqueComplex2:
+    """Vertices, edges, triangles, and components of a window's edge set; sorted
+    local edges and sorted higher-index neighbours give sorted triangles."""
+    local = win.local_edges()
+    n = win.num_nodes
+    up = [set() for _ in range(n)]  # neighbours with a higher index
+    for i, j in local:
+        up[i].add(j)
+    triangles = tuple((i, j, k) for i, j in local for k in sorted(up[i] & up[j]))
+    return CliqueComplex2(n, tuple(local), triangles, _components(n, local))
 
 
 def betti0(win) -> int:
@@ -142,7 +135,7 @@ def boundary2_matrix(cx: CliqueComplex2):
 
 def betti1(cx: CliqueComplex2) -> int:
     """First Betti number: cycle rank minus the rank of the triangle boundary."""
-    cycles = len(cx.edges) - cx.vertices + _components(cx.vertices, cx.edges)
+    cycles = len(cx.edges) - cx.vertices + cx.components
     bit = {e: 1 << i for i, e in enumerate(cx.edges)}
     return cycles - _rank(bit[i, j] | bit[i, k] | bit[j, k] for i, j, k in cx.triangles)
 
@@ -157,7 +150,7 @@ def topo_descriptor(win, count_edge_multiplicity=False) -> TopoDescriptor:
         return TopoDescriptor(0, 0, 0, 0)
     cx = clique_complex(win)
     e = win.num_event_edges if count_edge_multiplicity else win.num_edges
-    return TopoDescriptor(win.num_nodes, e, betti0(win), betti1(cx))
+    return TopoDescriptor(win.num_nodes, e, cx.components, betti1(cx))
 
 
 def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> PersistenceDiagram:
@@ -187,11 +180,11 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
             if x not in birth or w < birth[x]:
                 birth[x] = w
 
-    uf = _UnionFind(birth)
+    parent = {x: x for x in birth}
     root_birth = dict(birth)
     points = []
     for (u, v), w in sorted(values.items(), key=lambda kv: (kv[1], kv[0])):
-        ru, rv = uf.find(u), uf.find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             continue
         # elder rule: the later-born root dies at w
@@ -202,9 +195,9 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
         b = root_birth[younger]
         if w > b or keep_zero_persistence:
             points.append((b, w))
-        uf.parent[younger] = elder
+        parent[younger] = elder
     for x in birth:
-        if uf.find(x) == x:
+        if parent[x] == x:
             points.append((root_birth[x], INF))
     return PersistenceDiagram(0, tuple(sorted(points)))
 

@@ -164,3 +164,18 @@ class TestGradientArena:
         with pytest.raises(ShapeMismatchError):
             p._accumulate(np.ones(16))
         assert p.grad is None
+
+    def test_arena_rejects_wrong_shape_after_first_gradient(self):
+        # `grad += g` would broadcast a (16,) gradient into the (32, 16) one
+        p = _param(np.zeros((32, 16)))
+        Adam({"p": p})
+        p._accumulate(np.ones((32, 16)))
+        with pytest.raises(ShapeMismatchError):
+            p._accumulate(np.ones(16))
+        assert np.array_equal(p.grad, np.ones((32, 16)))
+
+    def test_unbound_tensor_rejects_wrong_gradient_shape(self):
+        p = _param(np.zeros((32, 16)))
+        with pytest.raises(ShapeMismatchError):
+            p._accumulate(np.ones((1, 16)))
+        assert p.grad is None

@@ -23,7 +23,7 @@ from tgtopo.pipeline import (
     sweep_windows,
     train,
 )
-from tgtopo.temporal import window_count
+from tgtopo.temporal import WindowGraph, window_count
 
 
 SPEC = dict(num_graphs=20, nodes=12, timesteps=12, classes=2, cycle_density=[0, 3])
@@ -75,6 +75,16 @@ class TestExtraction:
             assert gf.features.shape[0] == g.num_nodes
             assert gf.agg.shape == (g.num_nodes, g.num_nodes)
             assert gf.label == g.label
+
+    def test_local_edges_built_once_per_window(self, small_dataset, monkeypatch):
+        cfg = RunConfig(delta=6.0, sigma=4.0)
+        calls = []
+        build = WindowGraph.local_edges
+        monkeypatch.setattr(WindowGraph, "local_edges",
+                            lambda w: calls.append(w) or build(w))
+        extract_descriptors(small_dataset, cfg)
+        windows = sum(window_count(g, cfg.window_spec()) for g in small_dataset.graphs)
+        assert len(calls) == windows == len({id(w) for w in calls})
 
     def test_feature_width_is_dataset_wide(self, small_dataset, small_features):
         grid = {t for g in small_dataset.graphs for _, _, t in g.events}

@@ -6,6 +6,7 @@ import pytest
 from conftest import bfs_component_count, random_er_edges, window_from_edges
 from tgtopo.spectral import (
     DosHistogram,
+    SpectralError,
     SymMatrix,
     dos_histogram,
     eigenvalues_sym,
@@ -13,6 +14,7 @@ from tgtopo.spectral import (
     spectral_descriptor,
     wasserstein1_hist,
 )
+from tgtopo.temporal import WindowGraph
 
 
 class TestNormalizedLaplacian:
@@ -34,12 +36,19 @@ class TestNormalizedLaplacian:
                 continue
             lap = normalized_laplacian(window_from_edges(edges))
             assert np.allclose(np.diag(lap.array), 1.0)
-            assert np.allclose(lap.array, lap.array.T)
+            # exact, so the Laplacian needs no symmetrizing pass
+            assert np.array_equal(lap.array, lap.array.T)
+
+    def test_edgeless_node_is_rejected(self):
+        # ``window`` never builds one; a hand-built window would divide by 0
+        w = WindowGraph(0, 0.0, 1.0, (0, 1, 5), ((0, 1),), (1,))
+        with pytest.raises(SpectralError):
+            normalized_laplacian(w)
 
 
 class TestEigenvaluesSym:
     def test_diagonal_matrix(self):
-        eigs = eigenvalues_sym(SymMatrix.from_dense(np.diag([3.0, 1.0, 2.0])))
+        eigs = eigenvalues_sym(SymMatrix(3, np.diag([3.0, 1.0, 2.0])))
         assert np.allclose(eigs, [1.0, 2.0, 3.0])
 
     def test_p3_laplacian_spectrum(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bfs_component_count, gf2_rank_dense, random_er_edges, window_from_edges
+from tgtopo.spectral import normalized_laplacian
 from tgtopo.topology import (
     EmptyThresholdsError,
     PersistenceDiagram,
@@ -54,6 +55,30 @@ class TestCliqueComplex:
         ]
         assert list(cx.triangles) == brute
         assert len(cx.triangles) == 4
+
+    def test_single_pass_on_non_contiguous_node_ids(self):
+        # global ids drawn from 0-99 in random order, so local != global index
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            n = int(rng.integers(2, 14))
+            ids = rng.choice(100, size=n, replace=False)
+            pairs = random_er_edges(rng, n, float(rng.choice([0.2, 0.4, 0.7])))
+            if not pairs:
+                continue
+            w = window_from_edges([(int(ids[a]), int(ids[b])) for a, b in pairs])
+            local = {v: i for i, v in enumerate(sorted(w.nodes))}
+            es = sorted({tuple(sorted((local[int(ids[a])], local[int(ids[b])])))
+                         for a, b in pairs})
+            m = len(local)
+            brute = [(i, j, k) for i in range(m) for j in range(i + 1, m)
+                     for k in range(j + 1, m) if {(i, j), (i, k), (j, k)} <= set(es)]
+            cx = clique_complex(w)
+            assert list(cx.edges) == es
+            assert list(cx.triangles) == brute
+            assert cx.components == bfs_component_count(m, es)
+            assert topo_descriptor(w).betti0 == betti0(w) == cx.components
+            adjacent = np.nonzero(np.triu(normalized_laplacian(w).array, 1))
+            assert sorted(zip(*(ix.tolist() for ix in adjacent))) == es
 
 
 class TestBetti0:

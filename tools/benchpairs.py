@@ -1,0 +1,148 @@
+"""Run alternating parent/change benchmark pairs and write a BENCH file.
+
+    python3 tools/benchpairs.py --parent <rev> --out BENCH_<n>.json --seeds 1 2 3 4 5
+
+The change side is this checkout's working tree.  The parent side is the
+committed files of ``--parent``, extracted with ``git archive`` into a
+temporary directory (under ``$TMPDIR``), so no worktree is registered in the
+repository and an interrupted run leaves nothing behind in it.  For each
+workload, pair i runs one seed on both sides, the parent first when i is even
+and the change first when it is odd.  Every run is
+``perfbench/run.py --trace 0`` in its own tree, for every workload and with the
+``run_seconds`` that ``BENCHMARK.json`` declares; this script only reads the two
+JSON lines a run prints and changes none of the benchmark's metrics or bounds.
+
+The BENCH file records every run, each metric's median and interquartile
+range per side, how many pairs the change won, how far its median is from the
+parent's against the bound in ``BENCHMARK.json``, both sides' fingerprints,
+the ``src/`` line counts, a sha256 of each side's ``src/`` files (so the file
+can be tied to the code it measured even when the change was not yet
+committed) and the environment.
+"""
+
+import argparse
+import hashlib
+import json
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev, dest):
+    """Write the committed files of ``rev`` into the directory ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def src_digest(tree):
+    """sha256 over the relative paths and bytes of the ``src/*.py`` files in ``tree``."""
+    h = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        h.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def run_once(tree, workload, seed, seconds):
+    """One untraced benchmark run in ``tree``; its stderr passes through."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    lines = subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.PIPE,
+                           text=True).stdout.splitlines()
+    info, result = json.loads(lines[-2]), json.loads(lines[-1])
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "fingerprint": info["fingerprint"],
+        "environment": info["environment"],
+        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+    }
+
+
+def spread(values):
+    q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def compare(name, runs, spec):
+    """Both sides of one metric; ``spec`` is its BENCHMARK.json entry, if any."""
+    parent, change = ([r["metrics"][name] for r in runs[s]] for s in SIDES)
+    higher = spec.get("better", "higher") == "higher"
+    out = {"unit": spec.get("unit"), "better": "higher" if higher else "lower",
+           "parent": spread(parent), "change": spread(change), "pairs": len(parent),
+           "change_wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change))}
+    p, c = out["parent"]["median"], out["change"]["median"]
+    if "bound" in spec and p:
+        worse = (p - c) / p if higher else (c - p) / p
+        out.update(bound=spec["bound"], worse_by=worse, within_bound=worse <= spec["bound"])
+    return out
+
+
+def summarize(runs, specs):
+    names = sorted(set.intersection(*(set(r["metrics"]) for s in SIDES for r in runs[s])))
+    return {
+        "fingerprints_match": all(p["fingerprint"] == c["fingerprint"]
+                                  for p, c in zip(runs["parent"], runs["change"])),
+        "failed": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
+        "metrics": {n: compare(n, runs, specs.get(n, {})) for n in names},
+        "runs": runs,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs = {m["name"]: m for m in bench["end_to_end"]}
+    seconds, workloads = bench["run_seconds"], [w["name"] for w in bench["workloads"]]
+    report = {
+        "parent": {"rev": git("rev-parse", args.parent)},
+        "change": {"rev": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        "settings": {"seeds": args.seeds, "seconds": seconds, "trace": 0},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
+        export(args.parent, tmp)
+        trees = {"parent": Path(tmp), "change": ROOT}
+        for side in SIDES:
+            report[side]["src_sha256"] = src_digest(trees[side])
+        for workload in workloads:
+            runs = {s: [] for s in SIDES}
+            for i, seed in enumerate(args.seeds):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    run = run_once(trees[side], workload, seed, seconds)
+                    runs[side].append(run)
+                    print(f"{workload} seed {seed} {side}: failed {run['failed']}, "
+                          f"descriptors {run['fingerprint']['descriptors'][:8]}",
+                          file=sys.stderr)
+            report["workloads"][workload] = summarize(runs, specs)
+    first = {s: dict(report["workloads"][workloads[0]]["runs"][s][0]["environment"])
+             for s in SIDES}
+    for side in SIDES:
+        report[side]["src_lines"] = first[side].pop("src_lines")
+    report["environment"] = {**first["change"], "machine": platform.machine(),
+                             "system": platform.platform()}
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
