@@ -17,6 +17,7 @@ from . import data, pipeline, stability
 from .data import DataError
 from .model import CheckpointError, TemporalGraphClassifier
 from .pipeline import NonFiniteLossError, PipelineError, RunConfig
+from .stability import StabilityError
 from .temporal import TemporalGraphError
 
 
@@ -99,6 +100,8 @@ def _run(args) -> int:
         data.save_dataset(dataset, args.out)
         print(f"wrote {len(dataset)} graphs to {args.out}")
     elif args.command == "train":
+        if not 0 < args.test_fraction < 1:
+            raise PipelineError(f"--test-fraction must lie in (0, 1), got {args.test_fraction}")
         cfg = _load_config(args.config)
         dataset = data.load_dataset(args.data)
         features = pipeline.extract_descriptors(dataset, cfg)
@@ -139,8 +142,10 @@ def _run(args) -> int:
     elif args.command == "sweep":
         cfg = _load_config(args.config)
         dataset = data.load_dataset(args.data)
-        deltas = [float(x) for x in args.deltas.split(",")]
-        sigmas = [float(x) for x in args.sigmas.split(",")]
+        try:
+            deltas, sigmas = ([float(x) for x in v.split(",")] for v in (args.deltas, args.sigmas))
+        except ValueError as exc:
+            raise PipelineError(f"--deltas/--sigmas: {exc}") from exc
         _write_or_print(pipeline.sweep_windows(dataset, deltas, sigmas, cfg), args.out)
     elif args.command == "stability":
         if args.mode == "topo":
@@ -167,7 +172,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (DataError, PipelineError, TemporalGraphError, CheckpointError,
+    except (DataError, PipelineError, TemporalGraphError, CheckpointError, StabilityError,
             json.JSONDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from .model import (
 from .optim import Adam
 from .temporal import (
     WindowSpec,
+    stack_windows,
     static_projection,
     temporal_degree,
     window_sequence,
@@ -155,19 +156,9 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     binary = config.feature_mode == "binary"
     out = []
     for g in dataset.graphs:
-        windows = window_sequence(g, config.window_spec())
-        phi = np.array(
-            [
-                topology.topo_descriptor(
-                    w, count_edge_multiplicity=config.count_edge_multiplicity
-                ).as_list()
-                for w in windows
-            ],
-            dtype=np.float64,
-        )
-        hists = [spectral.spectral_descriptor(w, config.dos_bins) for w in windows]
-        psi = np.array([h.mass for h in hists], dtype=np.float64)
-        psi_empty = np.array([h.empty for h in hists])
+        stack = stack_windows(window_sequence(g, config.window_spec()))
+        phi = topology.topo_descriptors(stack, config.count_edge_multiplicity).astype(np.float64)
+        psi, psi_empty = spectral.spectral_descriptors(stack, config.dos_bins)
         feats = temporal_degree(g, grid, binary=binary)
         agg = mean_aggregation_matrix(static_projection(g))
         out.append(GraphFeatures(g.label, phi, psi, psi_empty, feats, agg))

@@ -6,7 +6,10 @@ round-off of a few ulps would decide the bin; ``dos_histogram`` therefore
 snaps eigenvalues to a 1e-9 grid before binning, so histograms do not depend
 on the solver's round-off.  The normalized Laplacian is exactly symmetric by
 construction (A holds only 0 and 1, so L[i, j] and L[j, i] are both
-``inv_i * inv_j``), so it needs no symmetrizing pass.
+``inv_i * inv_j``), so it needs no symmetrizing pass.  ``spectral_descriptors``
+stacks a graph's windows of equal node count (``temporal.stack_windows``)
+into one ``eigvalsh`` call, whose results equal per-window calls byte for
+byte, and bins every window's eigenvalues with one ``bincount``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ class DosHistogram:
         return len(self.mass)
 
 
+def _laplacians(a) -> np.ndarray:
+    """Normalized Laplacians of the 0/1 adjacency matrices on a's last two axes."""
+    deg = a.sum(axis=-1)
+    if not deg.all():  # windows built by ``window`` hold edge endpoints only
+        raise SpectralError("window has a node without edges")
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return np.eye(a.shape[-1]) - inv_sqrt[..., :, None] * a * inv_sqrt[..., None, :]
+
+
 def normalized_laplacian(win) -> SymMatrix:
     """L = I - D^(-1/2) A D^(-1/2) on the window's deduplicated simple edges."""
     n = win.num_nodes
@@ -58,21 +70,31 @@ def normalized_laplacian(win) -> SymMatrix:
     # nodes are sorted, so searchsorted gives each endpoint's local index
     i, j = np.searchsorted(win.nodes, np.array(win.edges).reshape(-1, 2)).T
     a[i, j] = a[j, i] = 1.0
-    deg = a.sum(axis=1)
-    if not deg.all():  # windows built by ``window`` hold edge endpoints only
-        raise SpectralError("window has a node without edges")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = np.eye(n) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    lap = _laplacians(a)
     lap.flags.writeable = False
     return SymMatrix(n, lap)
 
 
 def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``).
+    """All eigenvalues, ascending, of a symmetric matrix or a stack of them (``eigvalsh``).
 
     Raises ``numpy.linalg.LinAlgError`` if LAPACK fails to converge.
     """
     return np.linalg.eigvalsh(m.array)
+
+
+def _masses(eigs, owner, sizes, bin_count, slack=1e-6) -> np.ndarray:
+    """(len(sizes), bin_count) masses of spectra of ``sizes`` eigenvalues each,
+    ``eigs[x]`` in spectrum ``owner[x]``, binned as ``dos_histogram`` says."""
+    if eigs.size and (eigs.min() < -slack or eigs.max() > 2.0 + slack):
+        raise SpectralError(
+            f"eigenvalues outside [0,2] by more than {slack}: "
+            f"range [{eigs.min()}, {eigs.max()}]"
+        )
+    clamped = np.clip(np.round(eigs, 9), 0.0, 2.0)
+    idx = np.minimum((clamped / (2.0 / bin_count)).astype(int), bin_count - 1)
+    counts = np.bincount(owner * bin_count + idx, minlength=len(sizes) * bin_count)
+    return counts.reshape(-1, bin_count) / np.maximum(sizes, 1)[:, None]
 
 
 def dos_histogram(eigs, bin_count: int = 4, slack: float = 1e-6) -> DosHistogram:
@@ -88,16 +110,24 @@ def dos_histogram(eigs, bin_count: int = 4, slack: float = 1e-6) -> DosHistogram
     eigs = np.asarray(eigs, dtype=np.float64)
     if eigs.size == 0:
         return DosHistogram(edges, (0.0,) * bin_count, empty=True)
-    if eigs.min() < -slack or eigs.max() > 2.0 + slack:
-        raise SpectralError(
-            f"eigenvalues outside [0,2] by more than {slack}: "
-            f"range [{eigs.min()}, {eigs.max()}]"
-        )
-    clamped = np.clip(np.round(eigs, 9), 0.0, 2.0)
-    idx = np.minimum((clamped / (2.0 / bin_count)).astype(int), bin_count - 1)
-    counts = np.bincount(idx, minlength=bin_count).astype(np.float64)
-    mass = counts / eigs.size
-    return DosHistogram(edges, tuple(mass.tolist()), empty=False)
+    mass = _masses(eigs, 0, np.array([eigs.size]), bin_count, slack)
+    return DosHistogram(edges, tuple(mass[0].tolist()), empty=False)
+
+
+def spectral_descriptors(stack, bin_count: int = 4):
+    """(W, bin_count) DoS masses and W empty flags of ``temporal.stack_windows``
+    windows: one eigensolve per group, then all eigenvalues binned at once.
+    Empty windows get all-zero rows so token streams keep a fixed length."""
+    counts, groups = stack
+    eigs, owner = [np.zeros(0)], [np.zeros(0, np.int64)]
+    for n, ids, w, i, j in groups:
+        a = np.zeros((len(ids), n, n), dtype=np.float64)
+        a[w, i, j] = a[w, j, i] = 1.0
+        eigs.append(eigenvalues_sym(SymMatrix(n, _laplacians(a))).ravel())
+        owner.append(np.repeat(ids, n))
+    sizes = counts[:, 0]
+    return (_masses(np.concatenate(eigs), np.concatenate(owner), sizes, bin_count),
+            sizes == 0)
 
 
 def wasserstein1_hist(a: DosHistogram, b: DosHistogram) -> float:

@@ -3,7 +3,9 @@
 A temporal graph is a fixed node set plus a list of timestamped undirected
 edge events; the same pair may interact repeatedly.  Sliding windows of
 length ``delta`` advanced by stride ``sigma`` induce a sequence of small
-subgraphs from which downstream descriptors are computed.
+subgraphs from which downstream descriptors are computed.  A graph's windows
+are cut from one array of its events, and ``stack_windows`` turns them back
+into arrays, grouped by node count, for descriptors computed on stacks.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -80,6 +83,7 @@ class TemporalGraph:
 
 
 _time = itemgetter(2)  # an event's timestamp
+STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of float64
 
 
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
@@ -132,11 +136,6 @@ class WindowGraph:
     def num_event_edges(self) -> int:
         return sum(self.edge_multiplicity)
 
-    def local_edges(self) -> list:
-        """Edges renumbered to dense local indices in node order."""
-        idx = {v: i for i, v in enumerate(self.nodes)}
-        return [(idx[u], idx[v]) for u, v in self.edges]
-
 
 @dataclass(frozen=True)
 class StaticGraph:
@@ -147,29 +146,34 @@ class StaticGraph:
     neighbors: tuple  # per-node sorted neighbor tuples
 
 
+def _windows(graph: TemporalGraph, starts, delta, first_index=0) -> list:
+    """Windows [t, t + delta] for the ascending float64 array ``starts``: the
+    events are read into arrays once, one ``searchsorted`` bounds every window,
+    and ``np.unique`` over its slice of u*n + v keys, u < v, gives its pairs."""
+    n = graph.num_nodes
+    first = bisect_left(graph.events, starts[0], key=_time)
+    events = graph.events[first:bisect_right(graph.events, starts[-1] + delta, first, key=_time)]
+    ev = np.fromiter(chain.from_iterable(events), np.float64, 3 * len(events)).reshape(-1, 3)
+    uv = np.sort(ev[:, :2].astype(np.int64), axis=1)
+    keys = uv[:, 0] * n + uv[:, 1]
+    lo = np.searchsorted(ev[:, 2], starts, "left").tolist()
+    hi = np.searchsorted(ev[:, 2], starts + delta, "right").tolist()
+    out = []
+    for i, (t, a, b) in enumerate(zip(starts.tolist(), lo, hi)):
+        pairs, mult = np.unique(keys[a:b], return_counts=True)
+        u, v = (pairs // n).tolist(), (pairs % n).tolist()
+        out.append(WindowGraph(first_index + i, t, delta, tuple(sorted(set(u + v))),
+                               tuple(zip(u, v)), tuple(mult.tolist())))
+    return out
+
+
 def window(graph: TemporalGraph, t: float, delta: float, window_index=0) -> WindowGraph:
     """Extract the subgraph of events with timestamp in the closed [t, t+delta]."""
     if not delta > 0:
         raise TemporalGraphError(f"delta must be > 0, got {delta}")
-    if math.isnan(t):  # would bisect to the whole event list
+    if math.isnan(t):  # would compare false with every timestamp
         raise TemporalGraphError("window start is NaN")
-    hi = t + delta
-    events = graph.events  # sorted by time (from_events)
-    lo = bisect_left(events, t, key=_time)
-    mult = {}
-    for u, v, _ in events[lo:bisect_right(events, hi, lo, key=_time)]:
-        pair = (u, v) if u < v else (v, u)
-        mult[pair] = mult.get(pair, 0) + 1
-    edges = tuple(sorted(mult))
-    nodes = tuple(sorted({x for pair in edges for x in pair}))
-    return WindowGraph(
-        window_index=window_index,
-        t_start=t,
-        delta=delta,
-        nodes=nodes,
-        edges=edges,
-        edge_multiplicity=tuple(mult[e] for e in edges),
-    )
+    return _windows(graph, np.array([t], dtype=np.float64), delta, window_index)[0]
 
 
 def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
@@ -184,11 +188,38 @@ def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
 
 def window_sequence(graph: TemporalGraph, spec: WindowSpec) -> list:
     """Windows anchored at t_min: window i covers [t_min + i*sigma, ... + delta]."""
-    n = window_count(graph, spec)
-    return [
-        window(graph, graph.t_min + i * spec.sigma, spec.delta, window_index=i)
-        for i in range(n)
-    ]
+    starts = graph.t_min + np.arange(window_count(graph, spec)) * spec.sigma
+    return _windows(graph, starts, spec.delta)
+
+
+def stack_windows(windows) -> tuple:
+    """A graph's windows as arrays, grouped for stacked per-window work.
+
+    Returns ``(counts, groups)``: a (W, 3) int array of each window's node,
+    pair and event counts, and per run of at most ``STACK_LIMIT // n**2``
+    windows with the same node count n >= 1, a group ``(n, ids, owner, i, j)``
+    of their indices and of all their pairs in window then lexicographic order,
+    as the position of the pair's window in ``ids`` and local indices i < j.
+    """
+    counts = np.array([(w.num_nodes, w.num_edges, w.num_event_edges) for w in windows],
+                      dtype=np.int64).reshape(-1, 3)
+    sizes, m = counts[:, 0], counts[:, 1]
+    nodes = np.fromiter(chain.from_iterable(w.nodes for w in windows), np.int64, sizes.sum())
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(w.edges for w in windows)),
+                       np.int64, 2 * m.sum()).reshape(-1, 2)
+    span = int(nodes.max()) + 1 if len(nodes) else 1
+    owner = np.repeat(np.arange(len(counts)), m)
+    keys = np.repeat(np.arange(len(counts)), sizes) * span + nodes  # ascending
+    first = np.cumsum(sizes) - sizes  # each window's first node in ``keys``
+    local = np.searchsorted(keys, owner[:, None] * span + ends) - first[owner, None]
+    size_of, groups = sizes[owner], []
+    for n in np.unique(sizes[sizes > 0]).tolist():
+        ids = np.flatnonzero(sizes == n)
+        run = max(1, STACK_LIMIT // n**2)
+        for part in (ids[s:s + run] for s in range(0, len(ids), run)):
+            e = np.flatnonzero((size_of == n) & (owner >= part[0]) & (owner <= part[-1]))
+            groups.append((n, part, np.searchsorted(part, owner[e]), local[e, 0], local[e, 1]))
+    return counts, groups
 
 
 def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray:

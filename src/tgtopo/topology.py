@@ -2,15 +2,21 @@
 
 Complexes are truncated at dimension 2 (triangles): beta_1 of a clique
 complex only depends on simplices up to dimension 2, and the per-window
-descriptor needs nothing higher.  A window runs one union-find, whose beta_0
-the complex carries as ``components``; beta_1 is the cycle rank minus the GF(2)
-rank of the triangle boundary columns, each an int with bit i set for edge i.
+descriptor needs nothing higher.  ``topo_descriptors`` works on a graph's
+windows stacked by node count (``temporal.stack_windows``): one label
+propagation gives every window's beta_0 and one ``nonzero`` on the stacked
+0/1 upper adjacency its triangles; beta_1 is the cycle rank minus the GF(2)
+rank of the triangle boundary columns, each an int with bit x set for edge x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .temporal import WindowGraph, stack_windows
 
 INF = math.inf
 
@@ -75,45 +81,76 @@ def _find(parent, x):
     return x
 
 
-def _components(n, edges) -> int:
-    """Connected components of the graph on vertices 0..n-1."""
-    parent = list(range(n))
-    count = n
-    for i, j in edges:
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            parent[rj] = ri
-            count -= 1
-    return count
+def _components(g, n, owner, i, j) -> np.ndarray:
+    """Connected components of each of g graphs on n vertices, by min-label
+    propagation with pointer jumping: labels stay vertices of their own
+    component, so each component ends with one vertex labelled with itself."""
+    a, b, label = owner * n + i, owner * n + j, np.arange(g * n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        np.minimum.at(low, b, label[a])
+        if np.array_equal(low := low[low], label):
+            return (label == np.arange(g * n)).reshape(g, n).sum(axis=1)
+        label = low
+
+
+def _triangles(g, n, owner, i, j):
+    """Triangles (i[e], j[e], k) of g graphs on n vertices, lexicographic within
+    each graph, with the in-graph indices ``ij``, ``ik`` and ``jk`` of their edges."""
+    up = np.zeros((g, n, n), dtype=bool)  # edges to higher-index neighbours
+    up[owner, i, j] = True
+    e, k = np.nonzero(up[owner, i] & up[owner, j])
+    index = np.zeros((g, n, n), dtype=np.int64)
+    index[owner, i, j] = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    oe, ie, je = owner[e], i[e], j[e]
+    return e, k, index[oe, ie, je], index[oe, ie, k], index[oe, je, k]
+
+
+def topo_descriptors(stack, count_edge_multiplicity=False) -> np.ndarray:
+    """(W, 4) int array of ``TopoDescriptor`` rows of ``temporal.stack_windows``
+    windows; ``count_edge_multiplicity`` switches the edge count from
+    deduplicated pairs to total event occurrences."""
+    counts, groups = stack
+    out = np.zeros((len(counts), 4), dtype=np.int64)
+    out[:, :2] = counts[:, [0, 2 if count_edge_multiplicity else 1]]
+    for n, ids, owner, i, j in groups:
+        comps = _components(len(ids), n, owner, i, j)
+        e, _, ij, ik, jk = _triangles(len(ids), n, owner, i, j)
+        cols = [1 << x | 1 << y | 1 << z for x, y, z in zip(ij.tolist(), ik.tolist(), jk.tolist())]
+        cut = np.searchsorted(owner[e], np.arange(len(ids) + 1)).tolist()
+        ranks = [_rank(cols[a:b]) for a, b in zip(cut, cut[1:])]
+        out[ids, 2], out[ids, 3] = comps, counts[ids, 1] - n + comps - ranks
+    return out
 
 
 def clique_complex(win) -> CliqueComplex2:
-    """Vertices, edges, triangles, and components of a window's edge set; sorted
-    local edges and sorted higher-index neighbours give sorted triangles."""
-    local = win.local_edges()
+    """Vertices, edges, triangles, and components of a window's edge set."""
     n = win.num_nodes
-    up = [set() for _ in range(n)]  # neighbours with a higher index
-    for i, j in local:
-        up[i].add(j)
-    triangles = tuple((i, j, k) for i, j in local for k in sorted(up[i] & up[j]))
-    return CliqueComplex2(n, tuple(local), triangles, _components(n, local))
+    # nodes are sorted, so searchsorted gives each endpoint's local index
+    i, j = np.searchsorted(win.nodes, np.array(win.edges, dtype=np.int64).reshape(-1, 2)).T
+    owner = np.zeros_like(i)
+    e, k, *_ = _triangles(1, n, owner, i, j)
+    return CliqueComplex2(n, tuple(zip(i.tolist(), j.tolist())),
+                          tuple(zip(i[e].tolist(), j[e].tolist(), k.tolist())),
+                          int(_components(1, n, owner, i, j)[0]))
 
 
 def betti0(win) -> int:
     """Connected components of the window (0 for the empty window)."""
-    return _components(win.num_nodes, win.local_edges())
+    return clique_complex(win).components
 
 
 def _rank(words) -> int:
-    """GF(2) rank of bit-packed vectors (Python ints)."""
-    pivots = {}  # lowest set bit -> pivot vector
+    """GF(2) rank of bit-packed vectors (Python ints), pivoting on the highest set bit."""
+    pivots = {}  # highest set bit -> pivot vector
     for w in words:
         while w:
-            low = w & -w
-            if low not in pivots:
-                pivots[low] = w
+            top = w.bit_length()
+            if top not in pivots:
+                pivots[top] = w
                 break
-            w ^= pivots[low]
+            w ^= pivots[top]
     return len(pivots)
 
 
@@ -135,22 +172,14 @@ def boundary2_matrix(cx: CliqueComplex2):
 
 def betti1(cx: CliqueComplex2) -> int:
     """First Betti number: cycle rank minus the rank of the triangle boundary."""
-    cycles = len(cx.edges) - cx.vertices + cx.components
-    bit = {e: 1 << i for i, e in enumerate(cx.edges)}
-    return cycles - _rank(bit[i, j] | bit[i, k] | bit[j, k] for i, j, k in cx.triangles)
+    win = WindowGraph(0, 0.0, 1.0, tuple(range(cx.vertices)), cx.edges, (1,) * len(cx.edges))
+    return int(topo_descriptors(stack_windows([win]))[0, 3])
 
 
 def topo_descriptor(win, count_edge_multiplicity=False) -> TopoDescriptor:
-    """Compose the per-window topological 4-vector.
-
-    ``count_edge_multiplicity`` switches the edge count from deduplicated
-    pairs to total event occurrences.
-    """
-    if win.num_nodes == 0:
-        return TopoDescriptor(0, 0, 0, 0)
-    cx = clique_complex(win)
-    e = win.num_event_edges if count_edge_multiplicity else win.num_edges
-    return TopoDescriptor(win.num_nodes, e, cx.components, betti1(cx))
+    """One window's row of ``topo_descriptors``."""
+    row = topo_descriptors(stack_windows([win]), count_edge_multiplicity)[0]
+    return TopoDescriptor(*row.tolist())
 
 
 def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> PersistenceDiagram:

@@ -49,6 +49,19 @@ def _synth_args(root, dataset_dir, spec):
             "--seed", "0"]
 
 
+def _stability_args(root, dataset_dir, flags):
+    return ["stability", "--seed", "1", *flags.split()]
+
+
+def _sweep_args(root, dataset_dir, deltas):
+    return ["sweep", "--data", str(dataset_dir), "--deltas", deltas, "--sigmas", "2.0"]
+
+
+def _train_args(root, dataset_dir, fraction):
+    return ["train", "--data", str(dataset_dir), "--out", str(root / "m.json"),
+            "--test-fraction", fraction]
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main([]) == 1
@@ -88,6 +101,14 @@ class TestExitCodes:
         pytest.param(_synth_args, "[1, 2]", id="spec_not_object"),
         pytest.param(_synth_args, '{"num_graphs": 4, "nodes": "abc", "timesteps": 8, '
                      '"classes": 2, "cycle_density": [0, 2]}', id="spec_value_not_integer"),
+        pytest.param(_stability_args, "--mode topo --trials 5", id="too_few_trials"),
+        pytest.param(_stability_args, "--mode topo --trials 30 --magnitude -1",
+                     id="negative_timestamp_noise"),
+        pytest.param(_stability_args, "--mode spectral --trials 30 --magnitude 100000",
+                     id="infeasible_edge_count"),
+        pytest.param(_sweep_args, "a", id="sweep_value_not_float"),
+        pytest.param(_train_args, "0", id="zero_test_fraction"),
+        pytest.param(_train_args, "nan", id="nan_test_fraction"),
     ])
     def test_malformed_input_is_data_error(self, build, text, dataset_dir, tmp_path,
                                            capsys):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import tgtopo.pipeline
 from tgtopo.data import synth_generate
 from tgtopo.model import TemporalGraphClassifier
 from tgtopo.pipeline import (
@@ -23,7 +24,7 @@ from tgtopo.pipeline import (
     sweep_windows,
     train,
 )
-from tgtopo.temporal import WindowGraph, window_count
+from tgtopo.temporal import stack_windows, window_count
 
 
 SPEC = dict(num_graphs=20, nodes=12, timesteps=12, classes=2, cycle_density=[0, 3])
@@ -77,14 +78,17 @@ class TestExtraction:
             assert gf.label == g.label
 
     def test_local_edges_built_once_per_window(self, small_dataset, monkeypatch):
+        # stack_windows builds the local edge indices of every window it is
+        # given; extraction stacks each graph's windows once, for both views
         cfg = RunConfig(delta=6.0, sigma=4.0)
         calls = []
-        build = WindowGraph.local_edges
-        monkeypatch.setattr(WindowGraph, "local_edges",
-                            lambda w: calls.append(w) or build(w))
+        monkeypatch.setattr(tgtopo.pipeline, "stack_windows",
+                            lambda ws: calls.append(ws) or stack_windows(ws))
         extract_descriptors(small_dataset, cfg)
+        seen = [id(w) for ws in calls for w in ws]
         windows = sum(window_count(g, cfg.window_spec()) for g in small_dataset.graphs)
-        assert len(calls) == windows == len({id(w) for w in calls})
+        assert len(calls) == len(small_dataset.graphs)
+        assert len(seen) == windows == len(set(seen))
 
     def test_feature_width_is_dataset_wide(self, small_dataset, small_features):
         grid = {t for g in small_dataset.graphs for _, _, t in g.events}
@@ -103,18 +107,35 @@ class TestExtraction:
 class TestDescriptorFingerprint:
     # SHA-256 over each graph's phi, psi and psi_empty bytes in order, the
     # same hash as perfbench's descriptor_digest.  A change to extraction that
-    # alters any descriptor byte changes this value; record the new one only
-    # for an intended behaviour change.
+    # alters any descriptor byte changes these values; record new ones only
+    # for an intended behaviour change.  The long-stream cases have the window
+    # shape of perfbench's long-stream workload: 92 overlapping windows of
+    # 30 nodes per graph.
     DIGEST = "4c30dbc757bf81cc8b9551d465a04a7352560d03cad9b2245100931c6ccde8a2"
+    LONG_STREAM = {
+        False: "0083b527538511a5546805e660ed6b4199291d617c900126e88a5c6116acf69f",
+        True: "96eb1d414bd01980fe6aeea23b86ea5ddca54e522727f832b51fd1e096ff144a",
+    }
+
+    @staticmethod
+    def _digest(spec, cfg):
+        h = hashlib.sha256()
+        for gf in extract_descriptors(synth_generate(spec, 1), cfg):
+            for arr in (gf.phi, gf.psi, gf.psi_empty):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        return h.hexdigest()
 
     def test_default_config_digest(self):
         spec = dict(num_graphs=20, nodes=30, timesteps=24, classes=2,
                     cycle_density=[0, 3])
-        h = hashlib.sha256()
-        for gf in extract_descriptors(synth_generate(spec, 1), RunConfig()):
-            for arr in (gf.phi, gf.psi, gf.psi_empty):
-                h.update(np.ascontiguousarray(arr).tobytes())
-        assert h.hexdigest() == self.DIGEST
+        assert self._digest(spec, RunConfig()) == self.DIGEST
+
+    @pytest.mark.parametrize("multiplicity", [False, True])
+    def test_long_stream_digest(self, multiplicity):
+        spec = dict(num_graphs=3, nodes=30, timesteps=96, anchor_stride=1, classes=2,
+                    cycle_density=[0, 3])
+        cfg = RunConfig(delta=4.0, sigma=1.0, count_edge_multiplicity=multiplicity)
+        assert self._digest(spec, cfg) == self.LONG_STREAM[multiplicity]
 
 
 class TestTrainingFingerprint:

@@ -17,7 +17,10 @@ range per side, how many pairs the change won, how far its median is from the
 parent's against the bound in ``BENCHMARK.json``, both sides' fingerprints,
 the ``src/`` line counts, a sha256 of each side's ``src/`` files (so the file
 can be tied to the code it measured even when the change was not yet
-committed) and the environment.
+committed) and the environment.  After writing it, the script prints one
+stderr line per workload (each metric's median parent -> change, the pairs
+won, and the metrics outside their bound) and exits 1 if any pair's
+fingerprints differ or any run failed an operation.
 """
 
 import argparse
@@ -103,6 +106,22 @@ def summarize(runs, specs):
     }
 
 
+def verdict(report):
+    """One summary line per workload, and whether every pair's fingerprints
+    matched and no run failed an operation."""
+    lines, ok = [], True
+    for workload, summary in report["workloads"].items():
+        metrics = summary["metrics"]
+        moves = ", ".join(f"{name} {m['parent']['median']:.4g}->{m['change']['median']:.4g}"
+                          f" ({m['change_wins']}/{m['pairs']})" for name, m in metrics.items())
+        outside = [name for name, m in metrics.items() if not m.get("within_bound", True)]
+        lines.append(f"{workload}: {moves}; outside bound: {', '.join(outside) or 'none'}; "
+                     f"fingerprints match: {summary['fingerprints_match']}; "
+                     f"failed: {summary['failed']}")
+        ok &= summary["fingerprints_match"] and not any(summary["failed"].values())
+    return lines, ok
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -141,7 +160,10 @@ def main(argv=None):
     report["environment"] = {**first["change"], "machine": platform.machine(),
                              "system": platform.platform()}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0
+    lines, ok = verdict(report)
+    for line in lines:
+        print(line, file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
