@@ -19,6 +19,11 @@ arrays of the same layout as the chain would, and they call ``_accumulate``
 on each input once per contribution the chain made, in the order the chain's
 backward ran.  A gradient that sums several contributions is therefore bit
 for bit the gradient of the unfused chain.
+
+The kernels that ``layer_norm`` and ``attention`` wrap also take stacks of
+(S, N, d) inputs and (S, ...) parameters, each slice byte-equal to an
+unstacked call: ``swapaxes(-1, -2)`` for ``.T``, ``[..., a:b]`` head slices,
+``sum(..., keepdims=True) / d`` for ``mean``.
 """
 
 from __future__ import annotations
@@ -173,48 +178,56 @@ def linear(x, w, b) -> Tensor:
     return Tensor(out_data, parents=(x, w, b), backward=backward)
 
 
-def attention(x, heads, scale: float):
-    """Multi-head self-attention over the rows of ``x`` as one tape node.
-
-    ``heads`` is a sequence of ``(wq, wk, wv)``.  Head h computes
-    ``softmax(scale * (x wq)(x wk)^T) (x wv)``; the head outputs are
-    concatenated along the columns.  Returns ``(Tensor, [probs per head])``.
-    Forward and backward repeat the matmul -> transpose -> scale -> softmax
-    -> matmul -> concat chain operation for operation; ``x`` receives its
-    contributions in the chain's order q, k, v of head 0, then of head 1, ...
-    """
-    x = _as_tensor(x)
-    heads = [tuple(ws) for ws in heads]
-    scale = float(scale)
+def _attention(x, heads, scale):
+    """Multi-head self-attention on a stack ``x`` (..., N, d) with each head's
+    ``(wq, wk, wv)`` (..., d, k), op for op as the matmul/softmax/concat chain.
+    Returns the head outputs, their probabilities and ``grad(g)``, which yields
+    ``(x's part, weight gradient)`` for wq, wk, wv of head 0, then head 1 ..."""
     saved = []
     for wq, wk, wv in heads:
-        q, k, v = x.data @ wq.data, x.data @ wk.data, x.data @ wv.data
-        scores = (q @ k.T) * scale
+        q, k, v = x @ wq, x @ wk, x @ wv
+        scores = (q @ k.swapaxes(-1, -2)) * scale
         exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
         saved.append((q, k, v, exp / exp.sum(axis=-1, keepdims=True)))
 
-    def backward(g):
+    def grad(g):
         offset = 0
         for ws, (q, k, v, probs) in zip(heads, saved):
-            size = v.shape[1]
+            size = v.shape[-1]
             # the chain copied each head's column block before using it
-            g_out = np.array(g[:, offset:offset + size])
+            g_out = np.array(g[..., offset:offset + size])
             offset += size
-            g_probs = g_out @ v.T
-            g_v = probs.T @ g_out
+            g_probs = g_out @ v.swapaxes(-1, -2)
+            g_v = probs.swapaxes(-1, -2) @ g_out
             dot = (g_probs * probs).sum(axis=-1, keepdims=True)
             g_scores = scale * (probs * (g_probs - dot))
             g_q = g_scores @ k
-            g_k = (q.T @ g_scores).T
+            g_k = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
             for w, g_w in zip(ws, (g_q, g_k, g_v)):
-                if x.requires_grad:
-                    x._accumulate(g_w @ w.data.T)
-                if w.requires_grad:
-                    w._accumulate(x.data.T @ g_w)
+                yield g_w @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g_w
 
-    out_data = np.concatenate([probs @ v for _, _, v, probs in saved], axis=1)
-    out = Tensor(out_data, parents=(x, *(w for ws in heads for w in ws)), backward=backward)
-    return out, [probs for *_, probs in saved]
+    out = np.concatenate([probs @ v for _, _, v, probs in saved], axis=-1)
+    return out, [probs for *_, probs in saved], grad
+
+
+def attention(x, heads, scale: float):
+    """Multi-head self-attention over the rows of ``x`` as one tape node.
+
+    ``heads`` is a sequence of ``(wq, wk, wv)``; head h computes
+    ``softmax(scale * (x wq)(x wk)^T) (x wv)`` and the head outputs are
+    concatenated along the columns.  Returns ``(Tensor, [probs per head])``."""
+    x = _as_tensor(x)
+    weights = [w for ws in heads for w in ws]
+    out_data, probs, grad = _attention(x.data, [[w.data for w in ws] for ws in heads], scale)
+
+    def backward(g):
+        for w, (g_x, g_w) in zip(weights, grad(g)):
+            if x.requires_grad:
+                x._accumulate(g_x)
+            if w.requires_grad:
+                w._accumulate(g_w)
+
+    return Tensor(out_data, parents=(x, *weights), backward=backward), probs
 
 
 def relu(a) -> Tensor:
@@ -243,33 +256,47 @@ def softmax(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=backward)
 
 
+def _layer_norm(a, gain, bias, eps=1e-5):
+    """Layer norm over the last axis of ``a``; returns the output and
+    ``grad(g)``: the gradient of ``a`` and the gain's before its row sum."""
+    d = a.shape[-1]
+    centered = a - a.sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=-1, keepdims=True) / d + eps)
+    norm = centered * inv_std
+
+    def grad(g):
+        gh = g * gain
+        # d norm / d a through mean and variance
+        term = (gh - gh.sum(axis=-1, keepdims=True) / d
+                - norm * ((gh * norm).sum(axis=-1, keepdims=True) / d))
+        return term * inv_std, g * norm
+
+    return norm * gain + bias, grad
+
+
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply learned gain and shift."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     if gain.data.shape != a.data.shape[-1:] or bias.data.shape != a.data.shape[-1:]:
         raise ShapeMismatchError("layer_norm gain/bias must match the last axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    norm = centered * inv_std
-    out_data = norm * gain.data + bias.data
+    out_data, grad = _layer_norm(a.data, gain.data, bias.data, eps)
 
     def backward(g):
-        n = a.data.shape[-1]
+        g_a, g_gain = grad(g)
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * norm, gain.data.shape))
+            gain._accumulate(_unbroadcast(g_gain, gain.data.shape))
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.data.shape))
         if a.requires_grad:
-            gh = g * gain.data
-            # d norm / d a through mean and variance
-            term = gh - gh.mean(axis=-1, keepdims=True) - norm * (gh * norm).mean(
-                axis=-1, keepdims=True
-            )
-            a._accumulate(term * inv_std)
+            a._accumulate(g_a)
 
     return Tensor(out_data, parents=(a, gain, bias), backward=backward)
+
+
+def dropout_mask(rng: np.random.Generator, rate: float, shape) -> np.ndarray:
+    """Inverted-dropout mask: each entry is 0 or 1 / (1 - rate)."""
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep) / keep
 
 
 def dropout(a, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
@@ -279,8 +306,7 @@ def dropout(a, rate: float, rng: np.random.Generator, train: bool = True) -> Ten
         raise ShapeMismatchError(f"dropout rate must be in [0,1), got {rate}")
     if not train or rate == 0.0:
         return a
-    keep = 1.0 - rate
-    mask = (rng.random(a.data.shape) < keep) / keep
+    mask = dropout_mask(rng, rate, a.data.shape)
 
     def backward(g):
         if a.requires_grad:

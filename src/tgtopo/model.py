@@ -127,6 +127,7 @@ class TransformerEncoder:
     def __init__(self, store: _ParamStore, prefix: str, d_in: int, cfg: ModelConfig):
         self.cfg = cfg
         self.prefix = prefix
+        first = len(store.params)
         d = cfg.tf_model_dim
         self.w_in = store.matrix(f"{prefix}.w_in", d_in, d)
         self.b_in = store.vector(f"{prefix}.b_in", d)
@@ -152,33 +153,90 @@ class TransformerEncoder:
             self.layers.append(layer)
         self.w_out = store.matrix(f"{prefix}.w_out", d, VIEW_DIM)
         self.b_out = store.vector(f"{prefix}.b_out", VIEW_DIM)
+        # what ``encode`` stacks: every parameter after b_in, in creation order
+        self.stacked = list(store.params.values())[first + 2:]
 
     def forward(self, tokens: np.ndarray, rng=None, train=False):
         """tokens: N x d_in; returns (view 1x10 Tensor, attention matrices)."""
-        cfg = self.cfg
-        n = tokens.shape[0]
-        x = ad.linear(tokens, self.w_in, self.b_in)
-        x = ad.embedding_add(x, Tensor(time_embedding(n, cfg.tf_model_dim)))
-        attn_all = []
-        head_dim = cfg.tf_model_dim // cfg.tf_heads
-        scale = 1.0 / np.sqrt(head_dim)
-        for layer in self.layers:
-            normed = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            heads_out, probs = ad.attention(normed, layer["heads"], scale)
-            attn_all += probs
-            attended = ad.matmul(heads_out, layer["wo"])
-            if train and cfg.dropout > 0:
-                attended = ad.dropout(attended, cfg.dropout, rng, train)
-            x = ad.add(x, attended)
-            normed2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
-            h = ad.relu(ad.linear(normed2, layer["w1"], layer["b1"]))
-            h = ad.linear(h, layer["w2"], layer["b2"])
-            if train and cfg.dropout > 0:
-                h = ad.dropout(h, cfg.dropout, rng, train)
-            x = ad.add(x, h)
-        pooled = ad.mean_pool(x, axis=0)
-        view = ad.linear(_row(pooled), self.w_out, self.b_out)
-        return view, attn_all
+        view, (probs,) = encode([self], [tokens], rng, train)
+        return view, probs
+
+
+def encode(encoders, streams, rng=None, train=False):
+    """Run S encoders of equal layer shapes on S token streams of length N as
+    one tape node on (S, ...) parameter stacks and an (S, N, d) residual
+    stream; returns (S x 10 views Tensor, per encoder its attention matrices).
+    Values and gradients are bit for bit each encoder's chain of tape ops
+    (``encoder_chain`` in the tests): a residual-stream gradient is the
+    residual add's, then the layer norm's; the attention input sums q, k, v
+    of head 0, then of head 1, ...; dropout masks are drawn first, encoder by
+    encoder, layer by layer, attention mask then FFN mask."""
+    cfg = encoders[0].cfg
+    streams = [np.asarray(t, dtype=np.float64) for t in streams]
+    s, n, d = len(streams), streams[0].shape[0], cfg.tf_model_dim
+    if any(t.shape[0] != n for t in streams):
+        raise ad.ShapeMismatchError(f"token streams of lengths {[len(t) for t in streams]}")
+    drop = train and cfg.dropout > 0
+    masks = ad.dropout_mask(rng, cfg.dropout, (s, cfg.tf_layers, 2, n, d)) if drop else None
+    tensors = list(zip(*(e.stacked for e in encoders)))  # per parameter its S tensors
+    # one copy per parameter; vectors become (S, 1, d)
+    params = [np.array([t.data.reshape(-1, t.data.shape[-1]) for t in ts]) for ts in tensors]
+    width, scale = (len(tensors) - 2) // cfg.tf_layers, 1.0 / np.sqrt(d // cfg.tf_heads)
+    x = np.stack([t @ e.w_in.data + e.b_in.data for t, e in zip(streams, encoders)])
+    x = x + time_embedding(n, d)
+    tape = []
+    for l in range(cfg.tf_layers):
+        g1, b1, g2, b2, *qkv, wo, w1, c1, w2, c2 = params[l * width:(l + 1) * width]
+        normed, ln1_grad = ad._layer_norm(x, g1, b1)
+        heads_out, probs, att_grad = ad._attention(
+            normed, [qkv[i:i + 3] for i in range(0, len(qkv), 3)], scale)
+        attended = heads_out @ wo
+        if drop:
+            attended = attended * masks[:, l, 0]
+        x = x + attended
+        normed2, ln2_grad = ad._layer_norm(x, g2, b2)
+        pre = normed2 @ w1 + c1
+        h = np.where(pre > 0, pre, 0.0)
+        out = h @ w2 + c2
+        if drop:
+            out = out * masks[:, l, 1]
+        x = x + out
+        tape.append((ln1_grad, heads_out, probs, att_grad, normed2, ln2_grad, pre > 0, h))
+    pooled = (x.sum(axis=-2) / n).reshape(s, 1, d)
+    w_out, b_out = params[-2:]
+
+    def backward(g):
+        g = g.reshape(s, 1, VIEW_DIM)
+        grads = [pooled.swapaxes(-1, -2) @ g, g.sum(axis=-2)]
+        g_x = np.repeat((g @ w_out.swapaxes(-1, -2)) / n, n, axis=-2)
+        for l in reversed(range(cfg.tf_layers)):
+            *_, wo, w1, _, w2, _ = params[l * width:(l + 1) * width]
+            ln1_grad, heads_out, _, att_grad, normed2, ln2_grad, active, h = tape[l]
+            g_out = g_x * masks[:, l, 1] if drop else g_x
+            g_pre = (g_out @ w2.swapaxes(-1, -2)) * active
+            g_normed2 = g_pre @ w1.swapaxes(-1, -2)
+            g_ln, g_g2 = ln2_grad(g_normed2)
+            g_x = g_x + g_ln
+            g_att = g_x * masks[:, l, 0] if drop else g_x
+            g_ins, g_qkv = zip(*att_grad(g_att @ wo.swapaxes(-1, -2)))
+            g_normed = sum(g_ins[1:], g_ins[0])  # in the order att_grad yields them
+            g_ln, g_g1 = ln1_grad(g_normed)
+            g_x = g_x + g_ln
+            grads[:0] = [g_g1.sum(axis=-2), g_normed.sum(axis=-2), g_g2.sum(axis=-2),
+                         g_normed2.sum(axis=-2), *g_qkv, heads_out.swapaxes(-1, -2) @ g_att,
+                         normed2.swapaxes(-1, -2) @ g_pre, g_pre.sum(axis=-2),
+                         h.swapaxes(-1, -2) @ g_out, g_out.sum(axis=-2)]
+        for e, t, g_e in zip(encoders, streams, g_x):
+            e.b_in._accumulate(g_e.sum(axis=0))
+            e.w_in._accumulate(t.T @ g_e)
+        for ts, g_stack in zip(tensors, grads):
+            for t, g_t in zip(ts, g_stack):
+                t._accumulate(g_t)
+
+    views = (pooled @ w_out + b_out).reshape(s, VIEW_DIM)
+    parents = tuple(t for e in encoders for t in (e.w_in, e.b_in, *e.stacked))
+    return (Tensor(views, parents=parents, backward=backward),
+            [[p[i] for layer in tape for p in layer[2]] for i in range(s)])
 
 
 def _row(t: Tensor) -> Tensor:
@@ -235,10 +293,11 @@ class TemporalGraphClassifier:
                 )
             self.sage_proj = store.matrix("sage.proj", cfg.hidden_dim, VIEW_DIM)
             self.sage_proj_b = store.vector("sage.proj_b", VIEW_DIM)
+        self.encoders = []  # topological, then spectral
         if cfg.mode in ("full", "concat-fuse", "topo-only"):
-            self.topo_tf = TransformerEncoder(store, "topo_tf", cfg.topo_dim, cfg)
+            self.encoders.append(TransformerEncoder(store, "topo_tf", cfg.topo_dim, cfg))
         if cfg.mode in ("full", "concat-fuse", "dos-only"):
-            self.dos_tf = TransformerEncoder(store, "dos_tf", cfg.dos_bins, cfg)
+            self.encoders.append(TransformerEncoder(store, "dos_tf", cfg.dos_bins, cfg))
         if cfg.mode == "full":
             self.fuse_wq = store.matrix("fuse.wq", VIEW_DIM, VIEW_DIM)
             self.fuse_wk = store.matrix("fuse.wk", VIEW_DIM, VIEW_DIM)
@@ -268,24 +327,18 @@ class TemporalGraphClassifier:
         agg: n x n neighbor-mean matrix.  Returns (logits Tensor, FusionOutput).
         """
         cfg = self.cfg
-        views = {}
-        if cfg.mode in ("full", "concat-fuse", "gsage-only"):
-            views["structural"] = self._structural_view(features, agg)
-        if cfg.mode in ("full", "concat-fuse", "topo-only"):
-            views["topological"], _ = self.topo_tf.forward(phi, rng, train)
-        if cfg.mode in ("full", "concat-fuse", "dos-only"):
-            views["spectral"], _ = self.dos_tf.forward(psi, rng, train)
-
+        if self.encoders:
+            streams = [{"topo_tf": phi, "dos_tf": psi}[e.prefix] for e in self.encoders]
+            encoded, _ = encode(self.encoders, streams, rng, train)
         if cfg.mode == "full":
-            stacked = ad.concat([views[name] for name in VIEW_NAMES], axis=0)
+            stacked = ad.concat([self._structural_view(features, agg), encoded], axis=0)
             fused, weights = fusion_attention(stacked, self.fuse_wq, self.fuse_wk, self.fuse_wv)
         elif cfg.mode == "concat-fuse":
-            fused = ad.concat([views[name] for name in VIEW_NAMES], axis=1)
+            fused = ad.concat([self._structural_view(features, agg), _row(encoded)], axis=1)
             weights = np.full(3, 1.0 / 3.0)
         else:
-            only = {"gsage-only": 0, "topo-only": 1, "dos-only": 2}[cfg.mode]
-            fused = next(iter(views.values()))
-            weights = np.eye(3)[only]
+            fused = encoded if self.encoders else self._structural_view(features, agg)
+            weights = np.eye(3)[{"gsage-only": 0, "topo-only": 1, "dos-only": 2}[cfg.mode]]
         if train and cfg.dropout > 0:
             fused = ad.dropout(fused, cfg.dropout, rng, train)
         logits = classify(fused, self.cls_w, self.cls_b)

@@ -91,8 +91,9 @@ def _masses(eigs, owner, sizes, bin_count, slack=1e-6) -> np.ndarray:
             f"eigenvalues outside [0,2] by more than {slack}: "
             f"range [{eigs.min()}, {eigs.max()}]"
         )
-    clamped = np.clip(np.round(eigs, 9), 0.0, 2.0)
-    idx = np.minimum((clamped / (2.0 / bin_count)).astype(int), bin_count - 1)
+    # a bin's index is the number of interior edges at or below the value
+    edges = 2.0 * np.arange(1, bin_count) / bin_count
+    idx = np.searchsorted(edges, np.clip(np.round(eigs, 9), 0.0, 2.0), "right")
     counts = np.bincount(owner * bin_count + idx, minlength=len(sizes) * bin_count)
     return counts.reshape(-1, bin_count) / np.maximum(sizes, 1)[:, None]
 

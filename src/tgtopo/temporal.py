@@ -229,17 +229,18 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
     ``timesteps[j]`` exactly; with ``binary=True`` entries are clipped to
     {0, 1} (active / inactive).
     """
-    timesteps = list(timesteps)
-    if not timesteps:
+    steps = np.array(list(timesteps), dtype=np.float64)
+    if not steps.size:
         raise EmptyTimestepsError("timesteps grid is empty")
-    col = {float(t): j for j, t in enumerate(timesteps)}
-    out = np.zeros((graph.num_nodes, len(timesteps)), dtype=np.float64)
-    for u, v, t in graph.events:
-        j = col.get(t)
-        if j is None:
-            continue
-        out[u, j] += 1.0
-        out[v, j] += 1.0
+    order = np.argsort(steps, kind="stable")
+    ev = np.fromiter(chain.from_iterable(graph.events), np.float64,
+                     3 * graph.num_events).reshape(-1, 3)
+    # an event's column is the last timestep equal to its time, if any
+    grid = steps[order]
+    pos = np.searchsorted(grid, ev[:, 2], "right") - 1
+    hit = (pos >= 0) & (grid[pos] == ev[:, 2])
+    out = np.zeros((graph.num_nodes, len(steps)), dtype=np.float64)
+    np.add.at(out, (ev[hit, :2].astype(np.int64).ravel(), np.repeat(order[pos[hit]], 2)), 1.0)
     if binary:
         out = (out > 0).astype(np.float64)
     return out

@@ -32,3 +32,53 @@ def test_verdict_line_names_medians_wins_and_metrics_outside_bound():
     (line,), _ = benchpairs.verdict(_report())
     assert line.startswith("long-stream: extract_graphs_per_s 20->31 (5/5)")
     assert "outside bound: peak_rss_mb;" in line
+
+
+def _runs(parent, change):
+    return {side: [{"metrics": {"rate": v}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+
+
+@pytest.mark.parametrize("better, parent, change, shown", [
+    # 10/10 wins, and the median gap of 6 exceeds the parent's IQR of 2
+    ("higher", [10, 11, 12, 13, 14, 10, 11, 12, 13, 14],
+     [16, 17, 18, 19, 20, 16, 17, 18, 19, 20], True),
+    # 10/10 wins by a gap of 1, inside the IQR
+    ("higher", [10, 11, 12, 13, 14, 10, 11, 12, 13, 14],
+     [11, 12, 13, 14, 15, 11, 12, 13, 14, 15], False),
+    # a wide gap, but only 8/10 wins
+    ("higher", [10, 11, 12, 13, 14, 10, 11, 12, 13, 14],
+     [16, 17, 18, 19, 20, 16, 17, 18, 5, 5], False),
+    # lower is better: 9/10 wins and the gap beats the IQR
+    ("lower", [10, 11, 12, 13, 14, 10, 11, 12, 13, 14],
+     [4, 5, 6, 7, 8, 4, 5, 6, 7, 20], True),
+    # a clear loss is never a gain shown
+    ("higher", [16, 17, 18, 19, 20, 16, 17, 18, 19, 20],
+     [10, 11, 12, 13, 14, 10, 11, 12, 13, 14], False),
+])
+def test_gain_shown_needs_nine_in_ten_wins_and_a_gap_beyond_the_parent_iqr(
+        better, parent, change, shown):
+    m = benchpairs.compare("rate", _runs(parent, change), {"better": better})
+    assert m["gain_shown"] is shown
+
+
+@pytest.mark.parametrize("parent, unresolved", [
+    ([400, 450, 500, 550, 600, 630, 407, 520, 480, 560], True),  # IQR/median 0.20 > 0.1
+    ([500, 505, 510, 495, 490, 500, 502, 498, 507, 493], False),
+])
+def test_unresolved_when_parent_iqr_over_median_exceeds_bound(parent, unresolved):
+    m = benchpairs.compare("rate", _runs(parent, parent), {"better": "higher", "bound": 0.1})
+    assert m["unresolved"] is unresolved and m["within_bound"]
+
+
+def test_verdict_line_names_gains_shown_and_unresolved_metrics():
+    report = _report()
+    metrics = report["workloads"]["long-stream"]["metrics"]
+    metrics["extract_graphs_per_s"]["gain_shown"] = True
+    metrics["peak_rss_mb"]["unresolved"] = True
+    (line,), ok = benchpairs.verdict(report)
+    assert "gain shown: extract_graphs_per_s;" in line
+    assert "unresolved: peak_rss_mb;" in line
+    assert ok
+    (line,), _ = benchpairs.verdict(_report())
+    assert "gain shown: none; unresolved: none;" in line

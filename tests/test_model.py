@@ -11,7 +11,9 @@ from tgtopo.model import (
     TemporalGraphClassifier,
     TransformerEncoder,
     _ParamStore,
+    _row,
     classify,
+    encode,
     fusion_attention,
     global_mean_pool,
     mean_aggregation_matrix,
@@ -192,6 +194,92 @@ class TestTransformerEncoder:
 
         fd_check(make, forward, n_trials=3)
 
+    def test_gradients_two_stacked_encoders(self):
+        rng0 = np.random.default_rng(22)
+        streams = [rng0.normal(size=(3, 4)), rng0.normal(size=(3, 2))]
+
+        def make(rng):
+            cfg = ModelConfig(tf_layers=1, tf_heads=2, tf_model_dim=4, tf_ffn_dim=6)
+            store = _ParamStore(rng)
+            make.encs = [TransformerEncoder(store, f"tf{i}", t.shape[1], cfg)
+                         for i, t in enumerate(streams)]
+            return list(store.params.values())
+
+        def forward(ps):
+            views, _ = encode(make.encs, streams)
+            from test_autodiff import weighted_sum
+
+            return weighted_sum(views)
+
+        fd_check(make, forward, n_trials=2)
+
+
+def encoder_chain(enc, tokens, rng=None, train=False):
+    """One encoder as the chain of tape ops that ``encode`` replaces, kept
+    as its reference: returns (view 1x10 Tensor, attention matrices)."""
+    cfg = enc.cfg
+    n = tokens.shape[0]
+    x = ad.linear(tokens, enc.w_in, enc.b_in)
+    x = ad.embedding_add(x, Tensor(time_embedding(n, cfg.tf_model_dim)))
+    attn_all = []
+    scale = 1.0 / np.sqrt(cfg.tf_model_dim // cfg.tf_heads)
+    for layer in enc.layers:
+        normed = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
+        heads_out, probs = ad.attention(normed, layer["heads"], scale)
+        attn_all += probs
+        attended = ad.matmul(heads_out, layer["wo"])
+        if train and cfg.dropout > 0:
+            attended = ad.dropout(attended, cfg.dropout, rng, train)
+        x = ad.add(x, attended)
+        normed2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
+        h = ad.relu(ad.linear(normed2, layer["w1"], layer["b1"]))
+        h = ad.linear(h, layer["w2"], layer["b2"])
+        if train and cfg.dropout > 0:
+            h = ad.dropout(h, cfg.dropout, rng, train)
+        x = ad.add(x, h)
+    pooled = ad.mean_pool(x, axis=0)
+    return ad.linear(_row(pooled), enc.w_out, enc.b_out), attn_all
+
+
+class TestStackedEncoderMatchesChain:
+    """``encode`` gives the bytes of running each encoder as the unfused
+    chain: views, attention matrices, every parameter gradient and the rng
+    state after the dropout draws."""
+
+    @pytest.mark.parametrize("stack", [1, 2])
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_bytes(self, stack, n, heads, dropout):
+        from test_autodiff import weighted_sum
+
+        data = np.random.default_rng(40 + n)
+        streams = [data.normal(size=(n, 4)), data.normal(size=(n, 3))][:stack]
+        cfg = ModelConfig(tf_heads=heads, dropout=dropout)
+        runs = []
+        for stacked in (True, False):
+            store = _ParamStore(np.random.default_rng(9))
+            encs = [TransformerEncoder(store, f"tf{i}", t.shape[1], cfg)
+                    for i, t in enumerate(streams)]
+            rng = np.random.default_rng(11)
+            if stacked:
+                views, probs = encode(encs, streams, rng, train=True)
+            else:
+                chains = [encoder_chain(e, t, rng, train=True) for e, t in zip(encs, streams)]
+                views = ad.concat([v for v, _ in chains], axis=0)
+                probs = [p for _, p in chains]
+            weighted_sum(views).backward()
+            runs.append((views.data.tobytes(), [[a.tobytes() for a in p] for p in probs],
+                         [t.grad.tobytes() for t in store.params.values()], rng.random()))
+        assert runs[0] == runs[1]
+
+    def test_streams_of_unequal_length_rejected(self):
+        cfg = ModelConfig()
+        store = _ParamStore(np.random.default_rng(0))
+        encs = [TransformerEncoder(store, f"tf{i}", 4, cfg) for i in range(2)]
+        with pytest.raises(ad.ShapeMismatchError):
+            encode(encs, [np.zeros((3, 4)), np.zeros((4, 4))])
+
 
 class TestFusionAttention:
     def _qkv(self, rng):
@@ -342,7 +430,8 @@ class TestClassifier:
         # one full-mode step as on the desk workload (2 sage layers, two
         # 2-layer 2-head encoders, fusion attention, no dropout).  The unfused
         # tape ran 151 backward closures per step; linear and attention nodes
-        # cut that to 66, and no leaf enters the backward order.
+        # cut that to 66, and running both encoders as one stacked node to
+        # 21.  No leaf enters the backward order.
         cfg = ModelConfig(mode="full", feature_dim=3)
         model = TemporalGraphClassifier(cfg, seed=1)
         phi, psi, feats, agg = self._toy_inputs(cfg, np.random.default_rng(3))
@@ -350,7 +439,7 @@ class TestClassifier:
         order = ad._backward_order(ad.cross_entropy_with_logits(logits, 1))
         assert all(node._backward is not None for node in order)
         assert not any(node in order for node in model.parameters.values())
-        assert len(order) == 66
+        assert len(order) == 21
 
     def test_classify_is_affine(self):
         w = Tensor(np.array([[1.0, -1.0], [0.5, 2.0]]), requires_grad=True)

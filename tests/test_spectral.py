@@ -12,9 +12,10 @@ from tgtopo.spectral import (
     eigenvalues_sym,
     normalized_laplacian,
     spectral_descriptor,
+    spectral_descriptors,
     wasserstein1_hist,
 )
-from tgtopo.temporal import WindowGraph
+from tgtopo.temporal import WindowGraph, stack_windows
 
 
 class TestNormalizedLaplacian:
@@ -108,6 +109,17 @@ class TestDosHistogram:
     def test_round_off_at_interior_edges_lands_in_upper_bin(self):
         h = dos_histogram([1 - 2e-16, 1 + 2e-16, 1.5 - 2e-16, 0.0])
         assert h.mass == (0.25, 0.0, 0.5, 0.25)
+
+    def test_edge_value_lands_in_upper_bin_for_any_bin_count(self):
+        # 1.2 / 0.4 and 0.6 / 0.2 round down to 2.9999999999999996: binning
+        # must compare with the edges, not floor a quotient
+        assert dos_histogram([0.6], 10).mass == tuple(float(j == 3) for j in range(10))
+        k6 = window_from_edges([(u, v) for u in range(6) for v in range(u + 1, 6)])
+        eigs = eigenvalues_sym(normalized_laplacian(k6))  # 0 once, 6/5 five times
+        assert np.allclose(dos_histogram(eigs, 5).mass, [1 / 6, 0, 0, 5 / 6, 0])
+        stack = stack_windows([k6])
+        assert np.array_equal(spectral_descriptors(stack, 5)[0][0],
+                              dos_histogram(eigs, 5).mass)
 
     def test_normalized(self):
         rng = np.random.default_rng(7)

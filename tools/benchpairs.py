@@ -14,13 +14,17 @@ JSON lines a run prints and changes none of the benchmark's metrics or bounds.
 
 The BENCH file records every run, each metric's median and interquartile
 range per side, how many pairs the change won, how far its median is from the
-parent's against the bound in ``BENCHMARK.json``, both sides' fingerprints,
-the ``src/`` line counts, a sha256 of each side's ``src/`` files (so the file
-can be tied to the code it measured even when the change was not yet
-committed) and the environment.  After writing it, the script prints one
+parent's against the bound in ``BENCHMARK.json``, whether a gain is shown
+(the change won at least 9 in 10 pairs and its median beats the parent's by
+more than the parent's interquartile range), whether the metric is unresolved
+(the parent's interquartile range over its median exceeds the bound, so the
+pairs cannot tell a regression of that size from noise), both sides'
+fingerprints, the ``src/`` line counts, a sha256 of each side's ``src/`` files
+(so the file can be tied to the code it measured even when the change was not
+yet committed) and the environment.  After writing it, the script prints one
 stderr line per workload (each metric's median parent -> change, the pairs
-won, and the metrics outside their bound) and exits 1 if any pair's
-fingerprints differ or any run failed an operation.
+won, and the metrics outside their bound, with a gain shown, and unresolved)
+and exits 1 if any pair's fingerprints differ or any run failed an operation.
 """
 
 import argparse
@@ -88,10 +92,13 @@ def compare(name, runs, spec):
     out = {"unit": spec.get("unit"), "better": "higher" if higher else "lower",
            "parent": spread(parent), "change": spread(change), "pairs": len(parent),
            "change_wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change))}
-    p, c = out["parent"]["median"], out["change"]["median"]
+    p, c, iqr = out["parent"]["median"], out["change"]["median"], out["parent"]["iqr"]
+    out["gain_shown"] = (10 * out["change_wins"] >= 9 * out["pairs"]
+                         and ((c - p) if higher else (p - c)) > iqr)
     if "bound" in spec and p:
         worse = (p - c) / p if higher else (c - p) / p
-        out.update(bound=spec["bound"], worse_by=worse, within_bound=worse <= spec["bound"])
+        out.update(bound=spec["bound"], worse_by=worse, within_bound=worse <= spec["bound"],
+                   unresolved=iqr / abs(p) > spec["bound"])
     return out
 
 
@@ -106,6 +113,10 @@ def summarize(runs, specs):
     }
 
 
+def _names(metrics, test):
+    return ", ".join(name for name, m in metrics.items() if test(m)) or "none"
+
+
 def verdict(report):
     """One summary line per workload, and whether every pair's fingerprints
     matched and no run failed an operation."""
@@ -114,8 +125,10 @@ def verdict(report):
         metrics = summary["metrics"]
         moves = ", ".join(f"{name} {m['parent']['median']:.4g}->{m['change']['median']:.4g}"
                           f" ({m['change_wins']}/{m['pairs']})" for name, m in metrics.items())
-        outside = [name for name, m in metrics.items() if not m.get("within_bound", True)]
-        lines.append(f"{workload}: {moves}; outside bound: {', '.join(outside) or 'none'}; "
+        lines.append(f"{workload}: {moves}; "
+                     f"outside bound: {_names(metrics, lambda m: not m.get('within_bound', True))}; "
+                     f"gain shown: {_names(metrics, lambda m: m.get('gain_shown'))}; "
+                     f"unresolved: {_names(metrics, lambda m: m.get('unresolved'))}; "
                      f"fingerprints match: {summary['fingerprints_match']}; "
                      f"failed: {summary['failed']}")
         ok &= summary["fingerprints_match"] and not any(summary["failed"].values())
