@@ -249,6 +249,23 @@ class TestTemporalDegree:
         with pytest.raises(EmptyTimestepsError):
             temporal_degree(toy_graph, [])
 
+    @settings(max_examples=60, deadline=None)
+    @given(events=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                     st.integers(-2, 5).map(float)), max_size=30),
+           grid=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 3.0, 5.0, math.nan]),
+                         min_size=1, max_size=8))
+    def test_matches_event_loop(self, events, grid):
+        # the event loop it replaced: a duplicated timestep counts in its
+        # last column, and an unsorted or NaN grid is allowed
+        g = from_events(5, [(u, v, t) for u, v, t in events if u != v], allow_empty=True)
+        col = {float(t): j for j, t in enumerate(grid)}
+        want = np.zeros((5, len(grid)))
+        for u, v, t in g.events:
+            if t in col:
+                want[u, col[t]] += 1.0
+                want[v, col[t]] += 1.0
+        assert np.array_equal(temporal_degree(g, grid), want)
+
 
 class TestStaticProjection:
     def test_dedup(self):
