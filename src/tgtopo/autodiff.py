@@ -8,10 +8,10 @@ The backward order holds only tensors that require a gradient and have a
 closure to run: constant inputs such as token matrices and leaf parameters
 never enter it.  A tensor's first gradient is stored as a copy, because one
 backward closure may hand the same array to several parents; a tensor bound
-to a gradient arena (``optim.Adam``) copies it into its arena view instead.
-Trainable tensors are usually views into the optimizer's flat parameter
-arena, so code that changes a parameter's values writes into ``t.data`` in
-place rather than rebinding it.
+to a gradient arena (``optim.pack``) copies it into its arena view instead.
+Trainable tensors are views into their model's flat parameter arena, so code
+that changes a parameter's values writes into ``t.data`` in place rather
+than rebinding it.
 
 Fused ops (``linear``, ``attention``) stand for a chain of the ops below as
 one tape node.  Their forward and backward run the same numpy expressions on
@@ -22,20 +22,26 @@ for bit the gradient of the unfused chain.
 
 The kernels that ``layer_norm`` and ``attention`` wrap also take stacks of
 (S, N, d) inputs and (S, ...) parameters, each slice byte-equal to an
-unstacked call: ``swapaxes(-1, -2)`` for ``.T``, ``[..., a:b]`` head slices,
-``sum(..., keepdims=True) / d`` for ``mean``.
+unstacked call: ``swapaxes(-1, -2)`` for ``.T``, heads on a stack axis of
+their own, ``sum(..., keepdims=True) / d`` for ``mean``.  Every matmul keeps
+the memory layout its operands had in the chain (a transposed operand stays
+a transposed view), because BLAS may round another layout differently.  The
+parameter stacks are views of the arenas (``model.encode``), and
+``accumulate_stacks`` writes a stacked gradient into its arena view once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError, NumericalError
 
-class ShapeMismatchError(ValueError):
+
+class ShapeMismatchError(InputError):
     pass
 
 
-class NonFiniteValueError(FloatingPointError):
+class NonFiniteValueError(NumericalError):
     pass
 
 
@@ -178,36 +184,41 @@ def linear(x, w, b) -> Tensor:
     return Tensor(out_data, parents=(x, w, b), backward=backward)
 
 
-def _attention(x, heads, scale):
-    """Multi-head self-attention on a stack ``x`` (..., N, d) with each head's
-    ``(wq, wk, wv)`` (..., d, k), op for op as the matmul/softmax/concat chain.
-    Returns the head outputs, their probabilities and ``grad(g)``, which yields
-    ``(x's part, weight gradient)`` for wq, wk, wv of head 0, then head 1 ..."""
-    saved = []
-    for wq, wk, wv in heads:
-        q, k, v = x @ wq, x @ wk, x @ wv
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        saved.append((q, k, v, exp / exp.sum(axis=-1, keepdims=True)))
+def _attention(x, w, scale):
+    """Multi-head self-attention on a stack ``x`` (..., N, d) with the heads'
+    q, k, v weights stacked as ``w`` (..., h, 3, d, k), op for op as the
+    matmul/softmax/concat chain.  Returns the head outputs, probabilities
+    (..., h, N, N) and ``grad(g)``: the parts (..., h, 3, N, d) of x's
+    gradient, in the order the chain added them, and w's gradient."""
+    qkv = x[..., None, None, :, :] @ w
+    q, k, v = qkv[..., 0, :, :], qkv[..., 1, :, :], qkv[..., 2, :, :]
+    # the softmax works in place: fresh (..., h, N, N) temporaries of long
+    # streams cost more in page faults than the arithmetic on them
+    probs = q @ k.swapaxes(-1, -2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = probs @ v
 
     def grad(g):
-        offset = 0
-        for ws, (q, k, v, probs) in zip(heads, saved):
-            size = v.shape[-1]
-            # the chain copied each head's column block before using it
-            g_out = np.array(g[..., offset:offset + size])
-            offset += size
-            g_probs = g_out @ v.swapaxes(-1, -2)
-            g_v = probs.swapaxes(-1, -2) @ g_out
-            dot = (g_probs * probs).sum(axis=-1, keepdims=True)
-            g_scores = scale * (probs * (g_probs - dot))
-            g_q = g_scores @ k
-            g_k = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
-            for w, g_w in zip(ws, (g_q, g_k, g_v)):
-                yield g_w @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g_w
+        # the chain copied each head's column block before using it
+        g_out = np.ascontiguousarray(g.reshape(g.shape[:-1] + (w.shape[-4], -1)).swapaxes(-3, -2))
+        g_scores = g_out @ v.swapaxes(-1, -2)  # the probabilities' gradient, then in place
+        g_v = probs.swapaxes(-1, -2) @ g_out
+        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores *= probs
+        g_scores *= scale
+        g_k = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
+        parts, g_w = np.empty(w.shape[:-2] + x.shape[-2:]), np.empty(w.shape)
+        x_t = x.swapaxes(-1, -2)[..., None, :, :]
+        # three products each, so every operand keeps the chain's layout
+        for i, g_i in enumerate((g_scores @ k, g_k, g_v)):
+            np.matmul(g_i, w[..., i, :, :].swapaxes(-1, -2), out=parts[..., i, :, :])
+            np.matmul(x_t, g_i, out=g_w[..., i, :, :])
+        return parts, g_w
 
-    out = np.concatenate([probs @ v for _, _, v, probs in saved], axis=-1)
-    return out, [probs for *_, probs in saved], grad
+    return out.swapaxes(-3, -2).reshape(x.shape[:-1] + (-1,)), probs, grad
 
 
 def attention(x, heads, scale: float):
@@ -218,16 +229,37 @@ def attention(x, heads, scale: float):
     concatenated along the columns.  Returns ``(Tensor, [probs per head])``."""
     x = _as_tensor(x)
     weights = [w for ws in heads for w in ws]
-    out_data, probs, grad = _attention(x.data, [[w.data for w in ws] for ws in heads], scale)
+    stack = np.array([[w.data for w in ws] for ws in heads])
+    out_data, probs, grad = _attention(x.data, stack, scale)
 
     def backward(g):
-        for w, (g_x, g_w) in zip(weights, grad(g)):
+        parts, g_stack = grad(g)
+        g_ws = g_stack.reshape(-1, *stack.shape[2:])
+        for w, g_x, g_w in zip(weights, parts.reshape(-1, *x.shape), g_ws):
             if x.requires_grad:
                 x._accumulate(g_x)
             if w.requires_grad:
                 w._accumulate(g_w)
 
-    return Tensor(out_data, parents=(x, *weights), backward=backward), probs
+    return Tensor(out_data, parents=(x, *weights), backward=backward), list(probs)
+
+
+def accumulate_stacks(groups, views, grads):
+    """``_accumulate`` of stacked gradients: ``grads[j]`` holds, in order, the
+    gradients of the tensors ``groups[j]``, whose gradient-arena views
+    ``views[j]`` tiles.  A stack is written once when no tensor has a
+    gradient yet; else each tensor accumulates its slice."""
+    fresh = all(t.grad is None for ts in groups for t in ts)
+    for ts, view, g in zip(groups, views, grads):
+        if g.shape != view.shape:
+            raise ShapeMismatchError(f"gradient {g.shape} for a stack of shape {view.shape}")
+        if fresh:
+            view[...] = g
+            for t in ts:
+                t.grad = t._grad_view
+        else:
+            for t, g_t in zip(ts, g.reshape(len(ts), *ts[0].data.shape)):
+                t._accumulate(g_t)
 
 
 def relu(a) -> Tensor:

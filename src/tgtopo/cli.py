@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error (malformed, out-of-range or
-unreadable input, or an unwritable output path), 3 numerical failure.
+unreadable input, or an unwritable output path), 3 numerical failure.  Every
+error the package defines derives from ``InputError`` (2) or ``NumericalError``
+(3); the other errors caught come from json, the OS, LAPACK and numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import sys
 import numpy as np
 
 from . import data, pipeline, stability
-from .data import DataError
-from .model import CheckpointError, TemporalGraphClassifier
-from .pipeline import NonFiniteLossError, PipelineError, RunConfig
-from .stability import StabilityError
-from .temporal import TemporalGraphError
+from .errors import InputError, NumericalError
+from .model import TemporalGraphClassifier
+from .pipeline import PipelineError, RunConfig
 
 
 def _build_parser():
@@ -172,11 +172,10 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (DataError, PipelineError, TemporalGraphError, CheckpointError, StabilityError,
-            json.JSONDecodeError, OSError) as exc:
+    except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteLossError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .temporal import TemporalGraph, TemporalGraphError, from_events
 
 MANIFEST = "manifest.txt"
 
 
-class DataError(ValueError):
+class DataError(InputError):
     pass
 
 

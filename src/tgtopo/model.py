@@ -13,19 +13,22 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import InputError
+from .optim import pack
 
 VIEW_DIM = 10
 VIEW_NAMES = ("structural", "topological", "spectral")
 MODES = ("full", "concat-fuse", "gsage-only", "topo-only", "dos-only")
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     pass
 
 
@@ -127,7 +130,6 @@ class TransformerEncoder:
     def __init__(self, store: _ParamStore, prefix: str, d_in: int, cfg: ModelConfig):
         self.cfg = cfg
         self.prefix = prefix
-        first = len(store.params)
         d = cfg.tf_model_dim
         self.w_in = store.matrix(f"{prefix}.w_in", d_in, d)
         self.b_in = store.vector(f"{prefix}.b_in", d)
@@ -153,8 +155,12 @@ class TransformerEncoder:
             self.layers.append(layer)
         self.w_out = store.matrix(f"{prefix}.w_out", d, VIEW_DIM)
         self.b_out = store.vector(f"{prefix}.b_out", VIEW_DIM)
-        # what ``encode`` stacks: every parameter after b_in, in creation order
-        self.stacked = list(store.params.values())[first + 2:]
+        # what ``encode`` stacks: every parameter after b_in in creation order,
+        # a layer's q, k and v matrices of all heads as one group
+        self.groups = [[w for ws in v for w in ws] if k == "heads" else [v]
+                       for layer in self.layers for k, v in layer.items()]
+        self.groups += [[self.w_out], [self.b_out]]
+        self._stacks = None  # the arrays that ``_stacks`` checks, and its result
 
     def forward(self, tokens: np.ndarray, rng=None, train=False):
         """tokens: N x d_in; returns (view 1x10 Tensor, attention matrices)."""
@@ -162,11 +168,50 @@ class TransformerEncoder:
         return view, probs
 
 
+def _stacks(encoders):
+    """Per group of ``encoders[i].groups``: the views of the parameter arena
+    and of the gradient arena that stack it over the encoders (vectors as
+    (S, 1, d), q, k, v as (S, h, 3, d, d_h)), and its tensors in stack order.
+    Each encoder's tensors must lie in creation order in one arena, the
+    encoders a constant stride apart, as ``pack`` of a model's parameters
+    puts them; tensors in no arena are packed here.  Cached until repacked."""
+    cached = encoders[0]._stacks
+    if cached and len(cached[0]) == len(encoders) and all(
+            map(operator.is_, cached[0], (e.w_out.data for e in encoders))):
+        return cached[1]
+    tensors = [t for e in encoders for ts in e.groups for t in ts]
+    if all(t._grad_view is None for t in tensors):
+        pack(tensors)
+    s, sizes = len(encoders), np.array([t.data.size for t in tensors]).reshape(len(encoders), -1)
+    first = encoders[0].groups
+    cuts = np.cumsum([sum(t.data.size for t in ts) for ts in first])[:-1]
+    stacks = []
+    for arrays in ([t.data for t in tensors], [t._grad_view for t in tensors]):
+        base = getattr(arrays[0], "base", None)
+        if base is None or any(getattr(a, "base", None) is not base for a in arrays):
+            raise ValueError("encoder parameters do not live in one arena")
+        at = (np.array([a.ctypes.data for a in arrays]) - base.ctypes.data).reshape(s, -1)
+        stride = (at[-1, 0] - at[0, 0]) // max(s - 1, 1)  # bytes from one encoder to the next
+        want = at[0, 0] + stride * np.arange(s)[:, None] + 8 * (sizes.cumsum(1) - sizes)
+        if (at != want).any() or s > 1 and abs(stride) < 8 * sizes[0].sum():
+            raise ValueError("encoder parameters are not laid out as one stack")
+        rows = np.lib.stride_tricks.as_strided(base[at[0, 0] // 8:], (s, sizes[0].sum()),
+                                               (stride, 8))
+        stacks.append([part.reshape(s, len(ts) // 3, 3, *ts[0].shape) if len(ts) > 1
+                       else part.reshape(s, -1, ts[0].shape[-1])
+                       for part, ts in zip(np.split(rows, cuts, axis=1), first)])
+    stacks.append([[t for ts in g for t in ts] for g in zip(*(e.groups for e in encoders))])
+    encoders[0]._stacks = [e.w_out.data for e in encoders], stacks
+    return stacks
+
+
 def encode(encoders, streams, rng=None, train=False):
     """Run S encoders of equal layer shapes on S token streams of length N as
     one tape node on (S, ...) parameter stacks and an (S, N, d) residual
     stream; returns (S x 10 views Tensor, per encoder its attention matrices).
-    Values and gradients are bit for bit each encoder's chain of tape ops
+    The stacks are views of the parameter arena (``_stacks``), and backward
+    writes each stacked gradient into the gradient arena once.  Values and
+    gradients are bit for bit each encoder's chain of tape ops
     (``encoder_chain`` in the tests): a residual-stream gradient is the
     residual add's, then the layer norm's; the attention input sums q, k, v
     of head 0, then of head 1, ...; dropout masks are drawn first, encoder by
@@ -178,36 +223,34 @@ def encode(encoders, streams, rng=None, train=False):
         raise ad.ShapeMismatchError(f"token streams of lengths {[len(t) for t in streams]}")
     drop = train and cfg.dropout > 0
     masks = ad.dropout_mask(rng, cfg.dropout, (s, cfg.tf_layers, 2, n, d)) if drop else None
-    tensors = list(zip(*(e.stacked for e in encoders)))  # per parameter its S tensors
-    # one copy per parameter; vectors become (S, 1, d)
-    params = [np.array([t.data.reshape(-1, t.data.shape[-1]) for t in ts]) for ts in tensors]
-    width, scale = (len(tensors) - 2) // cfg.tf_layers, 1.0 / np.sqrt(d // cfg.tf_heads)
+    params, grad_stacks, groups = _stacks(encoders)
+    width, scale = (len(params) - 2) // cfg.tf_layers, 1.0 / np.sqrt(d // cfg.tf_heads)
     x = np.stack([t @ e.w_in.data + e.b_in.data for t, e in zip(streams, encoders)])
     x = x + time_embedding(n, d)
     tape = []
     for l in range(cfg.tf_layers):
-        g1, b1, g2, b2, *qkv, wo, w1, c1, w2, c2 = params[l * width:(l + 1) * width]
+        g1, b1, g2, b2, qkv, wo, w1, c1, w2, c2 = params[l * width:(l + 1) * width]
         normed, ln1_grad = ad._layer_norm(x, g1, b1)
-        heads_out, probs, att_grad = ad._attention(
-            normed, [qkv[i:i + 3] for i in range(0, len(qkv), 3)], scale)
+        heads_out, probs, att_grad = ad._attention(normed, qkv, scale)
         attended = heads_out @ wo
         if drop:
             attended = attended * masks[:, l, 0]
         x = x + attended
         normed2, ln2_grad = ad._layer_norm(x, g2, b2)
         pre = normed2 @ w1 + c1
-        h = np.where(pre > 0, pre, 0.0)
+        active = pre > 0
+        h = np.where(active, pre, 0.0)
         out = h @ w2 + c2
         if drop:
             out = out * masks[:, l, 1]
         x = x + out
-        tape.append((ln1_grad, heads_out, probs, att_grad, normed2, ln2_grad, pre > 0, h))
+        tape.append((ln1_grad, heads_out, probs, att_grad, normed2, ln2_grad, active, h))
     pooled = (x.sum(axis=-2) / n).reshape(s, 1, d)
     w_out, b_out = params[-2:]
 
     def backward(g):
         g = g.reshape(s, 1, VIEW_DIM)
-        grads = [pooled.swapaxes(-1, -2) @ g, g.sum(axis=-2)]
+        grads = [pooled.swapaxes(-1, -2) @ g, g]
         g_x = np.repeat((g @ w_out.swapaxes(-1, -2)) / n, n, axis=-2)
         for l in reversed(range(cfg.tf_layers)):
             *_, wo, w1, _, w2, _ = params[l * width:(l + 1) * width]
@@ -218,25 +261,24 @@ def encode(encoders, streams, rng=None, train=False):
             g_ln, g_g2 = ln2_grad(g_normed2)
             g_x = g_x + g_ln
             g_att = g_x * masks[:, l, 0] if drop else g_x
-            g_ins, g_qkv = zip(*att_grad(g_att @ wo.swapaxes(-1, -2)))
-            g_normed = sum(g_ins[1:], g_ins[0])  # in the order att_grad yields them
+            g_parts, g_qkv = att_grad(g_att @ wo.swapaxes(-1, -2))
+            g_normed = g_parts.reshape(s, -1, n, d).sum(axis=1)  # adds the parts in order
             g_ln, g_g1 = ln1_grad(g_normed)
             g_x = g_x + g_ln
-            grads[:0] = [g_g1.sum(axis=-2), g_normed.sum(axis=-2), g_g2.sum(axis=-2),
-                         g_normed2.sum(axis=-2), *g_qkv, heads_out.swapaxes(-1, -2) @ g_att,
-                         normed2.swapaxes(-1, -2) @ g_pre, g_pre.sum(axis=-2),
-                         h.swapaxes(-1, -2) @ g_out, g_out.sum(axis=-2)]
+            grads[:0] = [g_g1.sum(axis=-2, keepdims=True), g_normed.sum(axis=-2, keepdims=True),
+                         g_g2.sum(axis=-2, keepdims=True), g_normed2.sum(axis=-2, keepdims=True),
+                         g_qkv, heads_out.swapaxes(-1, -2) @ g_att,
+                         normed2.swapaxes(-1, -2) @ g_pre, g_pre.sum(axis=-2, keepdims=True),
+                         h.swapaxes(-1, -2) @ g_out, g_out.sum(axis=-2, keepdims=True)]
         for e, t, g_e in zip(encoders, streams, g_x):
             e.b_in._accumulate(g_e.sum(axis=0))
             e.w_in._accumulate(t.T @ g_e)
-        for ts, g_stack in zip(tensors, grads):
-            for t, g_t in zip(ts, g_stack):
-                t._accumulate(g_t)
+        ad.accumulate_stacks(groups, grad_stacks, grads)
 
     views = (pooled @ w_out + b_out).reshape(s, VIEW_DIM)
-    parents = tuple(t for e in encoders for t in (e.w_in, e.b_in, *e.stacked))
+    parents = tuple(t for e in encoders for ts in [[e.w_in, e.b_in], *e.groups] for t in ts)
     return (Tensor(views, parents=parents, backward=backward),
-            [[p[i] for layer in tape for p in layer[2]] for i in range(s)])
+            [[p for layer in tape for p in layer[2][i]] for i in range(s)])
 
 
 def _row(t: Tensor) -> Tensor:
@@ -305,6 +347,7 @@ class TemporalGraphClassifier:
         fused_dim = {"full": 3 * VIEW_DIM, "concat-fuse": 3 * VIEW_DIM}.get(cfg.mode, VIEW_DIM)
         self.cls_w = store.matrix("cls.w", fused_dim, cfg.num_classes)
         self.cls_b = store.vector("cls.b", cfg.num_classes)
+        self.arena, self.grad_arena = pack(store.params.values())
 
     @property
     def parameters(self) -> dict:
@@ -360,10 +403,11 @@ class TemporalGraphClassifier:
 
     @classmethod
     def load(cls, path):
-        """Rebuild a saved model; raises CheckpointError for a malformed file."""
-        with open(path) as fh:
-            payload = json.load(fh)
+        """Rebuild a saved model; raises CheckpointError for a malformed file
+        and OSError for an unreadable one."""
         try:
+            with open(path) as fh:
+                payload = json.load(fh)
             if payload.get("format") != "tgtopo-checkpoint-v1":
                 raise ValueError("unrecognized checkpoint format")
             model = cls(ModelConfig(**payload["config"]), seed=0)
@@ -376,6 +420,7 @@ class TemporalGraphClassifier:
                 if arr.shape != t.data.shape:
                     raise ValueError(f"shape mismatch for {name}")
                 t.data[...] = arr
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (ArithmeticError, AttributeError, KeyError, RecursionError, TypeError,
+                ValueError) as exc:
             raise CheckpointError(f"{path}: bad checkpoint: {exc}") from exc
         return model

@@ -1,18 +1,18 @@
 """Adam with decoupled weight decay over one flat parameter arena.
 
-``Adam`` copies the parameters, in dict order, into one contiguous float64
-array ``flat`` and rebinds each tensor's ``data`` to a reshaped view of it,
-so a step is a handful of vectorized updates over every parameter at once
-instead of a Python loop over tensors.  The moments ``m`` and ``v`` are flat
-arrays of the same length.  Every element goes through the same float
-operations in the same order as a per-tensor loop would, so results are
-bit-identical to it.  Code that changes a parameter after the optimizer is
-built must write into ``t.data`` in place, not rebind it.
-
-The gradients live in a flat arena too: each parameter's ``_grad_view`` is
-its slice of ``Adam._grad``, and ``Tensor._accumulate`` writes a first
-gradient straight into it, so ``step`` copies only gradients set by hand.
-``step`` leaves the arena's gradients intact.
+``pack`` copies parameters, in the order given, into one contiguous float64
+array and rebinds each tensor's ``data`` to a reshaped view of it; each
+tensor's ``_grad_view`` is its view of a gradient arena of the same layout,
+into which ``Tensor._accumulate`` writes a first gradient.  A model packs its
+parameters when it is built, its encoders' parameter stacks are views of that
+arena, and ``Adam`` updates the arena its parameters tile (packing them only
+if they tile none) with a handful of vectorized updates instead of a Python
+loop over tensors.  The moments ``m`` and ``v`` are flat arrays of the same
+length.  Every element goes through the same float operations in the same
+order as a per-tensor loop would, so results are bit-identical to it.  Code
+that changes a packed parameter must write into ``t.data`` in place, not
+rebind it.  ``step`` copies only gradients set by hand and leaves the arena's
+gradients intact.
 """
 
 from __future__ import annotations
@@ -20,6 +20,27 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import ShapeMismatchError
+
+
+def pack(tensors):
+    """The parameter and gradient arenas that ``tensors`` tile: the ones they
+    already live in, or new ones filled in the given order."""
+    tensors = list(tensors)
+    size = sum(t.data.size for t in tensors)
+    arenas = {(id(t.data.base), id(getattr(t._grad_view, "base", None))) for t in tensors}
+    flat = tensors[0].data.base if len(arenas) == 1 and tensors[0]._grad_view is not None else None
+    if flat is not None and flat.size == size:
+        return flat, tensors[0]._grad_view.base
+    flat, grad = np.empty(size), np.empty(size)
+    offset = 0
+    for t in tensors:
+        end = offset + t.data.size
+        view = flat[offset:end].reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
+        t._grad_view = grad[offset:end].reshape(view.shape)
+        offset = end
+    return flat, grad
 
 
 class Adam:
@@ -37,20 +58,10 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.flat = np.empty(sum(t.data.size for t in params.values()))
-        self._grad = np.empty_like(self.flat)
+        self.flat, self._grad = pack(params.values())
         self._tmp = np.empty_like(self.flat)
         self._den = np.empty_like(self.flat)
-        self._grad_views = []
-        offset = 0
-        for t in params.values():
-            end = offset + t.data.size
-            view = self.flat[offset:end].reshape(t.data.shape)
-            view[...] = t.data
-            t.data = view
-            t._grad_view = self._grad[offset:end].reshape(view.shape)
-            self._grad_views.append(t._grad_view)
-            offset = end
+        self._grad_views = [t._grad_view for t in params.values()]
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 

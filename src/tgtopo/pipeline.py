@@ -10,6 +10,7 @@ import numpy as np
 from . import spectral, topology
 from .autodiff import NonFiniteValueError, cross_entropy_with_logits
 from .data import Dataset
+from .errors import InputError, NumericalError
 from .model import (
     MODES,
     ModelConfig,
@@ -27,7 +28,7 @@ from .temporal import (
 )
 
 
-class PipelineError(ValueError):
+class PipelineError(InputError):
     pass
 
 
@@ -35,7 +36,7 @@ class TooFewGraphsError(PipelineError):
     pass
 
 
-class NonFiniteLossError(RuntimeError):
+class NonFiniteLossError(NumericalError, RuntimeError):
     pass
 
 
@@ -89,7 +90,7 @@ class RunConfig:
         """Line-oriented ``key = value`` config, checked by ``validate``."""
         cfg = cls()
         casts = {f: type(getattr(cfg, f)) for f in cfg.__dict__}
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:  # a bad byte fails as an unknown key or value
             for i, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 
-class SpectralError(ValueError):
+
+class SpectralError(InputError):
     pass
 
 

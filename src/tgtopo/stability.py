@@ -15,12 +15,13 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import InputError
 from .spectral import spectral_descriptor, wasserstein1_hist
 from .temporal import TemporalGraph, WindowGraph, from_events
 from .topology import betti_curve, sublevel_persistence0
 
 
-class StabilityError(ValueError):
+class StabilityError(InputError):
     pass
 
 

@@ -18,8 +18,10 @@ from operator import itemgetter
 
 import numpy as np
 
+from .errors import InputError
 
-class TemporalGraphError(ValueError):
+
+class TemporalGraphError(InputError):
     pass
 
 

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .temporal import WindowGraph, stack_windows
 
 INF = math.inf
 
 
-class TopologyError(ValueError):
+class TopologyError(InputError):
     pass
 
 

@@ -274,6 +274,20 @@ class TestFusedOpsMatchChain:
             runs.append((out.data.tobytes(), [p.tobytes() for p in probs], grads))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [5, 92])
+    def test_attention_at_encoder_width(self, num_heads, n):
+        # d = 32 as in the encoders; with one head BLAS rounds g_k @ wk.T
+        # differently once g_k is copied out of its transposed layout
+        rng = np.random.default_rng(41 + n + num_heads)
+        data = [t.data for t in _attention_inputs(rng, n, 32, num_heads)]
+        runs = []
+        for op in (attention, attention_chain):
+            ps = [Tensor(a.copy(), requires_grad=True) for a in data]
+            out, _ = op(ps[0], _heads(ps[1:]), 1.0 / np.sqrt(32 // num_heads))
+            runs.append((out.data.tobytes(), _grads_after(weighted_sum(out, seed=n), ps)))
+        assert runs[0] == runs[1]
+
     def test_linear(self):
         rng = np.random.default_rng(12)
         data = [rng.normal(size=(5, 6)), rng.normal(size=(6, 3)), rng.normal(size=(3,))]

@@ -1,10 +1,14 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import tgtopo.cli
 import tgtopo.spectral
 from tgtopo.cli import main
+from tgtopo.errors import InputError, NumericalError
 from tgtopo.data import load_dataset, synth_generate, save_dataset
 from tgtopo.model import CheckpointError, ModelConfig, TemporalGraphClassifier
 
@@ -242,3 +246,28 @@ class TestSweepStability:
         assert main(["stability", "--mode", "spectral", "--trials", "30",
                      "--seed", "1", "--magnitude", "2", "--out", str(out)]) == 0
         assert out.read_text().startswith("trial,mode,magnitude,distance,ratio")
+
+
+def _package_errors():
+    modules = [importlib.import_module(f"tgtopo.{m.name}")
+               for m in pkgutil.iter_modules(tgtopo.__path__)]
+    return sorted({obj for mod in modules for obj in vars(mod).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__.startswith("tgtopo")}, key=lambda c: c.__qualname__)
+
+
+class TestErrorHierarchy:
+    def test_every_package_error_derives_from_exactly_one_base(self):
+        errors = _package_errors()
+        assert len(errors) > 20
+        for cls in errors:
+            assert issubclass(cls, InputError) != issubclass(cls, NumericalError), cls
+
+    @pytest.mark.parametrize("cls", _package_errors(), ids=lambda c: c.__qualname__)
+    def test_cli_maps_each_error_to_its_base_exit_code(self, cls, monkeypatch, capsys):
+        def fail(args):
+            raise cls.__new__(cls)
+
+        monkeypatch.setattr(tgtopo.cli, "_run", fail)
+        assert main(["stability", "--mode", "topo"]) == (2 if issubclass(cls, InputError) else 3)
+        assert capsys.readouterr().err.count("\n") == 1

@@ -1,7 +1,12 @@
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from test_autodiff import fd_check
+from test_autodiff import fd_check, weighted_sum
 from tgtopo import autodiff as ad
 from tgtopo.autodiff import Tensor
 from tgtopo.model import (
@@ -11,6 +16,7 @@ from tgtopo.model import (
     TemporalGraphClassifier,
     TransformerEncoder,
     _ParamStore,
+    _stacks,
     _row,
     classify,
     encode,
@@ -20,6 +26,7 @@ from tgtopo.model import (
     sage_layer,
     time_embedding,
 )
+from tgtopo.optim import Adam
 from tgtopo.temporal import from_events, static_projection
 
 
@@ -247,8 +254,8 @@ class TestStackedEncoderMatchesChain:
     state after the dropout draws."""
 
     @pytest.mark.parametrize("stack", [1, 2])
-    @pytest.mark.parametrize("n", [1, 5])
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 5, 92])  # 92: the long-stream token count
+    @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     def test_bytes(self, stack, n, heads, dropout):
         from test_autodiff import weighted_sum
@@ -279,6 +286,147 @@ class TestStackedEncoderMatchesChain:
         encs = [TransformerEncoder(store, f"tf{i}", 4, cfg) for i in range(2)]
         with pytest.raises(ad.ShapeMismatchError):
             encode(encs, [np.zeros((3, 4)), np.zeros((4, 4))])
+
+
+class TestParameterArena:
+    """A model packs its parameters into one arena when it is built; the
+    encoders' parameter stacks are views of it, so ``encode`` sees every
+    in-place change to a parameter without copying it."""
+
+    def _model(self, seed=6):
+        return TemporalGraphClassifier(ModelConfig(feature_dim=3), seed=seed)
+
+    def _streams(self, seed=7, n=5):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(n, 4)), rng.normal(size=(n, 4))]
+
+    def _assert_encode_is_chain(self, encoders, streams):
+        views, _ = encode(encoders, streams)
+        for e, t, row in zip(encoders, streams, views.data):
+            assert row.tobytes() == encoder_chain(e, t)[0].data.tobytes()
+        return views.data.tobytes()
+
+    def test_stacks_share_memory_with_the_arena(self):
+        model = self._model()
+        params, grads, groups = _stacks(model.encoders)
+        assert len(params) == len(grads) == len(groups) == 2 * 10 + 2
+        for p, g, ts in zip(params, grads, groups):
+            assert np.shares_memory(p, model.arena) and np.shares_memory(g, model.grad_arena)
+            assert all(np.shares_memory(p, t.data) for t in ts)
+            assert all(np.shares_memory(g, t._grad_view) for t in ts)
+            assert p.reshape(len(ts), -1).tolist() == [t.data.reshape(-1).tolist() for t in ts]
+        assert params[4].shape == (2, 2, 3, 32, 16)  # q, k, v of both heads
+        assert params[0].shape == (2, 1, 32)
+
+    def test_encode_copies_no_parameter(self):
+        model = self._model()
+        streams = self._streams(n=1)
+        encode(model.encoders, streams)
+        tracemalloc.start()
+        try:
+            encode(model.encoders, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the encoders' parameters take 275 kB; one token's activations about 25 kB
+        assert peak < 100_000
+
+    def test_encode_sees_an_adam_step(self):
+        model = self._model()
+        opt = Adam(model.parameters, lr=0.1)
+        assert opt.flat is model.arena
+        before = self._assert_encode_is_chain(model.encoders, self._streams())
+        rng = np.random.default_rng(3)
+        agg = np.full((4, 4), 0.25)
+        logits, _ = model.forward(*self._streams(), rng.normal(size=(4, 3)), agg, train=True)
+        ad.cross_entropy_with_logits(logits, 1).backward()
+        opt.step()
+        assert self._assert_encode_is_chain(model.encoders, self._streams()) != before
+
+    def test_encode_sees_a_loaded_checkpoint(self, tmp_path):
+        source, model = self._model(seed=8), self._model()
+        self._assert_encode_is_chain(model.encoders, self._streams())
+        source.save(tmp_path / "ckpt.json")
+        loaded = TemporalGraphClassifier.load(tmp_path / "ckpt.json")
+        assert (self._assert_encode_is_chain(loaded.encoders, self._streams())
+                == encode(source.encoders, self._streams())[0].data.tobytes())
+
+    def test_encode_sees_in_place_writes(self):
+        model = self._model()
+        before = self._assert_encode_is_chain(model.encoders, self._streams())
+        for e in model.encoders:
+            for t in (e.layers[1]["heads"][1][2], e.layers[0]["ln2_b"], e.b_out):
+                t.data[...] = np.random.default_rng(4).normal(size=t.data.shape)
+        assert self._assert_encode_is_chain(model.encoders, self._streams()) != before
+
+    def test_two_encode_calls_on_one_tape_add_like_two_chains(self):
+        grads = []
+        for stacked in (True, False):
+            model = self._model()
+            outs = []
+            for seed in (1, 2):
+                streams = self._streams(seed)
+                if stacked:
+                    outs.append(encode(model.encoders, streams)[0])
+                else:
+                    outs.append(ad.concat([encoder_chain(e, t)[0]
+                                           for e, t in zip(model.encoders, streams)]))
+            ad.add(weighted_sum(outs[0]), weighted_sum(outs[1], seed=5)).backward()
+            grads.append({k: t.grad.tobytes() for k, t in model.parameters.items()
+                          if t.grad is not None})
+        assert len(grads[0]) == 2 * 34 and grads[0] == grads[1]  # every encoder parameter
+
+    def test_an_optimizer_that_repacks_is_followed(self):
+        # encode packs a bare store's encoders; Adam over the whole store then
+        # packs every parameter anew, and encode reads the new arena
+        store = _ParamStore(np.random.default_rng(2))
+        encs = [TransformerEncoder(store, f"tf{i}", 4, ModelConfig()) for i in range(2)]
+        self._assert_encode_is_chain(encs, self._streams())
+        opt = Adam(store.params, lr=0.1)
+        for t in store.params.values():
+            t.grad = np.ones(t.data.shape)
+        opt.step()
+        assert np.shares_memory(_stacks(encs)[0][0], opt.flat)
+        self._assert_encode_is_chain(encs, self._streams())
+
+    @pytest.mark.parametrize("params, error", [
+        (lambda store: dict(reversed(store.params.items())), "laid out as one stack"),
+        (lambda store: dict(list(store.params.items())[:34]), "one arena"),  # the first encoder
+    ], ids=["reversed", "first_only"])
+    def test_parameters_not_laid_out_as_a_stack_are_rejected(self, params, error):
+        # an optimizer packed them in another order, or only some of them
+        store = _ParamStore(np.random.default_rng(2))
+        encs = [TransformerEncoder(store, f"tf{i}", 4, ModelConfig()) for i in range(2)]
+        Adam(params(store))
+        with pytest.raises(ValueError, match=error):
+            encode(encs, self._streams())
+
+
+PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_small.json"
+
+
+class TestCheckpointBytes:
+    """Packing the parameters into an arena leaves the v1 checkpoint format
+    alone: both pins were recorded before the arena existed."""
+
+    def test_save_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        TemporalGraphClassifier(ModelConfig(feature_dim=6), seed=1).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4ed99f56b77b899a41670ae3f6d67419750da4ddaa189120a73504a080ede761")
+
+    def test_an_older_checkpoint_loads_bit_exactly(self, tmp_path):
+        # saved from TemporalGraphClassifier(cfg, seed=5) before the arena
+        payload = json.loads(PARENT_CHECKPOINT.read_text())
+        model = TemporalGraphClassifier.load(PARENT_CHECKPOINT)
+        fresh = TemporalGraphClassifier(ModelConfig(**payload["config"]), seed=5)
+        assert list(model.parameters) == list(payload["params"])
+        for name, t in model.parameters.items():
+            entry = payload["params"][name]
+            assert t.data.tobytes() == np.array(entry["data"]).reshape(entry["shape"]).tobytes()
+            assert t.data.tobytes() == fresh.parameters[name].data.tobytes()
+        model.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == PARENT_CHECKPOINT.read_bytes()
 
 
 class TestFusionAttention:
