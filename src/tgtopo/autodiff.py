@@ -13,12 +13,14 @@ Trainable tensors are views into their model's flat parameter arena, so code
 that changes a parameter's values writes into ``t.data`` in place rather
 than rebinding it.
 
-Fused ops (``linear``, ``attention``) stand for a chain of the ops below as
-one tape node.  Their forward and backward run the same numpy expressions on
-arrays of the same layout as the chain would, and they call ``_accumulate``
-on each input once per contribution the chain made, in the order the chain's
-backward ran.  A gradient that sums several contributions is therefore bit
-for bit the gradient of the unfused chain.
+Fused ops stand for a chain of the ops below as one tape node: ``linear``,
+``attention`` and, in ``model``, ``TemporalGraphClassifier._structural_view``,
+``encode`` and ``fusion_attention``.  Their forward and backward run the same
+numpy expressions on arrays of the same layout as the chain would, and an
+input's gradient adds the chain's contributions in the order its backward
+ran (the fusion views: the residual's, then q's, k's and v's; a hidden SAGE
+layer: its W_self term, then its neighbours'), so it is bit for bit the
+gradient of the unfused chain.
 
 The kernels that ``layer_norm`` and ``attention`` wrap also take stacks of
 (S, N, d) inputs and (S, ...) parameters, each slice byte-equal to an

@@ -65,7 +65,7 @@ def write_graph(graph: TemporalGraph, path):
 
 
 def load_graph(path) -> TemporalGraph:
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:  # a bad byte fails to parse
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file")

@@ -7,6 +7,11 @@ embedding: mean-aggregating SAGE layers over the static projection
 and spectral token streams.  A single-head self-attention layer over the
 three view tokens produces the fused 30-dimensional representation together
 with the per-view attention mass.
+
+Each part is one tape node (``TemporalGraphClassifier._structural_view``,
+``encode``, ``fusion_attention``) that runs the numpy expressions of the
+chain of ``autodiff`` ops it replaces and sums gradients in the chain's
+order, so values and gradients are the chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -89,39 +94,28 @@ def mean_aggregation_matrix(static) -> np.ndarray:
 
 
 class _ParamStore:
-    """Named trainable tensors with fan-in uniform initialization."""
+    """Named trainable tensors with fan-in uniform initialization; given ``shapes``
+    (name to shape), a tensor not there with its shape raises ValueError unallocated."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, shapes=None):
         self.rng = rng
+        self.shapes = shapes
         self.params: dict[str, Tensor] = {}
+
+    def _add(self, name, shape, init):
+        if self.shapes is not None and self.shapes.get(name) != shape:
+            raise ValueError(f"{name}: the config asks for shape {shape}, "
+                             f"the checkpoint has {self.shapes.get(name)}")
+        t = self.params[name] = Tensor(init(shape), requires_grad=True)
+        return t
 
     def matrix(self, name, fan_in, fan_out):
         bound = 1.0 / np.sqrt(max(fan_in, 1))
-        t = Tensor(self.rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-        self.params[name] = t
-        return t
+        return self._add(name, (fan_in, fan_out),
+                         lambda shape: self.rng.uniform(-bound, bound, size=shape))
 
     def vector(self, name, size, value=0.0):
-        t = Tensor(np.full(size, float(value)), requires_grad=True)
-        self.params[name] = t
-        return t
-
-
-def sage_layer(features: Tensor, agg: np.ndarray, w_self, w_neigh, bias, activation=True):
-    """h'_v = relu(W_self h_v + W_neigh mean_{u in N(v)} h_u + b)."""
-    if features.data.shape[0] != agg.shape[0]:
-        raise ad.ShapeMismatchError(
-            f"features rows {features.data.shape[0]} != graph nodes {agg.shape[0]}"
-        )
-    neigh = ad.matmul(Tensor(agg), features)
-    out = ad.add(ad.add(ad.matmul(features, w_self), ad.matmul(neigh, w_neigh)), bias)
-    return ad.relu(out) if activation else out
-
-
-def global_mean_pool(node_embeddings: Tensor) -> Tensor:
-    if node_embeddings.data.shape[0] < 1:
-        raise ad.ShapeMismatchError("global_mean_pool needs at least one node")
-    return ad.mean_pool(node_embeddings, axis=0)
+        return self._add(name, (size,), lambda shape: np.full(shape, float(value)))
 
 
 class TransformerEncoder:
@@ -293,7 +287,8 @@ def _row(t: Tensor) -> Tensor:
 
 
 def fusion_attention(views: Tensor, wq, wk, wv):
-    """Single-head self-attention over the 3 view tokens.
+    """Single-head self-attention over the 3 view tokens, its residual add
+    and the reshape to one row, as one tape node.
 
     Returns (fused 1x30 Tensor, view_weights ndarray).  The per-view weight
     is the total attention mass received by that view across the three
@@ -303,10 +298,22 @@ def fusion_attention(views: Tensor, wq, wk, wv):
     """
     if views.data.shape != (3, VIEW_DIM):
         raise ad.ShapeMismatchError(f"expected 3x{VIEW_DIM} views, got {views.data.shape}")
-    attended, (probs,) = ad.attention(views, [(wq, wk, wv)], 1.0 / np.sqrt(VIEW_DIM))
-    fused = _row(ad.add(views, attended))
-    weights = probs.sum(axis=0) / probs.shape[0]
-    return fused, weights
+    weights = (wq, wk, wv)
+    attended, probs, grad = ad._attention(views.data, np.array([[w.data for w in weights]]),
+                                          1.0 / np.sqrt(VIEW_DIM))
+
+    def backward(g):
+        g = g.reshape(views.data.shape)
+        parts, g_w = grad(g)
+        if views.requires_grad:
+            views._accumulate(g + parts[0, 0] + parts[0, 1] + parts[0, 2])
+        for w, g_i in zip(weights, g_w[0]):
+            if w.requires_grad:
+                w._accumulate(g_i)
+
+    fused = Tensor((views.data + attended).reshape(1, -1), parents=(views, *weights),
+                   backward=backward)
+    return fused, probs[0].sum(axis=0) / len(probs[0])
 
 
 def classify(fused: Tensor, w, b) -> Tensor:
@@ -317,22 +324,16 @@ def classify(fused: Tensor, w, b) -> Tensor:
 class TemporalGraphClassifier:
     """End-to-end three-view classifier with ablation modes."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int = 0, shapes=None):
         self.cfg = cfg
-        store = _ParamStore(np.random.default_rng(seed))
-        self._store = store
+        self._store = store = _ParamStore(np.random.default_rng(seed), shapes)
         if cfg.mode in ("full", "concat-fuse", "gsage-only"):
-            d_feat = cfg.feature_dim
-            self.sage_params = []
+            self.sage_params, hid = [], cfg.hidden_dim
             for l in range(cfg.sage_layers):
-                d_in = d_feat if l == 0 else cfg.hidden_dim
-                self.sage_params.append(
-                    (
-                        store.matrix(f"sage.{l}.w_self", d_in, cfg.hidden_dim),
-                        store.matrix(f"sage.{l}.w_neigh", d_in, cfg.hidden_dim),
-                        store.vector(f"sage.{l}.bias", cfg.hidden_dim),
-                    )
-                )
+                d_in = cfg.feature_dim if l == 0 else hid
+                self.sage_params.append((store.matrix(f"sage.{l}.w_self", d_in, hid),
+                                         store.matrix(f"sage.{l}.w_neigh", d_in, hid),
+                                         store.vector(f"sage.{l}.bias", hid)))
             self.sage_proj = store.matrix("sage.proj", cfg.hidden_dim, VIEW_DIM)
             self.sage_proj_b = store.vector("sage.proj_b", VIEW_DIM)
         self.encoders = []  # topological, then spectral
@@ -341,9 +342,8 @@ class TemporalGraphClassifier:
         if cfg.mode in ("full", "concat-fuse", "dos-only"):
             self.encoders.append(TransformerEncoder(store, "dos_tf", cfg.dos_bins, cfg))
         if cfg.mode == "full":
-            self.fuse_wq = store.matrix("fuse.wq", VIEW_DIM, VIEW_DIM)
-            self.fuse_wk = store.matrix("fuse.wk", VIEW_DIM, VIEW_DIM)
-            self.fuse_wv = store.matrix("fuse.wv", VIEW_DIM, VIEW_DIM)
+            self.fuse_wq, self.fuse_wk, self.fuse_wv = (
+                store.matrix(f"fuse.{w}", VIEW_DIM, VIEW_DIM) for w in ("wq", "wk", "wv"))
         fused_dim = {"full": 3 * VIEW_DIM, "concat-fuse": 3 * VIEW_DIM}.get(cfg.mode, VIEW_DIM)
         self.cls_w = store.matrix("cls.w", fused_dim, cfg.num_classes)
         self.cls_b = store.vector("cls.b", cfg.num_classes)
@@ -353,15 +353,40 @@ class TemporalGraphClassifier:
     def parameters(self) -> dict:
         return self._store.params
 
-    def num_parameters(self) -> int:
-        return sum(t.data.size for t in self.parameters.values())
-
     def _structural_view(self, features, agg):
-        h = Tensor(features)
+        """The GraphSAGE branch as one tape node: SAGE layers
+        relu(h W_self + (agg h) W_neigh + b), the mean over nodes and the
+        ``sage.proj`` linear; returns the 1x10 view."""
+        h, agg = np.asarray(features, dtype=np.float64), np.asarray(agg, dtype=np.float64)
+        n, w0 = len(h), self.sage_params[0][0].data
+        if n < 1 or h.ndim != 2 or agg.shape != (n, n) or h.shape[1] != w0.shape[0]:
+            raise ad.ShapeMismatchError(f"features {h.shape}, graph {agg.shape}, w_self {w0.shape}")
+        tape = []
         for w_self, w_neigh, bias in self.sage_params:
-            h = sage_layer(h, agg, w_self, w_neigh, bias)
-        pooled = global_mean_pool(h)
-        return ad.linear(_row(pooled), self.sage_proj, self.sage_proj_b)
+            neigh = agg @ h
+            pre = h @ w_self.data + neigh @ w_neigh.data + bias.data
+            active = pre > 0
+            tape.append((h, neigh, active))
+            h = np.where(active, pre, 0.0)
+        pooled = h.mean(axis=0).reshape(1, -1)
+        proj, proj_b = self.sage_proj, self.sage_proj_b
+
+        def backward(g):
+            proj_b._accumulate(g.sum(axis=0))
+            proj._accumulate(pooled.T @ g)
+            g_h = np.repeat((g @ proj.data.T) / n, n, axis=0)
+            for l in reversed(range(len(tape))):
+                (w_self, w_neigh, bias), (h_in, neigh, active) = self.sage_params[l], tape[l]
+                g_pre = g_h * active
+                bias._accumulate(g_pre.sum(axis=0))
+                w_self._accumulate(h_in.T @ g_pre)
+                w_neigh._accumulate(neigh.T @ g_pre)
+                if l:
+                    g_h = g_pre @ w_self.data.T
+                    g_h += agg.T @ (g_pre @ w_neigh.data.T)
+
+        params = (*(t for ps in self.sage_params for t in ps), proj, proj_b)
+        return Tensor(pooled @ proj.data + proj_b.data, parents=params, backward=backward)
 
     def forward(self, phi, psi, features, agg, rng=None, train=False):
         """Compute logits for one graph.
@@ -404,22 +429,21 @@ class TemporalGraphClassifier:
     @classmethod
     def load(cls, path):
         """Rebuild a saved model; raises CheckpointError for a malformed file
-        and OSError for an unreadable one."""
+        and OSError for an unreadable one.  The model is built to the shapes
+        of the arrays, so its config cannot size it beyond the file."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
             if payload.get("format") != "tgtopo-checkpoint-v1":
                 raise ValueError("unrecognized checkpoint format")
-            model = cls(ModelConfig(**payload["config"]), seed=0)
-            params = payload["params"]
-            if set(params) != set(model.parameters):
+            arrays = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                      for name, entry in payload["params"].items()}
+            model = cls(ModelConfig(**payload["config"]), seed=0,
+                        shapes={name: a.shape for name, a in arrays.items()})
+            if set(arrays) != set(model.parameters):
                 raise ValueError("parameter names do not match the config")
             for name, t in model.parameters.items():
-                entry = params[name]
-                arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-                if arr.shape != t.data.shape:
-                    raise ValueError(f"shape mismatch for {name}")
-                t.data[...] = arr
+                t.data[...] = arrays[name]
         except (ArithmeticError, AttributeError, KeyError, RecursionError, TypeError,
                 ValueError) as exc:
             raise CheckpointError(f"{path}: bad checkpoint: {exc}") from exc

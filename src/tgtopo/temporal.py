@@ -11,6 +11,7 @@ into arrays, grouped by node count, for descriptors computed on stacks.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -90,11 +91,14 @@ STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of fl
 
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
     """Build a TemporalGraph, validating endpoints and times, sorting by time."""
-    if num_nodes <= 0:
-        raise TemporalGraphError(f"num_nodes must be positive, got {num_nodes}")
+    if not isinstance(num_nodes, numbers.Integral) or num_nodes <= 0:
+        raise TemporalGraphError(f"num_nodes must be a positive integer, got {num_nodes}")
     checked = []
     for u, v, t in events:
-        u, v, t = int(u), int(v), float(t)
+        try:
+            u, v, t = int(u), int(v), float(t)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise TemporalGraphError(f"event ({u},{v},{t}): {exc}") from exc
         if not (0 <= u < num_nodes) or not (0 <= v < num_nodes):
             raise OutOfRangeNodeError(f"event ({u},{v},{t}) outside [0,{num_nodes})")
         if u == v:

@@ -1,19 +1,21 @@
-"""Hypothesis fuzzing of the files a user hands the program: a checkpoint
-and a run config may fail only with the package's documented errors."""
+"""Hypothesis fuzzing of the inputs a user hands the program: a checkpoint,
+a run config, a graph file and an event list may fail only with the
+package's documented errors."""
 
 import json
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from tgtopo.data import load_graph
+from tgtopo.errors import InputError
 from tgtopo.model import CheckpointError, TemporalGraphClassifier
 from tgtopo.pipeline import PipelineError, RunConfig
+from tgtopo.temporal import from_events
 
 CHECKPOINT = json.loads((Path(__file__).parent / "data" / "checkpoint_v1_small.json").read_text())
 
-# small numbers only: a checkpoint's config sizes the model before its
-# arrays are read, so a large width allocates that much memory
-scalars = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=True)
+scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True)
            | st.text(max_size=8))
 json_values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
                            | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -56,6 +58,7 @@ def _outcome(call, path):
 @given(st.binary(max_size=200) | json_values.map(json.dumps) | mutated_checkpoints())
 @example(b"[" * 100_000)  # nesting deeper than the JSON decoder recurses
 @example(b"\xff\xfe{}")  # not UTF-8
+@example(json.dumps({**CHECKPOINT, "config": {**CHECKPOINT["config"], "hidden_dim": 10**6}}))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_checkpoint_load_raises_only_documented_errors(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("ckpt") / "model.json"
@@ -75,3 +78,43 @@ def test_run_config_raises_only_documented_errors(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"
     path.write_bytes(content)
     _outcome(RunConfig.from_file, path)
+
+
+numbers = (st.integers() | st.integers(-3, 12) | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([float("nan"), float("inf"), -float("inf"), -1, 10**30, 1e300]))
+events = st.lists(st.tuples(numbers, numbers, numbers), max_size=8)
+
+
+@given(numbers, events)
+@example(3, [(float("nan"), 1, 0.0)])
+@example(3, [(float("inf"), 1, 0.0)])
+@example(float("inf"), [(0, 1, 0.0)])
+@example(2.5, [(0, 1, 0.0)])
+@settings(max_examples=300, deadline=None)
+def test_from_events_raises_only_input_errors(num_nodes, event_list):
+    try:
+        g = from_events(num_nodes, event_list)
+    except InputError:
+        return
+    assert isinstance(g.num_nodes, int) and 0 < g.num_nodes == num_nodes
+    assert all(0 <= u < g.num_nodes and 0 <= v < g.num_nodes and u != v
+               for u, v, _ in g.events)
+
+
+def _graph_text(num_nodes, label, event_list):
+    return "\n".join([f"n {num_nodes} label {label}",
+                      *(" ".join(map(str, e)) for e in event_list)]).encode()
+
+
+@given(st.binary(max_size=200) | st.builds(_graph_text, numbers, numbers, events))
+@example(b"\xff\xfe n 3 label 0\n")  # not UTF-8
+@example(b"n 3 label 0\n0 1 nan\n")
+@example(b"n 3 label 0\n0 1 1e400\n")
+@settings(max_examples=300, deadline=None)
+def test_load_graph_raises_only_input_errors(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("graph") / "graph.txt"
+    path.write_bytes(content)
+    try:
+        load_graph(path)
+    except InputError:
+        pass

@@ -12,6 +12,7 @@ from tgtopo.autodiff import Tensor
 from tgtopo.model import (
     VIEW_DIM,
     VIEW_NAMES,
+    CheckpointError,
     ModelConfig,
     TemporalGraphClassifier,
     TransformerEncoder,
@@ -21,9 +22,7 @@ from tgtopo.model import (
     classify,
     encode,
     fusion_attention,
-    global_mean_pool,
     mean_aggregation_matrix,
-    sage_layer,
     time_embedding,
 )
 from tgtopo.optim import Adam
@@ -78,6 +77,46 @@ class TestAggregation:
         assert all(s == pytest.approx(1.0) or s == 0.0 for s in sums)
 
 
+def sage_layer(features: Tensor, agg: np.ndarray, w_self, w_neigh, bias, activation=True):
+    """h'_v = relu(W_self h_v + W_neigh mean_{u in N(v)} h_u + b) as the chain
+    of tape ops that ``_structural_view`` replaces, kept as its reference."""
+    if features.data.shape[0] != agg.shape[0]:
+        raise ad.ShapeMismatchError(
+            f"features rows {features.data.shape[0]} != graph nodes {agg.shape[0]}"
+        )
+    neigh = ad.matmul(Tensor(agg), features)
+    out = ad.add(ad.add(ad.matmul(features, w_self), ad.matmul(neigh, w_neigh)), bias)
+    return ad.relu(out) if activation else out
+
+
+def global_mean_pool(node_embeddings: Tensor) -> Tensor:
+    if node_embeddings.data.shape[0] < 1:
+        raise ad.ShapeMismatchError("global_mean_pool needs at least one node")
+    return ad.mean_pool(node_embeddings, axis=0)
+
+
+def structural_chain(model, features, agg):
+    """``model._structural_view`` as the chain of tape ops it replaces."""
+    h = Tensor(features)
+    for w_self, w_neigh, bias in model.sage_params:
+        h = sage_layer(h, agg, w_self, w_neigh, bias)
+    pooled = global_mean_pool(h)
+    return ad.linear(_row(pooled), model.sage_proj, model.sage_proj_b)
+
+
+def fusion_chain(views, wq, wk, wv):
+    """``fusion_attention`` as the chain of tape ops it replaces."""
+    attended, (probs,) = ad.attention(views, [(wq, wk, wv)], 1.0 / np.sqrt(VIEW_DIM))
+    fused = _row(ad.add(views, attended))
+    weights = probs.sum(axis=0) / probs.shape[0]
+    return fused, weights
+
+
+def _sage_model(seed=0, mode="gsage-only", feature_dim=2, **overrides):
+    return TemporalGraphClassifier(ModelConfig(mode=mode, feature_dim=feature_dim, **overrides),
+                                   seed=seed)
+
+
 class TestSageLayer:
     def _params(self, d_in, d_out, rng):
         store = _ParamStore(rng)
@@ -116,10 +155,14 @@ class TestSageLayer:
         assert np.allclose(out_p.data, p @ out.data)
 
     def test_shape_check(self):
-        rng = np.random.default_rng(0)
-        w_self, w_neigh, bias = self._params(2, 3, rng)
+        model = _sage_model(hidden_dim=3)
         with pytest.raises(ad.ShapeMismatchError):
-            sage_layer(Tensor(np.zeros((4, 2))), np.zeros((3, 3)), w_self, w_neigh, bias)
+            model._structural_view(np.zeros((4, 2)), np.zeros((3, 3)))
+
+    def test_feature_width_check(self):
+        model = _sage_model(hidden_dim=3)
+        with pytest.raises(ad.ShapeMismatchError, match=r"w_self \(2, 3\)"):
+            model._structural_view(np.zeros((3, 5)), np.zeros((3, 3)))
 
     def test_gradients(self):
         agg = np.array([[0, 1.0], [1.0, 0]])
@@ -150,7 +193,72 @@ class TestGlobalMeanPool:
 
     def test_empty_rejected(self):
         with pytest.raises(ad.ShapeMismatchError):
-            global_mean_pool(Tensor(np.zeros((0, 3))))
+            _sage_model()._structural_view(np.zeros((0, 2)), np.zeros((0, 0)))
+
+
+def _graph_inputs(n, feature_dim, isolated, seed):
+    """Features and neighbour-mean matrix of a path graph on ``n`` nodes;
+    with ``isolated``, the last two nodes have no edge (zero rows in agg)."""
+    last = n - 2 if isolated else n
+    g = from_events(n, [(i, i + 1, float(i)) for i in range(last - 1)])
+    feats = np.random.default_rng(seed).normal(size=(n, feature_dim))
+    return feats, mean_aggregation_matrix(static_projection(g))
+
+
+def _param_grads(model):
+    return {k: t.grad.tobytes() for k, t in model.parameters.items() if t.grad is not None}
+
+
+class TestStructuralViewMatchesChain:
+    """``_structural_view`` gives the bytes of the chain of SAGE layers, mean
+    pool and linear: its value and every parameter gradient."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("isolated", [False, True], ids=["connected", "isolated"])
+    @pytest.mark.parametrize("mode", ["gsage-only", "concat-fuse"])
+    def test_bytes(self, layers, isolated, mode):
+        from test_autodiff import weighted_sum
+
+        feats, agg = _graph_inputs(6, 3, isolated, seed=layers)
+        runs = []
+        for op in (TemporalGraphClassifier._structural_view, structural_chain):
+            model = _sage_model(seed=4, mode=mode, feature_dim=3, sage_layers=layers)
+            out = op(model, feats, agg)
+            weighted_sum(out, seed=layers).backward()
+            runs.append((out.data.tobytes(), _param_grads(model)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 3 * layers + 2  # every sage parameter
+
+    def test_two_calls_on_one_tape_add_like_two_chains(self):
+        from test_autodiff import weighted_sum
+
+        inputs = [_graph_inputs(5, 2, False, seed=1), _graph_inputs(7, 2, True, seed=2)]
+        grads = []
+        for op in (TemporalGraphClassifier._structural_view, structural_chain):
+            model = _sage_model(seed=3)
+            a, b = (op(model, feats, agg) for feats, agg in inputs)
+            ad.add(weighted_sum(a), weighted_sum(b, seed=5)).backward()
+            grads.append(_param_grads(model))
+        assert len(grads[0]) == 8 and grads[0] == grads[1]
+
+    @pytest.mark.parametrize("mode", ["full", "concat-fuse", "gsage-only"])
+    def test_model_step_matches_chains(self, mode, monkeypatch):
+        # the whole step, with both fused nodes swapped for their chains
+        feats, agg = _graph_inputs(5, 3, True, seed=6)
+        data = np.random.default_rng(7)
+        phi, psi = data.normal(size=(4, 4)), np.abs(data.normal(size=(4, 4)))
+        runs = []
+        for chain in (False, True):
+            if chain:
+                monkeypatch.setattr(TemporalGraphClassifier, "_structural_view", structural_chain)
+                monkeypatch.setattr("tgtopo.model.fusion_attention", fusion_chain)
+            model = TemporalGraphClassifier(ModelConfig(mode=mode, feature_dim=3), seed=2)
+            logits, fusion = model.forward(phi, psi, feats, agg, train=True)
+            ad.cross_entropy_with_logits(logits, 1).backward()
+            runs.append((logits.data.tobytes(), fusion.fused.tobytes(),
+                         fusion.view_weights.tobytes(), _param_grads(model)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][3]) == len(model.parameters)
 
 
 class TestTransformerEncoder:
@@ -461,6 +569,24 @@ class TestFusionAttention:
         with pytest.raises(ad.ShapeMismatchError):
             fusion_attention(Tensor(np.zeros((2, VIEW_DIM))), wq, wk, wv)
 
+    @pytest.mark.parametrize("views_grad", [True, False], ids=["views_grad", "constant_views"])
+    def test_bytes_match_chain(self, views_grad):
+        # value, view weights, and the gradients of the views (the residual's,
+        # then q's, k's and v's) and of each weight
+        from test_autodiff import weighted_sum
+
+        data = np.random.default_rng(34).normal(size=(3, VIEW_DIM))
+        runs = []
+        for op in (fusion_attention, fusion_chain):
+            views = Tensor(data.copy(), requires_grad=views_grad)
+            ps = self._qkv(np.random.default_rng(8))
+            fused, weights = op(views, *ps)
+            weighted_sum(fused, seed=9).backward()
+            grads = [t.grad.tobytes() for t in (views, *ps) if t.requires_grad]
+            runs.append((fused.data.tobytes(), weights.tobytes(), grads))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == 3 + views_grad
+
     def test_gradients(self):
         views = np.random.default_rng(33).normal(size=(3, VIEW_DIM))
 
@@ -578,8 +704,10 @@ class TestClassifier:
         # one full-mode step as on the desk workload (2 sage layers, two
         # 2-layer 2-head encoders, fusion attention, no dropout).  The unfused
         # tape ran 151 backward closures per step; linear and attention nodes
-        # cut that to 66, and running both encoders as one stacked node to
-        # 21.  No leaf enters the backward order.
+        # cut that to 66, running both encoders as one stacked node to 21, and
+        # the GraphSAGE branch and the fusion block as one node each to 6:
+        # structural, encode, concat, fusion, classifier, loss.  No leaf
+        # enters the backward order.
         cfg = ModelConfig(mode="full", feature_dim=3)
         model = TemporalGraphClassifier(cfg, seed=1)
         phi, psi, feats, agg = self._toy_inputs(cfg, np.random.default_rng(3))
@@ -587,13 +715,39 @@ class TestClassifier:
         order = ad._backward_order(ad.cross_entropy_with_logits(logits, 1))
         assert all(node._backward is not None for node in order)
         assert not any(node in order for node in model.parameters.values())
-        assert len(order) == 21
+        assert len(order) == 6
 
     def test_classify_is_affine(self):
         w = Tensor(np.array([[1.0, -1.0], [0.5, 2.0]]), requires_grad=True)
         b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
         out = classify(Tensor(np.array([[2.0, 4.0]])), w, b)
         assert np.allclose(out.data, [[2.0 + 2.0 + 0.1, -2.0 + 8.0 - 0.2]])
+
+    def test_checkpoint_config_cannot_size_the_model(self, tmp_path):
+        # a 98-byte file whose config asks for 1500-wide layers and that holds
+        # no array: the model used to be built (105 MB) before any array was read
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"format": "tgtopo-checkpoint-v1",
+                                    "config": {"feature_dim": 1, "hidden_dim": 1500},
+                                    "params": {}}))
+        assert path.stat().st_size == 98
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                TemporalGraphClassifier.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_checkpoint_array_of_another_shape_is_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        _sage_model().save(path)
+        payload = json.loads(path.read_text())
+        payload["params"]["sage.proj_b"] = {"shape": [1, 10], "data": [0.0] * 10}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="sage.proj_b"):
+            TemporalGraphClassifier.load(path)
 
     def test_bad_checkpoint_format(self, tmp_path):
         path = tmp_path / "bad.json"
