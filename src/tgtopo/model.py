@@ -16,6 +16,7 @@ order, so values and gradients are the chain's bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import operator
@@ -29,6 +30,10 @@ from .errors import InputError
 from .optim import pack
 
 VIEW_DIM = 10
+try:  # glibc: keep 4 MB free at the heap top when trimming, or the ~1.5 MB of temporaries
+    ctypes.CDLL(None).mallopt(-2, 4 << 20)  # of each step is page-faulted in again (M_TOP_PAD)
+except (AttributeError, OSError, TypeError):  # not glibc
+    pass
 VIEW_NAMES = ("structural", "topological", "spectral")
 MODES = ("full", "concat-fuse", "gsage-only", "topo-only", "dos-only")
 
@@ -298,8 +303,7 @@ def fusion_attention(views: Tensor, wq, wk, wv):
     """
     if views.data.shape != (3, VIEW_DIM):
         raise ad.ShapeMismatchError(f"expected 3x{VIEW_DIM} views, got {views.data.shape}")
-    weights = (wq, wk, wv)
-    attended, probs, grad = ad._attention(views.data, np.array([[w.data for w in weights]]),
+    attended, probs, grad = ad._attention(views.data, np.array([[wq.data, wk.data, wv.data]]),
                                           1.0 / np.sqrt(VIEW_DIM))
 
     def backward(g):
@@ -307,11 +311,11 @@ def fusion_attention(views: Tensor, wq, wk, wv):
         parts, g_w = grad(g)
         if views.requires_grad:
             views._accumulate(g + parts[0, 0] + parts[0, 1] + parts[0, 2])
-        for w, g_i in zip(weights, g_w[0]):
+        for w, g_i in zip((wq, wk, wv), g_w[0]):
             if w.requires_grad:
                 w._accumulate(g_i)
 
-    fused = Tensor((views.data + attended).reshape(1, -1), parents=(views, *weights),
+    fused = Tensor((views.data + attended).reshape(1, -1), parents=(views, wq, wk, wv),
                    backward=backward)
     return fused, probs[0].sum(axis=0) / len(probs[0])
 
@@ -354,9 +358,8 @@ class TemporalGraphClassifier:
         return self._store.params
 
     def _structural_view(self, features, agg):
-        """The GraphSAGE branch as one tape node: SAGE layers
-        relu(h W_self + (agg h) W_neigh + b), the mean over nodes and the
-        ``sage.proj`` linear; returns the 1x10 view."""
+        """The GraphSAGE branch as one tape node: SAGE layers relu(h W_self +
+        (agg h) W_neigh + b), the mean over nodes and the ``sage.proj`` linear."""
         h, agg = np.asarray(features, dtype=np.float64), np.asarray(agg, dtype=np.float64)
         n, w0 = len(h), self.sage_params[0][0].data
         if n < 1 or h.ndim != 2 or agg.shape != (n, n) or h.shape[1] != w0.shape[0]:
