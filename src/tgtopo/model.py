@@ -9,9 +9,9 @@ three view tokens produces the fused 30-dimensional representation together
 with the per-view attention mass.
 
 Each part is one tape node (``TemporalGraphClassifier._structural_view``,
-``encode``, ``fusion_attention``) that runs the numpy expressions of the
-chain of ``autodiff`` ops it replaces and sums gradients in the chain's
-order, so values and gradients are the chain's bit for bit.
+``encode``, ``fusion_attention``) running the chain of ``autodiff`` ops it
+replaces, bit for bit: a hidden SAGE layer's gradient adds its W_self term,
+then its neighbours'; the fusion views add the residual's, then q, k, v.
 """
 
 from __future__ import annotations
