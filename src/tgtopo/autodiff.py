@@ -62,6 +62,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
+
     def _accumulate(self, g):
         if g.shape != self.data.shape:  # numpy would broadcast it silently
             raise ShapeMismatchError(f"gradient {g.shape} for a tensor of shape {self.data.shape}")

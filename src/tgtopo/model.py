@@ -16,7 +16,6 @@ then its neighbours'; the fusion views add the residual's, then q, k, v.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import json
 import operator
@@ -30,10 +29,6 @@ from .errors import InputError
 from .optim import pack
 
 VIEW_DIM = 10
-try:  # glibc: keep 4 MB free at the heap top when trimming, or the ~1.5 MB of temporaries
-    ctypes.CDLL(None).mallopt(-2, 4 << 20)  # of each step is page-faulted in again (M_TOP_PAD)
-except (AttributeError, OSError, TypeError):  # not glibc
-    pass
 VIEW_NAMES = ("structural", "topological", "spectral")
 MODES = ("full", "concat-fuse", "gsage-only", "topo-only", "dos-only")
 
@@ -107,20 +102,23 @@ class _ParamStore:
         self.shapes = shapes
         self.params: dict[str, Tensor] = {}
 
-    def _add(self, name, shape, init):
+    def _check(self, name, shape):
         if self.shapes is not None and self.shapes.get(name) != shape:
             raise ValueError(f"{name}: the config asks for shape {shape}, "
                              f"the checkpoint has {self.shapes.get(name)}")
-        t = self.params[name] = Tensor(init(shape), requires_grad=True)
-        return t
 
     def matrix(self, name, fan_in, fan_out):
+        self._check(name, (fan_in, fan_out))
         bound = 1.0 / np.sqrt(max(fan_in, 1))
-        return self._add(name, (fan_in, fan_out),
-                         lambda shape: self.rng.uniform(-bound, bound, size=shape))
+        t = Tensor(self.rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
+        self.params[name] = t
+        return t
 
     def vector(self, name, size, value=0.0):
-        return self._add(name, (size,), lambda shape: np.full(shape, float(value)))
+        self._check(name, (size,))
+        t = Tensor(np.full(size, float(value)), requires_grad=True)
+        self.params[name] = t
+        return t
 
 
 class TransformerEncoder:
@@ -330,14 +328,20 @@ class TemporalGraphClassifier:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, shapes=None):
         self.cfg = cfg
-        self._store = store = _ParamStore(np.random.default_rng(seed), shapes)
+        store = _ParamStore(np.random.default_rng(seed), shapes)
+        self._store = store
         if cfg.mode in ("full", "concat-fuse", "gsage-only"):
-            self.sage_params, hid = [], cfg.hidden_dim
+            d_feat = cfg.feature_dim
+            self.sage_params = []
             for l in range(cfg.sage_layers):
-                d_in = cfg.feature_dim if l == 0 else hid
-                self.sage_params.append((store.matrix(f"sage.{l}.w_self", d_in, hid),
-                                         store.matrix(f"sage.{l}.w_neigh", d_in, hid),
-                                         store.vector(f"sage.{l}.bias", hid)))
+                d_in = d_feat if l == 0 else cfg.hidden_dim
+                self.sage_params.append(
+                    (
+                        store.matrix(f"sage.{l}.w_self", d_in, cfg.hidden_dim),
+                        store.matrix(f"sage.{l}.w_neigh", d_in, cfg.hidden_dim),
+                        store.vector(f"sage.{l}.bias", cfg.hidden_dim),
+                    )
+                )
             self.sage_proj = store.matrix("sage.proj", cfg.hidden_dim, VIEW_DIM)
             self.sage_proj_b = store.vector("sage.proj_b", VIEW_DIM)
         self.encoders = []  # topological, then spectral
@@ -346,8 +350,9 @@ class TemporalGraphClassifier:
         if cfg.mode in ("full", "concat-fuse", "dos-only"):
             self.encoders.append(TransformerEncoder(store, "dos_tf", cfg.dos_bins, cfg))
         if cfg.mode == "full":
-            self.fuse_wq, self.fuse_wk, self.fuse_wv = (
-                store.matrix(f"fuse.{w}", VIEW_DIM, VIEW_DIM) for w in ("wq", "wk", "wv"))
+            self.fuse_wq = store.matrix("fuse.wq", VIEW_DIM, VIEW_DIM)
+            self.fuse_wk = store.matrix("fuse.wk", VIEW_DIM, VIEW_DIM)
+            self.fuse_wv = store.matrix("fuse.wv", VIEW_DIM, VIEW_DIM)
         fused_dim = {"full": 3 * VIEW_DIM, "concat-fuse": 3 * VIEW_DIM}.get(cfg.mode, VIEW_DIM)
         self.cls_w = store.matrix("cls.w", fused_dim, cfg.num_classes)
         self.cls_b = store.vector("cls.b", cfg.num_classes)
@@ -357,13 +362,16 @@ class TemporalGraphClassifier:
     def parameters(self) -> dict:
         return self._store.params
 
+    def num_parameters(self) -> int:
+        return sum(t.data.size for t in self.parameters.values())
+
     def _structural_view(self, features, agg):
         """The GraphSAGE branch as one tape node: SAGE layers relu(h W_self +
         (agg h) W_neigh + b), the mean over nodes and the ``sage.proj`` linear."""
         h, agg = np.asarray(features, dtype=np.float64), np.asarray(agg, dtype=np.float64)
-        n, w0 = len(h), self.sage_params[0][0].data
+        n, w0 = len(h), (self.sage_params[0][0] if self.sage_params else self.sage_proj).data
         if n < 1 or h.ndim != 2 or agg.shape != (n, n) or h.shape[1] != w0.shape[0]:
-            raise ad.ShapeMismatchError(f"features {h.shape}, graph {agg.shape}, w_self {w0.shape}")
+            raise ad.ShapeMismatchError(f"features {h.shape}, graph {agg.shape}, weight {w0.shape}")
         tape = []
         for w_self, w_neigh, bias in self.sage_params:
             neigh = agg @ h

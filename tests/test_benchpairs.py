@@ -1,13 +1,12 @@
 """The verdict of tools/benchpairs.py on a recorded comparison."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("benchpairs", ROOT / "tools" / "benchpairs.py")
+_spec = importlib.util.spec_from_file_location(
+    "benchpairs", Path(__file__).resolve().parent.parent / "tools" / "benchpairs.py")
 benchpairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(benchpairs)
 
@@ -83,36 +82,3 @@ def test_verdict_line_names_gains_shown_and_unresolved_metrics():
     assert ok
     (line,), _ = benchpairs.verdict(_report())
     assert "gain shown: none; unresolved: none;" in line
-
-
-def test_workloads_default_to_every_declared_one_and_can_be_picked():
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    declared = [w["name"] for w in bench["workloads"]]
-    assert benchpairs.pick_workloads(bench) == declared
-    assert benchpairs.pick_workloads(bench, [declared[-1]]) == [declared[-1]]
-    with pytest.raises(ValueError, match="unknown workload nope"):
-        benchpairs.pick_workloads(bench, ["nope"])
-
-
-def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
-    ran = []
-
-    def fake_run(tree, workload, seed, seconds):
-        ran.append((workload, seed))
-        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
-                "fingerprint": {"descriptors": "abc"},
-                "environment": {"src_lines": 1}, "metrics": {"rate": 1.0}}
-
-    monkeypatch.setattr(benchpairs, "export", lambda rev, dest: None)
-    monkeypatch.setattr(benchpairs, "git", lambda *args: "rev")
-    monkeypatch.setattr(benchpairs, "run_once", fake_run)
-    out = tmp_path / "bench.json"
-    assert benchpairs.main(["--parent", "p", "--out", str(out), "--seeds", "1", "2",
-                            "--workloads", "long-stream"]) == 0
-    assert ran == [("long-stream", 1)] * 2 + [("long-stream", 2)] * 2
-    report = json.loads(out.read_text())
-    assert list(report["workloads"]) == ["long-stream"]
-    assert report["settings"]["workloads"] == ["long-stream"]
-    with pytest.raises(SystemExit) as exc:
-        benchpairs.main(["--parent", "p", "--out", str(out), "--workloads", "nope"])
-    assert exc.value.code == 2

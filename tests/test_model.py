@@ -161,7 +161,7 @@ class TestSageLayer:
 
     def test_feature_width_check(self):
         model = _sage_model(hidden_dim=3)
-        with pytest.raises(ad.ShapeMismatchError, match=r"w_self \(2, 3\)"):
+        with pytest.raises(ad.ShapeMismatchError, match=r"weight \(2, 3\)"):
             model._structural_view(np.zeros((3, 5)), np.zeros((3, 3)))
 
     def test_gradients(self):
@@ -228,6 +228,22 @@ class TestStructuralViewMatchesChain:
             runs.append((out.data.tobytes(), _param_grads(model)))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 3 * layers + 2  # every sage parameter
+
+    def test_zero_layers_pool_the_features(self):
+        # with no SAGE layer the features are pooled and projected directly
+        from test_autodiff import weighted_sum
+
+        feats, agg = _graph_inputs(5, 4, True, seed=2)
+        runs = []
+        for op in (TemporalGraphClassifier._structural_view, structural_chain):
+            model = _sage_model(seed=1, feature_dim=4, hidden_dim=4, sage_layers=0)
+            out = op(model, feats, agg)
+            weighted_sum(out).backward()
+            runs.append((out.data.tobytes(), _param_grads(model)))
+        assert runs[0] == runs[1] and len(runs[0][1]) == 2
+        wide = _sage_model(feature_dim=3, hidden_dim=4, sage_layers=0)
+        with pytest.raises(ad.ShapeMismatchError):
+            wide._structural_view(np.ones((5, 3)), agg)
 
     def test_two_calls_on_one_tape_add_like_two_chains(self):
         from test_autodiff import weighted_sum

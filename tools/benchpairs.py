@@ -1,7 +1,6 @@
 """Run alternating parent/change benchmark pairs and write a BENCH file.
 
     python3 tools/benchpairs.py --parent <rev> --out BENCH_<n>.json --seeds 1 2 3 4 5
-    python3 tools/benchpairs.py ... --workloads desk   # only the workloads named
 
 The change side is this checkout's working tree.  The parent side is the
 committed files of ``--parent``, extracted with ``git archive`` into a
@@ -9,9 +8,8 @@ temporary directory (under ``$TMPDIR``), so no worktree is registered in the
 repository and an interrupted run leaves nothing behind in it.  For each
 workload, pair i runs one seed on both sides, the parent first when i is even
 and the change first when it is odd.  Every run is
-``perfbench/run.py --trace 0`` in its own tree, for every workload that
-``BENCHMARK.json`` declares (or those ``--workloads`` names) and with the
-``run_seconds`` it declares; this script only reads the two
+``perfbench/run.py --trace 0`` in its own tree, for every workload and with the
+``run_seconds`` that ``BENCHMARK.json`` declares; this script only reads the two
 JSON lines a run prints and changes none of the benchmark's metrics or bounds.
 
 The BENCH file records every run, each metric's median and interquartile
@@ -137,38 +135,20 @@ def verdict(report):
     return lines, ok
 
 
-def pick_workloads(bench, names=None):
-    """The names of the workloads in ``bench`` to run, in its order: all of
-    them, or those in ``names``; an undeclared name raises ValueError."""
-    declared = [w["name"] for w in bench["workloads"]]
-    unknown = sorted(set(names or ()) - set(declared))
-    if unknown:
-        raise ValueError(f"unknown workload {', '.join(unknown)}; "
-                         f"BENCHMARK.json declares {', '.join(declared)}")
-    return [w for w in declared if names is None or w in names]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    parser.add_argument("--workloads", nargs="+", metavar="NAME",
-                        help="run only these workloads (default: every one declared)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    try:
-        workloads = pick_workloads(bench, args.workloads)
-    except ValueError as exc:
-        parser.error(str(exc))
     specs = {m["name"]: m for m in bench["end_to_end"]}
-    seconds = bench["run_seconds"]
+    seconds, workloads = bench["run_seconds"], [w["name"] for w in bench["workloads"]]
     report = {
         "parent": {"rev": git("rev-parse", args.parent)},
         "change": {"rev": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
-        "settings": {"seeds": args.seeds, "seconds": seconds, "trace": 0,
-                     "workloads": workloads},
+        "settings": {"seeds": args.seeds, "seconds": seconds, "trace": 0},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
