@@ -202,7 +202,7 @@ def _stacks(encoders):
     return stacks
 
 
-def encode(encoders, streams, rng=None, train=False):
+def encode(encoders, streams, rng=None, train=False, grad=True):
     """Run S encoders of equal layer shapes on S token streams of length N as
     one tape node on (S, ...) parameter stacks and an (S, N, d) residual
     stream; returns (S x 10 views Tensor, per encoder its attention matrices).
@@ -212,7 +212,10 @@ def encode(encoders, streams, rng=None, train=False):
     (``encoder_chain`` in the tests): a residual-stream gradient is the
     residual add's, then the layer norm's; the attention input sums q, k, v
     of head 0, then of head 1, ...; dropout masks are drawn first, encoder by
-    encoder, layer by layer, attention mask then FFN mask."""
+    encoder, layer by layer, attention mask then FFN mask.  With ``grad``
+    False no tape is kept: the views have no backward and no attention
+    matrices come back, so a layer's temporaries are freed before the next
+    layer allocates its own (at long streams they are about 0.7 MB a layer)."""
     cfg = encoders[0].cfg
     streams = [np.asarray(t, dtype=np.float64) for t in streams]
     s, n, d = len(streams), streams[0].shape[0], cfg.tf_model_dim
@@ -241,7 +244,10 @@ def encode(encoders, streams, rng=None, train=False):
         if drop:
             out = out * masks[:, l, 1]
         x = x + out
-        tape.append((ln1_grad, heads_out, probs, att_grad, normed2, ln2_grad, active, h))
+        if grad:
+            tape.append((ln1_grad, heads_out, probs, att_grad, normed2, ln2_grad, active, h))
+        del normed, ln1_grad, heads_out, probs, att_grad, attended, normed2, ln2_grad, pre
+        del active, h, out
     pooled = (x.sum(axis=-2) / n).reshape(s, 1, d)
     w_out, b_out = params[-2:]
 
@@ -273,6 +279,8 @@ def encode(encoders, streams, rng=None, train=False):
         ad.accumulate_stacks(groups, grad_stacks, grads)
 
     views = (pooled @ w_out + b_out).reshape(s, VIEW_DIM)
+    if not grad:
+        return Tensor(views), [[] for _ in streams]
     parents = tuple(t for e in encoders for ts in [[e.w_in, e.b_in], *e.groups] for t in ts)
     return (Tensor(views, parents=parents, backward=backward),
             [[p for layer in tape for p in layer[2][i]] for i in range(s)])
@@ -399,16 +407,18 @@ class TemporalGraphClassifier:
         params = (*(t for ps in self.sage_params for t in ps), proj, proj_b)
         return Tensor(pooled @ proj.data + proj_b.data, parents=params, backward=backward)
 
-    def forward(self, phi, psi, features, agg, rng=None, train=False):
+    def forward(self, phi, psi, features, agg, rng=None, train=False, grad=True):
         """Compute logits for one graph.
 
         phi: N x topo_dim, psi: N x dos_bins, features: n x feature_dim,
         agg: n x n neighbor-mean matrix.  Returns (logits Tensor, FusionOutput).
+        With ``grad`` False (evaluation) the encoders keep no tape, and no
+        gradient reaches their parameters.
         """
         cfg = self.cfg
         if self.encoders:
             streams = [{"topo_tf": phi, "dos_tf": psi}[e.prefix] for e in self.encoders]
-            encoded, _ = encode(self.encoders, streams, rng, train)
+            encoded, _ = encode(self.encoders, streams, rng, train, grad)
         if cfg.mode == "full":
             stacked = ad.concat([self._structural_view(features, agg), encoded], axis=0)
             fused, weights = fusion_attention(stacked, self.fuse_wq, self.fuse_wk, self.fuse_wv)

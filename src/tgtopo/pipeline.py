@@ -297,7 +297,7 @@ def evaluate(model, features: list, dataset_name="dataset"):
     weights = np.zeros(3)
     embeddings = []
     for gf in features:
-        logits, fusion = model.forward(gf.phi, gf.psi, gf.features, gf.agg, train=False)
+        logits, fusion = model.forward(gf.phi, gf.psi, gf.features, gf.agg, grad=False)
         if int(np.argmax(logits.data)) == gf.label:
             correct += 1
         weights += fusion.view_weights

@@ -619,8 +619,8 @@ class TestFusionAttention:
 
 
 class TestClassifier:
-    def _toy_inputs(self, cfg, rng):
-        n_windows, n_nodes = 4, 5
+    def _toy_inputs(self, cfg, rng, n_windows=4):
+        n_nodes = 5
         phi = rng.normal(size=(n_windows, cfg.topo_dim))
         psi = np.abs(rng.normal(size=(n_windows, cfg.dos_bins)))
         feats = rng.normal(size=(n_nodes, cfg.feature_dim))
@@ -653,6 +653,27 @@ class TestClassifier:
         a = TemporalGraphClassifier(cfg, seed=3).forward(phi, psi, feats, agg)
         b = TemporalGraphClassifier(cfg, seed=3).forward(phi, psi, feats, agg)
         assert np.array_equal(a[0].data, b[0].data)
+
+    @pytest.mark.parametrize("mode", ["full", "topo-only"])
+    def test_eval_forward_keeps_no_encoder_tape(self, mode):
+        # the same bytes as a forward with a tape, at a smaller peak: at a
+        # long stream (N = 92) the encoders' temporaries do not outlive their layer
+        rng = np.random.default_rng(16)
+        cfg = ModelConfig(mode=mode, feature_dim=3)
+        model = TemporalGraphClassifier(cfg, seed=6)
+        phi, psi, feats, agg = self._toy_inputs(cfg, rng, n_windows=92)
+        runs, peaks = [], []
+        for grad in (True, False):
+            tracemalloc.start()
+            logits, fusion = model.forward(phi, psi, feats, agg, grad=grad)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            runs.append((logits.data.tobytes(), fusion.fused.tobytes(),
+                         fusion.view_weights.tobytes()))
+        assert runs[0] == runs[1]
+        assert peaks[1] < 0.7 * peaks[0]
+        _, probs = encode(model.encoders, [phi, psi][:len(model.encoders)], grad=False)
+        assert probs == [[]] * len(model.encoders)
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(15)
