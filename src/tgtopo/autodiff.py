@@ -28,8 +28,9 @@ unstacked call: ``swapaxes(-1, -2)`` for ``.T``, heads on a stack axis of
 their own, ``sum(..., keepdims=True) / d`` for ``mean``.  Every matmul keeps
 the memory layout its operands had in the chain (a transposed operand stays
 a transposed view), because BLAS may round another layout differently.  The
-parameter stacks are views of the arenas (``model.encode``), and
-``accumulate_stacks`` writes a stacked gradient into its arena view once.
+parameter stacks are blocks of the arenas, laid out when the model is built
+(``model._stack``), and ``accumulate_blocks`` writes a stacked gradient
+into its gradient block once.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
     def _accumulate(self, g):
         if g.shape != self.data.shape:  # numpy would broadcast it silently
@@ -246,10 +244,10 @@ def attention(x, heads, scale: float):
     return Tensor(out_data, parents=(x, *weights), backward=backward), list(probs)
 
 
-def accumulate_stacks(groups, views, grads):
+def accumulate_blocks(groups, views, grads):
     """``_accumulate`` of stacked gradients: ``grads[j]`` holds, in order, the
     gradients of the tensors ``groups[j]``, whose gradient-arena views
-    ``views[j]`` tiles.  A stack is written once when no tensor has a
+    ``views[j]`` tiles.  A block is written once when no tensor has a
     gradient yet; else each tensor accumulates its slice."""
     fresh = all(t.grad is None for ts in groups for t in ts)
     for ts, view, g in zip(groups, views, grads):

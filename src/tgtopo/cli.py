@@ -63,7 +63,6 @@ def _build_parser():
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("stability", help="run a perturbation campaign")
-    p.add_argument("--data", default=None)
     p.add_argument("--mode", choices=("topo", "spectral"), required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

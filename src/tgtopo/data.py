@@ -111,15 +111,16 @@ def load_dataset(directory, name=None) -> Dataset:
     manifest = os.path.join(directory, MANIFEST)
     if not os.path.exists(manifest):
         raise MissingManifestError(f"no {MANIFEST} in {directory}")
-    with open(manifest) as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    num_classes = None
-    files = []
-    for ln in lines:
-        if ln.startswith("# classes"):
-            num_classes = int(ln.split()[-1])
-        elif not ln.startswith("#"):
-            files.append(ln)
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh.read().splitlines()]
+        counts = [int(ln.split()[-1]) for ln in lines if ln.startswith("# classes")]
+    except ValueError as exc:  # not UTF-8, or a class count that is no integer
+        raise ParseError(manifest, None, str(exc)) from exc
+    files = [ln for ln in lines if ln and not ln.startswith("#")]
+    if any("\0" in f for f in files):
+        raise ParseError(manifest, None, "a file name holds a NUL byte")
+    num_classes = counts[-1] if counts else None
     graphs = tuple(load_graph(os.path.join(directory, f)) for f in files)
     if not graphs:
         raise DataError(f"manifest in {directory} lists no graphs")

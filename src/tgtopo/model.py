@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,63 +151,46 @@ class TransformerEncoder:
             self.layers.append(layer)
         self.w_out = store.matrix(f"{prefix}.w_out", d, VIEW_DIM)
         self.b_out = store.vector(f"{prefix}.b_out", VIEW_DIM)
-        # what ``encode`` stacks: every parameter after b_in in creation order,
-        # a layer's q, k and v matrices of all heads as one group
+        # the groups ``_stack`` lays out as arena blocks: each parameter after
+        # b_in in creation order, a layer's q, k and v of all heads as one
         self.groups = [[w for ws in v for w in ws] if k == "heads" else [v]
                        for layer in self.layers for k, v in layer.items()]
         self.groups += [[self.w_out], [self.b_out]]
-        self._stacks = None  # the arrays that ``_stacks`` checks, and its result
 
     def forward(self, tokens: np.ndarray, rng=None, train=False):
-        """tokens: N x d_in; returns (view 1x10 Tensor, attention matrices)."""
-        view, (probs,) = encode([self], [tokens], rng, train)
+        """``encode`` on this encoder's row of the model's blocks; tokens:
+        N x d_in; returns (view 1x10 Tensor, attention matrices)."""
+        view, (probs,) = encode([self], self.blocks, [tokens], rng, train)
         return view, probs
 
 
-def _stacks(encoders):
-    """Per group of ``encoders[i].groups``: the views of the parameter arena
-    and of the gradient arena that stack it over the encoders (vectors as
-    (S, 1, d), q, k, v as (S, h, 3, d, d_h)), and its tensors in stack order.
-    Each encoder's tensors must lie in creation order in one arena, the
-    encoders a constant stride apart, as ``pack`` of a model's parameters
-    puts them; tensors in no arena are packed here.  Cached until repacked."""
-    cached = encoders[0]._stacks
-    if cached and len(cached[0]) == len(encoders) and all(
-            map(operator.is_, cached[0], (e.w_out.data for e in encoders))):
-        return cached[1]
-    tensors = [t for e in encoders for ts in e.groups for t in ts]
-    if all(t._grad_view is None for t in tensors):
-        pack(tensors)
-    s, sizes = len(encoders), np.array([t.data.size for t in tensors]).reshape(len(encoders), -1)
-    first = encoders[0].groups
-    cuts = np.cumsum([sum(t.data.size for t in ts) for ts in first])[:-1]
-    stacks = []
-    for arrays in ([t.data for t in tensors], [t._grad_view for t in tensors]):
-        base = getattr(arrays[0], "base", None)
-        if base is None or any(getattr(a, "base", None) is not base for a in arrays):
-            raise ValueError("encoder parameters do not live in one arena")
-        at = (np.array([a.ctypes.data for a in arrays]) - base.ctypes.data).reshape(s, -1)
-        stride = (at[-1, 0] - at[0, 0]) // max(s - 1, 1)  # bytes from one encoder to the next
-        want = at[0, 0] + stride * np.arange(s)[:, None] + 8 * (sizes.cumsum(1) - sizes)
-        if (at != want).any() or s > 1 and abs(stride) < 8 * sizes[0].sum():
-            raise ValueError("encoder parameters are not laid out as one stack")
-        rows = np.lib.stride_tricks.as_strided(base[at[0, 0] // 8:], (s, sizes[0].sum()),
-                                               (stride, 8))
-        stacks.append([part.reshape(s, len(ts) // 3, 3, *ts[0].shape) if len(ts) > 1
-                       else part.reshape(s, -1, ts[0].shape[-1])
-                       for part, ts in zip(np.split(rows, cuts, axis=1), first)])
-    stacks.append([[t for ts in g for t in ts] for g in zip(*(e.groups for e in encoders))])
-    encoders[0]._stacks = [e.w_out.data for e in encoders], stacks
-    return stacks
+def _stack(encoders, params):
+    """Pack ``params`` into new arenas, each group of ``encoders[i].groups``
+    first as one (S, ...) block of both, encoder after encoder (vectors as
+    (S, 1, d), q, k, v as (S, h, 3, d, d_h)).  Returns the arenas and the
+    blocks as ``encode`` reads them (parameter blocks, gradient blocks, each
+    block's tensors); each encoder's ``blocks`` are its rows of them."""
+    groups = [[t for ts in g for t in ts] for g in zip(*(e.groups for e in encoders))]
+    stacked = {t for ts in groups for t in ts}
+    arenas = pack([t for ts in groups for t in ts] + [t for t in params if t not in stacked])
+    blocks, offset, s = ([], [], groups), 0, len(encoders)
+    for ts in groups:
+        end, shape = offset + sum(t.data.size for t in ts), ts[0].data.shape
+        shape = (s, -1, 3, *shape) if len(ts) > s else (s, -1, shape[-1])
+        for arena, out in zip(arenas, blocks):
+            out.append(arena[offset:end].reshape(shape))
+        offset = end
+    for i, e in enumerate(encoders):
+        e.blocks = [b[i:i + 1] for b in blocks[0]], [b[i:i + 1] for b in blocks[1]], e.groups
+    return (*arenas, blocks)
 
 
-def encode(encoders, streams, rng=None, train=False, grad=True):
+def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
     """Run S encoders of equal layer shapes on S token streams of length N as
-    one tape node on (S, ...) parameter stacks and an (S, N, d) residual
-    stream; returns (S x 10 views Tensor, per encoder its attention matrices).
-    The stacks are views of the parameter arena (``_stacks``), and backward
-    writes each stacked gradient into the gradient arena once.  Values and
-    gradients are bit for bit each encoder's chain of tape ops
+    one tape node on their (S, ...) parameter blocks (``_stack``) and an
+    (S, N, d) residual stream; returns (S x 10 views Tensor, per encoder its
+    attention matrices).  Backward writes each stacked gradient into its
+    gradient block once.  Values and gradients are bit for bit each encoder's chain of tape ops
     (``encoder_chain`` in the tests): a residual-stream gradient is the
     residual add's, then the layer norm's; the attention input sums q, k, v
     of head 0, then of head 1, ...; dropout masks are drawn first, encoder by
@@ -223,7 +205,7 @@ def encode(encoders, streams, rng=None, train=False, grad=True):
         raise ad.ShapeMismatchError(f"token streams of lengths {[len(t) for t in streams]}")
     drop = train and cfg.dropout > 0
     masks = ad.dropout_mask(rng, cfg.dropout, (s, cfg.tf_layers, 2, n, d)) if drop else None
-    params, grad_stacks, groups = _stacks(encoders)
+    params, grad_blocks, groups = blocks
     width, scale = (len(params) - 2) // cfg.tf_layers, 1.0 / np.sqrt(d // cfg.tf_heads)
     x = np.stack([t @ e.w_in.data + e.b_in.data for t, e in zip(streams, encoders)])
     x = x + time_embedding(n, d)
@@ -276,7 +258,7 @@ def encode(encoders, streams, rng=None, train=False, grad=True):
         for e, t, g_e in zip(encoders, streams, g_x):
             e.b_in._accumulate(g_e.sum(axis=0))
             e.w_in._accumulate(t.T @ g_e)
-        ad.accumulate_stacks(groups, grad_stacks, grads)
+        ad.accumulate_blocks(groups, grad_blocks, grads)
 
     views = (pooled @ w_out + b_out).reshape(s, VIEW_DIM)
     if not grad:
@@ -364,14 +346,11 @@ class TemporalGraphClassifier:
         fused_dim = {"full": 3 * VIEW_DIM, "concat-fuse": 3 * VIEW_DIM}.get(cfg.mode, VIEW_DIM)
         self.cls_w = store.matrix("cls.w", fused_dim, cfg.num_classes)
         self.cls_b = store.vector("cls.b", cfg.num_classes)
-        self.arena, self.grad_arena = pack(store.params.values())
+        self.arena, self.grad_arena, self.blocks = _stack(self.encoders, store.params.values())
 
     @property
     def parameters(self) -> dict:
         return self._store.params
-
-    def num_parameters(self) -> int:
-        return sum(t.data.size for t in self.parameters.values())
 
     def _structural_view(self, features, agg):
         """The GraphSAGE branch as one tape node: SAGE layers relu(h W_self +
@@ -418,7 +397,7 @@ class TemporalGraphClassifier:
         cfg = self.cfg
         if self.encoders:
             streams = [{"topo_tf": phi, "dos_tf": psi}[e.prefix] for e in self.encoders]
-            encoded, _ = encode(self.encoders, streams, rng, train, grad)
+            encoded, _ = encode(self.encoders, self.blocks, streams, rng, train, grad)
         if cfg.mode == "full":
             stacked = ad.concat([self._structural_view(features, agg), encoded], axis=0)
             fused, weights = fusion_attention(stacked, self.fuse_wq, self.fuse_wk, self.fuse_wv)

@@ -4,10 +4,11 @@
 array and rebinds each tensor's ``data`` to a reshaped view of it; each
 tensor's ``_grad_view`` is its view of a gradient arena of the same layout,
 into which ``Tensor._accumulate`` writes a first gradient.  A model packs its
-parameters when it is built, its encoders' parameter stacks are views of that
-arena, and ``Adam`` updates the arena its parameters tile (packing them only
-if they tile none) with a handful of vectorized updates instead of a Python
-loop over tensors.  The moments ``m`` and ``v`` are flat arrays of the same
+parameters when it is built, each encoder parameter group as one (S, ...)
+block of both arenas.  ``Adam`` updates the arena its parameters tile, in any
+order, with a handful of vectorized updates instead of a Python loop over
+tensors; ``pack`` refuses part of an arena (a new one would leave a model's
+blocks stale).  The moments ``m`` and ``v`` are flat arrays of the same
 length.  Every element goes through the same float operations in the same
 order as a per-tensor loop would, so results are bit-identical to it.  Code
 that changes a packed parameter must write into ``t.data`` in place, not
@@ -23,13 +24,18 @@ from .autodiff import ShapeMismatchError
 
 
 def pack(tensors):
-    """The parameter and gradient arenas that ``tensors`` tile: the ones they
-    already live in, or new ones filled in the given order."""
+    """The parameter and gradient arenas that ``tensors`` tile, in any order:
+    the ones they already live in, or, if none lives in one, new ones filled
+    in the given order.  Tensors of an arena that do not tile one exactly
+    raise ValueError, because repacking them would leave every other view of
+    the old arena (a model's encoder blocks) stale."""
     tensors = list(tensors)
     size = sum(t.data.size for t in tensors)
     arenas = {(id(t.data.base), id(getattr(t._grad_view, "base", None))) for t in tensors}
-    flat = tensors[0].data.base if len(arenas) == 1 and tensors[0]._grad_view is not None else None
-    if flat is not None and flat.size == size:
+    if any(t._grad_view is not None for t in tensors):
+        flat = tensors[0].data.base
+        if len(arenas) > 1 or getattr(flat, "size", 0) != size or len(set(tensors)) < len(tensors):
+            raise ValueError("the tensors live in an arena but do not tile exactly one")
         return flat, tensors[0]._grad_view.base
     flat, grad = np.empty(size), np.empty(size)
     offset = 0

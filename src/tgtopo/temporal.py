@@ -90,22 +90,25 @@ STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of fl
 
 
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
-    """Build a TemporalGraph, validating endpoints and times, sorting by time."""
+    """Build a TemporalGraph, validating integer endpoints and times, sorting by time."""
     if not isinstance(num_nodes, numbers.Integral) or num_nodes <= 0:
         raise TemporalGraphError(f"num_nodes must be a positive integer, got {num_nodes}")
     checked = []
     for u, v, t in events:
         try:
-            u, v, t = int(u), int(v), float(t)
+            iu, iv, t = int(u), int(v), float(t)
         except (OverflowError, TypeError, ValueError) as exc:
             raise TemporalGraphError(f"event ({u},{v},{t}): {exc}") from exc
+        if (type(u) is not int or type(v) is not int) and (  # a plain int needs no test
+                (iu, iv) != (u, v) or any(isinstance(x, (bool, np.bool_)) for x in (u, v))):
+            raise TemporalGraphError(f"event ({u},{v},{t}): node ids must be integers")
         if not (0 <= u < num_nodes) or not (0 <= v < num_nodes):
             raise OutOfRangeNodeError(f"event ({u},{v},{t}) outside [0,{num_nodes})")
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}, t={t}")
         if not math.isfinite(t):
             raise NonFiniteTimestampError(f"event ({u},{v}) has timestamp {t}")
-        checked.append((u, v, t))
+        checked.append((iu, iv, t))
     if not checked:
         if not allow_empty:
             raise EmptyEventListError("empty event list (pass allow_empty=True to permit)")

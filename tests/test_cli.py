@@ -53,6 +53,14 @@ def _synth_args(root, dataset_dir, spec):
             "--seed", "0"]
 
 
+def _manifest_args(root, dataset_dir, manifest):
+    ds = root / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_bytes(manifest)
+    (ds / "g.txt").write_text("n 3 label 0\n0 1 1.0\n")
+    return ["cv", "--data", str(ds)]
+
+
 def _stability_args(root, dataset_dir, flags):
     return ["stability", "--seed", "1", *flags.split()]
 
@@ -70,6 +78,10 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main([]) == 1
         assert main(["frobnicate"]) == 1
+
+    def test_stability_takes_no_data_flag(self, tmp_path, capsys):
+        # the campaigns draw their own graphs; a dataset flag was never read
+        assert main(["stability", "--mode", "topo", "--data", str(tmp_path / "none")]) == 1
 
     def test_data_error(self, tmp_path, capsys):
         code = main(["extract", "--data", str(tmp_path), "--out", str(tmp_path / "o")])
@@ -98,6 +110,8 @@ class TestExitCodes:
         pytest.param(_cv_args, "hidden_dim = 0\n", id="zero_hidden_dim"),
         pytest.param(_cv_args, "dropout = 1.0\n", id="dropout_not_below_one"),
         pytest.param(_cv_args, "count_edge_multiplicity = maybe\n", id="non_boolean_flag"),
+        pytest.param(_manifest_args, b"# classes x\ng.txt\n", id="manifest_classes_not_integer"),
+        pytest.param(_manifest_args, b"g.txt\n\xff\xfe\n", id="manifest_not_utf8"),
         pytest.param(_extract_args, "0", id="zero_bins_flag"),
         pytest.param(_missing_file_args, "cv", id="missing_config_file"),
         pytest.param(_missing_file_args, "synth", id="missing_spec_file"),

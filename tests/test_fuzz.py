@@ -1,13 +1,13 @@
 """Hypothesis fuzzing of the inputs a user hands the program: a checkpoint,
-a run config, a graph file and an event list may fail only with the
-package's documented errors."""
+a run config, a graph file, a dataset manifest and an event list may fail
+only with the package's documented errors."""
 
 import json
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tgtopo.data import load_graph
+from tgtopo.data import Dataset, load_dataset, load_graph
 from tgtopo.errors import InputError
 from tgtopo.model import CheckpointError, TemporalGraphClassifier
 from tgtopo.pipeline import PipelineError, RunConfig
@@ -82,7 +82,8 @@ def test_run_config_raises_only_documented_errors(tmp_path_factory, content):
 
 numbers = (st.integers() | st.integers(-3, 12) | st.floats(allow_nan=True, allow_infinity=True)
            | st.sampled_from([float("nan"), float("inf"), -float("inf"), -1, 10**30, 1e300]))
-events = st.lists(st.tuples(numbers, numbers, numbers), max_size=8)
+node_ids = numbers | st.booleans() | st.integers(-3, 12).map(float) | st.floats(-3, 12)
+events = st.lists(st.tuples(node_ids, node_ids, numbers), max_size=8)
 
 
 @given(numbers, events)
@@ -90,6 +91,7 @@ events = st.lists(st.tuples(numbers, numbers, numbers), max_size=8)
 @example(3, [(float("inf"), 1, 0.0)])
 @example(float("inf"), [(0, 1, 0.0)])
 @example(2.5, [(0, 1, 0.0)])
+@example(3, [(0.5, 1.7, 0.0), (True, 2, 1.0)])  # truncated to (0, 1) and (1, 2) once
 @settings(max_examples=300, deadline=None)
 def test_from_events_raises_only_input_errors(num_nodes, event_list):
     try:
@@ -99,6 +101,9 @@ def test_from_events_raises_only_input_errors(num_nodes, event_list):
     assert isinstance(g.num_nodes, int) and 0 < g.num_nodes == num_nodes
     assert all(0 <= u < g.num_nodes and 0 <= v < g.num_nodes and u != v
                for u, v, _ in g.events)
+    # every node id given was an integer, and is kept as it was
+    assert all(not isinstance(x, bool) and x == int(x) for u, v, _ in event_list for x in (u, v))
+    assert sorted(g.events) == sorted((int(u), int(v), float(t)) for u, v, t in event_list)
 
 
 def _graph_text(num_nodes, label, event_list):
@@ -117,4 +122,27 @@ def test_load_graph_raises_only_input_errors(tmp_path_factory, content):
     try:
         load_graph(path)
     except InputError:
+        pass
+
+
+manifest_lines = (st.sampled_from(["a.txt", "b.txt", "# classes 2", "# comment", ""])
+                  | st.text(max_size=6).map("# classes ".__add__) | st.text(max_size=8))
+
+
+@given(st.binary(max_size=120) | st.lists(manifest_lines, max_size=5).map(
+    lambda ls: "\n".join(ls).encode("utf-8", "surrogatepass")))
+@example(b"# classes x\na.txt\n")
+@example(b"a.txt\n\xff\xfe\n")  # not UTF-8
+@example(b"a\x00.txt\n")  # a file name the OS cannot open
+@example(b"# classes 2\na.txt\nb.txt\n")
+@settings(max_examples=200, deadline=None)
+def test_load_dataset_gives_a_dataset_or_a_data_error(tmp_path_factory, manifest):
+    # the CLI maps InputError and OSError to exit 2
+    root = tmp_path_factory.mktemp("ds")
+    (root / "manifest.txt").write_bytes(manifest)
+    (root / "a.txt").write_text("n 3 label 0\n0 1 1.0\n")
+    (root / "b.txt").write_text("n 3 label 1\n1 2 1.0\n")
+    try:
+        assert isinstance(load_dataset(root), Dataset)
+    except (InputError, OSError):
         pass

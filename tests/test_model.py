@@ -17,8 +17,8 @@ from tgtopo.model import (
     TemporalGraphClassifier,
     TransformerEncoder,
     _ParamStore,
-    _stacks,
     _row,
+    _stack,
     classify,
     encode,
     fusion_attention,
@@ -281,7 +281,9 @@ class TestTransformerEncoder:
     def _encoder(self, seed=0, **overrides):
         cfg = ModelConfig(**overrides)
         store = _ParamStore(np.random.default_rng(seed))
-        return TransformerEncoder(store, "tf", 4, cfg), store
+        enc = TransformerEncoder(store, "tf", 4, cfg)
+        _stack([enc], store.params.values())
+        return enc, store
 
     def test_single_token_stream(self):
         enc, _ = self._encoder()
@@ -314,6 +316,7 @@ class TestTransformerEncoder:
             cfg = ModelConfig(tf_layers=1, tf_heads=1, tf_model_dim=4, tf_ffn_dim=6)
             store = _ParamStore(rng)
             enc = TransformerEncoder(store, "tf", 4, cfg)
+            _stack([enc], store.params.values())
             make.enc = enc
             return list(store.params.values())
 
@@ -334,10 +337,11 @@ class TestTransformerEncoder:
             store = _ParamStore(rng)
             make.encs = [TransformerEncoder(store, f"tf{i}", t.shape[1], cfg)
                          for i, t in enumerate(streams)]
+            make.blocks = _stack(make.encs, store.params.values())[2]
             return list(store.params.values())
 
         def forward(ps):
-            views, _ = encode(make.encs, streams)
+            views, _ = encode(make.encs, make.blocks, streams)
             from test_autodiff import weighted_sum
 
             return weighted_sum(views)
@@ -394,7 +398,8 @@ class TestStackedEncoderMatchesChain:
                     for i, t in enumerate(streams)]
             rng = np.random.default_rng(11)
             if stacked:
-                views, probs = encode(encs, streams, rng, train=True)
+                views, probs = encode(encs, _stack(encs, store.params.values())[2], streams,
+                                      rng, train=True)
             else:
                 chains = [encoder_chain(e, t, rng, train=True) for e, t in zip(encs, streams)]
                 views = ad.concat([v for v, _ in chains], axis=0)
@@ -408,14 +413,15 @@ class TestStackedEncoderMatchesChain:
         cfg = ModelConfig()
         store = _ParamStore(np.random.default_rng(0))
         encs = [TransformerEncoder(store, f"tf{i}", 4, cfg) for i in range(2)]
+        blocks = _stack(encs, store.params.values())[2]
         with pytest.raises(ad.ShapeMismatchError):
-            encode(encs, [np.zeros((3, 4)), np.zeros((4, 4))])
+            encode(encs, blocks, [np.zeros((3, 4)), np.zeros((4, 4))])
 
 
 class TestParameterArena:
-    """A model packs its parameters into one arena when it is built; the
-    encoders' parameter stacks are views of it, so ``encode`` sees every
-    in-place change to a parameter without copying it."""
+    """A model lays its parameters out in one arena when it is built, each
+    encoder group as one (S, ...) block; ``encode`` reads the blocks, so it
+    sees every in-place change to a parameter without copying it."""
 
     def _model(self, seed=6):
         return TemporalGraphClassifier(ModelConfig(feature_dim=3), seed=seed)
@@ -424,31 +430,60 @@ class TestParameterArena:
         rng = np.random.default_rng(seed)
         return [rng.normal(size=(n, 4)), rng.normal(size=(n, 4))]
 
-    def _assert_encode_is_chain(self, encoders, streams):
-        views, _ = encode(encoders, streams)
-        for e, t, row in zip(encoders, streams, views.data):
+    def _assert_encode_is_chain(self, model, streams):
+        views, _ = encode(model.encoders, model.blocks, streams)
+        for e, t, row in zip(model.encoders, streams, views.data):
             assert row.tobytes() == encoder_chain(e, t)[0].data.tobytes()
         return views.data.tobytes()
 
+    def _assert_not_repacked(self, model):
+        assert all(t.data.base is model.arena and t._grad_view.base is model.grad_arena
+                   for t in model.parameters.values())
+
     def test_stacks_share_memory_with_the_arena(self):
         model = self._model()
-        params, grads, groups = _stacks(model.encoders)
+        params, grads, groups = model.blocks
         assert len(params) == len(grads) == len(groups) == 2 * 10 + 2
         for p, g, ts in zip(params, grads, groups):
             assert np.shares_memory(p, model.arena) and np.shares_memory(g, model.grad_arena)
+            assert p.base is model.arena and g.base is model.grad_arena
+            assert p.flags.c_contiguous and g.flags.c_contiguous  # one slice each
             assert all(np.shares_memory(p, t.data) for t in ts)
             assert all(np.shares_memory(g, t._grad_view) for t in ts)
             assert p.reshape(len(ts), -1).tolist() == [t.data.reshape(-1).tolist() for t in ts]
+        self._assert_not_repacked(model)
         assert params[4].shape == (2, 2, 3, 32, 16)  # q, k, v of both heads
         assert params[0].shape == (2, 1, 32)
+        for i, e in enumerate(model.encoders):
+            rows, grad_rows, tensors = e.blocks
+            assert tensors is e.groups
+            assert all(np.shares_memory(r, p[i]) and r.shape == (1, *p.shape[1:])
+                       for r, p in zip(rows + grad_rows, params + grads))
+
+    def test_encoder_forward_is_its_row_of_encode(self):
+        # each encoder runs on its row of the model's blocks, with no repack,
+        # and its backward writes into its rows of the gradient arena only
+        model = self._model()
+        streams = self._streams()
+        views, probs = encode(model.encoders, model.blocks, streams)
+        for i, (e, t) in enumerate(zip(model.encoders, streams)):
+            view, attn = e.forward(t)
+            assert view.data.tobytes() == views.data[i:i + 1].tobytes()
+            assert [a.tobytes() for a in attn] == [a.tobytes() for a in probs[i]]
+            weighted_sum(view).backward()
+            assert all(tn.grad is not None and tn.grad.base is model.grad_arena
+                       for ts in e.groups for tn in ts)
+            assert all(tn.grad is None for other in model.encoders[i + 1:]
+                       for ts in other.groups for tn in ts)
+        self._assert_not_repacked(model)
 
     def test_encode_copies_no_parameter(self):
         model = self._model()
         streams = self._streams(n=1)
-        encode(model.encoders, streams)
+        encode(model.encoders, model.blocks, streams)
         tracemalloc.start()
         try:
-            encode(model.encoders, streams)
+            encode(model.encoders, model.blocks, streams)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,29 +494,29 @@ class TestParameterArena:
         model = self._model()
         opt = Adam(model.parameters, lr=0.1)
         assert opt.flat is model.arena
-        before = self._assert_encode_is_chain(model.encoders, self._streams())
+        before = self._assert_encode_is_chain(model, self._streams())
         rng = np.random.default_rng(3)
         agg = np.full((4, 4), 0.25)
         logits, _ = model.forward(*self._streams(), rng.normal(size=(4, 3)), agg, train=True)
         ad.cross_entropy_with_logits(logits, 1).backward()
         opt.step()
-        assert self._assert_encode_is_chain(model.encoders, self._streams()) != before
+        assert self._assert_encode_is_chain(model, self._streams()) != before
 
     def test_encode_sees_a_loaded_checkpoint(self, tmp_path):
         source, model = self._model(seed=8), self._model()
-        self._assert_encode_is_chain(model.encoders, self._streams())
+        self._assert_encode_is_chain(model, self._streams())
         source.save(tmp_path / "ckpt.json")
         loaded = TemporalGraphClassifier.load(tmp_path / "ckpt.json")
-        assert (self._assert_encode_is_chain(loaded.encoders, self._streams())
-                == encode(source.encoders, self._streams())[0].data.tobytes())
+        assert (self._assert_encode_is_chain(loaded, self._streams())
+                == encode(source.encoders, source.blocks, self._streams())[0].data.tobytes())
 
     def test_encode_sees_in_place_writes(self):
         model = self._model()
-        before = self._assert_encode_is_chain(model.encoders, self._streams())
+        before = self._assert_encode_is_chain(model, self._streams())
         for e in model.encoders:
             for t in (e.layers[1]["heads"][1][2], e.layers[0]["ln2_b"], e.b_out):
                 t.data[...] = np.random.default_rng(4).normal(size=t.data.shape)
-        assert self._assert_encode_is_chain(model.encoders, self._streams()) != before
+        assert self._assert_encode_is_chain(model, self._streams()) != before
 
     def test_two_encode_calls_on_one_tape_add_like_two_chains(self):
         grads = []
@@ -491,7 +526,7 @@ class TestParameterArena:
             for seed in (1, 2):
                 streams = self._streams(seed)
                 if stacked:
-                    outs.append(encode(model.encoders, streams)[0])
+                    outs.append(encode(model.encoders, model.blocks, streams)[0])
                 else:
                     outs.append(ad.concat([encoder_chain(e, t)[0]
                                            for e, t in zip(model.encoders, streams)]))
@@ -500,30 +535,28 @@ class TestParameterArena:
                           if t.grad is not None})
         assert len(grads[0]) == 2 * 34 and grads[0] == grads[1]  # every encoder parameter
 
-    def test_an_optimizer_that_repacks_is_followed(self):
-        # encode packs a bare store's encoders; Adam over the whole store then
-        # packs every parameter anew, and encode reads the new arena
-        store = _ParamStore(np.random.default_rng(2))
-        encs = [TransformerEncoder(store, f"tf{i}", 4, ModelConfig()) for i in range(2)]
-        self._assert_encode_is_chain(encs, self._streams())
-        opt = Adam(store.params, lr=0.1)
-        for t in store.params.values():
+    def test_adam_over_every_parameter_in_any_order_updates_the_arena(self):
+        model = self._model()
+        before = self._assert_encode_is_chain(model, self._streams())
+        opt = Adam(dict(reversed(model.parameters.items())), lr=0.1)
+        assert opt.flat is model.arena and opt._grad is model.grad_arena
+        for t in model.parameters.values():
             t.grad = np.ones(t.data.shape)
         opt.step()
-        assert np.shares_memory(_stacks(encs)[0][0], opt.flat)
-        self._assert_encode_is_chain(encs, self._streams())
+        self._assert_not_repacked(model)
+        assert self._assert_encode_is_chain(model, self._streams()) != before
 
-    @pytest.mark.parametrize("params, error", [
-        (lambda store: dict(reversed(store.params.items())), "laid out as one stack"),
-        (lambda store: dict(list(store.params.items())[:34]), "one arena"),  # the first encoder
-    ], ids=["reversed", "first_only"])
-    def test_parameters_not_laid_out_as_a_stack_are_rejected(self, params, error):
-        # an optimizer packed them in another order, or only some of them
-        store = _ParamStore(np.random.default_rng(2))
-        encs = [TransformerEncoder(store, f"tf{i}", 4, ModelConfig()) for i in range(2)]
-        Adam(params(store))
-        with pytest.raises(ValueError, match=error):
-            encode(encs, self._streams())
+    @pytest.mark.parametrize("part", [
+        lambda ps: {k: t for k, t in ps.items() if k.startswith("topo_tf.")},
+        lambda ps: {**{k: t for k, t in ps.items() if k != "topo_tf.b_out"},
+                    "alias": ps["dos_tf.b_out"]},  # the arena's size, one tensor twice
+    ], ids=["first_encoder", "duplicate"])
+    def test_adam_over_part_of_the_arena_is_refused(self, part):
+        # repacking them would leave the blocks that encode reads stale
+        model = self._model()
+        with pytest.raises(ValueError, match="do not tile exactly one"):
+            Adam(part(model.parameters))
+        self._assert_not_repacked(model)
 
 
 PARENT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_small.json"
@@ -672,7 +705,8 @@ class TestClassifier:
                          fusion.view_weights.tobytes()))
         assert runs[0] == runs[1]
         assert peaks[1] < 0.7 * peaks[0]
-        _, probs = encode(model.encoders, [phi, psi][:len(model.encoders)], grad=False)
+        streams = [phi, psi][:len(model.encoders)]
+        _, probs = encode(model.encoders, model.blocks, streams, grad=False)
         assert probs == [[]] * len(model.encoders)
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):

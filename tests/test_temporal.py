@@ -40,6 +40,15 @@ class TestFromEvents:
         with pytest.raises(OutOfRangeNodeError):
             from_events(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("u, v", [(0.5, 1), (0, 1.7), (True, 2), (0, np.True_)],
+                             ids=["fractional_u", "fractional_v", "bool_u", "numpy_bool_v"])
+    def test_non_integer_node_id_rejected(self, u, v):
+        with pytest.raises(TemporalGraphError, match="integer"):
+            from_events(3, [(u, v, 0.0)])
+
+    def test_integral_float_node_ids_accepted(self):
+        assert from_events(3, [(0.0, np.int64(2), 1.0)]).events == ((0, 2, 1.0),)
+
     def test_empty_needs_flag(self):
         with pytest.raises(EmptyEventListError):
             from_events(2, [])
