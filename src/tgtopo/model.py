@@ -169,10 +169,16 @@ def _stack(encoders, params):
     first as one (S, ...) block of both, encoder after encoder (vectors as
     (S, 1, d), q, k, v as (S, h, 3, d, d_h)).  Returns the arenas and the
     blocks as ``encode`` reads them (parameter blocks, gradient blocks, each
-    block's tensors); each encoder's ``blocks`` are its rows of them."""
+    block's tensors); each encoder's ``blocks`` are its rows of them.
+    Parameters an optimizer already packed in another order raise ValueError,
+    since blocks cut from that arena would not be the groups' tensors."""
     groups = [[t for ts in g for t in ts] for g in zip(*(e.groups for e in encoders))]
     stacked = {t for ts in groups for t in ts}
-    arenas = pack([t for ts in groups for t in ts] + [t for t in params if t not in stacked])
+    order = [t for ts in groups for t in ts] + [t for t in params if t not in stacked]
+    arenas = pack(order)
+    starts = np.cumsum([0] + [t.data.size for t in order]) * arenas[0].itemsize
+    if any(t.data.ctypes.data != arenas[0].ctypes.data + a for t, a in zip(order, starts)):
+        raise ValueError("the parameters live in an arena not laid out as one stack")
     blocks, offset, s = ([], [], groups), 0, len(encoders)
     for ts in groups:
         end, shape = offset + sum(t.data.size for t in ts), ts[0].data.shape

@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -545,6 +546,36 @@ class TestParameterArena:
         opt.step()
         self._assert_not_repacked(model)
         assert self._assert_encode_is_chain(model, self._streams()) != before
+
+    def test_an_optimizer_that_repacks_is_followed(self):
+        # Adam over a bare store's stacked encoders, in the store's order
+        # rather than the arena's, reuses the arena instead of repacking it,
+        # so encode reads its step
+        store = _ParamStore(np.random.default_rng(2))
+        encs = [TransformerEncoder(store, f"tf{i}", 4, ModelConfig()) for i in range(2)]
+        arena, _, blocks = _stack(encs, store.params.values())
+        model = SimpleNamespace(encoders=encs, blocks=blocks)
+        before = self._assert_encode_is_chain(model, self._streams())
+        opt = Adam(store.params, lr=0.1)
+        assert opt.flat is arena
+        for t in store.params.values():
+            t.grad = np.ones(t.data.shape)
+        opt.step()
+        assert all(np.shares_memory(p, opt.flat) for p in blocks[0])
+        assert self._assert_encode_is_chain(model, self._streams()) != before
+
+    @pytest.mark.parametrize("params, error", [
+        (lambda store: dict(reversed(store.params.items())), "laid out as one stack"),
+        (lambda store: dict(list(store.params.items())[:34]), "tile exactly one"),  # the first encoder
+    ], ids=["reversed", "first_only"])
+    def test_parameters_not_laid_out_as_a_stack_are_rejected(self, params, error):
+        # an optimizer packed them in another order, or only some of them,
+        # before the encoders were stacked
+        store = _ParamStore(np.random.default_rng(2))
+        encs = [TransformerEncoder(store, f"tf{i}", 4, ModelConfig()) for i in range(2)]
+        Adam(params(store))
+        with pytest.raises(ValueError, match=error):
+            _stack(encs, store.params.values())
 
     @pytest.mark.parametrize("part", [
         lambda ps: {k: t for k, t in ps.items() if k.startswith("topo_tf.")},
