@@ -132,6 +132,8 @@ def load_dataset(directory, name=None) -> Dataset:
             raise LabelOutOfRangeError(
                 f"label {g.label} outside [0,{num_classes})"
             )
+    if num_classes < 2:
+        raise DataError(f"{manifest}: need at least 2 classes, got {num_classes}")
     return Dataset(name or os.path.basename(os.path.normpath(directory)),
                    graphs, num_classes)
 

@@ -253,6 +253,8 @@ def train(features: list, num_classes: int, config: RunConfig):
 
     Returns (model, Metrics with per-epoch mean loss history).
     """
+    if num_classes < 2:
+        raise PipelineError(f"need at least 2 classes, got {num_classes}")
     model = TemporalGraphClassifier(_model_config(features, num_classes, config),
                                     seed=config.seed)
     opt = Adam(model.parameters, lr=config.lr, weight_decay=config.weight_decay)

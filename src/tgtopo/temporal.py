@@ -4,16 +4,16 @@ A temporal graph is a fixed node set plus a list of timestamped undirected
 edge events; the same pair may interact repeatedly.  Sliding windows of
 length ``delta`` advanced by stride ``sigma`` induce a sequence of small
 subgraphs from which downstream descriptors are computed.  A graph's windows
-are cut from one array of its events, and ``stack_windows`` turns them back
-into arrays, grouped by node count, for descriptors computed on stacks.
+are cut from one array of its events into arrays (a ``Windows`` sequence), and
+``stack_windows`` groups them by node count for descriptors computed on stacks.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
 
@@ -155,25 +155,51 @@ class StaticGraph:
     neighbors: tuple  # per-node sorted neighbor tuples
 
 
-def _windows(graph: TemporalGraph, starts, delta, first_index=0) -> list:
-    """Windows [t, t + delta] for the ascending float64 array ``starts``: the
-    events are read into arrays once, one ``searchsorted`` bounds every window,
-    and ``np.unique`` over its slice of u*n + v keys, u < v, gives its pairs."""
-    n = graph.num_nodes
-    first = bisect_left(graph.events, starts[0], key=_time)
-    events = graph.events[first:bisect_right(graph.events, starts[-1] + delta, first, key=_time)]
-    ev = np.fromiter(chain.from_iterable(events), np.float64, 3 * len(events)).reshape(-1, 3)
-    uv = np.sort(ev[:, :2].astype(np.int64), axis=1)
-    keys = uv[:, 0] * n + uv[:, 1]
-    lo = np.searchsorted(ev[:, 2], starts, "left").tolist()
-    hi = np.searchsorted(ev[:, 2], starts + delta, "right").tolist()
-    out = []
-    for i, (t, a, b) in enumerate(zip(starts.tolist(), lo, hi)):
-        pairs, mult = np.unique(keys[a:b], return_counts=True)
-        u, v = (pairs // n).tolist(), (pairs % n).tolist()
-        out.append(WindowGraph(first_index + i, t, delta, tuple(sorted(set(u + v))),
-                               tuple(zip(u, v)), tuple(mult.tolist())))
-    return out
+class Windows(Sequence):
+    """A graph's windows as the arrays ``stack_windows`` reads: ``counts``,
+    every window's sorted global ``nodes`` in turn, and per pair (in window, then
+    lexicographic order) its window ``owner``, ``local`` endpoint indices and
+    event count ``mult``.  Only indexing or iterating builds ``WindowGraph``s."""
+
+    def __init__(self, starts, delta, counts, nodes, owner, local, mult):
+        self.starts, self.delta, self.counts, self.nodes = starts, delta, counts, nodes
+        self.owner, self.local, self.mult = owner, local, mult
+        self.first = np.vstack([[0, 0], np.cumsum(counts[:, :2], axis=0)])  # node, pair
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        i = range(len(self))[k]  # negative indices, IndexError
+        (a, c), (b, d) = self.first[i:i + 2].tolist()
+        u, v = self.nodes[a + self.local[c:d]].T.tolist()
+        return WindowGraph(i, float(self.starts[i]), self.delta, tuple(self.nodes[a:b].tolist()),
+                           tuple(zip(u, v)), tuple(self.mult[c:d].tolist()))
+
+
+def _windows(graph: TemporalGraph, starts, delta) -> Windows:
+    """Windows [t, t + delta] for the ascending float64 array ``starts``: one
+    ``np.unique`` over (window, pair) keys of all windows gives their pairs and
+    multiplicities, one over (window, node) keys their nodes.  Node ids and pairs
+    are ranked first, so no key exceeds events**2 or windows x pairs."""
+    ev = np.fromiter(chain.from_iterable(graph.events), np.float64,
+                     3 * graph.num_events).reshape(-1, 3)
+    ids, rank = np.unique(np.sort(ev[:, :2].astype(np.int64), axis=1), return_inverse=True)
+    pairs, pair = np.unique(rank.reshape(-1, 2) @ [len(ids), 1], return_inverse=True)
+    lo = np.searchsorted(ev[:, 2], starts, "left")
+    size = np.searchsorted(ev[:, 2], starts + delta, "right") - lo
+    at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+    keys, mult = np.unique(np.repeat(np.arange(len(starts)) * len(pairs), size) + pair[at],
+                           return_counts=True)
+    owner, ends = np.divmod(keys, len(pairs))
+    nodes, local = np.unique(owner[:, None] * len(ids) + np.stack(
+        np.divmod(pairs[ends], len(ids)), axis=1), return_inverse=True)
+    sizes = np.bincount(nodes // len(ids), minlength=len(starts))
+    local = local.reshape(-1, 2) - (np.cumsum(sizes) - sizes)[owner, None]
+    counts = np.stack([sizes, np.bincount(owner, minlength=len(starts)), size], axis=1)
+    return Windows(starts, delta, counts, ids[nodes % len(ids)], owner, local, mult)
 
 
 def window(graph: TemporalGraph, t: float, delta: float, window_index=0) -> WindowGraph:
@@ -182,7 +208,7 @@ def window(graph: TemporalGraph, t: float, delta: float, window_index=0) -> Wind
         raise TemporalGraphError(f"delta must be > 0, got {delta}")
     if math.isnan(t):  # would compare false with every timestamp
         raise TemporalGraphError("window start is NaN")
-    return _windows(graph, np.array([t], dtype=np.float64), delta, window_index)[0]
+    return replace(_windows(graph, np.array([t], float), delta)[0], window_index=window_index)
 
 
 def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
@@ -195,14 +221,31 @@ def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
     return int(math.ceil((span - spec.delta) / spec.sigma)) + 1
 
 
-def window_sequence(graph: TemporalGraph, spec: WindowSpec) -> list:
+def window_sequence(graph: TemporalGraph, spec: WindowSpec) -> Windows:
     """Windows anchored at t_min: window i covers [t_min + i*sigma, ... + delta]."""
     starts = graph.t_min + np.arange(window_count(graph, spec)) * spec.sigma
     return _windows(graph, starts, spec.delta)
 
 
+def _pack(windows) -> tuple:
+    """The ``counts``, ``owner`` and ``local`` of ``Windows`` for a list of ``WindowGraph``s."""
+    counts = np.array([(w.num_nodes, w.num_edges, w.num_event_edges) for w in windows],
+                      dtype=np.int64).reshape(-1, 3)
+    sizes, m = counts[:, 0], counts[:, 1]
+    nodes = np.fromiter(chain.from_iterable(w.nodes for w in windows), np.int64, sizes.sum())
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(w.edges for w in windows)),
+                       np.int64, 2 * m.sum()).reshape(-1, 2)
+    ids, nodes = np.unique(nodes, return_inverse=True)  # ranks keep keys below W x len(ids)
+    owner = np.repeat(np.arange(len(counts)), m)
+    keys = np.repeat(np.arange(len(counts)), sizes) * len(ids) + nodes  # ascending
+    first = np.cumsum(sizes) - sizes  # each window's first node in ``keys``
+    ends = owner[:, None] * len(ids) + np.searchsorted(ids, ends)
+    return counts, owner, np.searchsorted(keys, ends) - first[owner, None]
+
+
 def stack_windows(windows) -> tuple:
-    """A graph's windows as arrays, grouped for stacked per-window work.
+    """A ``Windows``' arrays, or a packed list of ``WindowGraph``s, grouped for
+    stacked per-window work.
 
     Returns ``(counts, groups)``: a (W, 3) int array of each window's node,
     pair and event counts, and per run of at most ``STACK_LIMIT // n**2``
@@ -210,17 +253,9 @@ def stack_windows(windows) -> tuple:
     of their indices and of all their pairs in window then lexicographic order,
     as the position of the pair's window in ``ids`` and local indices i < j.
     """
-    counts = np.array([(w.num_nodes, w.num_edges, w.num_event_edges) for w in windows],
-                      dtype=np.int64).reshape(-1, 3)
-    sizes, m = counts[:, 0], counts[:, 1]
-    nodes = np.fromiter(chain.from_iterable(w.nodes for w in windows), np.int64, sizes.sum())
-    ends = np.fromiter(chain.from_iterable(chain.from_iterable(w.edges for w in windows)),
-                       np.int64, 2 * m.sum()).reshape(-1, 2)
-    span = int(nodes.max()) + 1 if len(nodes) else 1
-    owner = np.repeat(np.arange(len(counts)), m)
-    keys = np.repeat(np.arange(len(counts)), sizes) * span + nodes  # ascending
-    first = np.cumsum(sizes) - sizes  # each window's first node in ``keys``
-    local = np.searchsorted(keys, owner[:, None] * span + ends) - first[owner, None]
+    counts, owner, local = ((windows.counts, windows.owner, windows.local)
+                            if isinstance(windows, Windows) else _pack(windows))
+    sizes = counts[:, 0]
     size_of, groups = sizes[owner], []
     for n in np.unique(sizes[sizes > 0]).tolist():
         ids = np.flatnonzero(sizes == n)
@@ -259,11 +294,7 @@ def static_projection(graph: TemporalGraph) -> StaticGraph:
     """Union of all event pairs with timestamps discarded."""
     pairs = sorted({(u, v) if u < v else (v, u) for u, v, _ in graph.events})
     nbrs = [[] for _ in range(graph.num_nodes)]
-    for u, v in pairs:
+    for u, v in pairs:  # in this order each node's neighbours arrive sorted
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return StaticGraph(
-        num_nodes=graph.num_nodes,
-        edges=tuple(pairs),
-        neighbors=tuple(tuple(sorted(ns)) for ns in nbrs),
-    )
+    return StaticGraph(graph.num_nodes, tuple(pairs), tuple(map(tuple, nbrs)))

@@ -6,7 +6,8 @@ descriptor needs nothing higher.  ``topo_descriptors`` works on a graph's
 windows stacked by node count (``temporal.stack_windows``): one label
 propagation gives every window's beta_0 and one ``nonzero`` on the stacked
 0/1 upper adjacency its triangles; beta_1 is the cycle rank minus the GF(2)
-rank of the triangle boundary columns, each an int with bit x set for edge x.
+rank of the triangle boundary columns: Python ints with bit x set for edge x,
+ORed together from an object array of powers of two.
 """
 
 from __future__ import annotations
@@ -99,13 +100,16 @@ def _components(g, n, owner, i, j) -> np.ndarray:
 def _triangles(g, n, owner, i, j):
     """Triangles (i[e], j[e], k) of g graphs on n vertices, lexicographic within
     each graph, with the in-graph indices ``ij``, ``ik`` and ``jk`` of their edges."""
-    up = np.zeros((g, n, n), dtype=bool)  # edges to higher-index neighbours
-    up[owner, i, j] = True
-    e, k = np.nonzero(up[owner, i] & up[owner, j])
-    index = np.zeros((g, n, n), dtype=np.int64)
-    index[owner, i, j] = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    oe, ie, je = owner[e], i[e], j[e]
-    return e, k, index[oe, ie, je], index[oe, ie, k], index[oe, je, k]
+    row, col = owner * n + i, owner * n + j  # rows of vertices i and j in a (g*n, n) stack
+    up = np.zeros((g * n, n), dtype=bool)  # edges to higher-index neighbours
+    up[row, j] = True
+    both = up.take(row, axis=0)
+    both &= up.take(col, axis=0)
+    e, k = np.nonzero(both)
+    local = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    index = np.empty((g * n, n), dtype=np.int32)  # read only where ``up`` is set
+    index[row, j] = local
+    return e, k, local[e], index[row[e], k], index[col[e], k]
 
 
 def topo_descriptors(stack, count_edge_multiplicity=False) -> np.ndarray:
@@ -118,7 +122,8 @@ def topo_descriptors(stack, count_edge_multiplicity=False) -> np.ndarray:
     for n, ids, owner, i, j in groups:
         comps = _components(len(ids), n, owner, i, j)
         e, _, ij, ik, jk = _triangles(len(ids), n, owner, i, j)
-        cols = [1 << x | 1 << y | 1 << z for x, y, z in zip(ij.tolist(), ik.tolist(), jk.tolist())]
+        bit = 1 << np.arange(counts[ids, 1].max()).astype(object)  # Python ints: 1 << edge
+        cols = (bit[ij] | bit[ik] | bit[jk]).tolist()
         cut = np.searchsorted(owner[e], np.arange(len(ids) + 1)).tolist()
         ranks = [_rank(cols[a:b]) for a, b in zip(cut, cut[1:])]
         out[ids, 2], out[ids, 3] = comps, counts[ids, 1] - n + comps - ranks

@@ -134,6 +134,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("header", ["# classes 1\n", ""])
+    def test_one_class_data_is_data_error(self, header, tmp_path, capsys):
+        # two graphs of class 0 once trained to accuracy 1.0 with exit 0
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "manifest.txt").write_text(header + "a.txt\nb.txt\n")
+        for name in ("a.txt", "b.txt"):
+            (ds / name).write_text("n 3 label 0\n0 1 1.0\n1 2 2.0\n")
+        (tmp_path / "run.cfg").write_text("epochs = 1\nfolds = 2\n")
+        assert main(["cv", "--data", str(ds), "--config", str(tmp_path / "run.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda p: {"format": "other"}, id="unknown_format"),
         pytest.param(lambda p: [p], id="not_an_object"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tgtopo.data import (
+    DataError,
     Dataset,
     InvalidSpecError,
     LabelOutOfRangeError,
@@ -86,6 +87,16 @@ class TestDatasetIO:
         manifest.write_text(text)
         with pytest.raises(LabelOutOfRangeError):
             load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("header", ["# classes 1\n", ""])
+    def test_one_class_rejected(self, tmp_path, header):
+        # a one-logit classifier cannot be wrong, so one class is no task
+        ds = tmp_path / "ds"
+        save_dataset(Dataset("one", self._dataset().graphs[::2], 2), ds)
+        manifest = ds / "manifest.txt"
+        manifest.write_text(header + manifest.read_text().split("\n", 1)[1])
+        with pytest.raises(DataError, match="at least 2 classes"):
+            load_dataset(ds)
 
     def test_name_defaults_to_directory(self, tmp_path):
         save_dataset(self._dataset(), tmp_path / "mystuff")

@@ -1,13 +1,14 @@
 """Hypothesis fuzzing of the inputs a user hands the program: a checkpoint,
-a run config, a graph file, a dataset manifest and an event list may fail
-only with the package's documented errors."""
+a run config, a graph file, a dataset manifest, an event list and a synth
+spec may fail only with the package's documented errors."""
 
 import json
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tgtopo.data import Dataset, load_dataset, load_graph
+from tgtopo.cli import main
+from tgtopo.data import Dataset, InvalidSpecError, load_dataset, load_graph, synth_generate
 from tgtopo.errors import InputError
 from tgtopo.model import CheckpointError, TemporalGraphClassifier
 from tgtopo.pipeline import PipelineError, RunConfig
@@ -146,3 +147,30 @@ def test_load_dataset_gives_a_dataset_or_a_data_error(tmp_path_factory, manifest
         assert isinstance(load_dataset(root), Dataset)
     except (InputError, OSError):
         pass
+
+
+# Integers stay small, so no example plants more than a few thousand events.
+spec_values = st.integers(-1, 5) | json_values.filter(lambda v: type(v) is not int)
+spec_dicts = st.fixed_dictionaries({}, optional={
+    **dict.fromkeys(["num_graphs", "nodes", "timesteps", "classes", "anchor_stride", "extra"],
+                    spec_values),
+    "cycle_density": st.lists(spec_values, max_size=4) | spec_values,
+})
+
+
+@given(json_values | spec_dicts)
+@example({"num_graphs": 2, "nodes": 4, "timesteps": 3, "classes": 2, "cycle_density": [0, 1]})
+@example({"num_graphs": 2, "nodes": 4, "timesteps": 3, "classes": 2, "cycle_density": [0, 4]})
+@example({"num_graphs": 1.0, "nodes": 4, "timesteps": 3, "classes": 2, "cycle_density": [0, 1]})
+@settings(max_examples=200, deadline=None)
+def test_synth_gives_a_dataset_or_an_invalid_spec_error(tmp_path_factory, spec):
+    try:
+        assert isinstance(synth_generate(spec, 0), Dataset)
+    except InvalidSpecError:
+        pass
+    # an exception that main does not map to an exit code would reach a traceback
+    root = tmp_path_factory.mktemp("synth")
+    (root / "spec.json").write_text(json.dumps(spec))
+    code = main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "x"),
+                 "--seed", "0"])
+    assert code in (0, 2)

@@ -1,4 +1,5 @@
-"""Every function and method that perfbench's traced run wraps exists.
+"""Every function and method that perfbench's traced run wraps exists, and
+extraction still calls the one that marks a graph's start.
 
 The traced benchmark replaces the package's functions by name; a renamed or
 deleted one would fail only the benchmark's self-test.  This runs the same
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import tgtopo.model
+import tgtopo.temporal
+from tgtopo.data import synth_generate
+from tgtopo.pipeline import RunConfig, extract_descriptors
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,3 +34,22 @@ def test_every_traced_name_exists(monkeypatch):
         bench.wrap_layers(bench.Program(), tracer)
         assert tgtopo.model.TransformerEncoder.forward.__wrapped__ is forward
     assert tgtopo.model.TransformerEncoder.forward is forward
+
+
+def test_each_graph_extraction_starts_with_one_window_sequence_call():
+    # perfbench times a graph's extraction from its window_sequence call, so a
+    # pass that bypasses it records no extraction units
+    spans = _load("spans")
+    dataset = synth_generate(dict(num_graphs=4, nodes=8, timesteps=8, classes=2,
+                                  cycle_density=[0, 2]), 1)
+    log = []
+    with spans.Tracer() as tracer:
+        tracer.wrap(tgtopo.temporal, "window_sequence", "temporal.window_sequence",
+                    lambda r, a, k, s: log.append(("windows", a[0], r)))
+        tracer.wrap(tgtopo.temporal, "stack_windows", "temporal.stack_windows",
+                    lambda r, a, k, s: log.append(("stack", a[0])))
+        extract_descriptors(dataset, RunConfig(delta=4.0, sigma=2.0))
+    assert tracer.calls["temporal.window_sequence"] == len(dataset.graphs)
+    assert [entry[0] for entry in log] == ["windows", "stack"] * len(dataset.graphs)
+    for (_, graph, windows), (_, stacked), g in zip(log[::2], log[1::2], dataset.graphs):
+        assert graph is g and stacked is windows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tgtopo.pipeline
-from tgtopo.data import synth_generate
+from tgtopo.data import Dataset, synth_generate
 from tgtopo.model import TemporalGraphClassifier
 from tgtopo.pipeline import (
     AttentionReport,
@@ -78,17 +78,15 @@ class TestExtraction:
             assert gf.label == g.label
 
     def test_local_edges_built_once_per_window(self, small_dataset, monkeypatch):
-        # stack_windows builds the local edge indices of every window it is
-        # given; extraction stacks each graph's windows once, for both views
+        # extraction stacks each graph's windows once, for both views: one
+        # stack_windows call per graph, given each of its windows once
         cfg = RunConfig(delta=6.0, sigma=4.0)
         calls = []
         monkeypatch.setattr(tgtopo.pipeline, "stack_windows",
                             lambda ws: calls.append(ws) or stack_windows(ws))
         extract_descriptors(small_dataset, cfg)
-        seen = [id(w) for ws in calls for w in ws]
-        windows = sum(window_count(g, cfg.window_spec()) for g in small_dataset.graphs)
-        assert len(calls) == len(small_dataset.graphs)
-        assert len(seen) == windows == len(set(seen))
+        counts = [window_count(g, cfg.window_spec()) for g in small_dataset.graphs]
+        assert [[w.window_index for w in ws] for ws in calls] == [list(range(c)) for c in counts]
 
     def test_feature_width_is_dataset_wide(self, small_dataset, small_features):
         grid = {t for g in small_dataset.graphs for _, _, t in g.events}
@@ -264,6 +262,14 @@ class TestTraining:
 
 
 class TestKfoldCv:
+    def test_one_class_rejected(self, small_dataset, small_features):
+        cfg = RunConfig(delta=6.0, sigma=4.0, epochs=1, folds=2)
+        with pytest.raises(PipelineError, match="at least 2 classes"):
+            train(small_features, 1, cfg)
+        one = Dataset(small_dataset.name, small_dataset.graphs, 1)
+        with pytest.raises(PipelineError, match="at least 2 classes"):
+            kfold_cv(one, cfg, features=small_features)
+
     def test_small_cv(self, small_dataset, small_features):
         cfg = RunConfig(mode="topo-only", epochs=10, seed=3, folds=5)
         metrics, report = kfold_cv(small_dataset, cfg, features=small_features)

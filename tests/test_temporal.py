@@ -12,8 +12,10 @@ from tgtopo.temporal import (
     OutOfRangeNodeError,
     SelfLoopError,
     TemporalGraphError,
+    WindowGraph,
     WindowSpec,
     from_events,
+    stack_windows,
     static_projection,
     temporal_degree,
     window,
@@ -225,6 +227,64 @@ class TestWindowSequence:
         g = from_events(2, [(0, 1, 0.0), (0, 1, span)])
         spec = WindowSpec(delta, frac * delta)
         assert window_count(g, spec) == len(window_sequence(g, spec))
+
+
+def oracle_windows(graph, spec):
+    """Every window of the sequence, each cut by its own linear scan."""
+    out = []
+    for i in range(window_count(graph, spec)):
+        t = graph.t_min + i * spec.sigma
+        edges, mult = window_linear_scan(graph, t, spec.delta)
+        out.append(WindowGraph(i, t, spec.delta, tuple(sorted({x for e in edges for x in e})),
+                               edges, mult))
+    return out
+
+
+def stack_bytes(stack):
+    counts, groups = stack
+    return [(counts.dtype.str, counts.shape, counts.tobytes())] + [
+        (n, *((a.dtype.str, a.tobytes()) for a in arrays)) for n, *arrays in groups]
+
+
+@st.composite
+def gappy_graphs(draw):
+    """Up to 12 nodes, whose ids may sit far apart (up to 2**52), and events
+    on an integer grid with gaps, so that some windows are empty."""
+    n = draw(st.sampled_from([3, 12, 2**52]))
+    ids = st.integers(0, 11).map(lambda x: x if n == 12 else (n - 1 - x) % n)
+    times = st.integers(0, 12) | st.integers(30, 40) | st.floats(0, 40)
+    events = draw(st.lists(st.tuples(ids, ids, times), min_size=1, max_size=40))
+    events = [(u, v, float(t)) for u, v, t in events if u != v]
+    return from_events(n, events or [(0, 1, 0.0)])
+
+
+class TestTwoWaysIntoStack:
+    """``window_sequence``'s lazy windows, a list of the windows it builds and
+    ``window`` all describe the same windows."""
+
+    @staticmethod
+    def check(graph, spec):
+        seq, want = window_sequence(graph, spec), oracle_windows(graph, spec)
+        assert len(seq) == len(want) and list(seq) == want
+        assert [seq[-k] for k in range(1, len(seq) + 1)] == want[::-1]
+        for cut in (slice(None), slice(1, None, 2), slice(-3, None), slice(None, None, -1),
+                    slice(5, 2)):
+            assert seq[cut] == want[cut]
+        with pytest.raises(IndexError):
+            seq[len(seq)]
+        assert stack_bytes(stack_windows(seq)) == stack_bytes(stack_windows(list(seq)))
+        for w in want:
+            assert window(graph, w.t_start, spec.delta, w.window_index) == w
+
+    def test_toy(self, toy_graph):
+        self.check(toy_graph, WindowSpec(2.0, 1.0))
+        self.check(toy_graph, WindowSpec(1.5, 0.5))
+
+    @given(graph=gappy_graphs(), spec=st.sampled_from(
+        [WindowSpec(2.0, 1.0), WindowSpec(4.0, 1.0), WindowSpec(1.0, 0.5), WindowSpec(3.0, 2.5)]))
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_graphs(self, graph, spec):
+        self.check(graph, spec)
 
 
 class TestTemporalDegree:
