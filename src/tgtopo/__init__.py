@@ -17,15 +17,12 @@ from .topology import (
     CliqueComplex2,
     PersistenceDiagram,
     BettiVector,
-    TopoDescriptor,
     clique_complex,
     betti0,
     betti1,
     gf2_rank,
     sublevel_persistence0,
     betti_curve,
-    topo_descriptor,
-    l1_distance,
 )
 from .spectral import (
     SymMatrix,

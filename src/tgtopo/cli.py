@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error (malformed, out-of-range or
-unreadable input, or an unwritable output path), 3 numerical failure.  Every
-error the package defines derives from ``InputError`` (2) or ``NumericalError``
-(3); the other errors caught come from json, the OS, LAPACK and numpy.
+Exit codes: 0 success, 1 usage error, 2 data error (malformed, out-of-range,
+unreadable or too-large-for-memory input, or an unwritable output path), 3
+numerical failure.  Every error the package defines derives from ``InputError``
+(2) or ``NumericalError`` (3); the others come from json, the OS, memory, LAPACK
+and numpy.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (InputError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, json.JSONDecodeError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:

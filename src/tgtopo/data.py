@@ -52,10 +52,6 @@ class Dataset:
     def __len__(self):
         return len(self.graphs)
 
-    @property
-    def labels(self):
-        return [g.label for g in self.graphs]
-
 
 def write_graph(graph: TemporalGraph, path):
     with open(path, "w") as fh:

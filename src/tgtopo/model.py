@@ -314,11 +314,6 @@ def fusion_attention(views: Tensor, wq, wk, wv):
     return fused, probs[0].sum(axis=0) / len(probs[0])
 
 
-def classify(fused: Tensor, w, b) -> Tensor:
-    """Affine map to class logits; no activation."""
-    return ad.linear(fused, w, b)
-
-
 class TemporalGraphClassifier:
     """End-to-end three-view classifier with ablation modes."""
 
@@ -415,7 +410,7 @@ class TemporalGraphClassifier:
             weights = np.eye(3)[{"gsage-only": 0, "topo-only": 1, "dos-only": 2}[cfg.mode]]
         if train and cfg.dropout > 0:
             fused = ad.dropout(fused, cfg.dropout, rng, train)
-        logits = classify(fused, self.cls_w, self.cls_b)
+        logits = ad.linear(fused, self.cls_w, self.cls_b)
         return logits, FusionOutput(fused.data.reshape(-1).copy(), weights)
 
     def save(self, path):

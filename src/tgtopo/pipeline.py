@@ -16,7 +16,6 @@ from .model import (
     ModelConfig,
     TemporalGraphClassifier,
     mean_aggregation_matrix,
-    VIEW_NAMES,
 )
 from .optim import Adam
 from .temporal import (
@@ -166,7 +165,7 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     return out
 
 
-# -- descriptor caching -------------------------------------------------------
+# -- descriptor CSVs ---------------------------------------------------------
 
 def save_descriptors(features: list, directory):
     os.makedirs(directory, exist_ok=True)
@@ -183,47 +182,6 @@ def save_descriptors(features: list, directory):
             for wi in range(gf.psi.shape[0]):
                 vals = ",".join(repr(float(x)) for x in gf.psi[wi])
                 fh.write(f"{gid},{wi},{vals},{int(gf.psi_empty[wi])}\n")
-    np.savez(
-        os.path.join(directory, "inputs.npz"),
-        labels=np.array([gf.label for gf in features]),
-        **{f"feat_{i}": gf.features for i, gf in enumerate(features)},
-        **{f"agg_{i}": gf.agg for i, gf in enumerate(features)},
-    )
-
-
-def load_descriptors(directory) -> list:
-    phi_rows = {}
-    with open(os.path.join(directory, "topo.csv")) as fh:
-        next(fh)
-        for line in fh:
-            gid, wi, v, e, b0, b1 = line.split(",")
-            phi_rows.setdefault(int(gid), []).append(
-                [float(v), float(e), float(b0), float(b1)]
-            )
-    psi_rows = {}
-    empty_rows = {}
-    with open(os.path.join(directory, "dos.csv")) as fh:
-        next(fh)
-        for line in fh:
-            parts = line.strip().split(",")
-            gid = int(parts[0])
-            psi_rows.setdefault(gid, []).append([float(x) for x in parts[2:-1]])
-            empty_rows.setdefault(gid, []).append(bool(int(parts[-1])))
-    npz = np.load(os.path.join(directory, "inputs.npz"))
-    labels = npz["labels"]
-    out = []
-    for gid in range(len(labels)):
-        out.append(
-            GraphFeatures(
-                label=int(labels[gid]),
-                phi=np.array(phi_rows[gid]),
-                psi=np.array(psi_rows[gid]),
-                psi_empty=np.array(empty_rows[gid]),
-                features=npz[f"feat_{gid}"],
-                agg=npz[f"agg_{gid}"],
-            )
-        )
-    return out
 
 
 # -- training -----------------------------------------------------------------

@@ -49,8 +49,6 @@ class PerturbationSpec:
 class StabilityReport:
     mode: str
     trials: list = field(default_factory=list)  # (magnitude, distance)
-    graph_nodes: int = 0
-    graph_edges: int = 0
 
     @property
     def empirical_constant(self) -> float:
@@ -199,15 +197,11 @@ def run_campaign(spec: PerturbationSpec, bins: int = 4) -> StabilityReport:
             g = random_temporal_graph(rng)
             lhs, rhs = topo_stability_trial(g, spec.magnitude, trial_seed)
             report.trials.append((rhs, lhs))
-            report.graph_nodes = max(report.graph_nodes, g.num_nodes)
-            report.graph_edges = max(report.graph_edges, g.num_events)
         else:
             win = random_er_window(rng)
             k = int(spec.magnitude)
             w1, ratio_base = spectral_stability_trial(win, k, trial_seed, bins)
             report.trials.append((ratio_base, w1))
-            report.graph_nodes = max(report.graph_nodes, win.num_nodes)
-            report.graph_edges = max(report.graph_edges, win.num_edges)
     return report
 
 

@@ -91,8 +91,9 @@ STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of fl
 
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
     """Build a TemporalGraph, validating integer endpoints and times, sorting by time."""
-    if not isinstance(num_nodes, numbers.Integral) or num_nodes <= 0:
-        raise TemporalGraphError(f"num_nodes must be a positive integer, got {num_nodes}")
+    # windows read node ids through float64, which is exact only up to 2**53
+    if not isinstance(num_nodes, numbers.Integral) or not 0 < num_nodes <= 2**53:
+        raise TemporalGraphError(f"num_nodes must be an integer in [1, 2**53], got {num_nodes}")
     checked = []
     for u, v, t in events:
         try:

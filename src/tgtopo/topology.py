@@ -35,10 +35,6 @@ class EmptyThresholdsError(TopologyError):
     pass
 
 
-class ThresholdMismatchError(TopologyError):
-    pass
-
-
 @dataclass(frozen=True)
 class CliqueComplex2:
     """2-truncated clique complex: vertices 0..n-1, edges, 3-cliques, and beta_0."""
@@ -59,19 +55,6 @@ class PersistenceDiagram:
 class BettiVector:
     thresholds: tuple
     values: tuple
-
-
-@dataclass(frozen=True)
-class TopoDescriptor:
-    """Per-window 4-vector: node count, edge count, beta_0, beta_1."""
-
-    v_count: int
-    e_count: int
-    betti0: int
-    betti1: int
-
-    def as_list(self):
-        return [self.v_count, self.e_count, self.betti0, self.betti1]
 
 
 def _find(parent, x):
@@ -113,9 +96,9 @@ def _triangles(g, n, owner, i, j):
 
 
 def topo_descriptors(stack, count_edge_multiplicity=False) -> np.ndarray:
-    """(W, 4) int array of ``TopoDescriptor`` rows of ``temporal.stack_windows``
-    windows; ``count_edge_multiplicity`` switches the edge count from
-    deduplicated pairs to total event occurrences."""
+    """(W, 4) int rows (v, e, beta_0, beta_1) of ``temporal.stack_windows``
+    windows: node count, edge count and Betti numbers; ``count_edge_multiplicity``
+    switches e from deduplicated pairs to total event occurrences."""
     counts, groups = stack
     out = np.zeros((len(counts), 4), dtype=np.int64)
     out[:, :2] = counts[:, [0, 2 if count_edge_multiplicity else 1]]
@@ -182,12 +165,6 @@ def betti1(cx: CliqueComplex2) -> int:
     return int(topo_descriptors(stack_windows([win]))[0, 3])
 
 
-def topo_descriptor(win, count_edge_multiplicity=False) -> TopoDescriptor:
-    """One window's row of ``topo_descriptors``."""
-    row = topo_descriptors(stack_windows([win]), count_edge_multiplicity)[0]
-    return TopoDescriptor(*row.tolist())
-
-
 def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> PersistenceDiagram:
     """Degree-0 persistence of the sublevel filtration by edge values.
 
@@ -246,9 +223,3 @@ def betti_curve(pd: PersistenceDiagram, thresholds) -> BettiVector:
     for t in thresholds:
         vals.append(sum(1 for b, d in pd.points if b <= t < d))
     return BettiVector(thresholds, tuple(vals))
-
-
-def l1_distance(a: BettiVector, b: BettiVector) -> float:
-    if a.thresholds != b.thresholds:
-        raise ThresholdMismatchError("Betti vectors sampled on different grids")
-    return float(sum(abs(x - y) for x, y in zip(a.values, b.values)))

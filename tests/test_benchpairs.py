@@ -82,3 +82,12 @@ def test_verdict_line_names_gains_shown_and_unresolved_metrics():
     assert ok
     (line,), _ = benchpairs.verdict(_report())
     assert "gain shown: none; unresolved: none;" in line
+
+
+@pytest.mark.parametrize("parent, change, line", [
+    (2754, 2665, "src/ lines: 2754 -> 2665 (-89)"),
+    (2714, 2754, "src/ lines: 2714 -> 2754 (+40)"),
+    (2754, 2754, "src/ lines: 2754 -> 2754 (+0)")])
+def test_src_lines_line_reports_the_delta(parent, change, line):
+    report = {"parent": {"src_lines": parent}, "change": {"src_lines": change}}
+    assert benchpairs.src_lines_line(report) == line

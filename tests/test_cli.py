@@ -29,6 +29,15 @@ def _graph_args(root, dataset_dir, events):
     return ["extract", "--data", str(ds), "--out", str(root / "o")]
 
 
+def _node_count_args(root, dataset_dir, n):
+    ds = root / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_text("g.txt\nh.txt\n")
+    (ds / "g.txt").write_text(f"n {n} label 0\n0 1 1.0\n")
+    (ds / "h.txt").write_text("n 3 label 1\n0 1 1.0\n")
+    return ["extract", "--data", str(ds), "--out", str(root / "o")]
+
+
 def _cv_args(root, dataset_dir, config):
     cfg = root / "run.cfg"
     cfg.write_text("epochs = 1\n" + config)
@@ -97,6 +106,9 @@ class TestExitCodes:
         pytest.param(_graph_args, "0 7 1.0\n", id="node_out_of_range"),
         pytest.param(_graph_args, "0 1 1.0\n0 1 nan\n", id="trailing_nan_timestamp"),
         pytest.param(_graph_args, "0 1 inf\n1 2 1.0\n", id="inf_timestamp"),
+        pytest.param(_node_count_args, 2**54, id="node_count_above_two_to_53"),
+        # the (n, T) temporal-degree array of 64 PiB fails to allocate at once
+        pytest.param(_node_count_args, 2**53, id="node_count_out_of_memory"),
         pytest.param(_cv_args, "frobs = 1\n", id="unknown_config_key"),
         pytest.param(_cv_args, "epochs = abc\n", id="uncastable_config_value"),
         pytest.param(_cv_args, "delta = 4.0\nsigma = 4.0\n", id="sigma_not_below_delta"),
@@ -224,8 +236,7 @@ class TestExtract:
     def test_writes_cache(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "cache"
         assert main(["extract", "--data", str(dataset_dir), "--out", str(out)]) == 0
-        for name in ("topo.csv", "dos.csv", "inputs.npz"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == ["dos.csv", "topo.csv"]
 
 
 class TestTrainEvalCv:

@@ -20,7 +20,6 @@ from tgtopo.model import (
     _ParamStore,
     _row,
     _stack,
-    classify,
     encode,
     fusion_attention,
     mean_aggregation_matrix,
@@ -818,12 +817,6 @@ class TestClassifier:
         assert all(node._backward is not None for node in order)
         assert not any(node in order for node in model.parameters.values())
         assert len(order) == 6
-
-    def test_classify_is_affine(self):
-        w = Tensor(np.array([[1.0, -1.0], [0.5, 2.0]]), requires_grad=True)
-        b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
-        out = classify(Tensor(np.array([[2.0, 4.0]])), w, b)
-        assert np.allclose(out.data, [[2.0 + 2.0 + 0.1, -2.0 + 8.0 - 0.2]])
 
     def test_checkpoint_config_cannot_size_the_model(self, tmp_path):
         # a 98-byte file whose config asks for 1500-wide layers and that holds

@@ -48,6 +48,12 @@ class TestFromEvents:
         with pytest.raises(TemporalGraphError, match="integer"):
             from_events(3, [(u, v, 0.0)])
 
+    def test_node_count_above_two_to_53_rejected(self):
+        # windows read node ids through float64, which is exact only up to 2**53
+        with pytest.raises(TemporalGraphError, match="2\\*\\*53"):
+            from_events(2**60, [(2**60 - 1, 2**60 - 3, 0.0)])
+        assert from_events(2**53, [(2**53 - 1, 2**53 - 3, 0.0)]).num_nodes == 2**53
+
     def test_integral_float_node_ids_accepted(self):
         assert from_events(3, [(0.0, np.int64(2), 1.0)]).events == ((0, 2, 1.0),)
 
@@ -248,9 +254,9 @@ def stack_bytes(stack):
 
 @st.composite
 def gappy_graphs(draw):
-    """Up to 12 nodes, whose ids may sit far apart (up to 2**52), and events
+    """Up to 12 nodes, whose ids may sit far apart (up to 2**53 - 1), and events
     on an integer grid with gaps, so that some windows are empty."""
-    n = draw(st.sampled_from([3, 12, 2**52]))
+    n = draw(st.sampled_from([3, 12, 2**52, 2**53]))
     ids = st.integers(0, 11).map(lambda x: x if n == 12 else (n - 1 - x) % n)
     times = st.integers(0, 12) | st.integers(30, 40) | st.floats(0, 40)
     events = draw(st.lists(st.tuples(ids, ids, times), min_size=1, max_size=40))

@@ -5,19 +5,18 @@ import pytest
 
 from conftest import bfs_component_count, gf2_rank_dense, random_er_edges, window_from_edges
 from tgtopo.spectral import normalized_laplacian
+from tgtopo.temporal import from_events, stack_windows, window
 from tgtopo.topology import (
     EmptyThresholdsError,
     PersistenceDiagram,
-    ThresholdMismatchError,
     betti0,
     betti1,
     betti_curve,
     boundary2_matrix,
     clique_complex,
     gf2_rank,
-    l1_distance,
     sublevel_persistence0,
-    topo_descriptor,
+    topo_descriptors,
 )
 
 INF = math.inf
@@ -76,7 +75,7 @@ class TestCliqueComplex:
             assert list(cx.edges) == es
             assert list(cx.triangles) == brute
             assert cx.components == bfs_component_count(m, es)
-            assert topo_descriptor(w).betti0 == betti0(w) == cx.components
+            assert topo_descriptors(stack_windows([w]))[0, 2] == betti0(w) == cx.components
             adjacent = np.nonzero(np.triu(normalized_laplacian(w).array, 1))
             assert sorted(zip(*(ix.tolist() for ix in adjacent))) == es
 
@@ -268,54 +267,22 @@ class TestBettiCurve:
             betti_curve(PersistenceDiagram(0, ()), [])
 
 
+def descriptor(w, count_edge_multiplicity=False):
+    return topo_descriptors(stack_windows([w]), count_edge_multiplicity)[0].tolist()
+
+
 class TestDescriptor:
     def test_empty_window(self):
-        d = topo_descriptor(window_from_edges([]))
-        assert d.as_list() == [0, 0, 0, 0]
+        assert descriptor(window_from_edges([])) == [0, 0, 0, 0]
 
     def test_c4(self):
-        d = topo_descriptor(window_from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))
-        assert d.as_list() == [4, 4, 1, 1]
+        assert descriptor(window_from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])) == [4, 4, 1, 1]
 
     def test_k4(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        d = topo_descriptor(window_from_edges(edges))
-        assert d.as_list() == [4, 6, 1, 0]
+        assert descriptor(window_from_edges(edges)) == [4, 6, 1, 0]
 
     def test_multiplicity_flag(self):
-        from tgtopo.temporal import from_events, window
-
-        g = from_events(2, [(0, 1, 1.0), (0, 1, 2.0)])
-        w = window(g, 0.0, 3.0)
-        assert topo_descriptor(w).e_count == 1
-        assert topo_descriptor(w, count_edge_multiplicity=True).e_count == 2
-
-
-class TestL1Distance:
-    def test_identical(self):
-        a = betti_curve(PersistenceDiagram(0, ((0.0, INF),)), [0, 1])
-        assert l1_distance(a, a) == 0.0
-
-    def test_unit_difference(self):
-        pd_a = PersistenceDiagram(0, ((0.0, INF),))
-        pd_b = PersistenceDiagram(0, ((1.0, INF),))
-        a = betti_curve(pd_a, [0, 1])
-        b = betti_curve(pd_b, [0, 1])
-        assert l1_distance(a, b) == 1.0
-
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(3)
-        grid = [0.0, 1.0, 2.0, 3.0]
-        for _ in range(20):
-            pts_a = tuple((float(b), float(b + rng.uniform(0.1, 3))) for b in rng.uniform(0, 3, 4))
-            pts_b = tuple((float(b), float(b + rng.uniform(0.1, 3))) for b in rng.uniform(0, 3, 4))
-            a = betti_curve(PersistenceDiagram(0, pts_a), grid)
-            b = betti_curve(PersistenceDiagram(0, pts_b), grid)
-            direct = sum(abs(x - y) for x, y in zip(a.values, b.values))
-            assert l1_distance(a, b) == direct
-
-    def test_grid_mismatch_rejected(self):
-        a = betti_curve(PersistenceDiagram(0, ()), [0.0])
-        b = betti_curve(PersistenceDiagram(0, ()), [1.0])
-        with pytest.raises(ThresholdMismatchError):
-            l1_distance(a, b)
+        w = window(from_events(2, [(0, 1, 1.0), (0, 1, 2.0)]), 0.0, 3.0)
+        assert descriptor(w)[1] == 1
+        assert descriptor(w, count_edge_multiplicity=True)[1] == 2

@@ -21,7 +21,8 @@ more than the parent's interquartile range), whether the metric is unresolved
 pairs cannot tell a regression of that size from noise), both sides'
 fingerprints, the ``src/`` line counts, a sha256 of each side's ``src/`` files
 (so the file can be tied to the code it measured even when the change was not
-yet committed) and the environment.  After writing it, the script prints one
+yet committed) and the environment.  After writing it, the script prints the
+``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and one
 stderr line per workload (each metric's median parent -> change, the pairs
 won, and the metrics outside their bound, with a gain shown, and unresolved)
 and exits 1 if any pair's fingerprints differ or any run failed an operation.
@@ -135,6 +136,11 @@ def verdict(report):
     return lines, ok
 
 
+def src_lines_line(report):
+    parent, change = report["parent"]["src_lines"], report["change"]["src_lines"]
+    return f"src/ lines: {parent} -> {change} ({change - parent:+d})"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -174,7 +180,7 @@ def main(argv=None):
                              "system": platform.platform()}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     lines, ok = verdict(report)
-    for line in lines:
+    for line in [src_lines_line(report), *lines]:
         print(line, file=sys.stderr)
     return 0 if ok else 1
 
