@@ -69,8 +69,7 @@ def normalized_laplacian(win) -> SymMatrix:
     if n == 0:
         raise EmptyWindowError("cannot build a Laplacian for an empty window")
     a = np.zeros((n, n), dtype=np.float64)
-    # nodes are sorted, so searchsorted gives each endpoint's local index
-    i, j = np.searchsorted(win.nodes, np.array(win.edges).reshape(-1, 2)).T
+    i, j = win.local_edges().T
     a[i, j] = a[j, i] = 1.0
     lap = _laplacians(a)
     lap.flags.writeable = False

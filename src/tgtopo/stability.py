@@ -5,13 +5,15 @@ Two perturbation regimes: shifting every event timestamp by bounded noise
 inserting/deleting edges in a window (spectral route, Wasserstein distance
 between DoS histograms).  Neither bound constant has a closed form, so
 campaigns report the observed sup ratio instead of asserting a theoretical
-value.
+value.  Campaigns run on numpy arrays (ER windows from one vector of draws,
+edge edits on masks and a degree array) and make the same random draws, in
+the same order, as the per-pair loops they replaced.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -39,10 +41,13 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.mode not in ("timestamp", "edge"):
             raise StabilityError(f"unknown mode {self.mode!r}")
-        if self.mode == "timestamp" and not self.magnitude > 0:
-            raise StabilityError("timestamp mode needs eps > 0")
-        if self.mode == "edge" and self.magnitude < 0:
-            raise StabilityError("edge mode needs k >= 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise StabilityError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # larger noise overflows the trials' L1 sums (or uniform's range) to inf
+        if self.mode == "timestamp" and not 0 < self.magnitude <= 1e300:
+            raise StabilityError(f"timestamp mode needs 0 < eps <= 1e300, got {self.magnitude}")
+        if self.mode == "edge" and not (self.magnitude >= 0 and self.magnitude % 1 == 0):
+            raise StabilityError(f"edge mode needs an integer k >= 0, got {self.magnitude}")
 
 
 @dataclass
@@ -79,40 +84,40 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
 def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
     """Apply exactly k edge insertions/deletions (uniform mix) to a window.
 
-    Deletions that would isolate a node are re-drawn; raises InfeasibleKError
+    A pair is modified at most once, so the symmetric difference has exactly
+    k pairs.  Deletions are drawn only from original edges whose endpoints
+    both keep another edge, so no node is isolated; raises InfeasibleKError
     when k exceeds the feasible modification count.
     """
     rng = np.random.default_rng(seed)
-    edges = set(win.edges)
-    non_edges = sorted(p for p in combinations(win.nodes, 2) if p not in edges)
-    degree = dict.fromkeys(win.nodes, 0)
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    touched = set()  # a pair is modified at most once, so |symmetric diff| == k
+    nodes = np.array(win.nodes, dtype=np.int64)
+    n = len(nodes)
+    # the original edges' local endpoints, in WindowGraph's sorted edge order;
+    # ``live`` marks those not deleted
+    local = win.local_edges()
+    eu, ev = local.T
+    live = np.ones(len(eu), bool)
+    adj = np.zeros((n, n), bool)  # upper triangle: the current edges
+    adj[eu, ev] = True
+    degree = np.bincount(local.ravel(), minlength=n)
+    # the absent pairs (a, b), a < b, as a * n + b: ascending is lexicographic
+    non_edges = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist()
     for step in range(k):
-        deletable = sorted(
-            e for e in edges
-            if e not in touched and degree[e[0]] > 1 and degree[e[1]] > 1
-        )
-        if not non_edges and not deletable:
+        deletable = np.flatnonzero(live & (degree[eu] > 1) & (degree[ev] > 1))
+        if not non_edges and not deletable.size:
             raise InfeasibleKError(f"no feasible modification at step {step} of {k}")
-        if not deletable:
-            choice = "insert"
-        elif not non_edges:
-            choice = "delete"
-        else:
-            choice = "insert" if rng.random() < 0.5 else "delete"
-        if choice == "insert":
-            pick = non_edges.pop(int(rng.integers(len(non_edges))))
-            edges.add(pick)
+        # a coin is drawn only when both moves are possible
+        insert = not deletable.size or (bool(non_edges) and rng.random() < 0.5)
+        if insert:
+            a, b = divmod(non_edges.pop(int(rng.integers(len(non_edges)))), n)
         else:
             pick = deletable[int(rng.integers(len(deletable)))]
-            edges.remove(pick)
-        for x in pick:
-            degree[x] += 1 if choice == "insert" else -1
-        touched.add(pick)
-    edges = tuple(sorted(edges))
+            live[pick] = False
+            a, b = eu[pick], ev[pick]
+        adj[a, b] = insert
+        degree[[a, b]] += 1 if insert else -1
+    i, j = np.nonzero(adj)  # row-major, so the pairs come out sorted
+    edges = tuple(zip(nodes[i].tolist(), nodes[j].tolist()))
     return WindowGraph(
         window_index=win.window_index,
         t_start=win.t_start,
@@ -137,15 +142,12 @@ def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
     perturbed, l1 = perturb_timestamps(graph, eps, seed)
     pd_a = sublevel_persistence0(graph.events)
     pd_b = sublevel_persistence0(perturbed.events)
-    grid = sorted(
-        {t for _, _, t in graph.events} | {t for _, _, t in perturbed.events}
-    )
+    grid = np.union1d([t for _, _, t in graph.events], [t for _, _, t in perturbed.events])
     curve_a = betti_curve(pd_a, grid)
     curve_b = betti_curve(pd_b, grid)
-    gaps = [grid[i + 1] - grid[i] for i in range(len(grid) - 1)] + [0.0]
-    lhs = sum(
-        abs(a - b) * w for a, b, w in zip(curve_a.values, curve_b.values, gaps)
-    )
+    gaps = np.diff(grid, append=grid[-1])
+    # summed in order, as Python floats, so the total does not depend on numpy's pairwise sum
+    lhs = sum((np.abs(np.subtract(curve_a.values, curve_b.values)) * gaps).tolist())
     return float(lhs), float(l1)
 
 
@@ -166,22 +168,22 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
     m = max(1, int(events_per_node * n))
     events = []
     while len(events) < m:
-        u, v = rng.integers(0, n, size=2)
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v:
-            events.append((int(u), int(v), float(rng.uniform(0.0, 10.0))))
+            events.append((u, v, 10.0 * rng.random()))  # uniform(0.0, 10.0), bit for bit
     return from_events(n, events)
 
 
 def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:
     """Erdős–Rényi window with isolated vertices dropped."""
     n = int(rng.integers(n_low, n_high + 1))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    nodes = tuple(sorted({x for e in edges for x in e}))
-    return WindowGraph(0, 0.0, 1.0, nodes, tuple(sorted(edges)), (1,) * len(edges))
+    adj = np.zeros((n, n), bool)
+    # one draw per pair i < j, in row-major order (the order the campaign fingerprint pins)
+    adj[~np.tri(n, dtype=bool)] = rng.random(n * (n - 1) // 2) < p
+    i, j = np.nonzero(adj)
+    edges = tuple(zip(i.tolist(), j.tolist()))
+    nodes = tuple(np.flatnonzero(adj.any(0) | adj.any(1)).tolist())
+    return WindowGraph(0, 0.0, 1.0, nodes, edges, (1,) * len(edges))
 
 
 def run_campaign(spec: PerturbationSpec, bins: int = 4) -> StabilityReport:

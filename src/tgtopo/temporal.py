@@ -146,6 +146,11 @@ class WindowGraph:
     def num_event_edges(self) -> int:
         return sum(self.edge_multiplicity)
 
+    def local_edges(self) -> np.ndarray:
+        """(E, 2) endpoints of ``edges`` as indices into ``nodes``."""
+        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges))
+        return np.searchsorted(self.nodes, ends).reshape(-1, 2)
+
 
 @dataclass(frozen=True)
 class StaticGraph:

@@ -216,10 +216,12 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
 
 def betti_curve(pd: PersistenceDiagram, thresholds) -> BettiVector:
     """Number of diagram points alive at each threshold: birth <= t < death."""
-    thresholds = tuple(float(t) for t in thresholds)
-    if not thresholds:
+    t = np.asarray(thresholds, dtype=np.float64)
+    if not t.size:
         raise EmptyThresholdsError("thresholds must be nonempty")
-    vals = []
-    for t in thresholds:
-        vals.append(sum(1 for b, d in pd.points if b <= t < d))
-    return BettiVector(thresholds, tuple(vals))
+    points = np.reshape(pd.points, (-1, 2))
+    # a point with birth <= death is alive at t iff born and not dead by t, so
+    # the count is births minus deaths up to t; any other point is never alive
+    births, deaths = np.sort(points[points[:, 0] <= points[:, 1]], axis=0).T
+    vals = np.searchsorted(births, t, "right") - np.searchsorted(deaths, t, "right")
+    return BettiVector(tuple(t.tolist()), tuple(vals.tolist()))

@@ -136,6 +136,15 @@ class TestExitCodes:
                      id="negative_timestamp_noise"),
         pytest.param(_stability_args, "--mode spectral --trials 30 --magnitude 100000",
                      id="infeasible_edge_count"),
+        pytest.param(_stability_args, "--mode spectral --trials 30 --magnitude nan",
+                     id="nan_edge_count"),
+        pytest.param(_stability_args, "--mode spectral --trials 30 --magnitude inf",
+                     id="inf_edge_count"),
+        pytest.param(_stability_args, "--mode spectral --trials 30 --magnitude 2.5",
+                     id="non_integral_edge_count"),
+        pytest.param(_stability_args, "--mode topo --trials 30 --magnitude inf",
+                     id="inf_timestamp_noise"),
+        pytest.param(_stability_args, "--mode topo --trials 30 --seed -1", id="negative_seed"),
         pytest.param(_sweep_args, "a", id="sweep_value_not_float"),
         pytest.param(_train_args, "0", id="zero_test_fraction"),
         pytest.param(_train_args, "nan", id="nan_test_fraction"),

@@ -1,6 +1,7 @@
 """Hypothesis fuzzing of the inputs a user hands the program: a checkpoint,
-a run config, a graph file, a dataset manifest, an event list and a synth
-spec may fail only with the package's documented errors."""
+a run config, a graph file, a dataset manifest, an event list, a synth
+spec and a stability campaign may fail only with the package's documented
+errors."""
 
 import json
 from pathlib import Path
@@ -12,6 +13,7 @@ from tgtopo.data import Dataset, InvalidSpecError, load_dataset, load_graph, syn
 from tgtopo.errors import InputError
 from tgtopo.model import CheckpointError, TemporalGraphClassifier
 from tgtopo.pipeline import PipelineError, RunConfig
+from tgtopo.stability import PerturbationSpec, StabilityError, StabilityReport, run_campaign
 from tgtopo.temporal import from_events
 
 CHECKPOINT = json.loads((Path(__file__).parent / "data" / "checkpoint_v1_small.json").read_text())
@@ -174,3 +176,22 @@ def test_synth_gives_a_dataset_or_an_invalid_spec_error(tmp_path_factory, spec):
     code = main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "x"),
                  "--seed", "0"])
     assert code in (0, 2)
+
+
+numbers_or_nan = st.floats(allow_nan=True, allow_infinity=True) | st.integers()
+
+
+@given(st.sampled_from(["timestamp", "edge"]), numbers_or_nan, st.integers(28, 31),
+       numbers_or_nan)
+@example("edge", 2.0, 30, 1)
+@example("edge", 2.5, 30, 1)
+@example("timestamp", float("inf"), 30, 1)
+@example("timestamp", 0.1, 30, -1)
+@settings(max_examples=100, deadline=None)
+def test_stability_campaign_gives_a_report_or_a_stability_error(mode, magnitude, trials,
+                                                                seed):
+    try:
+        assert isinstance(run_campaign(PerturbationSpec(mode, magnitude, trials, seed)),
+                          StabilityReport)
+    except StabilityError:
+        pass

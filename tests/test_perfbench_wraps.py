@@ -1,5 +1,6 @@
 """Every function and method that perfbench's traced run wraps exists, and
-extraction still calls the one that marks a graph's start.
+extraction and the stability campaigns still call the ones that mark a
+graph's and a trial's start.
 
 The traced benchmark replaces the package's functions by name; a renamed or
 deleted one would fail only the benchmark's self-test.  This runs the same
@@ -9,10 +10,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import tgtopo.model
+import tgtopo.stability
 import tgtopo.temporal
 from tgtopo.data import synth_generate
 from tgtopo.pipeline import RunConfig, extract_descriptors
+from tgtopo.stability import PerturbationSpec, run_campaign
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +58,17 @@ def test_each_graph_extraction_starts_with_one_window_sequence_call():
     assert [entry[0] for entry in log] == ["windows", "stack"] * len(dataset.graphs)
     for (_, graph, windows), (_, stacked), g in zip(log[::2], log[1::2], dataset.graphs):
         assert graph is g and stacked is windows
+
+
+@pytest.mark.parametrize("spec, trial", [
+    (PerturbationSpec("timestamp", 0.1, 31, 1), "topo_stability_trial"),
+    (PerturbationSpec("edge", 2, 30, 2), "spectral_stability_trial"),
+])
+def test_each_campaign_trial_is_one_trial_call(spec, trial, monkeypatch):
+    # perfbench times a trial from its call's start, so a campaign that batched
+    # its trials would record none
+    calls = []
+    original = getattr(tgtopo.stability, trial)
+    monkeypatch.setattr(tgtopo.stability, trial,
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    assert len(run_campaign(spec).trials) == len(calls) == spec.trials

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,21 @@ class TestPerturbationSpec:
     def test_rejects_negative_k(self):
         with pytest.raises(StabilityError):
             PerturbationSpec("edge", -1, 50, 0)
+
+    @pytest.mark.parametrize("mode, magnitude, seed", [
+        ("edge", math.nan, 0), ("edge", math.inf, 0), ("edge", 2.5, 0),
+        ("timestamp", math.inf, 0), ("timestamp", math.nan, 0),
+        ("timestamp", sys.float_info.max, 0), ("timestamp", 8e307, 0), ("timestamp", 0.1, -1),
+        ("edge", 2, 1.0),
+    ])
+    def test_rejects_malformed_magnitude_or_seed(self, mode, magnitude, seed):
+        with pytest.raises(StabilityError):
+            PerturbationSpec(mode, magnitude, 50, seed)
+
+    def test_integral_float_k_runs_as_its_integer(self):
+        # argparse hands the CLI's --magnitude over as a float
+        assert (run_campaign(PerturbationSpec("edge", 2.0, 30, 4)).trials
+                == run_campaign(PerturbationSpec("edge", 2, 30, 4)).trials)
 
 
 class TestPerturbTimestamps:
@@ -101,6 +118,15 @@ class TestPerturbEdges:
                         break
                     assert perturb_edges(win, k, seed) == expected
                     k += 1
+
+    def test_matches_reference_at_campaign_sizes(self):
+        # the campaigns' windows: 20-60 nodes at p = 0.2, k of 0, 1, 2 and 16
+        rng = np.random.default_rng(21)
+        for _ in range(8):
+            win = random_er_window(rng)
+            for k in (0, 1, 2, 16):
+                for seed in range(3):
+                    assert perturb_edges(win, k, seed) == perturb_edges_reference(win, k, seed)
 
 
 def perturb_edges_reference(win, k, seed):
@@ -207,7 +233,44 @@ class TestCampaignFingerprint:
         assert hashlib.sha256(campaign_csv(reports).encode()).hexdigest() == self.DIGEST
 
 
+def random_er_window_reference(rng, n_low=20, n_high=60, p=0.2):
+    """The scalar loop random_er_window replaced: one draw per node pair."""
+    n = int(rng.integers(n_low, n_high + 1))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append((i, j))
+    nodes = tuple(sorted({x for e in edges for x in e}))
+    return WindowGraph(0, 0.0, 1.0, nodes, tuple(sorted(edges)), (1,) * len(edges))
+
+
+def random_temporal_graph_reference(rng, n_low=10, n_high=40, events_per_node=3.0):
+    """The draws random_temporal_graph replaced: a size-2 integer draw and uniform()."""
+    n = int(rng.integers(n_low, n_high + 1))
+    m = max(1, int(events_per_node * n))
+    events = []
+    while len(events) < m:
+        u, v = rng.integers(0, n, size=2)
+        if u != v:
+            events.append((int(u), int(v), float(rng.uniform(0.0, 10.0))))
+    return from_events(n, events)
+
+
 class TestRandomGenerators:
+    @pytest.mark.parametrize("generate, reference, kwargs", [
+        (random_er_window, random_er_window_reference, {}),
+        (random_er_window, random_er_window_reference, dict(n_low=1, n_high=9, p=0.5)),
+        (random_temporal_graph, random_temporal_graph_reference, {}),
+    ])
+    def test_matches_scalar_reference(self, generate, reference, kwargs):
+        # same output and the generator left in the same state, so the
+        # campaign's later draws line up too
+        for state in range(120):
+            rng, ref = np.random.default_rng(state), np.random.default_rng(state)
+            assert generate(rng, **kwargs) == reference(ref, **kwargs)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_random_temporal_graph_ranges(self):
         rng = np.random.default_rng(8)
         for _ in range(10):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_component_count, gf2_rank_dense, random_er_edges, window_from_edges
 from tgtopo.spectral import normalized_laplacian
@@ -265,6 +266,34 @@ class TestBettiCurve:
     def test_empty_thresholds_rejected(self):
         with pytest.raises(EmptyThresholdsError):
             betti_curve(PersistenceDiagram(0, ()), [])
+
+    # few distinct values, so births, deaths and thresholds often tie
+    values = st.integers(-3, 3).map(float) | st.floats(-4, 4)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), values)
+                    .filter(lambda e: e[0] != e[1]), max_size=12),
+           st.booleans(), st.lists(values | st.sampled_from([-INF, INF]), max_size=6),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_alive_count_oracle(self, edge_values, keep_zero, thresholds, data):
+        # diagrams with essential (inf-death) and, when kept, zero-persistence
+        # points; thresholds include births and deaths themselves
+        pd = sublevel_persistence0(edge_values, keep_zero_persistence=keep_zero)
+        ends = [x for point in pd.points for x in point]
+        if ends:
+            thresholds += data.draw(st.lists(st.sampled_from(ends), min_size=1, max_size=6))
+        if not thresholds:
+            return
+        expected = tuple(sum(1 for b, d in pd.points if b <= t < d) for t in thresholds)
+        assert betti_curve(pd, thresholds).values == expected
+
+    @given(st.lists(st.tuples(values | st.just(math.nan), values | st.just(INF)), max_size=8),
+           st.lists(values, min_size=1, max_size=6))
+    def test_hand_built_diagram_matches_alive_count_oracle(self, points, thresholds):
+        # a point with birth > death or a NaN end is alive at no threshold
+        pd = PersistenceDiagram(0, tuple(points))
+        expected = tuple(sum(1 for b, d in points if b <= t < d) for t in thresholds)
+        assert betti_curve(pd, thresholds).values == expected
 
 
 def descriptor(w, count_edge_multiplicity=False):
