@@ -213,6 +213,8 @@ def train(features: list, num_classes: int, config: RunConfig):
     """
     if num_classes < 2:
         raise PipelineError(f"need at least 2 classes, got {num_classes}")
+    if not features:
+        raise TooFewGraphsError("no graphs to train on")
     model = TemporalGraphClassifier(_model_config(features, num_classes, config),
                                     seed=config.seed)
     opt = Adam(model.parameters, lr=config.lr, weight_decay=config.weight_decay)

@@ -224,6 +224,11 @@ class TestStratifiedFolds:
 
 
 class TestTraining:
+    def test_no_graphs_is_too_few(self):
+        # an empty training set used to end in a bare IndexError from features[0]
+        with pytest.raises(TooFewGraphsError, match="no graphs"):
+            train([], 2, RunConfig(epochs=2))
+
     def test_topo_only_learns_small(self, small_dataset, small_features):
         cfg = RunConfig(mode="topo-only", epochs=25, seed=2)
         model, metrics = train(small_features, 2, cfg)
