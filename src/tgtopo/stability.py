@@ -12,8 +12,10 @@ the same order, as the per-pair loops they replaced.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,11 +76,15 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
         raise StabilityError(f"eps must be positive, got {eps}")
     rng = np.random.default_rng(seed)
     shifts = rng.uniform(-eps, eps, size=graph.num_events)
-    events = [
-        (u, v, t + float(dt)) for (u, v, t), dt in zip(graph.events, shifts)
-    ]
+    # the graph's events are valid, so only a shifted time can be new: a sum
+    # that overflowed sorts to an end, and from_events reports it (or no events)
+    events = sorted(((u, v, t + float(dt)) for (u, v, t), dt in zip(graph.events, shifts)),
+                    key=itemgetter(2))
     l1 = float(np.abs(shifts).sum())
-    return from_events(graph.num_nodes, events, graph.label), l1
+    if not events or not math.isfinite(events[0][2]) or not math.isfinite(events[-1][2]):
+        return from_events(graph.num_nodes, events, graph.label), l1
+    return TemporalGraph(graph.num_nodes, tuple(events), graph.label,
+                         events[0][2], events[-1][2]), l1
 
 
 def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:

@@ -19,7 +19,12 @@ from tgtopo.stability import (
     spectral_stability_trial,
     topo_stability_trial,
 )
-from tgtopo.temporal import WindowGraph, from_events
+from tgtopo.temporal import (
+    EmptyEventListError,
+    NonFiniteTimestampError,
+    WindowGraph,
+    from_events,
+)
 
 
 class TestPerturbationSpec:
@@ -67,6 +72,33 @@ class TestPerturbTimestamps:
         assert max(shifts) <= 0.5
         # sorted pairing matches the true pairing here: identical edge labels
         assert l1 == pytest.approx(sum(shifts))
+
+    @pytest.mark.parametrize("eps", [0.5, 1e-300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graph_is_what_from_events_builds(self, seed, eps):
+        # the perturbed graph skips from_events' validation but not its result:
+        # the same stable time sort (tied times keep their order, eps 1e-300
+        # leaves the rounded times tied), bounds and label
+        g = random_temporal_graph(np.random.default_rng(seed), 12, 30)
+        g = from_events(g.num_nodes, [(u, v, float(round(t))) for u, v, t in g.events], seed % 2)
+        perturbed, l1 = perturb_timestamps(g, eps, seed)
+        shifts = np.random.default_rng(seed).uniform(-eps, eps, size=g.num_events)
+        rebuilt = from_events(g.num_nodes, [(u, v, t + float(dt)) for (u, v, t), dt
+                                            in zip(g.events, shifts)], g.label)
+        assert perturbed == rebuilt and l1 == float(np.abs(shifts).sum())
+        assert (perturbed.t_min, perturbed.t_max) == (rebuilt.t_min, rebuilt.t_max)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_overflowing_shift_is_non_finite(self, sign):
+        # a shift away from zero takes the largest double past itself
+        g = from_events(3, [(0, 1, 0.0), (1, 2, sign * sys.float_info.max)])
+        with pytest.raises(NonFiniteTimestampError):
+            for seed in range(10):
+                perturb_timestamps(g, 1e300, seed)
+
+    def test_empty_graph_is_refused_as_before(self):
+        with pytest.raises(EmptyEventListError):
+            perturb_timestamps(from_events(3, [], allow_empty=True), 0.1, 0)
 
     def test_seed_determinism(self):
         g = from_events(3, [(0, 1, 1.0), (1, 2, 2.0)])
