@@ -34,6 +34,27 @@ def test_verdict_line_names_medians_wins_and_metrics_outside_bound():
     assert "outside bound: peak_rss_mb;" in line
 
 
+def _fingerprint_runs(*pairs):
+    return {side: [{"fingerprint": pair[i], "failed": 0, "metrics": {}} for pair in pairs]
+            for i, side in enumerate(("parent", "change"))}
+
+
+def test_summary_and_verdict_name_the_fingerprint_keys_that_differ():
+    same = {"descriptors": "a", "metrics_csv": "b", "campaign_csv": "c"}
+    runs = _fingerprint_runs((same, same), (same, {**same, "metrics_csv": "x"}),
+                             (same, same), (same, {**same, "campaign_csv": "y"}))
+    summary = benchpairs.summarize(runs, {})
+    assert summary["fingerprints_match"] is False
+    assert summary["fingerprints_differ"] == ["campaign_csv", "metrics_csv"]
+    (line,), ok = benchpairs.verdict({"workloads": {"desk": summary}})
+    assert "fingerprints match: False (differ: campaign_csv, metrics_csv);" in line
+    assert not ok
+    summary = benchpairs.summarize(_fingerprint_runs((same, dict(same))), {})
+    assert summary["fingerprints_match"] and summary["fingerprints_differ"] == []
+    (line,), ok = benchpairs.verdict({"workloads": {"desk": summary}})
+    assert "fingerprints match: True;" in line and ok
+
+
 def _runs(parent, change):
     return {side: [{"metrics": {"rate": v}} for v in values]
             for side, values in (("parent", parent), ("change", change))}

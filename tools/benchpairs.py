@@ -19,13 +19,14 @@ parent's against the bound in ``BENCHMARK.json``, whether a gain is shown
 more than the parent's interquartile range), whether the metric is unresolved
 (the parent's interquartile range over its median exceeds the bound, so the
 pairs cannot tell a regression of that size from noise), both sides'
-fingerprints, the ``src/`` line counts, a sha256 of each side's ``src/`` files
+fingerprints and the fingerprint keys that differ on any pair, the ``src/`` line counts, a sha256 of each side's ``src/`` files
 (so the file can be tied to the code it measured even when the change was not
 yet committed) and the environment.  After writing it, the script prints the
 ``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and one
 stderr line per workload (each metric's median parent -> change, the pairs
-won, and the metrics outside their bound, with a gain shown, and unresolved)
-and exits 1 if any pair's fingerprints differ or any run failed an operation.
+won, the metrics outside their bound, with a gain shown, and unresolved, and
+the fingerprint keys that differ) and exits 1 if any pair's fingerprints differ
+or any run failed an operation.
 """
 
 import argparse
@@ -103,11 +104,19 @@ def compare(name, runs, spec):
     return out
 
 
+def differing_fingerprints(runs):
+    """The fingerprint keys whose digests differ on at least one pair, sorted."""
+    return sorted({key for p, c in zip(runs["parent"], runs["change"])
+                   for key in p["fingerprint"].keys() | c["fingerprint"].keys()
+                   if p["fingerprint"].get(key) != c["fingerprint"].get(key)})
+
+
 def summarize(runs, specs):
     names = sorted(set.intersection(*(set(r["metrics"]) for s in SIDES for r in runs[s])))
+    differ = differing_fingerprints(runs)
     return {
-        "fingerprints_match": all(p["fingerprint"] == c["fingerprint"]
-                                  for p, c in zip(runs["parent"], runs["change"])),
+        "fingerprints_match": not differ,
+        "fingerprints_differ": differ,
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
         "metrics": {n: compare(n, runs, specs.get(n, {})) for n in names},
         "runs": runs,
@@ -123,14 +132,15 @@ def verdict(report):
     matched and no run failed an operation."""
     lines, ok = [], True
     for workload, summary in report["workloads"].items():
-        metrics = summary["metrics"]
+        metrics, differ = summary["metrics"], summary.get("fingerprints_differ", [])
         moves = ", ".join(f"{name} {m['parent']['median']:.4g}->{m['change']['median']:.4g}"
                           f" ({m['change_wins']}/{m['pairs']})" for name, m in metrics.items())
         lines.append(f"{workload}: {moves}; "
                      f"outside bound: {_names(metrics, lambda m: not m.get('within_bound', True))}; "
                      f"gain shown: {_names(metrics, lambda m: m.get('gain_shown'))}; "
                      f"unresolved: {_names(metrics, lambda m: m.get('unresolved'))}; "
-                     f"fingerprints match: {summary['fingerprints_match']}; "
+                     f"fingerprints match: {summary['fingerprints_match']}"
+                     f"{' (differ: ' + ', '.join(differ) + ')' if differ else ''}; "
                      f"failed: {summary['failed']}")
         ok &= summary["fingerprints_match"] and not any(summary["failed"].values())
     return lines, ok
