@@ -1,26 +1,28 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
 Each ``Tensor`` wraps a float64 array; operations record closures on a tape
-(the parent DAG) and ``backward`` replays them in reverse topological order.
-Only the operations needed by the classifier are provided.
+(the parent DAG) and ``backward`` replays them in reverse creation order: a
+node is created after its parents, so it runs after every node that
+consumes it.  Only the operations needed by the classifier are provided.
 
-The backward order holds only tensors that require a gradient and have a
-closure to run: constant inputs such as token matrices and leaf parameters
-never enter it.  A tensor's first gradient is stored as a copy, because one
-backward closure may hand the same array to several parents; a tensor bound
-to a gradient arena (``optim.pack``) copies it into its arena view instead.
-Trainable tensors are views into their model's flat parameter arena, so code
-that changes a parameter's values writes into ``t.data`` in place rather
-than rebinding it.
+Each node keeps the parents whose closure can run (``_nodes``), so backward
+never visits constant inputs such as token matrices or leaf parameters.  A
+tensor's first gradient is stored as a copy, because one backward closure
+may hand the same array to several parents; a tensor bound to a gradient
+arena (``optim.pack``) copies it into its arena view instead.  Trainable
+tensors are views into their model's flat parameter arena, so code that
+changes a parameter's values writes into ``t.data`` in place rather than
+rebinding it.
 
 Fused ops stand for a chain of the ops below as one tape node: ``linear``,
 ``attention`` and, in ``model``, ``TemporalGraphClassifier._structural_view``,
-``encode`` and ``fusion_attention``.  Their forward and backward run the same
-numpy expressions on arrays of the same layout as the chain would, and an
-input's gradient adds the chain's contributions in the order its backward
-ran (the fusion views: the residual's, then q's, k's and v's; a hidden SAGE
-layer: its W_self term, then its neighbours'), so it is bit for bit the
-gradient of the unfused chain.
+``encode`` and ``TemporalGraphClassifier._head``.  Their forward and
+backward run the same numpy expressions on arrays of the same layout as the
+chain would, and an input's gradient adds the chain's contributions in a
+fixed order (the fusion views: the residual's, then q's, k's and v's; a
+hidden SAGE layer: its W_self term, then its neighbours'), so it is bit for
+bit the gradient of the unfused chain whose nodes backward runs in that
+order.
 
 The kernels that ``layer_norm`` and ``attention`` wrap also take stacks of
 (S, N, d) inputs and (S, ...) parameters, each slice byte-equal to an
@@ -29,11 +31,13 @@ their own, ``sum(..., keepdims=True) / d`` for ``mean``.  Every matmul keeps
 the memory layout its operands had in the chain (a transposed operand stays
 a transposed view), because BLAS may round another layout differently.  The
 parameter stacks are blocks of the arenas, laid out when the model is built
-(``model._stack``), and ``accumulate_blocks`` writes a stacked gradient
-into its gradient block once.
+(``model._stack``); through ``accumulate_blocks`` a backward writes a
+stacked gradient straight into its gradient block, with no copy.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -48,8 +52,12 @@ class NonFiniteValueError(NumericalError):
     pass
 
 
+_created = itertools.count()  # creation stamps: a node is stamped after its parents
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_view")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_view",
+                 "_nodes", "_stamp")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -58,6 +66,9 @@ class Tensor:
         self._parents = parents
         self._backward = backward
         self._grad_view = None  # arena slot the first gradient is written into
+        # the parents whose backward can run; leaves never enter the backward
+        self._nodes = [p for p in parents if p._backward is not None and p.requires_grad]
+        self._stamp = next(_created)
 
     @property
     def shape(self):
@@ -78,39 +89,22 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Populate gradients of every upstream tensor with requires_grad."""
+        """Populate gradients of every upstream tensor with requires_grad.
+
+        Runs the nodes upstream of this one in reverse creation order, so
+        each runs after every node that consumes it."""
         if self.data.size != 1:
             raise ShapeMismatchError("backward() requires a scalar output")
-        order = _backward_order(self)
+        nodes, stack = {}, [self] if self._backward is not None else []
+        while stack:
+            node = stack.pop()
+            if node._stamp not in nodes:
+                nodes[node._stamp] = node
+                stack += node._nodes
         self._accumulate(np.ones_like(self.data))
-        for node in order:
-            if node.grad is not None:
-                node._backward(node.grad)
-
-
-def _backward_order(root):
-    """Nodes with a backward closure, each after every node that consumes it.
-
-    Reversed post-order of a depth-first search from ``root``.  Leaves are
-    never pushed: they run nothing, and dropping them leaves the relative
-    order of the other nodes unchanged."""
-    order = []
-    seen = set()
-    stack = [(root, False)] if root._backward is not None else []
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p._backward is not None and p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    order.reverse()
-    return order
+        for stamp in sorted(nodes, reverse=True):
+            if nodes[stamp].grad is not None:
+                nodes[stamp]._backward(nodes[stamp].grad)
 
 
 def _as_tensor(x):
@@ -188,8 +182,9 @@ def _attention(x, w, scale):
     """Multi-head self-attention on a stack ``x`` (..., N, d) with the heads'
     q, k, v weights stacked as ``w`` (..., h, 3, d, k), op for op as the
     matmul/softmax/concat chain.  Returns the head outputs, probabilities
-    (..., h, N, N) and ``grad(g)``: the parts (..., h, 3, N, d) of x's
-    gradient, in the order the chain added them, and w's gradient."""
+    (..., h, N, N) and ``grad(g, out=None)``: the parts (..., h, 3, N, d) of
+    x's gradient, in the order the chain added them, and w's gradient,
+    written into ``out`` if given."""
     qkv = x[..., None, None, :, :] @ w
     q, k, v = qkv[..., 0, :, :], qkv[..., 1, :, :], qkv[..., 2, :, :]
     # the softmax works in place: fresh (..., h, N, N) temporaries of long
@@ -201,7 +196,7 @@ def _attention(x, w, scale):
     probs /= probs.sum(axis=-1, keepdims=True)
     out = probs @ v
 
-    def grad(g):
+    def grad(g, out=None):
         # the chain copied each head's column block before using it
         g_out = np.ascontiguousarray(g.reshape(g.shape[:-1] + (w.shape[-4], -1)).swapaxes(-3, -2))
         g_scores = g_out @ v.swapaxes(-1, -2)  # the probabilities' gradient, then in place
@@ -210,7 +205,8 @@ def _attention(x, w, scale):
         g_scores *= probs
         g_scores *= scale
         g_k = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
-        parts, g_w = np.empty(w.shape[:-2] + x.shape[-2:]), np.empty(w.shape)
+        parts = np.empty(w.shape[:-2] + x.shape[-2:])
+        g_w = np.empty(w.shape) if out is None else out
         x_t = x.swapaxes(-1, -2)[..., None, :, :]
         # three products each, so every operand keeps the chain's layout
         for i, g_i in enumerate((g_scores @ k, g_k, g_v)):
@@ -244,22 +240,23 @@ def attention(x, heads, scale: float):
     return Tensor(out_data, parents=(x, *weights), backward=backward), list(probs)
 
 
-def accumulate_blocks(groups, views, grads):
-    """``_accumulate`` of stacked gradients: ``grads[j]`` holds, in order, the
-    gradients of the tensors ``groups[j]``, whose gradient-arena views
-    ``views[j]`` tiles.  A block is written once when no tensor has a
-    gradient yet; else each tensor accumulates its slice."""
-    fresh = all(t.grad is None for ts in groups for t in ts)
-    for ts, view, g in zip(groups, views, grads):
-        if g.shape != view.shape:
-            raise ShapeMismatchError(f"gradient {g.shape} for a stack of shape {view.shape}")
-        if fresh:
-            view[...] = g
-            for t in ts:
-                t.grad = t._grad_view
-        else:
+def accumulate_blocks(groups, views, fill):
+    """``_accumulate`` of stacked gradients: the gradient-arena block
+    ``views[j]`` tiles the tensors ``groups[j]``, and ``fill(out)`` writes the
+    stacked gradient of ``groups[j]`` into ``out[j]``.  When no tensor has a
+    gradient yet, ``out`` is the blocks themselves; else each tensor
+    accumulates its slice of new arrays."""
+    if any(t.grad is not None for ts in groups for t in ts):
+        grads = [np.empty(view.shape) for view in views]
+        fill(grads)
+        for ts, g in zip(groups, grads):
             for t, g_t in zip(ts, g.reshape(len(ts), *ts[0].data.shape)):
                 t._accumulate(g_t)
+        return
+    fill(views)
+    for ts in groups:
+        for t in ts:
+            t.grad = t._grad_view
 
 
 def relu(a) -> Tensor:

@@ -9,9 +9,12 @@ three view tokens produces the fused 30-dimensional representation together
 with the per-view attention mass.
 
 Each part is one tape node (``TemporalGraphClassifier._structural_view``,
-``encode``, ``fusion_attention``) running the chain of ``autodiff`` ops it
-replaces, bit for bit: a hidden SAGE layer's gradient adds its W_self term,
-then its neighbours'; the fusion views add the residual's, then q, k, v.
+``encode``, ``TemporalGraphClassifier._head``) running the chain of
+``autodiff`` ops it replaces, bit for bit: a hidden SAGE layer's gradient
+adds its W_self term, then its neighbours'; the fusion views add the
+residual's, then q, k, v.  The head stacks the views, runs
+``fusion_attention`` (full mode), dropout and the classifier linear, so a
+training step runs four backward nodes: loss, head, structural, encoders.
 """
 
 from __future__ import annotations
@@ -239,12 +242,14 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
     pooled = (x.sum(axis=-2) / n).reshape(s, 1, d)
     w_out, b_out = params[-2:]
 
-    def backward(g):
-        g = g.reshape(s, 1, VIEW_DIM)
-        grads = [pooled.swapaxes(-1, -2) @ g, g]
+    def fill(out, g):
+        # each block's gradient goes straight into ``out`` (``accumulate_blocks``)
+        np.matmul(pooled.swapaxes(-1, -2), g, out=out[-2])
+        out[-1][...] = g
         g_x = np.repeat((g @ w_out.swapaxes(-1, -2)) / n, n, axis=-2)
         for l in reversed(range(cfg.tf_layers)):
             *_, wo, w1, _, w2, _ = params[l * width:(l + 1) * width]
+            o_g1, o_b1, o_g2, o_b2, o_qkv, o_wo, o_w1, o_c1, o_w2, o_c2 = out[l * width:][:width]
             ln1_grad, heads_out, _, att_grad, normed2, ln2_grad, active, h = tape[l]
             g_out = g_x * masks[:, l, 1] if drop else g_x
             g_pre = (g_out @ w2.swapaxes(-1, -2)) * active
@@ -252,19 +257,21 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
             g_ln, g_g2 = ln2_grad(g_normed2)
             g_x = g_x + g_ln
             g_att = g_x * masks[:, l, 0] if drop else g_x
-            g_parts, g_qkv = att_grad(g_att @ wo.swapaxes(-1, -2))
+            g_parts, _ = att_grad(g_att @ wo.swapaxes(-1, -2), out=o_qkv)
             g_normed = g_parts.reshape(s, -1, n, d).sum(axis=1)  # adds the parts in order
             g_ln, g_g1 = ln1_grad(g_normed)
             g_x = g_x + g_ln
-            grads[:0] = [g_g1.sum(axis=-2, keepdims=True), g_normed.sum(axis=-2, keepdims=True),
-                         g_g2.sum(axis=-2, keepdims=True), g_normed2.sum(axis=-2, keepdims=True),
-                         g_qkv, heads_out.swapaxes(-1, -2) @ g_att,
-                         normed2.swapaxes(-1, -2) @ g_pre, g_pre.sum(axis=-2, keepdims=True),
-                         h.swapaxes(-1, -2) @ g_out, g_out.sum(axis=-2, keepdims=True)]
+            for a, o in ((g_g1, o_g1), (g_normed, o_b1), (g_g2, o_g2), (g_normed2, o_b2),
+                         (g_pre, o_c1), (g_out, o_c2)):
+                a.sum(axis=-2, keepdims=True, out=o)
+            for a, b, o in ((heads_out, g_att, o_wo), (normed2, g_pre, o_w1), (h, g_out, o_w2)):
+                np.matmul(a.swapaxes(-1, -2), b, out=o)
         for e, t, g_e in zip(encoders, streams, g_x):
             e.b_in._accumulate(g_e.sum(axis=0))
             e.w_in._accumulate(t.T @ g_e)
-        ad.accumulate_blocks(groups, grad_blocks, grads)
+
+    def backward(g):
+        ad.accumulate_blocks(groups, grad_blocks, lambda out: fill(out, g.reshape(s, 1, VIEW_DIM)))
 
     views = (pooled @ w_out + b_out).reshape(s, VIEW_DIM)
     if not grad:
@@ -274,44 +281,37 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
             [[p for layer in tape for p in layer[2][i]] for i in range(s)])
 
 
-def _row(t: Tensor) -> Tensor:
-    """Reshape a tensor to a single-row matrix."""
-    out_data = t.data.reshape(1, -1)
+def fusion_attention(views, wq, wk, wv):
+    """Single-head self-attention over the 3 view tokens (a 3 x 10 array) and
+    its residual add, on arrays, op for op as ``autodiff.attention``.
 
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g.reshape(t.data.shape))
-
-    return Tensor(out_data, parents=(t,), backward=backward)
-
-
-def fusion_attention(views: Tensor, wq, wk, wv):
-    """Single-head self-attention over the 3 view tokens, its residual add
-    and the reshape to one row, as one tape node.
-
-    Returns (fused 1x30 Tensor, view_weights ndarray).  The per-view weight
-    is the total attention mass received by that view across the three
-    queries, normalized to sum to 1.  A residual connection around the
-    attention block keeps a direct gradient path into each view encoder,
-    which avoids long plateaus early in training.
+    Returns (fused 3 x 10 array, view_weights, ``grad(g)``): the views'
+    gradient (the residual's, then q's, k's and v's) and the three weights'.
+    The per-view weight is the total attention mass received by that view
+    across the three queries, normalized to sum to 1.  A residual connection
+    around the attention block keeps a direct gradient path into each view
+    encoder, which avoids long plateaus early in training.
     """
-    if views.data.shape != (3, VIEW_DIM):
-        raise ad.ShapeMismatchError(f"expected 3x{VIEW_DIM} views, got {views.data.shape}")
-    attended, probs, grad = ad._attention(views.data, np.array([[wq.data, wk.data, wv.data]]),
-                                          1.0 / np.sqrt(VIEW_DIM))
+    if views.shape != (3, VIEW_DIM):
+        raise ad.ShapeMismatchError(f"expected 3x{VIEW_DIM} views, got {views.shape}")
+    scale = 1.0 / np.sqrt(VIEW_DIM)
+    q, k, v = views @ wq, views @ wk, views @ wv
+    probs = q @ k.T
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
-    def backward(g):
-        g = g.reshape(views.data.shape)
-        parts, g_w = grad(g)
-        if views.requires_grad:
-            views._accumulate(g + parts[0, 0] + parts[0, 1] + parts[0, 2])
-        for w, g_i in zip((wq, wk, wv), g_w[0]):
-            if w.requires_grad:
-                w._accumulate(g_i)
+    def grad(g):
+        g_scores, g_v = g @ v.T, probs.T @ g
+        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores *= probs
+        g_scores *= scale
+        g_q, g_k = g_scores @ k, (q.T @ g_scores).T
+        return (g + g_q @ wq.T + g_k @ wk.T + g_v @ wv.T,
+                (views.T @ g_q, views.T @ g_k, views.T @ g_v))
 
-    fused = Tensor((views.data + attended).reshape(1, -1), parents=(views, wq, wk, wv),
-                   backward=backward)
-    return fused, probs[0].sum(axis=0) / len(probs[0])
+    return views + probs @ v, probs.sum(axis=0) / len(probs), grad
 
 
 class TemporalGraphClassifier:
@@ -321,7 +321,9 @@ class TemporalGraphClassifier:
         self.cfg = cfg
         store = _ParamStore(np.random.default_rng(seed), shapes)
         self._store = store
-        if cfg.mode in ("full", "concat-fuse", "gsage-only"):
+        # the views the mode reads: structural, topological, spectral
+        self.has_view = [cfg.mode in ("full", "concat-fuse", m) for m in MODES[2:]]
+        if self.has_view[0]:
             d_feat = cfg.feature_dim
             self.sage_params = []
             for l in range(cfg.sage_layers):
@@ -335,16 +337,12 @@ class TemporalGraphClassifier:
                 )
             self.sage_proj = store.matrix("sage.proj", cfg.hidden_dim, VIEW_DIM)
             self.sage_proj_b = store.vector("sage.proj_b", VIEW_DIM)
-        self.encoders = []  # topological, then spectral
-        if cfg.mode in ("full", "concat-fuse", "topo-only"):
-            self.encoders.append(TransformerEncoder(store, "topo_tf", cfg.topo_dim, cfg))
-        if cfg.mode in ("full", "concat-fuse", "dos-only"):
-            self.encoders.append(TransformerEncoder(store, "dos_tf", cfg.dos_bins, cfg))
-        if cfg.mode == "full":
-            self.fuse_wq = store.matrix("fuse.wq", VIEW_DIM, VIEW_DIM)
-            self.fuse_wk = store.matrix("fuse.wk", VIEW_DIM, VIEW_DIM)
-            self.fuse_wv = store.matrix("fuse.wv", VIEW_DIM, VIEW_DIM)
-        fused_dim = {"full": 3 * VIEW_DIM, "concat-fuse": 3 * VIEW_DIM}.get(cfg.mode, VIEW_DIM)
+        self.encoders = [TransformerEncoder(store, prefix, width, cfg) for prefix, width, used
+                         in (("topo_tf", cfg.topo_dim, self.has_view[1]),
+                             ("dos_tf", cfg.dos_bins, self.has_view[2])) if used]
+        self.fuse = [store.matrix(f"fuse.{name}", VIEW_DIM, VIEW_DIM)
+                     for name in ("wq", "wk", "wv")] if cfg.mode == "full" else []
+        fused_dim = VIEW_DIM * sum(self.has_view)
         self.cls_w = store.matrix("cls.w", fused_dim, cfg.num_classes)
         self.cls_b = store.vector("cls.b", cfg.num_classes)
         self.arena, self.grad_arena, self.blocks = _stack(self.encoders, store.params.values())
@@ -387,31 +385,61 @@ class TemporalGraphClassifier:
         params = (*(t for ps in self.sage_params for t in ps), proj, proj_b)
         return Tensor(pooled @ proj.data + proj_b.data, parents=params, backward=backward)
 
+    def _head(self, views, rng=None, train=False, grad=True):
+        """The classifier head as one tape node: the rows of the view tensors
+        stacked (structural, topological, spectral; those the mode has), fusion
+        attention with its residual if the model has it, the reshape to one
+        row, dropout and the ``cls`` linear.  Returns (logits Tensor,
+        FusionOutput).  Values and gradients are bit for bit the chain concat,
+        ``fusion_attention``, dropout, ``linear`` of ``autodiff`` ops; with
+        ``grad`` False no tape is kept."""
+        x = np.concatenate([v.data for v in views])
+        if self.fuse:
+            x, weights, fuse_grad = fusion_attention(x, *(w.data for w in self.fuse))
+        else:  # the views present share the weight equally
+            weights = np.divide(self.has_view, sum(self.has_view))
+        fused = x.reshape(1, -1)
+        mask = None
+        if train and self.cfg.dropout > 0:
+            mask = ad.dropout_mask(rng, self.cfg.dropout, fused.shape)
+            fused = fused * mask
+        w, b = self.cls_w, self.cls_b
+        logits, out = fused @ w.data + b.data, FusionOutput(fused.reshape(-1).copy(), weights)
+        if not grad:
+            return Tensor(logits), out
+
+        def backward(g):
+            b._accumulate(g.sum(axis=0))
+            w._accumulate(fused.T @ g)
+            g_x = g @ w.data.T
+            g_x = (g_x * mask if mask is not None else g_x).reshape(x.shape)
+            if self.fuse:
+                g_x, g_ws = fuse_grad(g_x)
+                for t, g_t in zip(self.fuse, g_ws):
+                    t._accumulate(g_t)
+            start = 0
+            for v in views:
+                if v.requires_grad:
+                    v._accumulate(g_x[start:start + len(v.data)])
+                start += len(v.data)
+
+        return Tensor(logits, parents=(*views, *self.fuse, w, b), backward=backward), out
+
     def forward(self, phi, psi, features, agg, rng=None, train=False, grad=True):
         """Compute logits for one graph.
 
         phi: N x topo_dim, psi: N x dos_bins, features: n x feature_dim,
         agg: n x n neighbor-mean matrix.  Returns (logits Tensor, FusionOutput).
-        With ``grad`` False (evaluation) the encoders keep no tape, and no
-        gradient reaches their parameters.
+        With ``grad`` False (evaluation) the encoders and the head keep no
+        tape, and no gradient reaches their parameters.
         """
-        cfg = self.cfg
+        views = []
         if self.encoders:
             streams = [{"topo_tf": phi, "dos_tf": psi}[e.prefix] for e in self.encoders]
-            encoded, _ = encode(self.encoders, self.blocks, streams, rng, train, grad)
-        if cfg.mode == "full":
-            stacked = ad.concat([self._structural_view(features, agg), encoded], axis=0)
-            fused, weights = fusion_attention(stacked, self.fuse_wq, self.fuse_wk, self.fuse_wv)
-        elif cfg.mode == "concat-fuse":
-            fused = ad.concat([self._structural_view(features, agg), _row(encoded)], axis=1)
-            weights = np.full(3, 1.0 / 3.0)
-        else:
-            fused = encoded if self.encoders else self._structural_view(features, agg)
-            weights = np.eye(3)[{"gsage-only": 0, "topo-only": 1, "dos-only": 2}[cfg.mode]]
-        if train and cfg.dropout > 0:
-            fused = ad.dropout(fused, cfg.dropout, rng, train)
-        logits = ad.linear(fused, self.cls_w, self.cls_b)
-        return logits, FusionOutput(fused.data.reshape(-1).copy(), weights)
+            views.append(encode(self.encoders, self.blocks, streams, rng, train, grad)[0])
+        if self.has_view[0]:
+            views.insert(0, self._structural_view(features, agg))
+        return self._head(views, rng, train, grad)
 
     def save(self, path):
         """Checkpoint: JSON container of named arrays; round-trips bit-exactly

@@ -86,10 +86,13 @@ def attention_chain(x, heads, s):
     """The op chain that ``attention`` replaces, kept as its reference.
 
     One head's output was used as is (fusion attention); several were
-    concatenated (the encoders)."""
+    concatenated (the encoders).  Backward runs the nodes in reverse creation
+    order, so the projections are made last head first, v before k before q:
+    x then adds its gradients as q, k, v of head 0, then of head 1, ..., the
+    order the fused op keeps."""
     outs, probs = [], []
-    for wq, wk, wv in heads:
-        q, k, v = matmul(x, wq), matmul(x, wk), matmul(x, wv)
+    projections = [[matmul(x, w) for w in ws[::-1]][::-1] for ws in heads[::-1]][::-1]
+    for q, k, v in projections:
         p = softmax(scale(matmul(q, _transpose(k)), s))
         probs.append(p.data)
         outs.append(matmul(p, v))
@@ -349,6 +352,24 @@ class TestOpSemantics:
         a._accumulate(np.ones((2, 3)))
         assert np.array_equal(b.grad, before)
         assert not np.array_equal(a.grad, before)
+
+    def test_backward_runs_each_node_once_in_reverse_creation_order(self):
+        # a diamond whose depth-first order would differ: b feeds c and the
+        # root, a feeds b and c; every node runs once, after all its consumers
+        x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        a = scale(x, 3.0)
+        b = relu(a)
+        c = add(a, b)
+        root = weighted_sum(add(c, scale(b, 0.5)), seed=7)
+        ran = []
+        for node in (a, b, c):
+            node._backward = (lambda t, run: lambda g: ran.append(t) or run(g))(
+                node, node._backward)
+        root.backward()
+        assert ran == [c, b, a]
+        # d root / dx through a: c's 1 + relu' * (c's 1 + 0.5), times 3
+        w = np.random.default_rng(7).normal(size=(2, 1)).reshape(-1)
+        assert np.allclose(x.grad.reshape(-1), 3.0 * w * (1.0 + np.array([1.0, 0.0]) * 1.5))
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -11,6 +11,7 @@ from test_autodiff import fd_check, weighted_sum
 from tgtopo import autodiff as ad
 from tgtopo.autodiff import Tensor
 from tgtopo.model import (
+    MODES,
     VIEW_DIM,
     VIEW_NAMES,
     CheckpointError,
@@ -18,7 +19,6 @@ from tgtopo.model import (
     TemporalGraphClassifier,
     TransformerEncoder,
     _ParamStore,
-    _row,
     _stack,
     encode,
     fusion_attention,
@@ -77,6 +77,15 @@ class TestAggregation:
         assert all(s == pytest.approx(1.0) or s == 0.0 for s in sums)
 
 
+def _row(t: Tensor) -> Tensor:
+    """Reshape a tensor to a single-row matrix as one tape op."""
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(g.reshape(t.data.shape))
+
+    return Tensor(t.data.reshape(1, -1), parents=(t,), backward=backward)
+
+
 def sage_layer(features: Tensor, agg: np.ndarray, w_self, w_neigh, bias, activation=True):
     """h'_v = relu(W_self h_v + W_neigh mean_{u in N(v)} h_u + b) as the chain
     of tape ops that ``_structural_view`` replaces, kept as its reference."""
@@ -105,11 +114,27 @@ def structural_chain(model, features, agg):
 
 
 def fusion_chain(views, wq, wk, wv):
-    """``fusion_attention`` as the chain of tape ops it replaces."""
+    """``fusion_attention``, its residual and the reshape to a row as tape
+    ops: the attention node, an add and a reshape."""
     attended, (probs,) = ad.attention(views, [(wq, wk, wv)], 1.0 / np.sqrt(VIEW_DIM))
     fused = _row(ad.add(views, attended))
     weights = probs.sum(axis=0) / probs.shape[0]
     return fused, weights
+
+
+def head_chain(model, views, rng=None, train=False, grad=True):
+    """``TemporalGraphClassifier._head`` as the chain of tape ops it
+    replaces: concat, fusion attention (full mode), dropout and linear."""
+    if model.fuse:
+        fused, weights = fusion_chain(ad.concat(views, axis=0), *model.fuse)
+    else:
+        fused = ad.concat([_row(v) for v in views], axis=1)
+        weights = (np.full(3, 1.0 / 3.0) if model.cfg.mode == "concat-fuse" else
+                   np.eye(3)[{"gsage-only": 0, "topo-only": 1, "dos-only": 2}[model.cfg.mode]])
+    if train and model.cfg.dropout > 0:
+        fused = ad.dropout(fused, model.cfg.dropout, rng, train)
+    logits = ad.linear(fused, model.cls_w, model.cls_b)
+    return logits, SimpleNamespace(fused=fused.data.reshape(-1).copy(), view_weights=weights)
 
 
 def _sage_model(seed=0, mode="gsage-only", feature_dim=2, **overrides):
@@ -259,7 +284,7 @@ class TestStructuralViewMatchesChain:
 
     @pytest.mark.parametrize("mode", ["full", "concat-fuse", "gsage-only"])
     def test_model_step_matches_chains(self, mode, monkeypatch):
-        # the whole step, with both fused nodes swapped for their chains
+        # the whole step, with the structural and head nodes swapped for their chains
         feats, agg = _graph_inputs(5, 3, True, seed=6)
         data = np.random.default_rng(7)
         phi, psi = data.normal(size=(4, 4)), np.abs(data.normal(size=(4, 4)))
@@ -267,7 +292,7 @@ class TestStructuralViewMatchesChain:
         for chain in (False, True):
             if chain:
                 monkeypatch.setattr(TemporalGraphClassifier, "_structural_view", structural_chain)
-                monkeypatch.setattr("tgtopo.model.fusion_attention", fusion_chain)
+                monkeypatch.setattr(TemporalGraphClassifier, "_head", head_chain)
             model = TemporalGraphClassifier(ModelConfig(mode=mode, feature_dim=3), seed=2)
             logits, fusion = model.forward(phi, psi, feats, agg, train=True)
             ad.cross_entropy_with_logits(logits, 1).backward()
@@ -616,7 +641,25 @@ class TestCheckpointBytes:
         assert (tmp_path / "again.json").read_bytes() == PARENT_CHECKPOINT.read_bytes()
 
 
+def fusion_node(views, wq, wk, wv):
+    """``fusion_attention`` on a tape: the kernel's value, reshaped to one row,
+    and its gradients as one node."""
+    fused, weights, grad = fusion_attention(views.data, wq.data, wk.data, wv.data)
+
+    def backward(g):
+        g_views, g_ws = grad(g.reshape(fused.shape))
+        if views.requires_grad:
+            views._accumulate(g_views)
+        for w, g_w in zip((wq, wk, wv), g_ws):
+            w._accumulate(g_w)
+
+    return Tensor(fused.reshape(1, -1), parents=(views, wq, wk, wv), backward=backward), weights
+
+
 class TestFusionAttention:
+    """``fusion_attention`` is the attention op, residual and reshape chain
+    (``fusion_chain``) on arrays: value, view weights and every gradient."""
+
     def _qkv(self, rng):
         store = _ParamStore(rng)
         return (
@@ -631,14 +674,14 @@ class TestFusionAttention:
         wk = Tensor(np.zeros((VIEW_DIM, VIEW_DIM)), requires_grad=True)
         wv = Tensor(rng.normal(size=(VIEW_DIM, VIEW_DIM)), requires_grad=True)
         views = Tensor(rng.normal(size=(3, VIEW_DIM)))
-        fused, weights = fusion_attention(views, wq, wk, wv)
+        fused, weights = fusion_node(views, wq, wk, wv)
         assert np.allclose(weights, 1.0 / 3.0)
         assert fused.data.shape == (1, 3 * VIEW_DIM)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(6)
         wq, wk, wv = self._qkv(rng)
-        _, weights = fusion_attention(Tensor(rng.normal(size=(3, VIEW_DIM))), wq, wk, wv)
+        _, weights = fusion_node(Tensor(rng.normal(size=(3, VIEW_DIM))), wq, wk, wv)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert (weights >= 0).all()
 
@@ -646,7 +689,7 @@ class TestFusionAttention:
         rng = np.random.default_rng(0)
         wq, wk, wv = self._qkv(rng)
         with pytest.raises(ad.ShapeMismatchError):
-            fusion_attention(Tensor(np.zeros((2, VIEW_DIM))), wq, wk, wv)
+            fusion_attention(np.zeros((2, VIEW_DIM)), wq.data, wk.data, wv.data)
 
     @pytest.mark.parametrize("views_grad", [True, False], ids=["views_grad", "constant_views"])
     def test_bytes_match_chain(self, views_grad):
@@ -656,7 +699,7 @@ class TestFusionAttention:
 
         data = np.random.default_rng(34).normal(size=(3, VIEW_DIM))
         runs = []
-        for op in (fusion_attention, fusion_chain):
+        for op in (fusion_node, fusion_chain):
             views = Tensor(data.copy(), requires_grad=views_grad)
             ps = self._qkv(np.random.default_rng(8))
             fused, weights = op(views, *ps)
@@ -673,12 +716,57 @@ class TestFusionAttention:
             return list(self._qkv(rng))
 
         def forward(ps):
-            fused, _ = fusion_attention(Tensor(views), *ps)
+            fused, _ = fusion_node(Tensor(views), *ps)
             from test_autodiff import weighted_sum
 
             return weighted_sum(fused)
 
         fd_check(make, forward, n_trials=3)
+
+
+class TestHeadMatchesChain:
+    """``_head`` gives the bytes of the chain concat, fusion attention (full
+    mode), dropout and linear (``head_chain``): logits, fused row, view
+    weights, the gradients of the views and of every parameter, and the rng
+    state after the dropout draws."""
+
+    @staticmethod
+    def _views(model, seed):
+        # a structural row, then one row per encoder, as forward passes them
+        rows = [1] * model.has_view[0] + [len(model.encoders)] * bool(model.encoders)
+        data = np.random.default_rng(seed)
+        return [Tensor(data.normal(size=(r, VIEW_DIM)), requires_grad=True) for r in rows]
+
+    @pytest.mark.parametrize("calls", [1, 2], ids=["one_call", "two_calls_one_tape"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bytes(self, mode, dropout, calls):
+        runs = []
+        for op in (TemporalGraphClassifier._head, head_chain):
+            model = TemporalGraphClassifier(ModelConfig(mode=mode, feature_dim=3,
+                                                        dropout=dropout), seed=4)
+            rng = np.random.default_rng(12)
+            views = [self._views(model, seed) for seed in range(calls)]
+            outs = [op(model, vs, rng, train=True) for vs in views]
+            losses = [ad.cross_entropy_with_logits(logits, i % 2)
+                      for i, (logits, _) in enumerate(outs)]
+            (losses[0] if calls == 1 else ad.add(*losses)).backward()
+            runs.append(([(logits.data.tobytes(), fusion.fused.tobytes(),
+                           fusion.view_weights.tobytes()) for logits, fusion in outs],
+                         [t.grad.tobytes() for vs in views for t in vs],
+                         _param_grads(model), rng.random()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == 2 + 3 * (mode == "full")  # cls.w, cls.b, fuse.*
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_without_grad_no_tape(self, mode):
+        model = TemporalGraphClassifier(ModelConfig(mode=mode, feature_dim=3), seed=4)
+        views = self._views(model, 0)
+        (taped, fusion), (bare, fusion_bare) = (model._head(views, grad=g) for g in (True, False))
+        assert taped.data.tobytes() == bare.data.tobytes()
+        assert fusion.fused.tobytes() == fusion_bare.fused.tobytes()
+        assert fusion.view_weights.tobytes() == fusion_bare.view_weights.tobytes()
+        assert bare._backward is None and bare._parents == () and not bare.requires_grad
 
 
 class TestClassifier:
@@ -805,18 +893,34 @@ class TestClassifier:
         # one full-mode step as on the desk workload (2 sage layers, two
         # 2-layer 2-head encoders, fusion attention, no dropout).  The unfused
         # tape ran 151 backward closures per step; linear and attention nodes
-        # cut that to 66, running both encoders as one stacked node to 21, and
-        # the GraphSAGE branch and the fusion block as one node each to 6:
-        # structural, encode, concat, fusion, classifier, loss.  No leaf
-        # enters the backward order.
+        # cut that to 66, running both encoders as one stacked node to 21, the
+        # GraphSAGE branch and the fusion block as one node each to 6, and the
+        # head (concat, fusion, classifier) as one node to 4: loss, head,
+        # structural, encode, run in reverse creation order.  No leaf runs.
         cfg = ModelConfig(mode="full", feature_dim=3)
         model = TemporalGraphClassifier(cfg, seed=1)
         phi, psi, feats, agg = self._toy_inputs(cfg, np.random.default_rng(3))
         logits, _ = model.forward(phi, psi, feats, agg, train=True)
-        order = ad._backward_order(ad.cross_entropy_with_logits(logits, 1))
-        assert all(node._backward is not None for node in order)
-        assert not any(node in order for node in model.parameters.values())
-        assert len(order) == 6
+        loss = ad.cross_entropy_with_logits(logits, 1)
+        tensors, stack, ran = {}, [loss], []
+        while stack:  # every tensor upstream of the loss, leaves included
+            t = stack.pop()
+            if id(t) not in tensors:
+                tensors[id(t)] = t
+                stack.extend(t._parents)
+
+        def recording(t, run):
+            return lambda g: ran.append(t) or run(g)
+
+        for t in tensors.values():
+            if t._backward is not None:
+                t._backward = recording(t, t._backward)
+        loss.backward()
+        assert len(tensors) == 4 + len(model.parameters)
+        assert [t.data.shape for t in ran] == [(), (1, 2), (1, VIEW_DIM), (2, VIEW_DIM)]
+        assert ran[:2] == [loss, logits]
+        assert [t._stamp for t in ran] == sorted((t._stamp for t in ran), reverse=True)
+        assert all(t.grad is not None for t in model.parameters.values())
 
     def test_checkpoint_config_cannot_size_the_model(self, tmp_path):
         # a 98-byte file whose config asks for 1500-wide layers and that holds

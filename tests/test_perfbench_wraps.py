@@ -1,6 +1,6 @@
 """Every function and method that perfbench's traced run wraps exists, and
-extraction and the stability campaigns still call the ones that mark a
-graph's and a trial's start.
+extraction, training and the stability campaigns still call the ones that
+mark a graph's extraction, a graph-step, a fusion span and a trial.
 
 The traced benchmark replaces the package's functions by name; a renamed or
 deleted one would fail only the benchmark's self-test.  This runs the same
@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import tgtopo.model
+import tgtopo.optim
 import tgtopo.stability
 import tgtopo.temporal
 from tgtopo.data import synth_generate
-from tgtopo.pipeline import RunConfig, extract_descriptors
+from tgtopo.pipeline import RunConfig, extract_descriptors, kfold_cv, train
 from tgtopo.stability import PerturbationSpec, run_campaign
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -72,3 +73,25 @@ def test_each_campaign_trial_is_one_trial_call(spec, trial, monkeypatch):
     monkeypatch.setattr(tgtopo.stability, trial,
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     assert len(run_campaign(spec).trials) == len(calls) == spec.trials
+
+
+def test_one_adam_step_per_graph_step_and_one_fusion_call_per_forward():
+    # perfbench counts train_steps_per_s from Adam.step stamps and times the
+    # fusion span around model.fusion_attention: a step that took two Adam
+    # steps, or a head that fused without that call, would change what they mean
+    spans = _load("spans")
+    dataset = synth_generate(dict(num_graphs=6, nodes=8, timesteps=8, classes=2,
+                                  cycle_density=[0, 2]), 1)
+    cfg = RunConfig(delta=4.0, sigma=2.0, epochs=2, folds=3)
+    feats = extract_descriptors(dataset, cfg)
+    for run, steps, evaluated in ((lambda: train(feats, 2, cfg), len(feats) * cfg.epochs, 0),
+                                  (lambda: kfold_cv(dataset, cfg, features=feats),
+                                   (cfg.folds - 1) * len(feats) * cfg.epochs, len(feats))):
+        with spans.Tracer() as tracer:
+            tracer.wrap(tgtopo.optim.Adam, "step", "optim.adam_step")
+            tracer.wrap(tgtopo.model.TemporalGraphClassifier, "forward", "model.forward")
+            tracer.wrap(tgtopo.model, "fusion_attention", "model.forward.fusion")
+            run()
+        assert tracer.calls["optim.adam_step"] == steps
+        assert tracer.calls["model.forward"] == steps + evaluated
+        assert tracer.calls["model.forward.fusion"] == steps + evaluated
