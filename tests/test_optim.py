@@ -11,7 +11,26 @@ def _param(values):
 
 
 def _reference_adam_step(params, m, v, t, lr, beta1, beta2, eps, weight_decay):
-    """Per-tensor Adam loop: the arena must reproduce it bit for bit."""
+    """Per-tensor Adam loop with the moments kept without their (1 - beta)
+    factors, and those factors and the bias corrections folded into the step
+    size and eps: the arena must reproduce it bit for bit."""
+    scale = np.sqrt((1.0 - beta2**t) / (1.0 - beta2))
+    alpha = lr * (1.0 - beta1) / (1.0 - beta1**t) * scale
+    for name, (data, g) in params.items():
+        if g is None:
+            g = np.zeros_like(data)
+        if weight_decay:
+            data *= 1.0 - lr * weight_decay
+        m[name] *= beta1
+        m[name] += g
+        v[name] *= beta2
+        v[name] += g * g
+        data -= alpha * (m[name] / (np.sqrt(v[name]) + eps * scale))
+
+
+def _textbook_adam_step(params, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """Per-tensor Adam as Kingma & Ba's Algorithm 1 writes it, with decay
+    subtracted: the folded form agrees with it to a few ulps."""
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, (data, g) in params.items():
@@ -108,9 +127,9 @@ class TestFlatArena:
         params = {name: _param(x) for name, x in init.items()}
         hp = dict(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-3)
         opt = Adam(params, **hp)
-        ref = {name: x.copy() for name, x in init.items()}
-        m = {name: np.zeros_like(x) for name, x in init.items()}
-        v = {name: np.zeros_like(x) for name, x in init.items()}
+        refs = [{name: x.copy() for name, x in init.items()} for _ in range(2)]
+        moments = [[{name: np.zeros_like(x) for name, x in init.items()} for _ in range(2)]
+                   for _ in range(2)]
         for step in range(1, 6):
             grads = {
                 name: None if (step + i) % 3 == 0 else rng.normal(size=shapes[name])
@@ -119,10 +138,13 @@ class TestFlatArena:
             for name, p in params.items():
                 p.grad = grads[name]
             opt.step()
-            _reference_adam_step({n: (ref[n], grads[n]) for n in shapes}, m, v, step, **hp)
+            for reference, ref, (m, v) in zip((_reference_adam_step, _textbook_adam_step),
+                                              refs, moments):
+                reference({n: (ref[n], grads[n]) for n in shapes}, m, v, step, **hp)
             for name, p in params.items():
                 assert p.data.shape == shapes[name]
-                assert p.data.tobytes() == ref[name].tobytes(), (step, name)
+                assert p.data.tobytes() == refs[0][name].tobytes(), (step, name)
+                np.testing.assert_array_max_ulp(p.data, refs[1][name], maxulp=step)  # ulp a step
         assert all(np.shares_memory(p.data, opt.flat) for p in params.values())
 
 
