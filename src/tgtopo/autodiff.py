@@ -1,18 +1,17 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
 Each ``Tensor`` wraps a float64 array; operations record closures on a tape
-(the parent DAG) and ``backward`` replays them in reverse creation order: a
-node is created after its parents, so it runs after every node that
-consumes it.  Only the operations needed by the classifier are provided.
+(the parent DAG) and ``backward`` replays them in reverse creation order,
+which runs a node after every node that consumes it.  Only the operations
+needed by the classifier are provided.
 
-Each node keeps the parents whose closure can run (``_nodes``), so backward
-never visits constant inputs such as token matrices or leaf parameters.  A
-tensor's first gradient is stored as a copy, because one backward closure
-may hand the same array to several parents; a tensor bound to a gradient
-arena (``optim.pack``) copies it into its arena view instead.  Trainable
-tensors are views into their model's flat parameter arena, so code that
-changes a parameter's values writes into ``t.data`` in place rather than
-rebinding it.
+Backward visits only the parents whose closure can run (``_nodes``), never
+constant inputs such as token matrices or leaf parameters.  A tensor's first
+gradient is stored as a copy, because one backward closure may hand the same
+array to several parents; a tensor bound to a gradient arena
+(``optim.pack``) copies it into its arena view instead.  Trainable tensors
+are views into their model's flat parameter arena, so code that changes a
+parameter's values writes into ``t.data`` in place rather than rebinding it.
 
 Fused ops stand for a chain of the ops below as one tape node: ``linear``,
 ``attention`` and, in ``model``, ``TemporalGraphClassifier._structural_view``,
@@ -21,8 +20,7 @@ backward run the same numpy expressions on arrays of the same layout as the
 chain would, and an input's gradient adds the chain's contributions in a
 fixed order (the fusion views: the residual's, then q's, k's and v's; a
 hidden SAGE layer: its W_self term, then its neighbours'), so it is bit for
-bit the gradient of the unfused chain whose nodes backward runs in that
-order.
+bit the gradient of the unfused chain run in that order.
 
 The kernels that ``layer_norm`` and ``attention`` wrap also take stacks of
 (S, N, d) inputs and (S, ...) parameters, each slice byte-equal to an
@@ -31,8 +29,8 @@ their own, ``sum(..., keepdims=True) / d`` for ``mean``.  Every matmul keeps
 the memory layout its operands had in the chain (a transposed operand stays
 a transposed view), because BLAS may round another layout differently.  The
 parameter stacks are blocks of the arenas, laid out when the model is built
-(``model._stack``); through ``accumulate_blocks`` a backward writes a
-stacked gradient straight into its gradient block, with no copy.
+(``model._stack``), and ``accumulate_blocks`` lets a backward write a
+stacked gradient straight into its gradient block.
 """
 
 from __future__ import annotations
@@ -52,7 +50,8 @@ class NonFiniteValueError(NumericalError):
     pass
 
 
-_created = itertools.count()  # creation stamps: a node is stamped after its parents
+# creation stamps, shared by every tape: a node is stamped after its parents
+_created = itertools.count()
 
 
 class Tensor:
@@ -66,7 +65,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
         self._grad_view = None  # arena slot the first gradient is written into
-        # the parents whose backward can run; leaves never enter the backward
         self._nodes = [p for p in parents if p._backward is not None and p.requires_grad]
         self._stamp = next(_created)
 

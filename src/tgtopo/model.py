@@ -12,9 +12,7 @@ Each part is one tape node (``TemporalGraphClassifier._structural_view``,
 ``encode``, ``TemporalGraphClassifier._head``) running the chain of
 ``autodiff`` ops it replaces, bit for bit: a hidden SAGE layer's gradient
 adds its W_self term, then its neighbours'; the fusion views add the
-residual's, then q, k, v.  The head stacks the views, runs
-``fusion_attention`` (full mode), dropout and the classifier linear, so a
-training step runs four backward nodes: loss, head, structural, encoders.
+residual's, then q, k, v.
 """
 
 from __future__ import annotations
@@ -243,7 +241,6 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
     w_out, b_out = params[-2:]
 
     def fill(out, g):
-        # each block's gradient goes straight into ``out`` (``accumulate_blocks``)
         np.matmul(pooled.swapaxes(-1, -2), g, out=out[-2])
         out[-1][...] = g
         g_x = np.repeat((g @ w_out.swapaxes(-1, -2)) / n, n, axis=-2)
@@ -283,10 +280,10 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
 
 def fusion_attention(views, wq, wk, wv):
     """Single-head self-attention over the 3 view tokens (a 3 x 10 array) and
-    its residual add, on arrays, op for op as ``autodiff.attention``.
+    its residual add, op for op as ``autodiff.attention`` on plain 2-D arrays.
 
-    Returns (fused 3 x 10 array, view_weights, ``grad(g)``): the views'
-    gradient (the residual's, then q's, k's and v's) and the three weights'.
+    Returns (fused 3 x 10 array, view_weights, ``grad(g)``: the views'
+    gradient, the residual's then q's, k's and v's, and the three weights').
     The per-view weight is the total attention mass received by that view
     across the three queries, normalized to sum to 1.  A residual connection
     around the attention block keeps a direct gradient path into each view
@@ -386,12 +383,10 @@ class TemporalGraphClassifier:
         return Tensor(pooled @ proj.data + proj_b.data, parents=params, backward=backward)
 
     def _head(self, views, rng=None, train=False, grad=True):
-        """The classifier head as one tape node: the rows of the view tensors
-        stacked (structural, topological, spectral; those the mode has), fusion
-        attention with its residual if the model has it, the reshape to one
-        row, dropout and the ``cls`` linear.  Returns (logits Tensor,
-        FusionOutput).  Values and gradients are bit for bit the chain concat,
-        ``fusion_attention``, dropout, ``linear`` of ``autodiff`` ops; with
+        """The classifier head as one tape node in every mode: the view rows
+        stacked, ``fusion_attention`` if the model has it, the reshape to one
+        row, dropout and the ``cls`` linear, bit for bit as that chain of
+        ``autodiff`` ops.  Returns (logits Tensor, FusionOutput); with
         ``grad`` False no tape is kept."""
         x = np.concatenate([v.data for v in views])
         if self.fuse:
@@ -399,10 +394,9 @@ class TemporalGraphClassifier:
         else:  # the views present share the weight equally
             weights = np.divide(self.has_view, sum(self.has_view))
         fused = x.reshape(1, -1)
-        mask = None
-        if train and self.cfg.dropout > 0:
-            mask = ad.dropout_mask(rng, self.cfg.dropout, fused.shape)
-            fused = fused * mask
+        drop = train and self.cfg.dropout > 0
+        mask = ad.dropout_mask(rng, self.cfg.dropout, fused.shape) if drop else None
+        fused = fused * mask if drop else fused
         w, b = self.cls_w, self.cls_b
         logits, out = fused @ w.data + b.data, FusionOutput(fused.reshape(-1).copy(), weights)
         if not grad:
@@ -411,17 +405,14 @@ class TemporalGraphClassifier:
         def backward(g):
             b._accumulate(g.sum(axis=0))
             w._accumulate(fused.T @ g)
-            g_x = g @ w.data.T
-            g_x = (g_x * mask if mask is not None else g_x).reshape(x.shape)
+            g_x = (g @ w.data.T * mask if drop else g @ w.data.T).reshape(x.shape)
             if self.fuse:
                 g_x, g_ws = fuse_grad(g_x)
                 for t, g_t in zip(self.fuse, g_ws):
                     t._accumulate(g_t)
-            start = 0
             for v in views:
-                if v.requires_grad:
-                    v._accumulate(g_x[start:start + len(v.data)])
-                start += len(v.data)
+                v._accumulate(g_x[:len(v.data)])
+                g_x = g_x[len(v.data):]
 
         return Tensor(logits, parents=(*views, *self.fuse, w, b), backward=backward), out
 

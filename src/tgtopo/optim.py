@@ -53,12 +53,10 @@ def pack(tensors):
 
 class Adam:
     """Bias-corrected Adam; weight decay is decoupled and applied as
-    p <- p * (1 - lr * wd) before the moment update.  ``step`` makes 11
-    passes over the arena.  ``m`` and ``v`` are the moments without their
-    (1 - beta) factors, m <- beta1 m + g and v <- beta2 v + g^2, and those
-    factors and the bias corrections are folded into two scalars, the step
-    size and eps (Kingma & Ba's cheaper ordering), so the only divide left is
-    m / (sqrt(v) + eps_hat)."""
+    p <- p * (1 - lr * wd) before the moment update.  ``m`` and ``v`` lack
+    their (1 - beta) factors (m <- beta1 m + g, v <- beta2 v + g^2); those
+    and the bias corrections fold into the step size and eps, so ``step``
+    makes 11 passes over the arena and one divide."""
 
     def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=1e-4):
@@ -94,19 +92,16 @@ class Adam:
                 gv[...] = p.grad
         self.step_count += 1
         t = self.step_count
-        # Kingma & Ba (2015, section 2): lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        # is alpha * m / (sqrt(v) + eps_hat); with the moments kept as sums
-        # (see the class docstring) both scalars also take their scale
-        b1, b2 = self.beta1, self.beta2
-        scale = math.sqrt((1.0 - b2**t) / (1.0 - b2))
-        alpha, eps_hat = self.lr * (1.0 - b1) / (1.0 - b1**t) * scale, self.eps * scale
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps) as in Kingma & Ba (2015), section 2
+        scale = math.sqrt((1.0 - self.beta2**t) / (1.0 - self.beta2))
+        alpha = self.lr * (1.0 - self.beta1) / (1.0 - self.beta1**t) * scale
         p, g, m, v, tmp, den = self.flat, self._grad, self.m, self.v, self._tmp, self._den
         if self.weight_decay:
             p *= 1.0 - self.lr * self.weight_decay
-        m *= b1
+        m *= self.beta1
         m += g
-        v *= b2
+        v *= self.beta2
         v += np.multiply(g, g, out=tmp)
         np.sqrt(v, out=den)
-        den += eps_hat
+        den += self.eps * scale
         p -= np.multiply(alpha, np.divide(m, den, out=tmp), out=tmp)

@@ -76,15 +76,14 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
         raise StabilityError(f"eps must be positive, got {eps}")
     rng = np.random.default_rng(seed)
     shifts = rng.uniform(-eps, eps, size=graph.num_events)
-    # the graph's events are valid, so only a shifted time can be new: a sum
-    # that overflowed sorts to an end, and from_events reports it (or no events)
     events = sorted(((u, v, t + float(dt)) for (u, v, t), dt in zip(graph.events, shifts)),
                     key=itemgetter(2))
     l1 = float(np.abs(shifts).sum())
-    if not events or not math.isfinite(events[0][2]) or not math.isfinite(events[-1][2]):
-        return from_events(graph.num_nodes, events, graph.label), l1
-    return TemporalGraph(graph.num_nodes, tuple(events), graph.label,
-                         events[0][2], events[-1][2]), l1
+    # only an overflowed time (sorted to an end) can be invalid: from_events reports it
+    if events and math.isfinite(events[0][2]) and math.isfinite(events[-1][2]):
+        return TemporalGraph(graph.num_nodes, tuple(events), graph.label,
+                             events[0][2], events[-1][2]), l1
+    return from_events(graph.num_nodes, events, graph.label), l1
 
 
 def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
