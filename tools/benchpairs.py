@@ -19,7 +19,8 @@ parent's against the bound in ``BENCHMARK.json``, whether a gain is shown
 more than the parent's interquartile range), whether the metric is unresolved
 (the parent's interquartile range over its median exceeds the bound, so the
 pairs cannot tell a regression of that size from noise), both sides'
-fingerprints and the fingerprint keys that differ on any pair, the ``src/`` line counts, a sha256 of each side's ``src/`` files
+fingerprints and the fingerprint keys that differ on any pair, the ``src/``
+line counts, a sha256 of each side's ``src/`` files
 (so the file can be tied to the code it measured even when the change was not
 yet committed) and the environment.  After writing it, the script prints the
 ``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and one
