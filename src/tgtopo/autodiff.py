@@ -384,7 +384,7 @@ def cross_entropy_with_logits(logits, label: int) -> Tensor:
     """Negative log-likelihood of ``label`` under softmax(logits); scalar."""
     logits = _as_tensor(logits)
     vec = logits.data.reshape(-1)
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise NonFiniteValueError("non-finite logits")
     if not 0 <= label < vec.size:
         raise ShapeMismatchError(f"label {label} out of range for {vec.size} classes")

@@ -362,7 +362,7 @@ class TemporalGraphClassifier:
             active = pre > 0
             tape.append((h, neigh, active))
             h = np.where(active, pre, 0.0)
-        pooled = h.mean(axis=0).reshape(1, -1)
+        pooled = (h.sum(axis=0) / n).reshape(1, -1)
         proj, proj_b = self.sage_proj, self.sage_proj_b
 
         def backward(g):

@@ -78,7 +78,7 @@ class Adam:
 
     def zero_grad(self):
         for t in self.params.values():
-            t.zero_grad()
+            t.grad = None
 
     def step(self):
         for (name, p), gv in zip(self.params.items(), self._grad_views):
