@@ -424,12 +424,10 @@ class TemporalGraphClassifier:
         With ``grad`` False (evaluation) the encoders and the head keep no
         tape, and no gradient reaches their parameters.
         """
-        views = []
+        views = [self._structural_view(features, agg)] if self.has_view[0] else []
         if self.encoders:
             streams = [{"topo_tf": phi, "dos_tf": psi}[e.prefix] for e in self.encoders]
             views.append(encode(self.encoders, self.blocks, streams, rng, train, grad)[0])
-        if self.has_view[0]:
-            views.insert(0, self._structural_view(features, agg))
         return self._head(views, rng, train, grad)
 
     def save(self, path):

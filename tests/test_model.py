@@ -896,7 +896,7 @@ class TestClassifier:
         # cut that to 66, running both encoders as one stacked node to 21, the
         # GraphSAGE branch and the fusion block as one node each to 6, and the
         # head (concat, fusion, classifier) as one node to 4: loss, head,
-        # structural, encode, run in reverse creation order.  No leaf runs.
+        # encode, structural, run in reverse creation order.  No leaf runs.
         cfg = ModelConfig(mode="full", feature_dim=3)
         model = TemporalGraphClassifier(cfg, seed=1)
         phi, psi, feats, agg = self._toy_inputs(cfg, np.random.default_rng(3))
@@ -917,7 +917,7 @@ class TestClassifier:
                 t._backward = recording(t, t._backward)
         loss.backward()
         assert len(tensors) == 4 + len(model.parameters)
-        assert [t.data.shape for t in ran] == [(), (1, 2), (1, VIEW_DIM), (2, VIEW_DIM)]
+        assert [t.data.shape for t in ran] == [(), (1, 2), (2, VIEW_DIM), (1, VIEW_DIM)]
         assert ran[:2] == [loss, logits]
         assert [t._stamp for t in ran] == sorted((t._stamp for t in ran), reverse=True)
         assert all(t.grad is not None for t in model.parameters.values())
