@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import tgtopo.pipeline
-from tgtopo.data import Dataset, synth_generate
+from tgtopo.data import Dataset, load_dataset, save_dataset, synth_generate
 from tgtopo.model import TemporalGraphClassifier
 from tgtopo.pipeline import (
+    FEATURE_MODES,
     AttentionReport,
     Metrics,
     PipelineError,
@@ -114,18 +115,36 @@ class TestDescriptorFingerprint:
         True: "96eb1d414bd01980fe6aeea23b86ea5ddca54e522727f832b51fd1e096ff144a",
     }
 
+    # the same hash over each graph's structural ``features`` and ``agg`` bytes
+    STATIC = {
+        "temporal_degree": "36796273f0935beaccd490d674c1f6ecb98a14ae4ccea963c1a16ecc09a43408",
+        "binary": "5560c1cd930994fef9714cc616ca44667bb094b7f9ea35f249e81bf93cf41e96",
+    }
+    SPEC = dict(num_graphs=20, nodes=30, timesteps=24, classes=2, cycle_density=[0, 3])
+
     @staticmethod
-    def _digest(spec, cfg):
+    def _digest(spec, cfg, fields=("phi", "psi", "psi_empty"), dataset=None):
         h = hashlib.sha256()
-        for gf in extract_descriptors(synth_generate(spec, 1), cfg):
-            for arr in (gf.phi, gf.psi, gf.psi_empty):
-                h.update(np.ascontiguousarray(arr).tobytes())
+        for gf in extract_descriptors(dataset or synth_generate(spec, 1), cfg):
+            for name in fields:
+                h.update(np.ascontiguousarray(getattr(gf, name)).tobytes())
         return h.hexdigest()
 
     def test_default_config_digest(self):
-        spec = dict(num_graphs=20, nodes=30, timesteps=24, classes=2,
-                    cycle_density=[0, 3])
-        assert self._digest(spec, RunConfig()) == self.DIGEST
+        assert self._digest(self.SPEC, RunConfig()) == self.DIGEST
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_static_inputs_digest(self, mode):
+        cfg = RunConfig(feature_mode=mode)
+        assert self._digest(self.SPEC, cfg, ("features", "agg")) == self.STATIC[mode]
+
+    def test_digest_after_file_round_trip(self, tmp_path):
+        # the same graphs parsed back from their files give the same descriptors
+        save_dataset(synth_generate(self.SPEC, 1), tmp_path / "ds")
+        back = load_dataset(tmp_path / "ds")
+        assert self._digest(None, RunConfig(), dataset=back) == self.DIGEST
+        assert self._digest(None, RunConfig(), ("features", "agg"),
+                            back) == self.STATIC["temporal_degree"]
 
     @pytest.mark.parametrize("multiplicity", [False, True])
     def test_long_stream_digest(self, multiplicity):
