@@ -7,7 +7,6 @@ from .temporal import (
     StaticGraph,
     WindowSpec,
     from_events,
-    window,
     window_count,
     window_sequence,
     temporal_degree,

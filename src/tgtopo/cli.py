@@ -88,7 +88,6 @@ def _write_or_print(text, path):
 def _run(args) -> int:
     if args.command == "extract":
         cfg = RunConfig(delta=args.delta, sigma=args.sigma, dos_bins=args.bins)
-        cfg.validate()
         dataset = data.load_dataset(args.data)
         features = pipeline.extract_descriptors(dataset, cfg)
         pipeline.save_descriptors(features, args.out)

@@ -2,19 +2,23 @@
 
 On-disk format: a directory with a ``manifest.txt`` listing one graph file
 per line.  Each graph file starts with ``n <num_nodes> label <class-id>``
-followed by one ``u v t`` line per event.
+followed by one ``u v t`` line per event: ids as ``int`` reads them, times as
+``float`` does, lines as ``str.splitlines`` cuts them, blank ones skipped.  The
+events are parsed straight into the graph's event array.
 """
 
 from __future__ import annotations
 
+import io
 import numbers
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .temporal import TemporalGraph, TemporalGraphError, from_events
+from .temporal import EVENT, TemporalGraph, TemporalGraphError, from_events, from_records
 
 MANIFEST = "manifest.txt"
 
@@ -73,6 +77,30 @@ def load_graph(path) -> TemporalGraph:
         label = int(header[3])
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from exc
+    records = _loadtxt(lines[1:])
+    try:
+        if records is not None:
+            return from_records(num_nodes, records, label=label)
+        return from_events(num_nodes, _read_lines(path, lines), label=label)
+    except TemporalGraphError as exc:
+        raise ParseError(path, None, str(exc)) from exc
+
+
+def _loadtxt(lines):
+    """The event lines as one ``EVENT`` array in one numpy call, or None where numpy
+    refuses them (an empty body warns).  Joined by newlines, they split as
+    ``splitlines`` cut them; numpy splits fields on the whitespace ``str.split``
+    does, and what its parsers accept ``int`` and ``float`` read alike."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(io.StringIO("\n".join(lines)), EVENT, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+
+
+def _read_lines(path, lines) -> list:
+    """A graph file's events, line by line, naming the first bad line."""
     events = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -84,10 +112,7 @@ def load_graph(path) -> TemporalGraph:
             events.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise ParseError(path, i, str(exc)) from exc
-    try:
-        return from_events(num_nodes, events, label=label)
-    except TemporalGraphError as exc:
-        raise ParseError(path, None, str(exc)) from exc
+    return events
 
 
 def save_dataset(dataset: Dataset, directory):

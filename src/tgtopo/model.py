@@ -85,11 +85,10 @@ def time_embedding(n: int, d_model: int) -> np.ndarray:
 def mean_aggregation_matrix(static) -> np.ndarray:
     """Row-stochastic neighbor-averaging matrix of a StaticGraph (zero rows
     for isolated nodes, so their neighbor mean is the zero vector)."""
-    n = static.num_nodes
-    m = np.zeros((n, n))
-    for v, nbrs in enumerate(static.neighbors):
-        if nbrs:
-            m[v, list(nbrs)] = 1.0 / len(nbrs)
+    ends = np.array(static.edges, np.int64).reshape(-1, 2)
+    inv = 1.0 / np.maximum(np.bincount(ends.ravel(), minlength=static.num_nodes), 1)
+    m = np.zeros((static.num_nodes, static.num_nodes))
+    m[ends, ends[:, ::-1]] = inv[ends]  # m[u, v] = 1 / deg(u) and m[v, u] = 1 / deg(v)
     return m
 
 

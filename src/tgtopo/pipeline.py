@@ -147,12 +147,13 @@ class AttentionReport:
 
 
 def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
-    """Per-graph descriptor streams and static features.
+    """Per-graph descriptor streams and static features; the config is validated first.
 
     The temporal-degree grid is the dataset-wide sorted union of distinct
     timestamps so that the structural branch sees a fixed feature width.
     """
-    grid = sorted({t for g in dataset.graphs for _, _, t in g.events})
+    config.validate()
+    grid = np.unique(np.concatenate([g.array[:, 2] for g in dataset.graphs]))
     binary = config.feature_mode == "binary"
     out = []
     for g in dataset.graphs:

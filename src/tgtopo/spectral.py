@@ -57,7 +57,7 @@ class DosHistogram:
 def _laplacians(a) -> np.ndarray:
     """Normalized Laplacians of the 0/1 adjacency matrices on a's last two axes."""
     deg = a.sum(axis=-1)
-    if not deg.all():  # windows built by ``window`` hold edge endpoints only
+    if not deg.all():  # cut windows hold edge endpoints only
         raise SpectralError("window has a node without edges")
     inv_sqrt = 1.0 / np.sqrt(deg)
     return np.eye(a.shape[-1]) - inv_sqrt[..., :, None] * a * inv_sqrt[..., None, :]

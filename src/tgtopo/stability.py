@@ -176,7 +176,8 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v:
             events.append((u, v, 10.0 * rng.random()))  # uniform(0.0, 10.0), bit for bit
-    return from_events(n, events)
+    events.sort(key=itemgetter(2))  # valid as drawn, so from_events' checks are skipped
+    return TemporalGraph(n, tuple(events), None, events[0][2], events[-1][2])
 
 
 def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:

@@ -1,11 +1,13 @@
 """Temporal graph data model and sliding-window extraction.
 
 A temporal graph is a fixed node set plus a list of timestamped undirected
-edge events; the same pair may interact repeatedly.  Sliding windows of
-length ``delta`` advanced by stride ``sigma`` induce a sequence of small
-subgraphs from which downstream descriptors are computed.  A graph's windows
-are cut from one array of its events into arrays (a ``Windows`` sequence), and
-``stack_windows`` groups them by node count for descriptors computed on stacks.
+edge events; the same pair may interact repeatedly.  Readers take a graph's
+events from one time-sorted (E, 3) float64 ``array``, which a parsed graph file
+seeds and other graphs build on first read.  Sliding windows of length ``delta``
+advanced by stride ``sigma`` induce a sequence of small subgraphs from which
+downstream descriptors are computed.  A graph's windows are cut from the array
+into arrays (a ``Windows`` sequence), and ``stack_windows`` groups them by node
+count for descriptors computed on stacks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -84,39 +87,78 @@ class TemporalGraph:
     def num_events(self) -> int:
         return len(self.events)
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Read-only (E, 3) float64 ``events``; node ids below 2**53 are exact."""
+        return _array(self.events)
+
 
 _time = itemgetter(2)  # an event's timestamp
 STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of float64
+WINDOW_LIMIT = 1 << 20  # windows per graph
+EVENT = np.dtype([("u", np.int64), ("v", np.int64), ("t", np.float64)])  # one event record
+
+
+def _array(events) -> np.ndarray:
+    """Read-only (E, 3) float64 array of (int, int, float) triples."""
+    try:
+        ev = np.fromiter(chain.from_iterable(events), np.float64, 3 * len(events)).reshape(-1, 3)
+    except OverflowError:  # an id beyond float64 is out of range, as -1 or 2**53 is
+        ev = np.array([(min(max(u, -1), 2**53), min(max(v, -1), 2**53), t) for u, v, t in events])
+    ev.flags.writeable = False
+    return ev
+
+
+def _check_events(num_nodes, ev, events):
+    """Raise for the first of ``events`` (as ``ev``, their float64 array, holds
+    them) with a node outside [0, num_nodes), a self-loop or a non-finite time."""
+    # windows read node ids through float64, which is exact only up to 2**53
+    if not isinstance(num_nodes, numbers.Integral) or not 0 < num_nodes <= 2**53:
+        raise TemporalGraphError(f"num_nodes must be an integer in [1, 2**53], got {num_nodes}")
+    u, v, t = ev.T
+    out = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
+    bad = np.flatnonzero(out | (u == v) | ~np.isfinite(t))
+    if bad.size:
+        u, v, t = events[bad[0]]
+        if out[bad[0]]:
+            raise OutOfRangeNodeError(f"event ({u},{v},{float(t)}) outside [0,{num_nodes})")
+        if u == v:
+            raise SelfLoopError(f"self-loop at node {u}, t={float(t)}")
+        raise NonFiniteTimestampError(f"event ({u},{v}) has timestamp {float(t)}")
 
 
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
     """Build a TemporalGraph, validating integer endpoints and times, sorting by time."""
-    # windows read node ids through float64, which is exact only up to 2**53
-    if not isinstance(num_nodes, numbers.Integral) or not 0 < num_nodes <= 2**53:
-        raise TemporalGraphError(f"num_nodes must be an integer in [1, 2**53], got {num_nodes}")
-    checked = []
+    events, checked = list(events), []
     for u, v, t in events:
         try:
             iu, iv, t = int(u), int(v), float(t)
+            if (type(u) is not int or type(v) is not int) and (  # a plain int needs no test
+                    (iu, iv) != (u, v) or any(isinstance(x, (bool, np.bool_)) for x in (u, v))):
+                raise ValueError("node ids must be integers")
         except (OverflowError, TypeError, ValueError) as exc:
+            _check_events(num_nodes, _array(checked), events)  # the first bad event first
             raise TemporalGraphError(f"event ({u},{v},{t}): {exc}") from exc
-        if (type(u) is not int or type(v) is not int) and (  # a plain int needs no test
-                (iu, iv) != (u, v) or any(isinstance(x, (bool, np.bool_)) for x in (u, v))):
-            raise TemporalGraphError(f"event ({u},{v},{t}): node ids must be integers")
-        if not (0 <= u < num_nodes) or not (0 <= v < num_nodes):
-            raise OutOfRangeNodeError(f"event ({u},{v},{t}) outside [0,{num_nodes})")
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u}, t={t}")
-        if not math.isfinite(t):
-            raise NonFiniteTimestampError(f"event ({u},{v}) has timestamp {t}")
         checked.append((iu, iv, t))
+    _check_events(num_nodes, _array(checked), events)
     if not checked:
         if not allow_empty:
             raise EmptyEventListError("empty event list (pass allow_empty=True to permit)")
         return TemporalGraph(num_nodes, (), label, math.nan, math.nan)
     checked.sort(key=_time)
-    ts = [t for _, _, t in checked]
-    return TemporalGraph(num_nodes, tuple(checked), label, min(ts), max(ts))
+    return TemporalGraph(num_nodes, tuple(checked), label, checked[0][2], checked[-1][2])
+
+
+def from_records(num_nodes, records, label=None) -> TemporalGraph:
+    """``from_events`` for a nonempty ``EVENT`` array, which seeds the graph's ``array``."""
+    ev = np.column_stack((records["u"], records["v"], records["t"]))
+    _check_events(num_nodes, ev, records)
+    ev = ev[np.argsort(ev[:, 2], kind="stable")]
+    ev.flags.writeable = False
+    (u, v), t = ev[:, :2].astype(np.int64).T.tolist(), ev[:, 2].tolist()
+    g = TemporalGraph(num_nodes, tuple(zip(u, v, t)), label, t[0], t[-1])
+    object.__setattr__(g, "array", ev)  # fills the cached_property
+    return g
 
 
 @dataclass(frozen=True)
@@ -158,7 +200,15 @@ class StaticGraph:
 
     num_nodes: int
     edges: tuple  # sorted (u, v), u < v
-    neighbors: tuple  # per-node sorted neighbor tuples
+
+    @property
+    def neighbors(self) -> tuple:
+        """Per-node sorted neighbour tuples."""
+        nbrs = [[] for _ in range(self.num_nodes)]
+        for u, v in self.edges:  # in this order each node's neighbours arrive sorted
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
 
 
 class Windows(Sequence):
@@ -190,8 +240,7 @@ def _windows(graph: TemporalGraph, starts, delta) -> Windows:
     ``np.unique`` over (window, pair) keys of all windows gives their pairs and
     multiplicities, one over (window, node) keys their nodes.  Node ids and pairs
     are ranked first, so no key exceeds events**2 or windows x pairs."""
-    ev = np.fromiter(chain.from_iterable(graph.events), np.float64,
-                     3 * graph.num_events).reshape(-1, 3)
+    ev = graph.array
     ids, rank = np.unique(np.sort(ev[:, :2].astype(np.int64), axis=1), return_inverse=True)
     pairs, pair = np.unique(rank.reshape(-1, 2) @ [len(ids), 1], return_inverse=True)
     lo = np.searchsorted(ev[:, 2], starts, "left")
@@ -208,23 +257,19 @@ def _windows(graph: TemporalGraph, starts, delta) -> Windows:
     return Windows(starts, delta, counts, ids[nodes % len(ids)], owner, local, mult)
 
 
-def window(graph: TemporalGraph, t: float, delta: float, window_index=0) -> WindowGraph:
-    """Extract the subgraph of events with timestamp in the closed [t, t+delta]."""
-    if not delta > 0:
-        raise TemporalGraphError(f"delta must be > 0, got {delta}")
-    if math.isnan(t):  # would compare false with every timestamp
-        raise TemporalGraphError("window start is NaN")
-    return replace(_windows(graph, np.array([t], float), delta)[0], window_index=window_index)
-
-
 def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
-    """Number of sliding windows: ceil((t_max - t_min - delta)/sigma) + 1, min 1."""
+    """Number of sliding windows: ceil((t_max - t_min - delta)/sigma) + 1, min 1;
+    a count above ``WINDOW_LIMIT`` raises before anything is allocated."""
     if graph.num_events == 0:
         raise EmptyGraphError("window_count requires a nonempty graph")
     span = graph.t_max - graph.t_min
     if span <= spec.delta:
         return 1
-    return int(math.ceil((span - spec.delta) / spec.sigma)) + 1
+    steps = (span - spec.delta) / spec.sigma  # inf for a tiny sigma
+    if not steps <= WINDOW_LIMIT - 1:
+        raise TemporalGraphError(f"delta={spec.delta}, sigma={spec.sigma} cut over "
+                                 f"{WINDOW_LIMIT} windows")
+    return int(math.ceil(steps)) + 1
 
 
 def window_sequence(graph: TemporalGraph, spec: WindowSpec) -> Windows:
@@ -283,8 +328,7 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
     if not steps.size:
         raise EmptyTimestepsError("timesteps grid is empty")
     order = np.argsort(steps, kind="stable")
-    ev = np.fromiter(chain.from_iterable(graph.events), np.float64,
-                     3 * graph.num_events).reshape(-1, 3)
+    ev = graph.array
     # an event's column is the last timestep equal to its time, if any
     grid = steps[order]
     pos = np.searchsorted(grid, ev[:, 2], "right") - 1
@@ -298,9 +342,7 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
 
 def static_projection(graph: TemporalGraph) -> StaticGraph:
     """Union of all event pairs with timestamps discarded."""
-    pairs = sorted({(u, v) if u < v else (v, u) for u, v, _ in graph.events})
-    nbrs = [[] for _ in range(graph.num_nodes)]
-    for u, v in pairs:  # in this order each node's neighbours arrive sorted
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return StaticGraph(graph.num_nodes, tuple(pairs), tuple(map(tuple, nbrs)))
+    u, v = graph.array[:, 0], graph.array[:, 1]
+    pairs = np.unique(np.minimum(u, v) + 1j * np.maximum(u, v))  # sorted by real, then imag
+    ends = np.stack([pairs.real, pairs.imag], axis=1).astype(np.int64).tolist()
+    return StaticGraph(graph.num_nodes, tuple(map(tuple, ends)))

@@ -78,6 +78,16 @@ def _sweep_args(root, dataset_dir, deltas):
     return ["sweep", "--data", str(dataset_dir), "--deltas", deltas, "--sigmas", "2.0"]
 
 
+def _tiny_stride_args(root, dataset_dir, command):
+    # about 10**301 windows per graph: refused before anything is allocated
+    if command == "extract":
+        return ["extract", "--data", str(dataset_dir), "--out", str(root / "o"),
+                "--delta", "2", "--sigma", "1e-300"]
+    if command == "sweep":
+        return ["sweep", "--data", str(dataset_dir), "--deltas", "2", "--sigmas", "1e-300"]
+    return _cv_args(root, dataset_dir, "delta = 2.0\nsigma = 1e-300\n")
+
+
 def _train_args(root, dataset_dir, fraction):
     return ["train", "--data", str(dataset_dir), "--out", str(root / "m.json"),
             "--test-fraction", fraction]
@@ -146,6 +156,9 @@ class TestExitCodes:
                      id="inf_timestamp_noise"),
         pytest.param(_stability_args, "--mode topo --trials 30 --seed -1", id="negative_seed"),
         pytest.param(_sweep_args, "a", id="sweep_value_not_float"),
+        pytest.param(_tiny_stride_args, "extract", id="window_count_above_cap_extract"),
+        pytest.param(_tiny_stride_args, "sweep", id="window_count_above_cap_sweep"),
+        pytest.param(_tiny_stride_args, "cv", id="window_count_above_cap_cv"),
         pytest.param(_train_args, "0", id="zero_test_fraction"),
         pytest.param(_train_args, "nan", id="nan_test_fraction"),
     ])

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tgtopo.data import (
     DataError,
@@ -14,6 +17,7 @@ from tgtopo.data import (
     synth_generate,
     write_graph,
 )
+from tgtopo.errors import InputError
 from tgtopo.temporal import from_events, window_sequence, WindowSpec
 from tgtopo import topology
 
@@ -57,6 +61,88 @@ class TestGraphIO:
         path.write_text("")
         with pytest.raises(ParseError):
             load_graph(path)
+
+
+    def test_parsed_graph_holds_its_event_array(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n 4 label 0\n2 3 2.5\n0 1 1.0\n1 2 2.5\n")
+        with mock.patch("tgtopo.data.from_events", side_effect=AssertionError):
+            g = load_graph(path)  # numpy read every line
+        assert g.events == ((0, 1, 1.0), (2, 3, 2.5), (1, 2, 2.5))
+        assert "array" in vars(g) and not g.array.flags.writeable
+        assert g.array.tolist() == [[0, 1, 1.0], [2, 3, 2.5], [1, 2, 2.5]]
+
+
+ID_TEXT = st.sampled_from(["0", "1", "2", "4", "5", "-1", "+1", "1_0", "3.0", "00", " 2",
+                           "#1", "1#", str(2**63), str(2**63 - 1), str(2**53), "\u0661",
+                           "\uff12", "0x1", "nan"]) | st.integers(-2, 6).map(str)
+TIME_TEXT = st.sampled_from(["1.0", "2", "-0.0", "0.0", ".5", "5.", "1e5", "inf", "-inf", "nan",
+                             "NaN", "1e400", "1e-400", "1_0.5", "0x10", "#", "2#x", "1d5",
+                             "infinity", "\uff11"]) | st.floats().map(repr)
+FIELD_SEP = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f", "\u3000", "\x00", ","])
+LINE_SEP = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                            "\x85", "\u2028", "\u2029"])
+HEADER = st.sampled_from(["n 5 label 1", "n 3 label 0", "n 5  label\t1 ", "nodes 5",
+                          "n 5 label", "n x label 0", "n 0 label 0", "n 2 label -1"])
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph files whose event lines mix well-formed events with every line
+    and field separator, number spelling and blank line the two parsers
+    might read differently."""
+    lines = [draw(HEADER)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["event", "event", "event", "blank", "fields"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        elif kind == "fields":
+            lines.append(draw(FIELD_SEP).join(draw(st.lists(ID_TEXT, min_size=1, max_size=4))))
+        else:
+            sep = draw(FIELD_SEP)
+            lines.append(sep.join([draw(ID_TEXT), draw(ID_TEXT), draw(TIME_TEXT)]))
+    text = lines[0]
+    for line in lines[1:]:
+        text += draw(LINE_SEP) + line
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _load(path):
+    """What ``load_graph`` gives: the graph's fields with every event's types
+    and float spellings, or the error's class and message."""
+    try:
+        g = load_graph(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return (g.num_nodes, g.label, repr(g.t_min), repr(g.t_max),
+            [(type(u), type(v), type(t), u, v, repr(t)) for u, v, t in g.events])
+
+
+@given(graph_texts())
+@example("n 5 label 1\n0 1 2.0\n\n1 2 1.0\n")
+@example("n 5 label 1\r\n0 1 2.0\r\n1 2 1.0\r\n")
+@example("n 5 label 1\n0 1\x0c2.0\n")  # splitlines cuts at \x0c, numpy would not
+@example("n 5 label 1\n0\u20281 2.0\n")
+@example("n 5 label 1\n3.0 1 2.0\n")
+@example("n 5 label 1\n1_0 1 2.0\n")
+@example("n 20 label 1\n1_0 1 2.0\n")
+@example("n 5 label 1\n0 1 1_0.5\n")
+@example(f"n 5 label 1\n{2**63} 1 2.0\n")
+@example("n 5 label 1\n0 1 inf\n1 2 nan\n")
+@example("n 5 label 1\n0 1 nan\n3 3 1.0\n9 1 1.0\n")
+@example("n 5 label 1\n")
+@example("n 5 label 1\n \n\t\n")
+@example("n 5 label 1\n0 1 2.0 # note\n")
+@example("nodes 5\n0 1 2.0\n")
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_numpy_parse_reads_as_the_line_loop(tmp_path_factory, text):
+    # the same file, once as load_graph reads it and once with numpy's parse
+    # refused, so that the line-by-line parser reads it
+    path = tmp_path_factory.mktemp("graph") / "graph.txt"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _load(path)
+    with mock.patch("tgtopo.data._loadtxt", return_value=None):
+        assert _load(path) == fast
 
 
 class TestDatasetIO:

@@ -1,7 +1,7 @@
 """Hypothesis fuzzing of the inputs a user hands the program: a checkpoint,
 a run config, a graph file, a dataset manifest, an event list, a synth
-spec and a stability campaign may fail only with the package's documented
-errors."""
+spec, window and bin settings and a stability campaign may fail only with the
+package's documented errors."""
 
 import json
 from pathlib import Path
@@ -12,7 +12,7 @@ from tgtopo.cli import main
 from tgtopo.data import Dataset, InvalidSpecError, load_dataset, load_graph, synth_generate
 from tgtopo.errors import InputError
 from tgtopo.model import CheckpointError, TemporalGraphClassifier
-from tgtopo.pipeline import PipelineError, RunConfig
+from tgtopo.pipeline import PipelineError, RunConfig, extract_descriptors
 from tgtopo.stability import PerturbationSpec, StabilityError, StabilityReport, run_campaign
 from tgtopo.temporal import from_events
 
@@ -195,3 +195,31 @@ def test_stability_campaign_gives_a_report_or_a_stability_error(mode, magnitude,
                           StabilityReport)
     except StabilityError:
         pass
+
+
+# two graphs whose events span [0, 8]
+TINY = Dataset("tiny", (from_events(4, [(0, 1, 0.0), (1, 2, 3.0), (2, 3, 8.0)], label=0),
+                        from_events(4, [(0, 2, 0.0), (1, 3, 5.5), (0, 3, 8.0)], label=1)), 2)
+# Each draw keeps the window count far from temporal.WINDOW_LIMIT: a stride of at
+# least 0.01 cuts at most 801 windows from the span of 8, one of at most 1e-9 (with
+# delta at most 7) over 10**9, and delta of 8 or more cuts one.
+deltas = (st.floats(1e-300, 7.0) | st.floats(8.0, 1e300)
+          | st.sampled_from([0.0, -1.0, float("nan"), float("inf")]))
+sigmas = (st.floats(0.01, 1e300) | st.floats(5e-324, 1e-9)
+          | st.sampled_from([0.0, -1.0, float("nan"), float("inf")]))
+
+
+@given(deltas, sigmas, st.integers(-2, 12))
+@example(2.0, 1e-300, 4)  # about 10**300 windows: refused before any allocation
+@example(2.0, 1e-12, 4)
+@example(7.0, 5e-324, 4)
+@example(2.0, 1.0, 0)
+@settings(max_examples=150, deadline=None)
+def test_extraction_gives_descriptors_or_an_input_error(delta, sigma, bins):
+    try:
+        features = extract_descriptors(TINY, RunConfig(delta=delta, sigma=sigma, dos_bins=bins))
+    except InputError:
+        return
+    assert len(features) == 2
+    assert all(gf.phi.shape[0] == gf.psi.shape[0] <= 801 and gf.psi.shape[1] == bins
+               for gf in features)

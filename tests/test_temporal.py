@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tgtopo.temporal import (
     stack_windows,
     static_projection,
     temporal_degree,
-    window,
+    _windows,
     window_count,
     window_sequence,
 )
@@ -56,6 +57,31 @@ class TestFromEvents:
 
     def test_integral_float_node_ids_accepted(self):
         assert from_events(3, [(0.0, np.int64(2), 1.0)]).events == ((0, 2, 1.0),)
+
+    @pytest.mark.parametrize("events, error, message", [
+        ([(0, 1, math.nan), (0, 5, 1.0)], NonFiniteTimestampError,
+         "event (0,1) has timestamp nan"),
+        ([(0, 5, 1.0), (0, 1, math.nan)], OutOfRangeNodeError, "event (0,5,1.0) outside [0,3)"),
+        ([(1, 1, 2.0), (0, 5, 1.0)], SelfLoopError, "self-loop at node 1, t=2.0"),
+        ([(0, 5, 1.0), (0.5, 1, 0.0)], OutOfRangeNodeError, "event (0,5,1.0) outside [0,3)"),
+        ([(0.5, 1, 0.0), (0, 5, 1.0)], TemporalGraphError,
+         "event (0.5,1,0.0): node ids must be integers"),
+        ([(2, 2.0, 1), (10**400, 1, 0.0)], SelfLoopError, "self-loop at node 2, t=1.0"),
+        ([(0, 1, 1.0), (-10**400, 1, 0.0)], OutOfRangeNodeError,
+         f"event ({-10**400},1,0.0) outside [0,3)"),
+        ([(4.0, 1, 1.0)], OutOfRangeNodeError, "event (4.0,1,1.0) outside [0,3)"),
+    ], ids=["nan_first", "range_first", "self_loop_first", "range_before_fraction",
+            "fraction_before_range", "self_loop_before_huge_id", "huge_negative_id",
+            "integral_float_id_shown_as_given"])
+    def test_first_bad_event_in_input_order_raises(self, events, error, message):
+        with pytest.raises(error) as exc:
+            from_events(3, events)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_array_is_read_only_and_built_once(self):
+        g = from_events(4, [(3, 2, 2.0), (0, 1, 1.0)])
+        assert g.array is g.array and not g.array.flags.writeable
+        assert g.array.tolist() == [[0, 1, 1.0], [3, 2, 2.0]]
 
     def test_empty_needs_flag(self):
         with pytest.raises(EmptyEventListError):
@@ -125,29 +151,24 @@ class TestWindowCount:
 class TestWindow:
     def test_multiplicity(self):
         g = from_events(2, [(0, 1, 1.0), (0, 1, 2.5)])
-        w = window(g, 1.0, 2.0)
+        w = _windows(g, np.array([1.0]), 2.0)[0]
         assert w.edges == ((0, 1),)
         assert w.edge_multiplicity == (2,)
 
     def test_empty_window(self):
         g = from_events(2, [(0, 1, 10.0)])
-        w = window(g, 0.0, 1.0)
+        w = _windows(g, np.array([0.0]), 1.0)[0]
         assert w.num_nodes == 0 and w.num_edges == 0
 
     def test_closed_interval_includes_both_endpoints(self):
         g = from_events(3, [(0, 1, 1.0), (1, 2, 3.0)])
-        w = window(g, 1.0, 2.0)
+        w = _windows(g, np.array([1.0]), 2.0)[0]
         assert w.edges == ((0, 1), (1, 2))
 
     def test_nodes_are_endpoints_only(self):
         g = from_events(5, [(0, 1, 1.0), (3, 4, 9.0)])
-        w = window(g, 0.0, 2.0)
+        w = _windows(g, np.array([0.0]), 2.0)[0]
         assert w.nodes == (0, 1)
-
-    def test_nan_start_rejected(self):
-        g = from_events(2, [(0, 1, 1.0)])
-        with pytest.raises(TemporalGraphError):
-            window(g, math.nan, 1.0)
 
     def test_matches_linear_scan(self):
         # Integer timestamps make ties and events exactly on both window
@@ -163,7 +184,7 @@ class TestWindow:
             for _ in range(10):
                 t = float(rng.integers(-2, 13)) if rng.random() < 0.7 else rng.uniform(-2, 13)
                 delta = float(rng.integers(1, 6)) if rng.random() < 0.7 else rng.uniform(0.1, 6)
-                w = window(g, t, delta)
+                w = _windows(g, np.array([t]), delta)[0]
                 edges, mult = window_linear_scan(g, t, delta)
                 assert (w.edges, w.edge_multiplicity) == (edges, mult)
                 assert w.nodes == tuple(sorted({x for e in edges for x in e}))
@@ -280,7 +301,8 @@ class TestTwoWaysIntoStack:
             seq[len(seq)]
         assert stack_bytes(stack_windows(seq)) == stack_bytes(stack_windows(list(seq)))
         for w in want:
-            assert window(graph, w.t_start, spec.delta, w.window_index) == w
+            assert _windows(graph, np.array([w.t_start]), spec.delta)[0] == replace(
+                w, window_index=0)
 
     def test_toy(self, toy_graph):
         self.check(toy_graph, WindowSpec(2.0, 1.0))

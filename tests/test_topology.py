@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_component_count, gf2_rank_dense, random_er_edges, window_from_edges
 from tgtopo.spectral import normalized_laplacian
-from tgtopo.temporal import from_events, stack_windows, window
+from tgtopo.temporal import _windows, from_events, stack_windows
 from tgtopo.topology import (
     EmptyThresholdsError,
     PersistenceDiagram,
@@ -312,6 +312,6 @@ class TestDescriptor:
         assert descriptor(window_from_edges(edges)) == [4, 6, 1, 0]
 
     def test_multiplicity_flag(self):
-        w = window(from_events(2, [(0, 1, 1.0), (0, 1, 2.0)]), 0.0, 3.0)
+        w = _windows(from_events(2, [(0, 1, 1.0), (0, 1, 2.0)]), np.array([0.0]), 3.0)[0]
         assert descriptor(w)[1] == 1
         assert descriptor(w, count_edge_multiplicity=True)[1] == 2
