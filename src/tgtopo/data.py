@@ -3,8 +3,8 @@
 On-disk format: a directory with a ``manifest.txt`` listing one graph file
 per line.  Each graph file starts with ``n <num_nodes> label <class-id>``
 followed by one ``u v t`` line per event: ids as ``int`` reads them, times as
-``float`` does, lines as ``str.splitlines`` cuts them, blank ones skipped.  The
-events are parsed straight into the graph's event array.
+``float`` does, lines as ``str.splitlines`` cuts them, blank ones skipped.
+Events are parsed into, and written losslessly from, the graph's event array.
 """
 
 from __future__ import annotations
@@ -58,10 +58,12 @@ class Dataset:
 
 
 def write_graph(graph: TemporalGraph, path):
+    if graph.label is None:
+        raise DataError(f"{path}: an unlabeled graph cannot be written")
     with open(path, "w") as fh:
         fh.write(f"n {graph.num_nodes} label {graph.label}\n")
-        for u, v, t in graph.events:
-            fh.write(f"{u} {v} {t!r}\n")
+        for u, v, t in graph.events.tolist():
+            fh.write(f"{int(u)} {int(v)} {t!r}\n")
 
 
 def load_graph(path) -> TemporalGraph:

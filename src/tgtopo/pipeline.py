@@ -153,7 +153,7 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     timestamps so that the structural branch sees a fixed feature width.
     """
     config.validate()
-    grid = np.unique(np.concatenate([g.array[:, 2] for g in dataset.graphs]))
+    grid = np.unique(np.concatenate([g.events[:, 2] for g in dataset.graphs]))
     binary = config.feature_mode == "binary"
     out = []
     for g in dataset.graphs:

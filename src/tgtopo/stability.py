@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import InputError
 from .spectral import spectral_descriptor, wasserstein1_hist
-from .temporal import TemporalGraph, WindowGraph, from_events
+from .temporal import TemporalGraph, WindowGraph, _array, from_events
 from .topology import betti_curve, sublevel_persistence0
 
 
@@ -76,14 +75,20 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
         raise StabilityError(f"eps must be positive, got {eps}")
     rng = np.random.default_rng(seed)
     shifts = rng.uniform(-eps, eps, size=graph.num_events)
-    events = sorted(((u, v, t + float(dt)) for (u, v, t), dt in zip(graph.events, shifts)),
-                    key=itemgetter(2))
-    l1 = float(np.abs(shifts).sum())
+    ev = graph.events.copy()
     # only an overflowed time (sorted to an end) can be invalid: from_events reports it
-    if events and math.isfinite(events[0][2]) and math.isfinite(events[-1][2]):
-        return TemporalGraph(graph.num_nodes, tuple(events), graph.label,
-                             events[0][2], events[-1][2]), l1
-    return from_events(graph.num_nodes, events, graph.label), l1
+    with np.errstate(over="ignore"):
+        ev[:, 2] += shifts
+    shifted = TemporalGraph(graph.num_nodes, ev[np.argsort(ev[:, 2], kind="stable")], graph.label)
+    l1 = float(np.abs(shifts).sum())
+    if math.isfinite(shifted.t_min) and math.isfinite(shifted.t_max):  # NaN when empty
+        return shifted, l1
+    return from_events(graph.num_nodes, _triples(shifted.events), graph.label), l1
+
+
+def _triples(ev):
+    """An event array's rows as ``(int, int, float)``: int ids hash faster than floats."""
+    return zip(*ev[:, :2].astype(np.int64).T.tolist(), ev[:, 2].tolist())
 
 
 def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
@@ -145,9 +150,8 @@ def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
     if graph.num_events == 0:
         raise StabilityError("graph has no events")
     perturbed, l1 = perturb_timestamps(graph, eps, seed)
-    pd_a = sublevel_persistence0(graph.events)
-    pd_b = sublevel_persistence0(perturbed.events)
-    grid = np.union1d([t for _, _, t in graph.events], [t for _, _, t in perturbed.events])
+    pd_a, pd_b = (sublevel_persistence0(_triples(g.events)) for g in (graph, perturbed))
+    grid = np.union1d(graph.events[:, 2], perturbed.events[:, 2])
     curve_a = betti_curve(pd_a, grid)
     curve_b = betti_curve(pd_b, grid)
     gaps = np.diff(grid, append=grid[-1])
@@ -176,8 +180,8 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v:
             events.append((u, v, 10.0 * rng.random()))  # uniform(0.0, 10.0), bit for bit
-    events.sort(key=itemgetter(2))  # valid as drawn, so from_events' checks are skipped
-    return TemporalGraph(n, tuple(events), None, events[0][2], events[-1][2])
+    ev = _array(events)  # valid as drawn, so from_events' checks are skipped
+    return TemporalGraph(n, ev[np.argsort(ev[:, 2], kind="stable")])
 
 
 def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:

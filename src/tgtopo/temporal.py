@@ -1,13 +1,12 @@
 """Temporal graph data model and sliding-window extraction.
 
 A temporal graph is a fixed node set plus a list of timestamped undirected
-edge events; the same pair may interact repeatedly.  Readers take a graph's
-events from one time-sorted (E, 3) float64 ``array``, which a parsed graph file
-seeds and other graphs build on first read.  Sliding windows of length ``delta``
-advanced by stride ``sigma`` induce a sequence of small subgraphs from which
-downstream descriptors are computed.  A graph's windows are cut from the array
-into arrays (a ``Windows`` sequence), and ``stack_windows`` groups them by node
-count for descriptors computed on stacks.
+edge events; the same pair may interact repeatedly.  A graph holds its events
+once, as a read-only, time-sorted (E, 3) float64 array.  Sliding windows of
+length ``delta`` advanced by stride ``sigma`` induce a sequence of small
+subgraphs from which downstream descriptors are computed.  A graph's windows
+are cut from its events into arrays (a ``Windows`` sequence), and
+``stack_windows`` groups them by node count for descriptors computed on stacks.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -69,44 +66,46 @@ class WindowSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on an array field would raise
 class TemporalGraph:
-    """Immutable event list sorted by timestamp.
+    """Immutable events sorted by timestamp.
 
-    ``events`` is a tuple of ``(u, v, t)`` with real-valued ``t``; duplicate
-    ``(u, v)`` pairs at different (or equal) times are preserved.
+    ``events`` is a read-only (E, 3) float64 array of rows ``(u, v, t)`` in
+    ascending ``t``; node ids below 2**53 are exact, repeated pairs are kept.
     """
 
     num_nodes: int
-    events: tuple  # ((u, v, t), ...) sorted ascending by t
+    events: np.ndarray
     label: int | None = None
-    t_min: float = field(default=math.nan)
-    t_max: float = field(default=math.nan)
+
+    def __post_init__(self):
+        self.events.flags.writeable = False
 
     @property
     def num_events(self) -> int:
         return len(self.events)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Read-only (E, 3) float64 ``events``; node ids below 2**53 are exact."""
-        return _array(self.events)
+    @property
+    def t_min(self) -> float:
+        return float(self.events[0, 2]) if len(self.events) else math.nan
+
+    @property
+    def t_max(self) -> float:
+        return float(self.events[-1, 2]) if len(self.events) else math.nan
 
 
-_time = itemgetter(2)  # an event's timestamp
 STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of float64
 WINDOW_LIMIT = 1 << 20  # windows per graph
 EVENT = np.dtype([("u", np.int64), ("v", np.int64), ("t", np.float64)])  # one event record
 
 
 def _array(events) -> np.ndarray:
-    """Read-only (E, 3) float64 array of (int, int, float) triples."""
+    """(E, 3) float64 array of (int, int, float) triples."""
     try:
-        ev = np.fromiter(chain.from_iterable(events), np.float64, 3 * len(events)).reshape(-1, 3)
+        return np.fromiter(chain.from_iterable(events), np.float64, 3 * len(events)).reshape(-1, 3)
     except OverflowError:  # an id beyond float64 is out of range, as -1 or 2**53 is
-        ev = np.array([(min(max(u, -1), 2**53), min(max(v, -1), 2**53), t) for u, v, t in events])
-    ev.flags.writeable = False
-    return ev
+        return np.array([(min(max(u, -1), 2**53), min(max(v, -1), 2**53), t)
+                         for u, v, t in events])
 
 
 def _check_events(num_nodes, ev, events):
@@ -140,25 +139,18 @@ def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGra
             _check_events(num_nodes, _array(checked), events)  # the first bad event first
             raise TemporalGraphError(f"event ({u},{v},{t}): {exc}") from exc
         checked.append((iu, iv, t))
-    _check_events(num_nodes, _array(checked), events)
-    if not checked:
-        if not allow_empty:
-            raise EmptyEventListError("empty event list (pass allow_empty=True to permit)")
-        return TemporalGraph(num_nodes, (), label, math.nan, math.nan)
-    checked.sort(key=_time)
-    return TemporalGraph(num_nodes, tuple(checked), label, checked[0][2], checked[-1][2])
+    ev = _array(checked)
+    _check_events(num_nodes, ev, events)
+    if not checked and not allow_empty:
+        raise EmptyEventListError("empty event list (pass allow_empty=True to permit)")
+    return TemporalGraph(num_nodes, ev[np.argsort(ev[:, 2], kind="stable")], label)
 
 
 def from_records(num_nodes, records, label=None) -> TemporalGraph:
-    """``from_events`` for a nonempty ``EVENT`` array, which seeds the graph's ``array``."""
+    """``from_events`` for a nonempty ``EVENT`` array."""
     ev = np.column_stack((records["u"], records["v"], records["t"]))
     _check_events(num_nodes, ev, records)
-    ev = ev[np.argsort(ev[:, 2], kind="stable")]
-    ev.flags.writeable = False
-    (u, v), t = ev[:, :2].astype(np.int64).T.tolist(), ev[:, 2].tolist()
-    g = TemporalGraph(num_nodes, tuple(zip(u, v, t)), label, t[0], t[-1])
-    object.__setattr__(g, "array", ev)  # fills the cached_property
-    return g
+    return TemporalGraph(num_nodes, ev[np.argsort(ev[:, 2], kind="stable")], label)
 
 
 @dataclass(frozen=True)
@@ -240,8 +232,10 @@ def _windows(graph: TemporalGraph, starts, delta) -> Windows:
     ``np.unique`` over (window, pair) keys of all windows gives their pairs and
     multiplicities, one over (window, node) keys their nodes.  Node ids and pairs
     are ranked first, so no key exceeds events**2 or windows x pairs."""
-    ev = graph.array
-    ids, rank = np.unique(np.sort(ev[:, :2].astype(np.int64), axis=1), return_inverse=True)
+    ev = graph.events
+    u, v = ev[:, 0], ev[:, 1]
+    ends = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1).astype(np.int64)
+    ids, rank = np.unique(ends, return_inverse=True)
     pairs, pair = np.unique(rank.reshape(-1, 2) @ [len(ids), 1], return_inverse=True)
     lo = np.searchsorted(ev[:, 2], starts, "left")
     size = np.searchsorted(ev[:, 2], starts + delta, "right") - lo
@@ -328,7 +322,7 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
     if not steps.size:
         raise EmptyTimestepsError("timesteps grid is empty")
     order = np.argsort(steps, kind="stable")
-    ev = graph.array
+    ev = graph.events
     # an event's column is the last timestep equal to its time, if any
     grid = steps[order]
     pos = np.searchsorted(grid, ev[:, 2], "right") - 1
@@ -342,7 +336,7 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
 
 def static_projection(graph: TemporalGraph) -> StaticGraph:
     """Union of all event pairs with timestamps discarded."""
-    u, v = graph.array[:, 0], graph.array[:, 1]
+    u, v = graph.events[:, 0], graph.events[:, 1]
     pairs = np.unique(np.minimum(u, v) + 1j * np.maximum(u, v))  # sorted by real, then imag
     ends = np.stack([pairs.real, pairs.imag], axis=1).astype(np.int64).tolist()
     return StaticGraph(graph.num_nodes, tuple(map(tuple, ends)))

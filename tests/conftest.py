@@ -22,6 +22,13 @@ def toy_graph():
     return from_events(4, events)
 
 
+def graph_key(graph):
+    """What two equal graphs share: node count, label, and the shape, dtype and
+    bytes of ``events``.  ``TemporalGraph`` has no ``==`` of its own."""
+    ev = graph.events
+    return graph.num_nodes, graph.label, ev.shape, ev.dtype.str, ev.tobytes()
+
+
 def bfs_component_count(num_nodes, edges):
     """Independent component-count oracle."""
     adj = [[] for _ in range(num_nodes)]

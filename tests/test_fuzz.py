@@ -103,10 +103,11 @@ def test_from_events_raises_only_input_errors(num_nodes, event_list):
         return
     assert isinstance(g.num_nodes, int) and 0 < g.num_nodes == num_nodes
     assert all(0 <= u < g.num_nodes and 0 <= v < g.num_nodes and u != v
-               for u, v, _ in g.events)
+               for u, v, _ in g.events.tolist())
     # every node id given was an integer, and is kept as it was
     assert all(not isinstance(x, bool) and x == int(x) for u, v, _ in event_list for x in (u, v))
-    assert sorted(g.events) == sorted((int(u), int(v), float(t)) for u, v, t in event_list)
+    assert sorted(map(tuple, g.events.tolist())) == sorted(
+        (int(u), int(v), float(t)) for u, v, t in event_list)
 
 
 def _graph_text(num_nodes, label, event_list):

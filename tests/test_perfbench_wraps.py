@@ -16,7 +16,7 @@ import tgtopo.model
 import tgtopo.optim
 import tgtopo.stability
 import tgtopo.temporal
-from tgtopo.data import synth_generate
+from tgtopo.data import load_dataset, save_dataset, synth_generate
 from tgtopo.pipeline import RunConfig, extract_descriptors, kfold_cv, train
 from tgtopo.stability import PerturbationSpec, run_campaign
 
@@ -59,6 +59,20 @@ def test_each_graph_extraction_starts_with_one_window_sequence_call():
     assert [entry[0] for entry in log] == ["windows", "stack"] * len(dataset.graphs)
     for (_, graph, windows), (_, stacked), g in zip(log[::2], log[1::2], dataset.graphs):
         assert graph is g and stacked is windows
+
+
+def test_bench_output_check_accepts_extracted_descriptors(tmp_path, monkeypatch):
+    # perfbench's oracle recomputes each graph's windows from its events; an
+    # event store it cannot read would fail only the benchmark's output check
+    monkeypatch.setitem(sys.modules, "spans", _load("spans"))  # bench imports it by name
+    bench = _load("bench")
+    synth = synth_generate(dict(num_graphs=6, nodes=8, timesteps=12, classes=2,
+                                cycle_density=[0, 2]), 1)
+    save_dataset(synth, tmp_path / "ds")
+    cfg = RunConfig(delta=4.0, sigma=2.0)
+    for dataset in (synth, load_dataset(tmp_path / "ds")):
+        for graph, gf in zip(dataset.graphs, extract_descriptors(dataset, cfg), strict=True):
+            assert bench.check_graph(graph, gf, cfg.delta, cfg.sigma, cfg.dos_bins)[0]
 
 
 @pytest.mark.parametrize("spec, trial", [

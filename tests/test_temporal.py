@@ -1,10 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tgtopo.data import load_graph
+from tgtopo.stability import perturb_timestamps, random_temporal_graph
 from tgtopo.temporal import (
     EmptyEventListError,
     EmptyGraphError,
@@ -33,7 +36,7 @@ class TestFromEvents:
 
     def test_sorts_by_timestamp(self):
         g = from_events(2, [(0, 1, 3.0), (0, 1, 1.0)])
-        assert g.events == ((0, 1, 1.0), (0, 1, 3.0))
+        assert g.events.tolist() == [[0, 1, 1.0], [0, 1, 3.0]]
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -56,7 +59,7 @@ class TestFromEvents:
         assert from_events(2**53, [(2**53 - 1, 2**53 - 3, 0.0)]).num_nodes == 2**53
 
     def test_integral_float_node_ids_accepted(self):
-        assert from_events(3, [(0.0, np.int64(2), 1.0)]).events == ((0, 2, 1.0),)
+        assert from_events(3, [(0.0, np.int64(2), 1.0)]).events.tolist() == [[0, 2, 1.0]]
 
     @pytest.mark.parametrize("events, error, message", [
         ([(0, 1, math.nan), (0, 5, 1.0)], NonFiniteTimestampError,
@@ -78,11 +81,6 @@ class TestFromEvents:
             from_events(3, events)
         assert type(exc.value) is error and str(exc.value) == message
 
-    def test_array_is_read_only_and_built_once(self):
-        g = from_events(4, [(3, 2, 2.0), (0, 1, 1.0)])
-        assert g.array is g.array and not g.array.flags.writeable
-        assert g.array.tolist() == [[0, 1, 1.0], [3, 2, 2.0]]
-
     def test_empty_needs_flag(self):
         with pytest.raises(EmptyEventListError):
             from_events(2, [])
@@ -99,6 +97,43 @@ class TestFromEvents:
             from_events(2, [(0, 1, 1.0), (0, 1, t)])
         with pytest.raises(NonFiniteTimestampError):
             from_events(2, [(0, 1, t), (0, 1, 1.0)])
+
+
+EVENTS = [(3, 4, 2.5), (0, 1, 1.0), (1, 2, 2.5), (2, 0, -0.0)]
+
+
+def _load(tmp_path, refused, **how):
+    """``EVENTS`` written as a graph file and read by ``load_graph`` with ``refused`` patched."""
+    path = tmp_path / "g.txt"
+    path.write_text("n 5 label 1\n" + "".join(f"{u} {v} {t!r}\n" for u, v, t in EVENTS))
+    with mock.patch(refused, **how):
+        return load_graph(path)
+
+
+BUILDERS = {
+    "from_events": lambda tmp_path: from_events(5, EVENTS),
+    "from_events_allow_empty": lambda tmp_path: from_events(5, [], allow_empty=True),
+    "load_graph_numpy_parse": lambda tmp_path: _load(  # numpy reads every line
+        tmp_path, "tgtopo.data.from_events", side_effect=AssertionError),
+    "load_graph_line_loop": lambda tmp_path: _load(
+        tmp_path, "tgtopo.data._loadtxt", return_value=None),
+    "perturb_timestamps": lambda tmp_path: perturb_timestamps(from_events(5, EVENTS), 0.5, 1)[0],
+    "random_temporal_graph": lambda tmp_path: random_temporal_graph(np.random.default_rng(2)),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_builder_gives_read_only_time_sorted_events(build, tmp_path):
+    g = build(tmp_path)
+    ev = g.events
+    assert type(ev) is np.ndarray and ev.dtype == np.float64 and ev.shape == (g.num_events, 3)
+    assert ev.flags.c_contiguous and not ev.flags.writeable
+    assert np.all(ev[1:, 2] >= ev[:-1, 2])
+    assert type(g.t_min) is float and type(g.t_max) is float
+    if g.num_events:
+        assert (g.t_min, g.t_max) == (ev[0, 2], ev[-1, 2])
+    else:
+        assert math.isnan(g.t_min) and math.isnan(g.t_max)
 
 
 class TestWindowSpec:
@@ -194,9 +229,9 @@ def window_linear_scan(graph, t, delta):
     """Reference window: test every event against the closed [t, t + delta]."""
     hi = t + delta
     mult = {}
-    for u, v, te in graph.events:
+    for u, v, te in graph.events.tolist():
         if t <= te <= hi:
-            pair = (u, v) if u < v else (v, u)
+            pair = (int(min(u, v)), int(max(u, v)))
             mult[pair] = mult.get(pair, 0) + 1
     edges = tuple(sorted(mult))
     return edges, tuple(mult[e] for e in edges)
@@ -241,7 +276,7 @@ class TestWindowSequence:
         g = from_events(2, events)
         spec = WindowSpec(delta, frac * delta)
         seq = window_sequence(g, spec)
-        for _, _, t in g.events:
+        for t in g.events[:, 2].tolist():
             assert any(w.t_start <= t <= w.t_start + w.delta for w in seq)
 
     @given(
@@ -336,10 +371,11 @@ class TestTemporalDegree:
         assert m[0, 0] == 1
 
     def test_column_sums(self, toy_graph):
-        grid = sorted({t for _, _, t in toy_graph.events})
+        times = toy_graph.events[:, 2].tolist()
+        grid = sorted(set(times))
         m = temporal_degree(toy_graph, grid)
         for j, t in enumerate(grid):
-            n_events = sum(1 for _, _, te in toy_graph.events if te == t)
+            n_events = times.count(t)
             assert m[:, j].sum() == 2 * n_events
 
     def test_empty_grid_rejected(self, toy_graph):
@@ -357,10 +393,10 @@ class TestTemporalDegree:
         g = from_events(5, [(u, v, t) for u, v, t in events if u != v], allow_empty=True)
         col = {float(t): j for j, t in enumerate(grid)}
         want = np.zeros((5, len(grid)))
-        for u, v, t in g.events:
+        for u, v, t in g.events.tolist():
             if t in col:
-                want[u, col[t]] += 1.0
-                want[v, col[t]] += 1.0
+                want[int(u), col[t]] += 1.0
+                want[int(v), col[t]] += 1.0
         assert np.array_equal(temporal_degree(g, grid), want)
 
 
