@@ -136,10 +136,12 @@ def wasserstein1_hist(a: DosHistogram, b: DosHistogram) -> float:
     """1-D optimal transport between two histograms on the same bins."""
     if a.bin_edges != b.bin_edges:
         raise BinMismatchError("histograms use different bin edges")
-    width = a.bin_edges[1] - a.bin_edges[0]
-    cdf_a = np.cumsum(a.mass)
-    cdf_b = np.cumsum(b.mass)
-    return float(np.abs(cdf_a - cdf_b).sum() * width)
+    return _w1(a.mass, b.mass, a.bin_edges[1] - a.bin_edges[0])
+
+
+def _w1(mass_a, mass_b, width) -> float:
+    """W1 between two mass rows on bins of ``width``: the L1 gap of their CDFs."""
+    return float(np.abs(np.cumsum(mass_a) - np.cumsum(mass_b)).sum() * width)
 
 
 def spectral_descriptor(win, bin_count: int = 4) -> DosHistogram:

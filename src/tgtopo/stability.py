@@ -5,9 +5,12 @@ Two perturbation regimes: shifting every event timestamp by bounded noise
 inserting/deleting edges in a window (spectral route, Wasserstein distance
 between DoS histograms).  Neither bound constant has a closed form, so
 campaigns report the observed sup ratio instead of asserting a theoretical
-value.  Campaigns run on numpy arrays (ER windows from one vector of draws,
-edge edits on masks and a degree array) and make the same random draws, in
-the same order, as the per-pair loops they replaced.
+value.  Trials run on numpy arrays and make the same random draws, in the
+same order, as the per-pair loops they replaced.  An edge trial edits the upper
+adjacency, solves both normalized Laplacians in one stacked ``eigvalsh`` and
+takes W1 from both spectra binned at once; a timestamp trial reads each Betti-0
+curve off the event array with one union-find (``topology.betti0_curve``), with
+no persistence diagram.  Both equal the per-window chains byte for byte.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral
 from .errors import InputError
-from .spectral import spectral_descriptor, wasserstein1_hist
 from .temporal import TemporalGraph, WindowGraph, _array, from_events
-from .topology import betti_curve, sublevel_persistence0
+from .topology import betti0_curve
 
 
 class StabilityError(InputError):
@@ -44,6 +47,8 @@ class PerturbationSpec:
             raise StabilityError(f"unknown mode {self.mode!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise StabilityError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.trials, numbers.Integral) or isinstance(self.trials, bool):
+            raise StabilityError(f"trials must be an integer, got {self.trials!r}")
         # larger noise overflows the trials' L1 sums (or uniform's range) to inf
         if self.mode == "timestamp" and not 0 < self.magnitude <= 1e300:
             raise StabilityError(f"timestamp mode needs 0 < eps <= 1e300, got {self.magnitude}")
@@ -91,17 +96,11 @@ def _triples(ev):
     return zip(*ev[:, :2].astype(np.int64).T.tolist(), ev[:, 2].tolist())
 
 
-def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
-    """Apply exactly k edge insertions/deletions (uniform mix) to a window.
-
-    A pair is modified at most once, so the symmetric difference has exactly
-    k pairs.  Deletions are drawn only from original edges whose endpoints
-    both keep another edge, so no node is isolated; raises InfeasibleKError
-    when k exceeds the feasible modification count.
-    """
+def _edit_edges(win: WindowGraph, k: int, seed: int):
+    """``perturb_edges``' k edits on the window's (n, n) upper 0/1 adjacency over
+    ``win.nodes``: returns it before and after the edits."""
     rng = np.random.default_rng(seed)
-    nodes = np.array(win.nodes, dtype=np.int64)
-    n = len(nodes)
+    n = win.num_nodes
     # the original edges' local endpoints, in WindowGraph's sorted edge order;
     # ``live`` marks those not deleted
     local = win.local_edges()
@@ -109,6 +108,7 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
     live = np.ones(len(eu), bool)
     adj = np.zeros((n, n), bool)  # upper triangle: the current edges
     adj[eu, ev] = True
+    before = adj.copy()
     degree = np.bincount(local.ravel(), minlength=n)
     # the absent pairs (a, b), a < b, as a * n + b: ascending is lexicographic
     non_edges = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist()
@@ -126,16 +126,22 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
             a, b = eu[pick], ev[pick]
         adj[a, b] = insert
         degree[[a, b]] += 1 if insert else -1
-    i, j = np.nonzero(adj)  # row-major, so the pairs come out sorted
+    return before, adj
+
+
+def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
+    """Apply exactly k edge insertions/deletions (uniform mix) to a window.
+
+    A pair is modified at most once, so the symmetric difference has exactly
+    k pairs.  Deletions are drawn only from original edges whose endpoints
+    both keep another edge, so no node is isolated; raises InfeasibleKError
+    when k exceeds the feasible modification count.
+    """
+    nodes = np.array(win.nodes, dtype=np.int64)
+    i, j = np.nonzero(_edit_edges(win, k, seed)[1])  # row-major, so the pairs come out sorted
     edges = tuple(zip(nodes[i].tolist(), nodes[j].tolist()))
-    return WindowGraph(
-        window_index=win.window_index,
-        t_start=win.t_start,
-        delta=win.delta,
-        nodes=win.nodes,
-        edges=edges,
-        edge_multiplicity=(1,) * len(edges),
-    )
+    return WindowGraph(win.window_index, win.t_start, win.delta, win.nodes, edges,
+                       (1,) * len(edges))
 
 
 def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
@@ -150,25 +156,22 @@ def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
     if graph.num_events == 0:
         raise StabilityError("graph has no events")
     perturbed, l1 = perturb_timestamps(graph, eps, seed)
-    pd_a, pd_b = (sublevel_persistence0(_triples(g.events)) for g in (graph, perturbed))
     grid = np.union1d(graph.events[:, 2], perturbed.events[:, 2])
-    curve_a = betti_curve(pd_a, grid)
-    curve_b = betti_curve(pd_b, grid)
+    curve_a, curve_b = (betti0_curve(g.events, grid) for g in (graph, perturbed))
     gaps = np.diff(grid, append=grid[-1])
     # summed in order, as Python floats, so the total does not depend on numpy's pairwise sum
-    lhs = sum((np.abs(np.subtract(curve_a.values, curve_b.values)) * gaps).tolist())
-    return float(lhs), float(l1)
+    return sum((np.abs(curve_a - curve_b) * gaps).tolist()), l1
 
 
 def spectral_stability_trial(win: WindowGraph, k: int, seed: int, bins: int = 4):
     """One edge-modification trial: returns (W1 distance, k/n)."""
-    if win.num_nodes == 0:
+    if not (n := win.num_nodes):
         raise StabilityError("window is empty")
-    perturbed = perturb_edges(win, k, seed)
-    w1 = wasserstein1_hist(
-        spectral_descriptor(win, bins), spectral_descriptor(perturbed, bins)
-    )
-    return float(w1), k / win.num_nodes
+    a = np.stack(_edit_edges(win, k, seed)).astype(np.float64)
+    a += a.transpose(0, 2, 1)  # the symmetric 0/1 adjacencies before and after
+    eigs = spectral.eigenvalues_sym(spectral.SymMatrix(n, spectral._laplacians(a)))
+    mass = spectral._masses(eigs.ravel(), np.repeat([0, 1], n), np.array([n, n]), bins)
+    return spectral._w1(mass[0], mass[1], 2.0 / bins), k / n  # dos_histogram's bin width
 
 
 def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):

@@ -192,26 +192,39 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
             if x not in birth or w < birth[x]:
                 birth[x] = w
 
-    parent = {x: x for x in birth}
-    root_birth = dict(birth)
-    points = []
-    for (u, v), w in sorted(values.items(), key=lambda kv: (kv[1], kv[0])):
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            continue
-        # elder rule: the later-born root dies at w
-        if root_birth[ru] <= root_birth[rv]:
-            elder, younger = ru, rv
-        else:
-            elder, younger = rv, ru
-        b = root_birth[younger]
-        if w > b or keep_zero_persistence:
-            points.append((b, w))
-        parent[younger] = elder
-    for x in birth:
-        if parent[x] == x:
-            points.append((root_birth[x], INF))
+    parent, order = {x: x for x in birth}, sorted(values, key=lambda e: (values[e], e))
+    points = [(birth[y], values[order[x]]) for x, y in _merges(parent, birth, order)]
+    points = [p for p in points if keep_zero_persistence or p[1] > p[0]]
+    points += [(birth[x], INF) for x in birth if parent[x] == x]
     return PersistenceDiagram(0, tuple(sorted(points)))
+
+
+def _merges(parent, birth, pairs):
+    """Kruskal's union-find over ``pairs`` in order, on a forest ``parent`` (list or
+    dict) of roots born at ``birth``: yields ``(x, y)`` for each pair x that joins
+    two components and the root y that dies (elder rule: the later born; on a tie
+    the second end's root), so each root is born no later than its component."""
+    for x, (u, v) in enumerate(pairs):
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            if birth[rv] < birth[ru]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            yield x, rv
+
+
+def betti0_curve(events, thresholds) -> np.ndarray:
+    """``betti_curve(sublevel_persistence0(events), thresholds).values`` of a
+    time-sorted (E, 3) event array at finite thresholds: the vertices born (at
+    their first event) by t less the spanning-forest merges by t, which neither
+    the elder rule nor zero-persistence points change."""
+    _, first, local = np.unique(events[:, :2], return_index=True, return_inverse=True)
+    times = events[:, 2]
+    births = times[first // 2]
+    merged = [x for x, _ in _merges(list(range(len(first))), births.tolist(),
+                                    local.reshape(-1, 2).tolist())]
+    return (np.searchsorted(np.sort(births), thresholds, "right")
+            - np.searchsorted(times[merged], thresholds, "right"))
 
 
 def betti_curve(pd: PersistenceDiagram, thresholds) -> BettiVector:

@@ -1,6 +1,9 @@
 """The verdict of tools/benchpairs.py on a recorded comparison."""
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,25 @@ def test_verdict_line_names_gains_shown_and_unresolved_metrics():
 def test_src_lines_line_reports_the_delta(parent, change, line):
     report = {"parent": {"src_lines": parent}, "change": {"src_lines": change}}
     assert benchpairs.src_lines_line(report) == line
+
+
+def test_run_once_keeps_bytecode_in_the_given_directory(tmp_path, monkeypatch):
+    # a working tree with compiled modules must not start warmer than a fresh export
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(kwargs)
+        info = {"fingerprint": {"descriptors": "d"}, "environment": {"src_lines": 1}}
+        result = {"correct": 1, "attempted": 1, "failed": 0, "metrics": {"m": {"value": 2.0}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{json.dumps(info)}\n"
+                                                          f"{json.dumps(result)}\n")
+
+    monkeypatch.setattr(benchpairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+    run = benchpairs.run_once(tmp_path / "tree", "desk", 3, 40, tmp_path / "pycache-change")
+    (kwargs,) = calls
+    assert kwargs["cwd"] == tmp_path / "tree"
+    assert kwargs["env"]["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pycache-change")
+    assert {k: v for k, v in kwargs["env"].items() if k != "PYTHONPYCACHEPREFIX"} == {
+        k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    assert run["seed"] == 3 and run["metrics"] == {"m": 2.0}

@@ -49,6 +49,14 @@ class TestGraphIO:
             write_graph(from_events(2, [(0, 1, 1.0)]), path)
         assert not path.exists()
 
+    def test_empty_graph_refused_before_writing(self, tmp_path):
+        # load_graph refuses a header-only file, so save_dataset would write a
+        # dataset that load_dataset cannot read
+        path = tmp_path / "g.txt"
+        with pytest.raises(DataError, match="no events"):
+            write_graph(from_events(3, [], label=0, allow_empty=True), path)
+        assert not path.exists()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("nodes 4\n0 1 1.0\n")

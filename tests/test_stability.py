@@ -1,11 +1,14 @@
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import graph_key, window_from_edges
+from tgtopo.spectral import spectral_descriptor, wasserstein1_hist
 from tgtopo.stability import (
     InfeasibleKError,
     PerturbationSpec,
@@ -25,6 +28,7 @@ from tgtopo.temporal import (
     WindowGraph,
     from_events,
 )
+from tgtopo.topology import betti_curve, sublevel_persistence0
 
 
 class TestPerturbationSpec:
@@ -40,15 +44,21 @@ class TestPerturbationSpec:
         with pytest.raises(StabilityError):
             PerturbationSpec("edge", -1, 50, 0)
 
-    @pytest.mark.parametrize("mode, magnitude, seed", [
-        ("edge", math.nan, 0), ("edge", math.inf, 0), ("edge", 2.5, 0),
-        ("timestamp", math.inf, 0), ("timestamp", math.nan, 0),
-        ("timestamp", sys.float_info.max, 0), ("timestamp", 8e307, 0), ("timestamp", 0.1, -1),
-        ("edge", 2, 1.0),
+    @pytest.mark.parametrize("mode, magnitude, seed, trials", [
+        *(pytest.param(*row, 50, id="-".join(map(str, row))) for row in [
+            ("edge", math.nan, 0), ("edge", math.inf, 0), ("edge", 2.5, 0),
+            ("timestamp", math.inf, 0), ("timestamp", math.nan, 0),
+            ("timestamp", sys.float_info.max, 0), ("timestamp", 8e307, 0),
+            ("timestamp", 0.1, -1), ("edge", 2, 1.0)]),
+        # SeedSequence.spawn would end the campaign in a bare TypeError
+        pytest.param("edge", 2, 1, 30.0, id="edge-2-1-trials-30.0"),
+        pytest.param("edge", 2, 1, True, id="edge-2-1-trials-True"),
+        pytest.param("timestamp", 0.1, 1, "30", id="timestamp-0.1-1-trials-str"),
+        pytest.param("timestamp", 0.1, 1, None, id="timestamp-0.1-1-trials-None"),
     ])
-    def test_rejects_malformed_magnitude_or_seed(self, mode, magnitude, seed):
+    def test_rejects_malformed_magnitude_or_seed(self, mode, magnitude, seed, trials):
         with pytest.raises(StabilityError):
-            PerturbationSpec(mode, magnitude, 50, seed)
+            PerturbationSpec(mode, magnitude, trials, seed)
 
     def test_integral_float_k_runs_as_its_integer(self):
         # argparse hands the CLI's --magnitude over as a float
@@ -219,6 +229,67 @@ class TestTrials:
         w1, ratio_base = spectral_stability_trial(win, 2, seed=3)
         assert 0.0 <= w1 <= 3.0  # diameter of the metric on [0,2]
         assert ratio_base == pytest.approx(2 / win.num_nodes)
+
+
+def spectral_trial_chain(win, k, seed, bins=4):
+    """The per-window edge trial: two windows, two Laplacians, two eigensolves,
+    two histograms."""
+    perturbed = perturb_edges(win, k, seed)
+    w1 = wasserstein1_hist(spectral_descriptor(win, bins), spectral_descriptor(perturbed, bins))
+    return float(w1), k / win.num_nodes
+
+
+def topo_trial_chain(graph, eps, seed):
+    """The timestamp trial on persistence diagrams: two dict-based union-finds,
+    then the Betti-0 curves read off the diagrams."""
+    perturbed, l1 = perturb_timestamps(graph, eps, seed)
+    pd_a, pd_b = (sublevel_persistence0((int(u), int(v), t) for u, v, t in g.events.tolist())
+                  for g in (graph, perturbed))
+    grid = np.union1d(graph.events[:, 2], perturbed.events[:, 2])
+    curve_a, curve_b = betti_curve(pd_a, grid), betti_curve(pd_b, grid)
+    gaps = np.diff(grid, append=grid[-1])
+    lhs = sum((np.abs(np.subtract(curve_a.values, curve_b.values)) * gaps).tolist())
+    return float(lhs), float(l1)
+
+
+def _hex(pair):
+    return tuple(float(x).hex() for x in pair)
+
+
+class TestArrayTrialsMatchChains:
+    # few node ids, so pairs repeat and small windows run out of feasible edits
+    pairs = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1])
+
+    @given(st.lists(pairs, min_size=1, max_size=20), st.integers(0, 2**31 - 1),
+           st.sampled_from([1, 3, 4, 7]))
+    @example([(0, 1)], 0, 4)
+    @settings(max_examples=150, deadline=None)
+    def test_edge_trial_bytes_and_infeasible_k(self, edges, seed, bins):
+        win = window_from_edges(edges)
+        k, past = 0, None
+        while past is None or k <= past + 2:  # every feasible k, then three past it
+            try:
+                expected = spectral_trial_chain(win, k, seed, bins)
+            except InfeasibleKError as exc:
+                past = k if past is None else past
+                with pytest.raises(InfeasibleKError, match=f"^{re.escape(str(exc))}$"):
+                    spectral_stability_trial(win, k, seed, bins)
+            else:
+                assert past is None
+                assert _hex(spectral_stability_trial(win, k, seed, bins)) == _hex(expected)
+            k += 1
+
+    times = st.integers(0, 3).map(float) | st.floats(0, 10)  # ties are common
+
+    @given(st.lists(st.tuples(pairs, times), min_size=1, max_size=30),
+           st.sampled_from([1e-300, 0.01, 0.5, 4.0]), st.integers(0, 2**31 - 1))
+    @example([((0, 1), 1.0)], 0.5, 0)  # a single event
+    @example([((0, 1), 1.0), ((1, 0), 1.0), ((1, 2), 1.0), ((0, 2), 2.0)], 1e-300, 3)
+    @settings(max_examples=200, deadline=None)
+    def test_timestamp_trial_matches_diagram_curves(self, events, eps, seed):
+        graph = from_events(8, [(u, v, t) for (u, v), t in events])
+        assert _hex(topo_stability_trial(graph, eps, seed)) == _hex(
+            topo_trial_chain(graph, eps, seed))
 
 
 class TestCampaigns:

@@ -11,6 +11,7 @@ from tgtopo.topology import (
     EmptyThresholdsError,
     PersistenceDiagram,
     betti0,
+    betti0_curve,
     betti1,
     betti_curve,
     boundary2_matrix,
@@ -248,6 +249,61 @@ class TestSublevelPersistence0:
             tail = [t for t in grid if t >= max(births)]
             curve = betti_curve(pd, tail).values if tail else ()
             assert all(a >= b for a, b in zip(curve, curve[1:]))
+
+
+def sublevel_persistence0_reference(edge_values, keep_zero_persistence=False):
+    """The dict-based loop sublevel_persistence0 ran before it shared its
+    union-find with betti0_curve."""
+    values = {}
+    for u, v, w in edge_values:
+        pair = (u, v) if u < v else (v, u)
+        if pair not in values or float(w) < values[pair]:
+            values[pair] = float(w)
+    birth = {}
+    for (u, v), w in values.items():
+        for x in (u, v):
+            if x not in birth or w < birth[x]:
+                birth[x] = w
+    parent, points = {x: x for x in birth}, []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (u, v), w in sorted(values.items(), key=lambda kv: (kv[1], kv[0])):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        elder, younger = (ru, rv) if birth[ru] <= birth[rv] else (rv, ru)
+        if w > birth[younger] or keep_zero_persistence:
+            points.append((birth[younger], w))
+        parent[younger] = elder
+    points += [(birth[x], INF) for x in birth if parent[x] == x]
+    return tuple(sorted(points))
+
+
+class TestSharedUnionFind:
+    values = st.integers(-3, 3).map(float) | st.floats(-4, 4)  # ties are common
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), values)
+                    .filter(lambda e: e[0] != e[1]), max_size=14), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_diagram_matches_dict_loop(self, edge_values, keep_zero):
+        assert (sublevel_persistence0(edge_values, keep_zero_persistence=keep_zero).points
+                == sublevel_persistence0_reference(edge_values, keep_zero))
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), values)
+                    .filter(lambda e: e[0] != e[1]), min_size=1, max_size=14),
+           st.lists(values | st.just(-INF), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_betti0_curve_is_the_diagram_curve(self, events, thresholds):
+        # at t = inf the diagram's essential points are dead; event times are finite
+        graph = from_events(6, events)
+        thresholds += graph.events[:, 2].tolist()  # births and merges tie with thresholds
+        expected = betti_curve(sublevel_persistence0(graph.events.tolist()), thresholds)
+        assert betti0_curve(graph.events, thresholds).tolist() == list(expected.values)
 
 
 class TestBettiCurve:

@@ -11,6 +11,8 @@ and the change first when it is odd.  Every run is
 ``perfbench/run.py --trace 0`` in its own tree, for every workload and with the
 ``run_seconds`` that ``BENCHMARK.json`` declares; this script only reads the two
 JSON lines a run prints and changes none of the benchmark's metrics or bounds.
+Each side keeps its bytecode in its own directory, empty when the script starts
+(``PYTHONPYCACHEPREFIX``), so both sides start from the same bytecode state.
 
 The BENCH file records every run, each metric's median and interquartile
 range per side, how many pairs the change won, how far its median is from the
@@ -22,7 +24,8 @@ pairs cannot tell a regression of that size from noise), both sides'
 fingerprints and the fingerprint keys that differ on any pair, the ``src/``
 line counts, a sha256 of each side's ``src/`` files
 (so the file can be tied to the code it measured even when the change was not
-yet committed) and the environment.  After writing it, the script prints the
+yet committed) and the environment, including whether ``PYTHONDONTWRITEBYTECODE``
+is set.  After writing it, the script prints the
 ``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and one
 stderr line per workload (each metric's median parent -> change, the pairs
 won, the metrics outside their bound, with a gain shown, and unresolved, and
@@ -33,6 +36,7 @@ or any run failed an operation.
 import argparse
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -65,11 +69,16 @@ def src_digest(tree):
     return h.hexdigest()
 
 
-def run_once(tree, workload, seed, seconds):
-    """One untraced benchmark run in ``tree``; its stderr passes through."""
+def run_once(tree, workload, seed, seconds, pycache):
+    """One untraced benchmark run in ``tree``; its stderr passes through.
+
+    Bytecode is read from and written to ``pycache`` only, never to the
+    ``__pycache__`` directories of ``tree``, so a working tree with compiled
+    modules starts no warmer than a fresh export."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    lines = subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.PIPE,
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    lines = subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.PIPE,
                            text=True).stdout.splitlines()
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {
@@ -168,16 +177,18 @@ def main(argv=None):
         "settings": {"seeds": args.seeds, "seconds": seconds, "trace": 0},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
+    with (tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp,
+          tempfile.TemporaryDirectory(prefix="benchpairs-pycache-") as pycache):
         export(args.parent, tmp)
         trees = {"parent": Path(tmp), "change": ROOT}
+        caches = {side: Path(pycache, side) for side in SIDES}  # each side's own, empty
         for side in SIDES:
             report[side]["src_sha256"] = src_digest(trees[side])
         for workload in workloads:
             runs = {s: [] for s in SIDES}
             for i, seed in enumerate(args.seeds):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    run = run_once(trees[side], workload, seed, seconds)
+                    run = run_once(trees[side], workload, seed, seconds, caches[side])
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: failed {run['failed']}, "
                           f"descriptors {run['fingerprint']['descriptors'][:8]}",
@@ -188,7 +199,8 @@ def main(argv=None):
     for side in SIDES:
         report[side]["src_lines"] = first[side].pop("src_lines")
     report["environment"] = {**first["change"], "machine": platform.machine(),
-                             "system": platform.platform()}
+                             "system": platform.platform(), "dont_write_bytecode":
+                             bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     lines, ok = verdict(report)
     for line in [src_lines_line(report), *lines]:
