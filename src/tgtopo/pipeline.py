@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import spectral, topology
+from . import spectral, temporal, topology
 from .autodiff import NonFiniteValueError, cross_entropy_with_logits
 from .data import Dataset
 from .errors import InputError, NumericalError
@@ -150,10 +150,14 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     """Per-graph descriptor streams and static features; the config is validated first.
 
     The temporal-degree grid is the dataset-wide sorted union of distinct
-    timestamps so that the structural branch sees a fixed feature width.
+    timestamps so that the structural branch sees a fixed feature width.  A
+    graph's n x n and n x T matrices over ``temporal.ENTRY_LIMIT`` entries are refused first.
     """
     config.validate()
     grid = np.unique(np.concatenate([g.events[:, 2] for g in dataset.graphs]))
+    if (n := max(g.num_nodes for g in dataset.graphs)) * max(n, len(grid)) > temporal.ENTRY_LIMIT:
+        raise temporal.TemporalGraphError(f"{n} nodes and {len(grid)} timesteps exceed "
+                                          f"{temporal.ENTRY_LIMIT} matrix entries")
     binary = config.feature_mode == "binary"
     out = []
     for g in dataset.graphs:

@@ -4,9 +4,10 @@ Eigenvalues come from numpy's LAPACK ``eigvalsh``.  Normalized-Laplacian
 eigenvalues pile up exactly on bin edges (the spike at 1 above all), where
 round-off of a few ulps would decide the bin; ``dos_histogram`` therefore
 snaps eigenvalues to a 1e-9 grid before binning, so histograms do not depend
-on the solver's round-off.  The normalized Laplacian is exactly symmetric by
-construction (A holds only 0 and 1, so L[i, j] and L[j, i] are both
-``inv_i * inv_j``), so it needs no symmetrizing pass.  ``spectral_descriptors``
+on the solver's round-off.  Normalized Laplacians are built from pairs: degrees
+by ``bincount``, -(inv_i * inv_j) at (i, j) and (j, i), 1 on the diagonal.  As A
+holds only 0 and 1, that equals ``I - inv * A * inv`` byte for byte and is exactly
+symmetric, so it needs no symmetrizing pass.  ``spectral_descriptors``
 stacks a graph's windows of equal node count (``temporal.stack_windows``)
 into one ``eigvalsh`` call, whose results equal per-window calls byte for
 byte, and bins every window's eigenvalues with one ``bincount``.
@@ -54,13 +55,18 @@ class DosHistogram:
         return len(self.mass)
 
 
-def _laplacians(a) -> np.ndarray:
-    """Normalized Laplacians of the 0/1 adjacency matrices on a's last two axes."""
-    deg = a.sum(axis=-1)
+def _laplacians(g, n, w, i, j) -> np.ndarray:
+    """(g, n, n) normalized Laplacians of g graphs on n vertices, each pair (w, i, j) given once."""
+    a, b = w * n + i, w * n + j
+    deg = np.bincount(a, minlength=g * n) + np.bincount(b, minlength=g * n)
     if not deg.all():  # cut windows hold edge endpoints only
         raise SpectralError("window has a node without edges")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    return np.eye(a.shape[-1]) - inv_sqrt[..., :, None] * a * inv_sqrt[..., None, :]
+    lap = np.zeros((g, n, n))
+    flat = lap.reshape(-1)  # A is 0/1: L[i, j] = L[j, i] = -(inv_i * inv_j) on a pair, else +0.0
+    flat[a * n + j] = flat[b * n + i] = -(inv_sqrt[a] * inv_sqrt[b])
+    lap.reshape(g, -1)[:, ::n + 1] = 1.0
+    return lap
 
 
 def normalized_laplacian(win) -> SymMatrix:
@@ -68,10 +74,7 @@ def normalized_laplacian(win) -> SymMatrix:
     n = win.num_nodes
     if n == 0:
         raise EmptyWindowError("cannot build a Laplacian for an empty window")
-    a = np.zeros((n, n), dtype=np.float64)
-    i, j = win.local_edges().T
-    a[i, j] = a[j, i] = 1.0
-    lap = _laplacians(a)
+    lap = _laplacians(1, n, 0, *win.local_edges().T)[0]
     lap.flags.writeable = False
     return SymMatrix(n, lap)
 
@@ -123,9 +126,7 @@ def spectral_descriptors(stack, bin_count: int = 4):
     counts, groups = stack
     eigs, owner = [np.zeros(0)], [np.zeros(0, np.int64)]
     for n, ids, w, i, j in groups:
-        a = np.zeros((len(ids), n, n), dtype=np.float64)
-        a[w, i, j] = a[w, j, i] = 1.0
-        eigs.append(eigenvalues_sym(SymMatrix(n, _laplacians(a))).ravel())
+        eigs.append(eigenvalues_sym(SymMatrix(n, _laplacians(len(ids), n, w, i, j))).ravel())
         owner.append(np.repeat(ids, n))
     sizes = counts[:, 0]
     return (_masses(np.concatenate(eigs), np.concatenate(owner), sizes, bin_count),

@@ -97,8 +97,8 @@ def _triples(ev):
 
 
 def _edit_edges(win: WindowGraph, k: int, seed: int):
-    """``perturb_edges``' k edits on the window's (n, n) upper 0/1 adjacency over
-    ``win.nodes``: returns it before and after the edits."""
+    """``perturb_edges``' k edits: the window's (E, 2) local pairs a < b over ``win.nodes``
+    before the edits and after them (the kept ones in order, then the insertions)."""
     rng = np.random.default_rng(seed)
     n = win.num_nodes
     # the original edges' local endpoints, in WindowGraph's sorted edge order;
@@ -106,12 +106,11 @@ def _edit_edges(win: WindowGraph, k: int, seed: int):
     local = win.local_edges()
     eu, ev = local.T
     live = np.ones(len(eu), bool)
-    adj = np.zeros((n, n), bool)  # upper triangle: the current edges
+    adj = np.zeros((n, n), bool)  # upper triangle: the original edges
     adj[eu, ev] = True
-    before = adj.copy()
     degree = np.bincount(local.ravel(), minlength=n)
     # the absent pairs (a, b), a < b, as a * n + b: ascending is lexicographic
-    non_edges = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist()
+    non_edges, added = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist(), []
     for step in range(k):
         deletable = np.flatnonzero(live & (degree[eu] > 1) & (degree[ev] > 1))
         if not non_edges and not deletable.size:
@@ -120,13 +119,14 @@ def _edit_edges(win: WindowGraph, k: int, seed: int):
         insert = not deletable.size or (bool(non_edges) and rng.random() < 0.5)
         if insert:
             a, b = divmod(non_edges.pop(int(rng.integers(len(non_edges)))), n)
+            added.append((a, b))
         else:
             pick = deletable[int(rng.integers(len(deletable)))]
             live[pick] = False
             a, b = eu[pick], ev[pick]
-        adj[a, b] = insert
         degree[[a, b]] += 1 if insert else -1
-    return before, adj
+    return local, np.concatenate([local.compress(live, axis=0),
+                                  np.array(added, np.int64).reshape(-1, 2)])
 
 
 def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
@@ -137,8 +137,8 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
     both keep another edge, so no node is isolated; raises InfeasibleKError
     when k exceeds the feasible modification count.
     """
-    nodes = np.array(win.nodes, dtype=np.int64)
-    i, j = np.nonzero(_edit_edges(win, k, seed)[1])  # row-major, so the pairs come out sorted
+    n, nodes = win.num_nodes, np.array(win.nodes, dtype=np.int64)
+    i, j = np.divmod(np.sort(_edit_edges(win, k, seed)[1] @ [n, 1]), n)  # lexicographic
     edges = tuple(zip(nodes[i].tolist(), nodes[j].tolist()))
     return WindowGraph(win.window_index, win.t_start, win.delta, win.nodes, edges,
                        (1,) * len(edges))
@@ -167,9 +167,10 @@ def spectral_stability_trial(win: WindowGraph, k: int, seed: int, bins: int = 4)
     """One edge-modification trial: returns (W1 distance, k/n)."""
     if not (n := win.num_nodes):
         raise StabilityError("window is empty")
-    a = np.stack(_edit_edges(win, k, seed)).astype(np.float64)
-    a += a.transpose(0, 2, 1)  # the symmetric 0/1 adjacencies before and after
-    eigs = spectral.eigenvalues_sym(spectral.SymMatrix(n, spectral._laplacians(a)))
+    before, after = _edit_edges(win, k, seed)
+    i, j = np.concatenate([before, after]).T  # one stack: graph 0 before, graph 1 after
+    lap = spectral._laplacians(2, n, np.arange(len(i)) >= len(before), i, j)
+    eigs = spectral.eigenvalues_sym(spectral.SymMatrix(n, lap))
     mass = spectral._masses(eigs.ravel(), np.repeat([0, 1], n), np.array([n, n]), bins)
     return spectral._w1(mass[0], mass[1], 2.0 / bins), k / n  # dos_histogram's bin width
 

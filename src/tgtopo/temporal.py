@@ -72,6 +72,7 @@ class TemporalGraph:
 
     ``events`` is a read-only (E, 3) float64 array of rows ``(u, v, t)`` in
     ascending ``t``; node ids below 2**53 are exact, repeated pairs are kept.
+    It is a copy held over immutable ``bytes``, so no view can be made writeable.
     """
 
     num_nodes: int
@@ -79,7 +80,8 @@ class TemporalGraph:
     label: int | None = None
 
     def __post_init__(self):
-        self.events.flags.writeable = False
+        ev = np.asarray(self.events, np.float64)
+        object.__setattr__(self, "events", np.ndarray(ev.shape, np.float64, ev.tobytes()))
 
     @property
     def num_events(self) -> int:
@@ -96,6 +98,7 @@ class TemporalGraph:
 
 STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of float64
 WINDOW_LIMIT = 1 << 20  # windows per graph
+ENTRY_LIMIT = 1 << 26  # entries of a graph's n x n or n x T feature matrix: 512 MB of float64
 EVENT = np.dtype([("u", np.int64), ("v", np.int64), ("t", np.float64)])  # one event record
 
 
@@ -327,11 +330,9 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
     grid = steps[order]
     pos = np.searchsorted(grid, ev[:, 2], "right") - 1
     hit = (pos >= 0) & (grid[pos] == ev[:, 2])
-    out = np.zeros((graph.num_nodes, len(steps)), dtype=np.float64)
-    np.add.at(out, (ev[hit, :2].astype(np.int64).ravel(), np.repeat(order[pos[hit]], 2)), 1.0)
-    if binary:
-        out = (out > 0).astype(np.float64)
-    return out
+    cells = ev[hit, :2].astype(np.int64) * len(steps) + order[pos[hit], None]
+    out = np.bincount(cells.ravel(), minlength=graph.num_nodes * len(steps))
+    return (out > 0 if binary else out).astype(np.float64).reshape(graph.num_nodes, -1)
 
 
 def static_projection(graph: TemporalGraph) -> StaticGraph:

@@ -4,10 +4,10 @@ Complexes are truncated at dimension 2 (triangles): beta_1 of a clique
 complex only depends on simplices up to dimension 2, and the per-window
 descriptor needs nothing higher.  ``topo_descriptors`` works on a graph's
 windows stacked by node count (``temporal.stack_windows``): one label
-propagation gives every window's beta_0 and one ``nonzero`` on the stacked
-0/1 upper adjacency its triangles; beta_1 is the cycle rank minus the GF(2)
-rank of the triangle boundary columns: Python ints with bit x set for edge x,
-ORed together from an object array of powers of two.
+propagation gives every window's beta_0 and one ``flatnonzero`` over the
+stacked common-neighbour mask its triangles; beta_1 is the cycle rank minus
+the GF(2) rank of the triangle boundary columns: Python ints with bit x set
+for edge x, ORed together from an object array of powers of two.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def _triangles(g, n, owner, i, j):
     up[row, j] = True
     both = up.take(row, axis=0)
     both &= up.take(col, axis=0)
-    e, k = np.nonzero(both)
-    local = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    e, k = np.divmod(np.flatnonzero(both), n)
+    local = np.arange(len(owner)) - np.searchsorted(owner, np.arange(g))[owner]  # owner is sorted
     index = np.empty((g * n, n), dtype=np.int32)  # read only where ``up`` is set
     index[row, j] = local
     return e, k, local[e], index[row[e], k], index[col[e], k]

@@ -130,10 +130,14 @@ def test_run_once_keeps_bytecode_in_the_given_directory(tmp_path, monkeypatch):
 
     monkeypatch.setattr(benchpairs.subprocess, "run", fake_run)
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+    # a run that may not write bytecode would compile numpy in every fresh interpreter
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     run = benchpairs.run_once(tmp_path / "tree", "desk", 3, 40, tmp_path / "pycache-change")
     (kwargs,) = calls
     assert kwargs["cwd"] == tmp_path / "tree"
     assert kwargs["env"]["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pycache-change")
-    assert {k: v for k, v in kwargs["env"].items() if k != "PYTHONPYCACHEPREFIX"} == {
-        k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    assert "PYTHONDONTWRITEBYTECODE" not in kwargs["env"]
+    dropped = ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")
+    assert {k: v for k, v in kwargs["env"].items() if k not in dropped} == {
+        k: v for k, v in os.environ.items() if k not in dropped}
     assert run["seed"] == 3 and run["metrics"] == {"m": 2.0}

@@ -7,6 +7,7 @@ import pytest
 
 import tgtopo.cli
 import tgtopo.spectral
+import tgtopo.temporal
 from tgtopo.cli import main
 from tgtopo.errors import InputError, NumericalError
 from tgtopo.data import load_dataset, synth_generate, save_dataset
@@ -107,6 +108,12 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_feature_matrices_over_entry_limit(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # 11 nodes ask for an 11 x 11 aggregation matrix, over a limit made small here
+        monkeypatch.setattr(tgtopo.temporal, "ENTRY_LIMIT", 100)
+        assert main(_node_count_args(tmp_path, dataset_dir, 11)) == 2
+        assert "100 matrix entries" in capsys.readouterr().err
+
     def test_success(self, dataset_dir, tmp_path, capsys):
         code = main(["extract", "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
         assert code == 0
@@ -117,7 +124,7 @@ class TestExitCodes:
         pytest.param(_graph_args, "0 1 1.0\n0 1 nan\n", id="trailing_nan_timestamp"),
         pytest.param(_graph_args, "0 1 inf\n1 2 1.0\n", id="inf_timestamp"),
         pytest.param(_node_count_args, 2**54, id="node_count_above_two_to_53"),
-        # the (n, T) temporal-degree array of 64 PiB fails to allocate at once
+        # the (n, n) aggregation matrix is over temporal.ENTRY_LIMIT: refused unallocated
         pytest.param(_node_count_args, 2**53, id="node_count_out_of_memory"),
         pytest.param(_cv_args, "frobs = 1\n", id="unknown_config_key"),
         pytest.param(_cv_args, "epochs = abc\n", id="uncastable_config_value"),

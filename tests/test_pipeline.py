@@ -24,7 +24,8 @@ from tgtopo.pipeline import (
     sweep_windows,
     train,
 )
-from tgtopo.temporal import stack_windows, window_count
+import tgtopo.temporal
+from tgtopo.temporal import TemporalGraphError, from_events, stack_windows, window_count
 
 
 SPEC = dict(num_graphs=20, nodes=12, timesteps=12, classes=2, cycle_density=[0, 3])
@@ -100,6 +101,27 @@ class TestExtraction:
                     assert np.allclose(row, 0.0)
                 else:
                     assert row.sum() == pytest.approx(1.0)
+
+
+class TestEntryLimit:
+    # the limit is made small here, so no test allocates a large matrix
+    @pytest.mark.parametrize("nodes, times, refused", [
+        pytest.param(10, 10, False, id="n_by_n_and_n_by_T_at_the_limit"),
+        pytest.param(11, 1, True, id="n_by_n_over_the_limit"),
+        pytest.param(5, 21, True, id="n_by_T_over_the_limit"),
+    ])
+    def test_feature_matrices_refused_before_allocation(self, monkeypatch, nodes, times, refused):
+        monkeypatch.setattr(tgtopo.temporal, "ENTRY_LIMIT", 100)
+        graphs = (from_events(nodes, [(0, 1, float(t)) for t in range(times)], label=0),
+                  from_events(3, [(0, 1, 0.0), (1, 2, 1.0)], label=1))
+        dataset = Dataset("d", graphs, 2)  # T is the union of both graphs' timestamps
+        if not refused:
+            assert len(extract_descriptors(dataset, RunConfig())) == 2
+            return
+        for name in ("temporal_degree", "mean_aggregation_matrix"):
+            monkeypatch.setattr(tgtopo.pipeline, name, pytest.fail)
+        with pytest.raises(TemporalGraphError, match="100 matrix entries"):
+            extract_descriptors(dataset, RunConfig())
 
 
 class TestDescriptorFingerprint:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bfs_component_count, random_er_edges, window_from_edges
 from tgtopo.spectral import (
+    _laplacians,
     DosHistogram,
     SpectralError,
     SymMatrix,
@@ -15,6 +17,7 @@ from tgtopo.spectral import (
     spectral_descriptors,
     wasserstein1_hist,
 )
+from tgtopo.stability import _edit_edges, random_er_window
 from tgtopo.temporal import WindowGraph, stack_windows
 
 
@@ -45,6 +48,60 @@ class TestNormalizedLaplacian:
         w = WindowGraph(0, 0.0, 1.0, (0, 1, 5), ((0, 1),), (1,))
         with pytest.raises(SpectralError):
             normalized_laplacian(w)
+
+
+def dense_laplacians(g, n, w, i, j):
+    """The dense ``eye - inv * A * inv`` form that the pair-built Laplacians
+    replaced, kept as their oracle."""
+    a = np.zeros((g, n, n))
+    a[w, i, j] = a[w, j, i] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=-1))
+    return np.eye(n) - inv_sqrt[..., :, None] * a * inv_sqrt[..., None, :]
+
+
+def assert_same_laplacians(g, n, w, i, j):
+    got, want = _laplacians(g, n, w, i, j), dense_laplacians(g, n, w, i, j)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # +0.0 off the edges, as before
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPairBuiltLaplacians:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 8), data=st.data())
+    @example(n=2, data=None)  # one-edge windows
+    def test_random_stacks_match_dense_form(self, n, data):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        if data is None:
+            graphs = [[True]] * 3
+        else:
+            graphs = data.draw(st.lists(st.lists(st.booleans(), min_size=len(pairs),
+                                                 max_size=len(pairs)), min_size=1, max_size=4))
+        edges = []
+        for w, keep in enumerate(graphs):
+            chosen = {p for p, k in zip(pairs, keep) if k}
+            for v in range(n):  # every node needs an edge
+                if not any(v in p for p in chosen):
+                    chosen.add(tuple(sorted((v, (v + 1) % n))))
+            edges += [(w, *p) for p in sorted(chosen)]
+        w, i, j = np.array(edges, np.int64).T
+        assert_same_laplacians(len(graphs), n, w, i, j)
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_one_edge_windows(self, n):
+        # each window holds one edge (0, 1) of a 2-node graph, stacked n deep
+        w = np.arange(n)
+        assert_same_laplacians(n, 2, w, np.zeros(n, np.int64), np.ones(n, np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 16))
+    def test_edge_trial_pairs_match_dense_form(self, seed, k):
+        rng = np.random.default_rng(seed)
+        win = random_er_window(rng, 4, 20, 0.3)
+        k = min(k, win.num_nodes * (win.num_nodes - 1) // 2 - win.num_edges)  # inserts suffice
+        before, after = _edit_edges(win, k, seed)
+        i, j = np.concatenate([before, after]).T
+        assert_same_laplacians(2, win.num_nodes, np.repeat([0, 1], [len(before), len(after)]), i, j)
 
 
 class TestEigenvaluesSym:

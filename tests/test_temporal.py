@@ -136,6 +136,16 @@ def test_builder_gives_read_only_time_sorted_events(build, tmp_path):
         assert math.isnan(g.t_min) and math.isnan(g.t_max)
 
 
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_builder_events_cannot_be_made_writeable(build, tmp_path):
+    # a caller that could flip the flag could reorder rows under t_min, t_max and windows
+    arr = build(tmp_path).events
+    while isinstance(arr, np.ndarray):  # the array and every array it views
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+        arr = arr.base
+
+
 class TestWindowSpec:
     def test_rejects_bad_stride(self):
         with pytest.raises(TemporalGraphError):
@@ -398,6 +408,33 @@ class TestTemporalDegree:
                 want[int(u), col[t]] += 1.0
                 want[int(v), col[t]] += 1.0
         assert np.array_equal(temporal_degree(g, grid), want)
+
+
+def temporal_degree_add_at(graph, timesteps, binary=False):
+    """The ``np.add.at`` form that ``temporal_degree``'s bincount replaced, kept as its oracle."""
+    steps = np.array(list(timesteps), dtype=np.float64)
+    order = np.argsort(steps, kind="stable")
+    ev, grid = graph.events, steps[order]
+    pos = np.searchsorted(grid, ev[:, 2], "right") - 1
+    hit = (pos >= 0) & (grid[pos] == ev[:, 2])
+    out = np.zeros((graph.num_nodes, len(steps)), dtype=np.float64)
+    np.add.at(out, (ev[hit, :2].astype(np.int64).ravel(), np.repeat(order[pos[hit]], 2)), 1.0)
+    return (out > 0).astype(np.float64) if binary else out
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 7), binary=st.booleans(), data=st.data(),
+       grid=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 3.0, 5.0, math.nan]),
+                     min_size=1, max_size=8))
+def test_temporal_degree_matches_add_at(n, binary, data, grid):
+    # repeated events, a duplicated or NaN timestep, nodes with no event
+    ids = st.integers(0, n - 1)
+    events = data.draw(st.lists(st.tuples(ids, ids, st.sampled_from([-1.0, 0.0, 1.0, 2.5, 5.0])),
+                                max_size=30))
+    g = from_events(n, [e for e in events if e[0] != e[1]], allow_empty=True)
+    got, want = temporal_degree(g, grid, binary), temporal_degree_add_at(g, grid, binary)
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestStaticProjection:

@@ -8,6 +8,7 @@ from conftest import bfs_component_count, gf2_rank_dense, random_er_edges, windo
 from tgtopo.spectral import normalized_laplacian
 from tgtopo.temporal import _windows, from_events, stack_windows
 from tgtopo.topology import (
+    _triangles,
     EmptyThresholdsError,
     PersistenceDiagram,
     betti0,
@@ -350,6 +351,32 @@ class TestBettiCurve:
         pd = PersistenceDiagram(0, tuple(points))
         expected = tuple(sum(1 for b, d in points if b <= t < d) for t in thresholds)
         assert betti_curve(pd, thresholds).values == expected
+
+
+def triangles_nonzero(g, n, owner, i, j):
+    """The 2-D ``nonzero`` form that ``_triangles``' flat search replaced, kept as its oracle."""
+    row, col = owner * n + i, owner * n + j
+    up = np.zeros((g * n, n), dtype=bool)
+    up[row, j] = True
+    e, k = np.nonzero(up.take(row, axis=0) & up.take(col, axis=0))
+    local = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    index = np.empty((g * n, n), dtype=np.int32)
+    index[row, j] = local
+    return e, k, local[e], index[row[e], k], index[col[e], k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_flat_triangle_search_matches_nonzero(n, data):
+    # g graphs on n vertices, some with no pair, pairs in graph then lexicographic order
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    graphs = data.draw(st.lists(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+                                min_size=1, max_size=5))
+    owner, i, j = np.array([(w, *p) for w, keep in enumerate(graphs)
+                            for p, k in zip(pairs, keep) if k], np.int64).reshape(-1, 3).T
+    got, want = _triangles(len(graphs), n, owner, i, j), triangles_nonzero(len(graphs), n, owner, i, j)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def descriptor(w, count_edge_multiplicity=False):

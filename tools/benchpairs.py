@@ -12,7 +12,8 @@ and the change first when it is odd.  Every run is
 ``run_seconds`` that ``BENCHMARK.json`` declares; this script only reads the two
 JSON lines a run prints and changes none of the benchmark's metrics or bounds.
 Each side keeps its bytecode in its own directory, empty when the script starts
-(``PYTHONPYCACHEPREFIX``), so both sides start from the same bytecode state.
+(``PYTHONPYCACHEPREFIX``), so both sides start from the same bytecode state;
+the runs may write bytecode there even where ``PYTHONDONTWRITEBYTECODE`` is set.
 
 The BENCH file records every run, each metric's median and interquartile
 range per side, how many pairs the change won, how far its median is from the
@@ -74,10 +75,13 @@ def run_once(tree, workload, seed, seconds, pycache):
 
     Bytecode is read from and written to ``pycache`` only, never to the
     ``__pycache__`` directories of ``tree``, so a working tree with compiled
-    modules starts no warmer than a fresh export."""
+    modules starts no warmer than a fresh export.  ``PYTHONDONTWRITEBYTECODE``
+    is dropped, or no run could fill ``pycache`` and each fresh interpreter
+    would compile numpy."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     lines = subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.PIPE,
                            text=True).stdout.splitlines()
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
