@@ -189,9 +189,9 @@ def _attention(x, w, scale):
     # streams cost more in page faults than the arithmetic on them
     probs = q @ k.swapaxes(-1, -2)
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     out = probs @ v
 
     def grad(g, out=None):
@@ -199,7 +199,7 @@ def _attention(x, w, scale):
         g_out = np.ascontiguousarray(g.reshape(g.shape[:-1] + (w.shape[-4], -1)).swapaxes(-3, -2))
         g_scores = g_out @ v.swapaxes(-1, -2)  # the probabilities' gradient, then in place
         g_v = probs.swapaxes(-1, -2) @ g_out
-        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores -= np.add.reduce(g_scores * probs, axis=-1, keepdims=True)
         g_scores *= probs
         g_scores *= scale
         g_k = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
@@ -287,15 +287,15 @@ def _layer_norm(a, gain, bias, eps=1e-5):
     """Layer norm over the last axis of ``a``; returns the output and
     ``grad(g)``: the gradient of ``a`` and the gain's before its row sum."""
     d = a.shape[-1]
-    centered = a - a.sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=-1, keepdims=True) / d + eps)
+    centered = a - np.add.reduce(a, axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(np.add.reduce(centered**2, axis=-1, keepdims=True) / d + eps)
     norm = centered * inv_std
 
     def grad(g):
         gh = g * gain
         # d norm / d a through mean and variance
-        term = (gh - gh.sum(axis=-1, keepdims=True) / d
-                - norm * ((gh * norm).sum(axis=-1, keepdims=True) / d))
+        term = (gh - np.add.reduce(gh, axis=-1, keepdims=True) / d
+                - norm * (np.add.reduce(gh * norm, axis=-1, keepdims=True) / d))
         return term * inv_std, g * norm
 
     return norm * gain + bias, grad

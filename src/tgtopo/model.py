@@ -156,6 +156,8 @@ class TransformerEncoder:
         self.groups = [[w for ws in v for w in ws] if k == "heads" else [v]
                        for layer in self.layers for k, v in layer.items()]
         self.groups += [[self.w_out], [self.b_out]]
+        # this encoder's share of the parents of ``encode``'s node, built once
+        self.parents = (self.w_in, self.b_in, *(t for ts in self.groups for t in ts))
 
     def forward(self, tokens: np.ndarray, rng=None, train=False):
         """``encode`` on this encoder's row of the model's blocks; tokens:
@@ -236,7 +238,7 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
             tape.append((ln1_grad, heads_out, probs, att_grad, normed2, ln2_grad, active, h))
         del normed, ln1_grad, heads_out, probs, att_grad, attended, normed2, ln2_grad, pre
         del active, h, out
-    pooled = (x.sum(axis=-2) / n).reshape(s, 1, d)
+    pooled = (np.add.reduce(x, axis=-2) / n).reshape(s, 1, d)
     w_out, b_out = params[-2:]
 
     def fill(out, g):
@@ -254,16 +256,16 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
             g_x = g_x + g_ln
             g_att = g_x * masks[:, l, 0] if drop else g_x
             g_parts, _ = att_grad(g_att @ wo.swapaxes(-1, -2), out=o_qkv)
-            g_normed = g_parts.reshape(s, -1, n, d).sum(axis=1)  # adds the parts in order
+            g_normed = np.add.reduce(g_parts.reshape(s, -1, n, d), axis=1)  # the parts in order
             g_ln, g_g1 = ln1_grad(g_normed)
             g_x = g_x + g_ln
             for a, o in ((g_g1, o_g1), (g_normed, o_b1), (g_g2, o_g2), (g_normed2, o_b2),
                          (g_pre, o_c1), (g_out, o_c2)):
-                a.sum(axis=-2, keepdims=True, out=o)
+                np.add.reduce(a, axis=-2, keepdims=True, out=o)
             for a, b, o in ((heads_out, g_att, o_wo), (normed2, g_pre, o_w1), (h, g_out, o_w2)):
                 np.matmul(a.swapaxes(-1, -2), b, out=o)
         for e, t, g_e in zip(encoders, streams, g_x):
-            e.b_in._accumulate(g_e.sum(axis=0))
+            e.b_in._accumulate(np.add.reduce(g_e, axis=0))
             e.w_in._accumulate(t.T @ g_e)
 
     def backward(g):
@@ -272,7 +274,7 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
     views = (pooled @ w_out + b_out).reshape(s, VIEW_DIM)
     if not grad:
         return Tensor(views), [[] for _ in streams]
-    parents = tuple(t for e in encoders for ts in [[e.w_in, e.b_in], *e.groups] for t in ts)
+    parents = sum((e.parents for e in encoders), ())
     return (Tensor(views, parents=parents, backward=backward),
             [[p for layer in tape for p in layer[2][i]] for i in range(s)])
 
@@ -294,20 +296,20 @@ def fusion_attention(views, wq, wk, wv):
     q, k, v = views @ wq, views @ wk, views @ wv
     probs = q @ k.T
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
     def grad(g):
         g_scores, g_v = g @ v.T, probs.T @ g
-        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores -= np.add.reduce(g_scores * probs, axis=-1, keepdims=True)
         g_scores *= probs
         g_scores *= scale
         g_q, g_k = g_scores @ k, (q.T @ g_scores).T
         return (g + g_q @ wq.T + g_k @ wk.T + g_v @ wv.T,
                 (views.T @ g_q, views.T @ g_k, views.T @ g_v))
 
-    return views + probs @ v, probs.sum(axis=0) / len(probs), grad
+    return views + probs @ v, np.add.reduce(probs, axis=0) / len(probs), grad
 
 
 class TemporalGraphClassifier:
@@ -361,17 +363,17 @@ class TemporalGraphClassifier:
             active = pre > 0
             tape.append((h, neigh, active))
             h = np.where(active, pre, 0.0)
-        pooled = (h.sum(axis=0) / n).reshape(1, -1)
+        pooled = (np.add.reduce(h, axis=0) / n).reshape(1, -1)
         proj, proj_b = self.sage_proj, self.sage_proj_b
 
         def backward(g):
-            proj_b._accumulate(g.sum(axis=0))
+            proj_b._accumulate(np.add.reduce(g, axis=0))
             proj._accumulate(pooled.T @ g)
             g_h = np.repeat((g @ proj.data.T) / n, n, axis=0)
             for l in reversed(range(len(tape))):
                 (w_self, w_neigh, bias), (h_in, neigh, active) = self.sage_params[l], tape[l]
                 g_pre = g_h * active
-                bias._accumulate(g_pre.sum(axis=0))
+                bias._accumulate(np.add.reduce(g_pre, axis=0))
                 w_self._accumulate(h_in.T @ g_pre)
                 w_neigh._accumulate(neigh.T @ g_pre)
                 if l:
@@ -402,7 +404,7 @@ class TemporalGraphClassifier:
             return Tensor(logits), out
 
         def backward(g):
-            b._accumulate(g.sum(axis=0))
+            b._accumulate(np.add.reduce(g, axis=0))
             w._accumulate(fused.T @ g)
             g_x = (g @ w.data.T * mask if drop else g @ w.data.T).reshape(x.shape)
             if self.fuse:

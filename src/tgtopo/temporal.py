@@ -246,10 +246,10 @@ def _windows(graph: TemporalGraph, starts, delta) -> Windows:
     keys, mult = np.unique(np.repeat(np.arange(len(starts)) * len(pairs), size) + pair[at],
                            return_counts=True)
     owner, ends = np.divmod(keys, len(pairs))
-    nodes, local = np.unique(owner[:, None] * len(ids) + np.stack(
-        np.divmod(pairs[ends], len(ids)), axis=1), return_inverse=True)
+    nodes, local = np.unique(owner * len(ids) + np.divmod(pairs[ends], len(ids)),
+                             return_inverse=True)  # (2, pairs): every u key, then every v key
     sizes = np.bincount(nodes // len(ids), minlength=len(starts))
-    local = local.reshape(-1, 2) - (np.cumsum(sizes) - sizes)[owner, None]
+    local = (local.reshape(2, -1) - (np.cumsum(sizes) - sizes)[owner]).T
     counts = np.stack([sizes, np.bincount(owner, minlength=len(starts)), size], axis=1)
     return Windows(starts, delta, counts, ids[nodes % len(ids)], owner, local, mult)
 

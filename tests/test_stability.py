@@ -378,6 +378,22 @@ class TestRandomGenerators:
             assert got == want
             assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_low=1, n_high=1),  # every u equals v: the scalar loop never ended
+        dict(n_low=1, n_high=5),
+        dict(n_low=0, n_high=3),
+        dict(n_low=5, n_high=4),
+        dict(n_low=2**32, n_high=2**32, events_per_node=1e-12),
+        dict(events_per_node=float("nan")),
+        dict(events_per_node=float("inf")),
+    ])
+    def test_random_temporal_graph_refuses_sizes_before_drawing(self, kwargs):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(StabilityError):
+            random_temporal_graph(rng, **kwargs)
+        assert rng.bit_generator.state == before
+
     def test_random_temporal_graph_ranges(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -394,3 +410,55 @@ class TestRandomGenerators:
                 deg[u] += 1
                 deg[v] += 1
             assert all(d >= 1 for d in deg.values())
+
+
+def _same_draws(rng, ref, **kwargs):
+    """random_temporal_graph against the scalar reference: events and generator state."""
+    got = random_temporal_graph(rng, **kwargs)
+    assert graph_key(got) == graph_key(random_temporal_graph_reference(ref, **kwargs))
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
+class TestRawWordReplay:
+    """random_temporal_graph derives every draw from raw 64-bit words; these pin that it
+    makes numpy's scalar draws whatever the generator's 32-bit buffer holds."""
+
+    # a fresh default_rng whose default-sized graph hits Lemire's rejection in a u/v draw
+    # (found by a search over 2 M seeds; a walk without the rejection draws other events)
+    LEMIRE_SEED = 467545
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+    @pytest.mark.parametrize("campaign_draw", [False, True])
+    def test_matches_scalar_draws(self, bit_generator, campaign_draw):
+        # a fresh generator starts the loop with a buffered half; after run_campaign's
+        # trial-seed draw the buffer is empty, so u and v are the halves of one word
+        for seed in range(30):
+            rng, ref = (np.random.Generator(bit_generator(seed)) for _ in "ab")
+            if campaign_draw:
+                rng.integers(0, 2**31), ref.integers(0, 2**31)
+            _same_draws(rng, ref)
+
+    @pytest.mark.parametrize("events_per_node", [
+        50.0,  # about 300 words for 100 events, against a first block of 216
+        8.5,  # about 51 for 17 against 50: seeds 2, 3, 11, ... end with t one word past it
+    ])
+    def test_two_nodes_reject_half_the_attempts_and_refill(self, events_per_node):
+        for seed in range(30):
+            _same_draws(np.random.default_rng(seed), np.random.default_rng(seed),
+                        n_low=2, n_high=2, events_per_node=events_per_node)
+
+    def test_lemire_rejection(self):
+        # n = 3 * 2**30 rejects a quarter of all halves; LEMIRE_SEED rejects one at campaign sizes
+        for seed in range(30):
+            _same_draws(np.random.default_rng(seed), np.random.default_rng(seed),
+                        n_low=3 * 2**30, n_high=3 * 2**30, events_per_node=1e-9)
+        _same_draws(np.random.default_rng(self.LEMIRE_SEED),
+                    np.random.default_rng(self.LEMIRE_SEED))
+
+    def test_generator_without_32_bit_buffer_is_refused(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        before = rng.bit_generator.state
+        with pytest.raises(StabilityError, match="MT19937"):
+            random_temporal_graph(rng)
+        np.testing.assert_equal(rng.bit_generator.state, before)
