@@ -220,7 +220,7 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
     bg.state = state
     bg.random_raw(w - 1)
     uv = np.fromiter(drawn, np.int64, len(drawn)).reshape(-1, 2)
-    t = (words[uv[:, 1] // 2 + 1] >> 11) * 2.0**-53 * 10.0  # v's word is the last one drawn
+    t = (words[uv[:, 1] // 2 + 1] >> 11) * 2.0**-53 * 10.0  # t's word follows v's word
     ev = np.column_stack([x[uv] >> 32, t])  # valid as drawn, so from_events' checks are skipped
     return TemporalGraph(n, ev[np.argsort(t, kind="stable")])
 
