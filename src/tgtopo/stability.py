@@ -5,14 +5,14 @@ Two perturbation regimes: shifting every event timestamp by bounded noise
 inserting/deleting edges in a window (spectral route, Wasserstein distance
 between DoS histograms).  Neither bound constant has a closed form, so
 campaigns report the observed sup ratio instead of asserting a theoretical
-value.  Trials run on numpy arrays and make the same random draws, in the
-same order, as the per-pair loops they replaced; a timestamp campaign's graph
-replays numpy's scalar draws from one block of raw 64-bit words
-(``random_temporal_graph``).  An edge trial edits the upper adjacency, solves
-both normalized Laplacians in one stacked ``eigvalsh`` and takes W1 from both
-spectra binned at once; a timestamp trial reads each Betti-0 curve off the
-event array with one union-find (``topology.betti0_curve``), with no
-persistence diagram.  Both equal the per-window chains byte for byte.
+value.  Trials run on numpy arrays and make the same random draws, in the same
+order, as the per-pair loops they replaced.  A timestamp campaign's graph is
+three vector draws (``random_temporal_graph``): sources, targets and times.  An
+edge trial edits the upper adjacency, solves both normalized Laplacians in one
+stacked ``eigvalsh`` and takes W1 from both spectra binned at once; a
+timestamp trial reads each Betti-0 curve off the event array with one
+union-find (``topology.betti0_curve``), with no persistence diagram.  Both
+equal the per-window chains byte for byte.
 """
 
 from __future__ import annotations
@@ -180,53 +180,28 @@ def spectral_stability_trial(win: WindowGraph, k: int, seed: int, bins: int = 4)
 def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
     """Random multigraph with uniform timestamps for topo campaigns.
 
-    Makes the scalar loop's draws, ``u, v = rng.integers(0, n), rng.integers(0, n)`` and
-    ``t = 10.0 * rng.random()`` if u != v, from raw 64-bit words: Lemire's method on the next
-    32-bit half (the buffered high one, else a new word's low one), and ``(word >> 11) *
-    2**-53 * 10``.  The generator ends as those calls leave it, so it must buffer halves.
+    Draws n in [n_low, n_high], then m = max(1, int(events_per_node * n)) events as three
+    vectors: ``u`` uniform over [0, n), ``v = (u + offset) % n`` with the offset uniform over
+    [1, n), so each pair is uniform over the ordered pairs with u != v, and ``t = 10.0 *
+    rng.random(m)``.  The events are stable-sorted by t.
     """
     if not (2 <= n_low <= n_high < 2**32 and math.isfinite(events_per_node)):
         raise StabilityError(f"sizes {n_low}, {n_high}, {events_per_node}: need 2 <= n_low <= "
                              "n_high < 2**32 and a finite events_per_node")
-    bg = rng.bit_generator
-    if "has_uint32" not in bg.state:
-        raise StabilityError(f"{type(bg).__name__} keeps no buffered 32-bit half to replay")
     n = int(rng.integers(n_low, n_high + 1))
-    m, state = max(1, int(events_per_node * n)), bg.state
-    words = np.array([state["uinteger"] << 32], np.uint64)  # word 0: the buffered high half
-    while True:  # a walk that runs off the block walks again over a longer one
-        words = np.concatenate([words, bg.random_raw(2 * m + 16)])
-        x = np.asarray(words, "<u8").view("<u4") * np.uint64(n)  # half h: 2 * word + high
-        bounded = (x >> 32).astype(np.int64)
-        bounded[x & 0xFFFFFFFF < 2**32 % n] = -1  # below (2**32 - n) % n: Lemire rejects it
-        i, w, u, drawn, bounded = 1 - state["has_uint32"], 1, None, [], bounded.tolist()
-        try:
-            while len(drawn) < 2 * m:  # one 32-bit draw a pass; i is the last half drawn
-                i, w = (2 * w, w + 1) if i & 1 else (i + 1, w)
-                if bounded[i] < 0:
-                    continue
-                if u is None:
-                    u = i
-                    continue
-                if bounded[u] != bounded[i]:
-                    drawn += u, i
-                    w += 1  # t's word
-                u = None
-            words[w - 1]  # IndexError if the last t's word is past the block
-            break
-        except IndexError:
-            pass
-    state["has_uint32"], state["uinteger"] = 1 - (i & 1), int(words[i >> 1] >> np.uint64(32))
-    bg.state = state
-    bg.random_raw(w - 1)
-    uv = np.fromiter(drawn, np.int64, len(drawn)).reshape(-1, 2)
-    t = (words[uv[:, 1] // 2 + 1] >> 11) * 2.0**-53 * 10.0  # t's word follows v's word
-    ev = np.column_stack([x[uv] >> 32, t])  # valid as drawn, so from_events' checks are skipped
+    m = max(1, int(events_per_node * n))
+    u = rng.integers(0, n, m)
+    v = (u + rng.integers(1, n, m)) % n
+    t = 10.0 * rng.random(m)
+    ev = np.column_stack([u, v, t])  # valid as drawn, so from_events' checks are skipped
     return TemporalGraph(n, ev[np.argsort(t, kind="stable")])
 
 
 def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:
     """Erdős–Rényi window with isolated vertices dropped."""
+    if not (0 <= n_low <= n_high and 0 <= p <= 1):
+        raise StabilityError(f"sizes {n_low}, {n_high}, p={p}: need 0 <= n_low <= n_high "
+                             "and 0 <= p <= 1")
     n = int(rng.integers(n_low, n_high + 1))
     adj = np.zeros((n, n), bool)
     # one draw per pair i < j, in row-major order (the order the campaign fingerprint pins)

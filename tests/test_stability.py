@@ -309,9 +309,9 @@ class TestCampaigns:
         # W1 <= C * k/n with a modest constant on this corpus
         assert report.empirical_constant <= 4.0
 
-    def test_campaign_determinism(self):
-        a = run_campaign(PerturbationSpec("edge", 1, 30, 5))
-        b = run_campaign(PerturbationSpec("edge", 1, 30, 5))
+    @pytest.mark.parametrize("mode, magnitude", [("timestamp", 0.1), ("edge", 1)])
+    def test_campaign_determinism(self, mode, magnitude):
+        a, b = (run_campaign(PerturbationSpec(mode, magnitude, 30, 5)) for _ in "ab")
         assert a.trials == b.trials
 
     def test_campaign_csv_layout(self):
@@ -328,7 +328,7 @@ class TestCampaignFingerprint:
     # campaigns.  Refactors of the perturbations and distances leave it
     # unchanged; record a new value only for an intended change to the
     # random draws or to a distance.
-    DIGEST = "d734dc75fab41a160015200635d7c052c3fd5c299022b4d557012592b4859465"
+    DIGEST = "42fb8d91625e10fdfac8cf9a961eaa48202abbca9d2a6cc458400bfb301ec0ab"
 
     def test_digest(self):
         reports = [run_campaign(PerturbationSpec("timestamp", 0.1, 30, 1)),
@@ -349,33 +349,17 @@ def random_er_window_reference(rng, n_low=20, n_high=60, p=0.2):
     return WindowGraph(0, 0.0, 1.0, nodes, tuple(sorted(edges)), (1,) * len(edges))
 
 
-def random_temporal_graph_reference(rng, n_low=10, n_high=40, events_per_node=3.0):
-    """The draws random_temporal_graph replaced: a size-2 integer draw and uniform()."""
-    n = int(rng.integers(n_low, n_high + 1))
-    m = max(1, int(events_per_node * n))
-    events = []
-    while len(events) < m:
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            events.append((int(u), int(v), float(rng.uniform(0.0, 10.0))))
-    return from_events(n, events)
-
-
 class TestRandomGenerators:
     @pytest.mark.parametrize("generate, reference, kwargs", [
         (random_er_window, random_er_window_reference, {}),
         (random_er_window, random_er_window_reference, dict(n_low=1, n_high=9, p=0.5)),
-        (random_temporal_graph, random_temporal_graph_reference, {}),
     ])
     def test_matches_scalar_reference(self, generate, reference, kwargs):
         # same output and the generator left in the same state, so the
         # campaign's later draws line up too
         for state in range(120):
             rng, ref = np.random.default_rng(state), np.random.default_rng(state)
-            got, want = generate(rng, **kwargs), reference(ref, **kwargs)
-            if generate is random_temporal_graph:  # a TemporalGraph has no ==
-                got, want = graph_key(got), graph_key(want)
-            assert got == want
+            assert generate(rng, **kwargs) == reference(ref, **kwargs)
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("kwargs", [
@@ -412,53 +396,63 @@ class TestRandomGenerators:
             assert all(d >= 1 for d in deg.values())
 
 
-def _same_draws(rng, ref, **kwargs):
-    """random_temporal_graph against the scalar reference: events and generator state."""
-    got = random_temporal_graph(rng, **kwargs)
-    assert graph_key(got) == graph_key(random_temporal_graph_reference(ref, **kwargs))
-    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_low=5, n_high=4),
+        dict(n_low=-1, n_high=3),
+        dict(p=float("nan")),
+        dict(p=-0.1),
+        dict(p=1.5),
+    ])
+    def test_random_er_window_refuses_inputs_before_drawing(self, kwargs):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(StabilityError):
+            random_er_window(rng, **kwargs)
+        assert rng.bit_generator.state == before
+
+    def test_random_er_window_takes_p_zero_and_one(self):
+        assert random_er_window(np.random.default_rng(0), 4, 4, 0.0).edges == ()
+        assert len(random_er_window(np.random.default_rng(0), 4, 4, 1.0).edges) == 6
 
 
-class TestRawWordReplay:
-    """random_temporal_graph derives every draw from raw 64-bit words; these pin that it
-    makes numpy's scalar draws whatever the generator's 32-bit buffer holds."""
+def _assert_valid_draw(g, n_low, n_high, events_per_node):
+    """A random_temporal_graph draw: n in range, exactly m events between distinct ids
+    below n, times in [0, 10) in ascending order."""
+    n = g.num_nodes
+    assert n_low <= n <= n_high
+    assert g.num_events == max(1, int(events_per_node * n))
+    u, v, t = g.events.T
+    assert np.array_equal(u, u.astype(np.int64)) and np.array_equal(v, v.astype(np.int64))
+    assert np.all((0 <= u) & (u < n) & (0 <= v) & (v < n) & (u != v))
+    assert np.all((0 <= t) & (t < 10)) and np.all(t[1:] >= t[:-1])
 
-    # a fresh default_rng whose default-sized graph hits Lemire's rejection in a u/v draw
-    # (found by a search over 2 M seeds; a walk without the rejection draws other events)
-    LEMIRE_SEED = 467545
+
+class TestRandomTemporalGraph:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_low=st.integers(2, 40), extra=st.integers(0, 40),
+           events_per_node=st.floats(-2.0, 8.0))
+    @example(seed=0, n_low=2, extra=0, events_per_node=50.0)
+    def test_draw_is_valid_and_seeded(self, seed, n_low, extra, events_per_node):
+        kwargs = dict(n_low=n_low, n_high=n_low + extra, events_per_node=events_per_node)
+        g = random_temporal_graph(np.random.default_rng(seed), **kwargs)
+        _assert_valid_draw(g, **kwargs)
+        assert graph_key(random_temporal_graph(np.random.default_rng(seed), **kwargs)) == \
+            graph_key(g)
+
+    def test_ordered_pairs_are_uniform(self):
+        # 2,000 graphs of 3 events on 3 nodes: 1,000 expected per ordered pair u != v
+        rng = np.random.default_rng(0)
+        pairs = np.concatenate([random_temporal_graph(rng, 3, 3, 1.0).events[:, :2]
+                                for _ in range(2000)]).astype(np.int64)
+        counts = np.bincount(pairs @ [3, 1], minlength=9).reshape(3, 3)
+        assert counts.trace() == 0
+        off = counts[~np.eye(3, dtype=bool)]
+        assert np.all(np.abs(off - 1000) <= 100), off
 
     @pytest.mark.parametrize("bit_generator", [
-        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
-    @pytest.mark.parametrize("campaign_draw", [False, True])
-    def test_matches_scalar_draws(self, bit_generator, campaign_draw):
-        # a fresh generator starts the loop with a buffered half; after run_campaign's
-        # trial-seed draw the buffer is empty, so u and v are the halves of one word
-        for seed in range(30):
-            rng, ref = (np.random.Generator(bit_generator(seed)) for _ in "ab")
-            if campaign_draw:
-                rng.integers(0, 2**31), ref.integers(0, 2**31)
-            _same_draws(rng, ref)
-
-    @pytest.mark.parametrize("events_per_node", [
-        50.0,  # about 300 words for 100 events, against a first block of 216
-        8.5,  # about 51 for 17 against 50: seeds 2, 3, 11, ... end with t one word past it
-    ])
-    def test_two_nodes_reject_half_the_attempts_and_refill(self, events_per_node):
-        for seed in range(30):
-            _same_draws(np.random.default_rng(seed), np.random.default_rng(seed),
-                        n_low=2, n_high=2, events_per_node=events_per_node)
-
-    def test_lemire_rejection(self):
-        # n = 3 * 2**30 rejects a quarter of all halves; LEMIRE_SEED rejects one at campaign sizes
-        for seed in range(30):
-            _same_draws(np.random.default_rng(seed), np.random.default_rng(seed),
-                        n_low=3 * 2**30, n_high=3 * 2**30, events_per_node=1e-9)
-        _same_draws(np.random.default_rng(self.LEMIRE_SEED),
-                    np.random.default_rng(self.LEMIRE_SEED))
-
-    def test_generator_without_32_bit_buffer_is_refused(self):
-        rng = np.random.Generator(np.random.MT19937(0))
-        before = rng.bit_generator.state
-        with pytest.raises(StabilityError, match="MT19937"):
-            random_temporal_graph(rng)
-        np.testing.assert_equal(rng.bit_generator.state, before)
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+        np.random.MT19937])
+    def test_every_bit_generator_draws_a_graph(self, bit_generator):
+        for seed in range(10):
+            g = random_temporal_graph(np.random.Generator(bit_generator(seed)))
+            _assert_valid_draw(g, 10, 40, 3.0)
