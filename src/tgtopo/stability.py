@@ -8,11 +8,12 @@ campaigns report the observed sup ratio instead of asserting a theoretical
 value.  Trials run on numpy arrays and make the same random draws, in the same
 order, as the per-pair loops they replaced.  A timestamp campaign's graph is
 three vector draws (``random_temporal_graph``): sources, targets and times.  An
-edge trial edits the upper adjacency, solves both normalized Laplacians in one
-stacked ``eigvalsh`` and takes W1 from both spectra binned at once; a
-timestamp trial reads each Betti-0 curve off the event array with one
-union-find (``topology.betti0_curve``), with no persistence diagram.  Both
-equal the per-window chains byte for byte.
+edge campaign draws its window as local pairs and builds no ``WindowGraph``; the
+edits rebuild the deletable list only when a degree crosses 1 <-> 2.  An edge
+trial solves both normalized Laplacians in one stacked ``eigvalsh`` and bins both
+spectra at once; a timestamp trial reads each Betti-0 curve off the event array
+with one union-find (``topology.betti0_curve``), with no persistence diagram.
+Both equal the per-window chains byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,10 +49,8 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.mode not in ("timestamp", "edge"):
             raise StabilityError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise StabilityError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.trials, numbers.Integral) or isinstance(self.trials, bool):
-            raise StabilityError(f"trials must be an integer, got {self.trials!r}")
+        _check_count(self.seed, 0, "seed")
+        _check_count(self.trials, 30, "trials")  # campaigns need at least 30
         # larger noise overflows the trials' L1 sums (or uniform's range) to inf
         if self.mode == "timestamp" and not 0 < self.magnitude <= 1e300:
             raise StabilityError(f"timestamp mode needs 0 < eps <= 1e300, got {self.magnitude}")
@@ -98,13 +98,19 @@ def _triples(ev):
     return zip(*ev[:, :2].astype(np.int64).T.tolist(), ev[:, 2].tolist())
 
 
-def _edit_edges(win: WindowGraph, k: int, seed: int):
-    """``perturb_edges``' k edits: the window's (E, 2) local pairs a < b over ``win.nodes``
-    before the edits and after them (the kept ones in order, then the insertions)."""
+def _check_count(x, low, name):  # k, bins, seed and trials
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise StabilityError(f"{name} must be an integer >= {low}, got {x!r}")
+
+
+def _edit_edges(win, k: int, seed: int):
+    """``perturb_edges``' k edits: the window's (E, 2) local pairs a < b before the edits and
+    after them (the kept ones in order, then the insertions).  The deletable edges are an
+    ascending list, rebuilt only after an edit moves a degree across 1 <-> 2."""
+    _check_count(k, 0, "k")
     rng = np.random.default_rng(seed)
     n = win.num_nodes
-    # the original edges' local endpoints, in WindowGraph's sorted edge order;
-    # ``live`` marks those not deleted
+    # the original edges' local endpoints, in sorted order; ``live`` marks those not deleted
     local = win.local_edges()
     eu, ev = local.T
     live = np.ones(len(eu), bool)
@@ -112,21 +118,24 @@ def _edit_edges(win: WindowGraph, k: int, seed: int):
     adj[eu, ev] = True
     degree = np.bincount(local.ravel(), minlength=n)
     # the absent pairs (a, b), a < b, as a * n + b: ascending is lexicographic
-    non_edges, added = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist(), []
+    non_edges, added, crossed = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist(), [], True
     for step in range(k):
-        deletable = np.flatnonzero(live & (degree[eu] > 1) & (degree[ev] > 1))
-        if not non_edges and not deletable.size:
+        if crossed:  # the first step, or an edit moved a degree across 1 <-> 2
+            deletable = np.flatnonzero(live & (degree[eu] > 1) & (degree[ev] > 1)).tolist()
+        if not non_edges and not deletable:
             raise InfeasibleKError(f"no feasible modification at step {step} of {k}")
         # a coin is drawn only when both moves are possible
-        insert = not deletable.size or (bool(non_edges) and rng.random() < 0.5)
+        insert = not deletable or (bool(non_edges) and rng.random() < 0.5)
         if insert:
             a, b = divmod(non_edges.pop(int(rng.integers(len(non_edges)))), n)
             added.append((a, b))
         else:
-            pick = deletable[int(rng.integers(len(deletable)))]
+            pick = deletable.pop(int(rng.integers(len(deletable))))
             live[pick] = False
             a, b = eu[pick], ev[pick]
-        degree[[a, b]] += 1 if insert else -1
+        degree[a] += 1 if insert else -1
+        degree[b] += 1 if insert else -1
+        crossed = (2 if insert else 1) in (degree[a], degree[b])  # rose to 2 or fell to 1
     return local, np.concatenate([local.compress(live, axis=0),
                                   np.array(added, np.int64).reshape(-1, 2)])
 
@@ -165,8 +174,9 @@ def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
     return sum((np.abs(curve_a - curve_b) * gaps).tolist()), l1
 
 
-def spectral_stability_trial(win: WindowGraph, k: int, seed: int, bins: int = 4):
+def spectral_stability_trial(win, k: int, seed: int, bins: int = 4):
     """One edge-modification trial: returns (W1 distance, k/n)."""
+    _check_count(bins, 1, "bins")
     if not (n := win.num_nodes):
         raise StabilityError("window is empty")
     before, after = _edit_edges(win, k, seed)
@@ -197,25 +207,36 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
     return TemporalGraph(n, ev[np.argsort(t, kind="stable")])
 
 
-def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:
-    """Erdős–Rényi window with isolated vertices dropped."""
+class _DrawnWindow(NamedTuple):  # a campaign's ER draw, read by the edge trial as a window
+    num_nodes: int
+    pairs: np.ndarray
+
+    def local_edges(self):
+        return self.pairs
+
+
+def _draw_er(rng, n_low=20, n_high=60, p=0.2):
+    """An ER draw's non-isolated nodes and its (E, 2) lexicographic pairs over their ranks."""
     if not (0 <= n_low <= n_high and 0 <= p <= 1):
         raise StabilityError(f"sizes {n_low}, {n_high}, p={p}: need 0 <= n_low <= n_high "
                              "and 0 <= p <= 1")
     n = int(rng.integers(n_low, n_high + 1))
-    adj = np.zeros((n, n), bool)
-    # one draw per pair i < j, in row-major order (the order the campaign fingerprint pins)
-    adj[~np.tri(n, dtype=bool)] = rng.random(n * (n - 1) // 2) < p
-    i, j = np.nonzero(adj)
-    edges = tuple(zip(i.tolist(), j.tolist()))
-    nodes = tuple(np.flatnonzero(adj.any(0) | adj.any(1)).tolist())
-    return WindowGraph(0, 0.0, 1.0, nodes, edges, (1,) * len(edges))
+    upper = np.flatnonzero(~np.tri(n, dtype=bool))  # the pairs i < j as i * n + j
+    # one draw per pair, in row-major order (the order the campaign fingerprint pins)
+    i, j = np.divmod(upper[rng.random(len(upper)) < p], n)
+    kept = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) > 0
+    return np.flatnonzero(kept), (np.cumsum(kept) - 1)[np.column_stack([i, j])]
+
+
+def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:
+    """Erdős–Rényi window with isolated vertices dropped."""
+    nodes, pairs = _draw_er(rng, n_low, n_high, p)
+    edges = tuple(zip(*nodes[pairs].T.tolist()))
+    return WindowGraph(0, 0.0, 1.0, tuple(nodes.tolist()), edges, (1,) * len(edges))
 
 
 def run_campaign(spec: PerturbationSpec, bins: int = 4) -> StabilityReport:
     """Aggregate independent trials with per-trial derived seeds."""
-    if spec.trials < 30:
-        raise StabilityError("campaigns need at least 30 trials")
     report = StabilityReport(mode="topo" if spec.mode == "timestamp" else "spectral")
     streams = np.random.SeedSequence(spec.seed).spawn(spec.trials)
     for i in range(spec.trials):
@@ -226,9 +247,9 @@ def run_campaign(spec: PerturbationSpec, bins: int = 4) -> StabilityReport:
             lhs, rhs = topo_stability_trial(g, spec.magnitude, trial_seed)
             report.trials.append((rhs, lhs))
         else:
-            win = random_er_window(rng)
-            k = int(spec.magnitude)
-            w1, ratio_base = spectral_stability_trial(win, k, trial_seed, bins)
+            nodes, pairs = _draw_er(rng)
+            w1, ratio_base = spectral_stability_trial(_DrawnWindow(len(nodes), pairs),
+                                                      int(spec.magnitude), trial_seed, bins)
             report.trials.append((ratio_base, w1))
     return report
 

@@ -11,6 +11,8 @@ from conftest import graph_key, window_from_edges
 from tgtopo.spectral import spectral_descriptor, wasserstein1_hist
 from tgtopo.stability import (
     InfeasibleKError,
+    _draw_er,
+    _DrawnWindow,
     PerturbationSpec,
     StabilityError,
     campaign_csv,
@@ -171,6 +173,26 @@ class TestPerturbEdges:
                 for seed in range(3):
                     assert perturb_edges(win, k, seed) == perturb_edges_reference(win, k, seed)
 
+    def test_matches_reference_on_sparse_windows(self):
+        # at p = 0.05 most nodes have degree 1 or 2, so edits often move a degree
+        # across 1 <-> 2 and change which edges are deletable; the small windows
+        # run every k up to and past InfeasibleKError
+        rng = np.random.default_rng(5)
+        for n_low, n_high, ks in ((20, 60, (1, 2, 5, 16, 40)), (4, 12, range(80))):
+            for _ in range(10):
+                win = random_er_window(rng, n_low, n_high, 0.05)
+                if not win.num_nodes:
+                    continue
+                for seed in range(2):
+                    for k in ks:
+                        try:
+                            expected = perturb_edges_reference(win, k, seed)
+                        except InfeasibleKError as exc:
+                            with pytest.raises(InfeasibleKError, match=f"^{re.escape(str(exc))}$"):
+                                perturb_edges(win, k, seed)
+                            break
+                        assert perturb_edges(win, k, seed) == expected
+
 
 def perturb_edges_reference(win, k, seed):
     """Straightforward perturb_edges: rebuilds the pair set and the degrees
@@ -229,6 +251,31 @@ class TestTrials:
         w1, ratio_base = spectral_stability_trial(win, 2, seed=3)
         assert 0.0 <= w1 <= 3.0  # diameter of the metric on [0,2]
         assert ratio_base == pytest.approx(2 / win.num_nodes)
+
+
+class TestEditCountAndBinGuards:
+    # a campaign window; k and bins are refused before any draw
+    win = random_er_window(np.random.default_rng(9))
+
+    @pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, "2", None])
+    def test_trial_and_perturb_edges_refuse_k(self, k):
+        with pytest.raises(StabilityError, match="k must be an integer >= 0"):
+            spectral_stability_trial(self.win, k, seed=3)
+        with pytest.raises(StabilityError, match="k must be an integer >= 0"):
+            perturb_edges(self.win, k, seed=3)
+
+    @pytest.mark.parametrize("bins", [0, -1, 2.5, True, None])
+    def test_trial_refuses_bins(self, bins):
+        with pytest.raises(StabilityError, match="bins must be an integer >= 1"):
+            spectral_stability_trial(self.win, 2, seed=3, bins=bins)
+
+    def test_campaign_refuses_bins(self):
+        with pytest.raises(StabilityError, match="bins must be an integer >= 1"):
+            run_campaign(PerturbationSpec("edge", 2, 30, 2), bins=0)
+
+    def test_numpy_integers_are_taken(self):
+        assert spectral_stability_trial(self.win, np.int64(2), 3, np.int64(4)) == \
+            spectral_stability_trial(self.win, 2, 3, 4)
 
 
 def spectral_trial_chain(win, k, seed, bins=4):
@@ -336,6 +383,13 @@ class TestCampaignFingerprint:
                    run_campaign(PerturbationSpec("edge", 16, 30, 3))]
         assert hashlib.sha256(campaign_csv(reports).encode()).hexdigest() == self.DIGEST
 
+    def test_edge_digest_at_benchmark_sizes(self):
+        # perfbench's two edge campaigns at its seed 1
+        reports = [run_campaign(PerturbationSpec("edge", 2, 50, 11)),
+                   run_campaign(PerturbationSpec("edge", 16, 50, 12))]
+        assert hashlib.sha256(campaign_csv(reports).encode()).hexdigest() == \
+            "89c44247fc654418ec432332aa4e14a2e0f6011e123e4f4d71bceabe6979b2c3"
+
 
 def random_er_window_reference(rng, n_low=20, n_high=60, p=0.2):
     """The scalar loop random_er_window replaced: one draw per node pair."""
@@ -409,6 +463,31 @@ class TestRandomGenerators:
         with pytest.raises(StabilityError):
             random_er_window(rng, **kwargs)
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n_low, n_high, p", [
+        (20, 60, 0.2), (0, 6, 0.5), (1, 4, 0.3), (0, 1, 1.0), (3, 12, 0.0), (2, 9, 1.0)])
+    def test_draw_er_is_random_er_window_as_pairs(self, n_low, n_high, p):
+        # the campaign's draw: the same nodes and local pairs as the window, and the
+        # generator left in the same state, so the trial seed drawn next lines up too
+        for state in range(120):
+            rng, ref = np.random.default_rng(state), np.random.default_rng(state)
+            nodes, pairs = _draw_er(rng, n_low, n_high, p)
+            win = random_er_window(ref, n_low, n_high, p)
+            assert tuple(nodes.tolist()) == win.nodes and len(nodes) == win.num_nodes
+            assert pairs.dtype == np.int64 and pairs.shape == (win.num_edges, 2)
+            assert np.array_equal(pairs, win.local_edges())
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_trial_on_drawn_pairs_is_trial_on_window(self):
+        rng = np.random.default_rng(30)
+        for seed in range(20):
+            state = rng.bit_generator.state
+            nodes, pairs = _draw_er(rng)
+            rng.bit_generator.state = state
+            win = random_er_window(rng)
+            for k in (0, 1, 2, 16):
+                assert _hex(spectral_stability_trial(_DrawnWindow(len(nodes), pairs), k, seed)) \
+                    == _hex(spectral_stability_trial(win, k, seed))
 
     def test_random_er_window_takes_p_zero_and_one(self):
         assert random_er_window(np.random.default_rng(0), 4, 4, 0.0).edges == ()
