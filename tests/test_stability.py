@@ -468,7 +468,7 @@ class TestRandomGenerators:
         (20, 60, 0.2), (0, 6, 0.5), (1, 4, 0.3), (0, 1, 1.0), (3, 12, 0.0), (2, 9, 1.0)])
     def test_draw_er_is_random_er_window_as_pairs(self, n_low, n_high, p):
         # the campaign's draw: the same nodes and local pairs as the window, and the
-        # generator left in the same state, so the trial seed drawn next lines up too
+        # generator left in the same state, so any later draw lines up too
         for state in range(120):
             rng, ref = np.random.default_rng(state), np.random.default_rng(state)
             nodes, pairs = _draw_er(rng, n_low, n_high, p)
