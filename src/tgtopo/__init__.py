@@ -19,7 +19,6 @@ from .topology import (
     clique_complex,
     betti0,
     betti1,
-    gf2_rank,
     sublevel_persistence0,
     betti_curve,
 )

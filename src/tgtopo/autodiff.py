@@ -13,24 +13,24 @@ array to several parents; a tensor bound to a gradient arena
 are views into their model's flat parameter arena, so code that changes a
 parameter's values writes into ``t.data`` in place rather than rebinding it.
 
-Fused ops stand for a chain of the ops below as one tape node: ``linear``,
-``attention`` and, in ``model``, ``TemporalGraphClassifier._structural_view``,
-``encode`` and ``TemporalGraphClassifier._head``.  Their forward and
-backward run the same numpy expressions on arrays of the same layout as the
-chain would, and an input's gradient adds the chain's contributions in a
-fixed order (the fusion views: the residual's, then q's, k's and v's; a
-hidden SAGE layer: its W_self term, then its neighbours'), so it is bit for
-bit the gradient of the unfused chain run in that order.
+Fused ops stand for a chain of the ops below as one tape node: in ``model``,
+``TemporalGraphClassifier._structural_view``, ``encode`` and
+``TemporalGraphClassifier._head``.  Their forward and backward run the same
+numpy expressions on arrays of the same layout as the chain would, and an
+input's gradient adds the chain's contributions in a fixed order (the fusion
+views: the residual's, then q's, k's and v's; a hidden SAGE layer: its W_self
+term, then its neighbours'), so it is bit for bit the gradient of the unfused
+chain run in that order.
 
-The kernels that ``layer_norm`` and ``attention`` wrap also take stacks of
-(S, N, d) inputs and (S, ...) parameters, each slice byte-equal to an
-unstacked call: ``swapaxes(-1, -2)`` for ``.T``, heads on a stack axis of
-their own, ``sum(..., keepdims=True) / d`` for ``mean``.  Every matmul keeps
-the memory layout its operands had in the chain (a transposed operand stays
-a transposed view), because BLAS may round another layout differently.  The
-parameter stacks are blocks of the arenas, laid out when the model is built
-(``model._stack``), and ``accumulate_blocks`` lets a backward write a
-stacked gradient straight into its gradient block.
+The kernels ``_layer_norm`` and ``_attention`` also take stacks of (S, N, d)
+inputs and (S, ...) parameters, each slice byte-equal to an unstacked call:
+``swapaxes(-1, -2)`` for ``.T``, heads on a stack axis of their own,
+``sum(..., keepdims=True) / d`` for ``mean``.  Every matmul keeps the memory
+layout its operands had in the chain (a transposed operand stays a transposed
+view), because BLAS may round another layout differently.  The parameter
+stacks are blocks of the arenas, laid out when the model is built
+(``model._stack``), and ``accumulate_blocks`` lets a backward write a stacked
+gradient straight into its gradient block.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class Tensor:
         self._nodes = [p for p in parents if p._backward is not None and p.requires_grad]
         self._stamp = next(_created)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _accumulate(self, g):
         if g.shape != self.data.shape:  # numpy would broadcast it silently
             raise ShapeMismatchError(f"gradient {g.shape} for a tensor of shape {self.data.shape}")
@@ -82,9 +78,6 @@ class Tensor:
         else:
             self._grad_view[...] = g
             self.grad = self._grad_view
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Populate gradients of every upstream tensor with requires_grad.
@@ -158,24 +151,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=backward)
 
 
-def linear(x, w, b) -> Tensor:
-    """``add(matmul(x, w), b)`` as one tape node."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeMismatchError(f"matmul {x.data.shape} @ {w.data.shape}")
-    out_data = x.data @ w.data + b.data
-
-    def backward(g):
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ g)
-
-    return Tensor(out_data, parents=(x, w, b), backward=backward)
-
-
 def _attention(x, w, scale):
     """Multi-head self-attention on a stack ``x`` (..., N, d) with the heads'
     q, k, v weights stacked as ``w`` (..., h, 3, d, k), op for op as the
@@ -213,29 +188,6 @@ def _attention(x, w, scale):
         return parts, g_w
 
     return out.swapaxes(-3, -2).reshape(x.shape[:-1] + (-1,)), probs, grad
-
-
-def attention(x, heads, scale: float):
-    """Multi-head self-attention over the rows of ``x`` as one tape node.
-
-    ``heads`` is a sequence of ``(wq, wk, wv)``; head h computes
-    ``softmax(scale * (x wq)(x wk)^T) (x wv)`` and the head outputs are
-    concatenated along the columns.  Returns ``(Tensor, [probs per head])``."""
-    x = _as_tensor(x)
-    weights = [w for ws in heads for w in ws]
-    stack = np.array([[w.data for w in ws] for ws in heads])
-    out_data, probs, grad = _attention(x.data, stack, scale)
-
-    def backward(g):
-        parts, g_stack = grad(g)
-        g_ws = g_stack.reshape(-1, *stack.shape[2:])
-        for w, g_x, g_w in zip(weights, parts.reshape(-1, *x.shape), g_ws):
-            if x.requires_grad:
-                x._accumulate(g_x)
-            if w.requires_grad:
-                w._accumulate(g_w)
-
-    return Tensor(out_data, parents=(x, *weights), backward=backward), list(probs)
 
 
 def accumulate_blocks(groups, views, fill):

@@ -281,7 +281,7 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
 
 def fusion_attention(views, wq, wk, wv):
     """Single-head self-attention over the 3 view tokens (a 3 x 10 array) and
-    its residual add, op for op as ``autodiff.attention`` on plain 2-D arrays.
+    its residual add, op for op as the matmul/softmax chain on plain 2-D arrays.
 
     Returns (fused 3 x 10 array, view_weights, ``grad(g)``: the views'
     gradient, the residual's then q's, k's and v's, and the three weights').

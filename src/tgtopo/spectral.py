@@ -50,10 +50,6 @@ class DosHistogram:
     mass: tuple
     empty: bool = False
 
-    @property
-    def bin_count(self) -> int:
-        return len(self.mass)
-
 
 def _laplacians(g, n, w, i, j) -> np.ndarray:
     """(g, n, n) normalized Laplacians of g graphs on n vertices, each pair (w, i, j) given once."""
@@ -137,12 +133,12 @@ def wasserstein1_hist(a: DosHistogram, b: DosHistogram) -> float:
     """1-D optimal transport between two histograms on the same bins."""
     if a.bin_edges != b.bin_edges:
         raise BinMismatchError("histograms use different bin edges")
-    return _w1(a.mass, b.mass, a.bin_edges[1] - a.bin_edges[0])
+    return _w1(a.mass, b.mass)
 
 
-def _w1(mass_a, mass_b, width) -> float:
-    """W1 between two mass rows on bins of ``width``: the L1 gap of their CDFs."""
-    return float(np.abs(np.cumsum(mass_a) - np.cumsum(mass_b)).sum() * width)
+def _w1(mass_a, mass_b) -> float:
+    """W1 between two mass rows on equal bins spanning [0, 2]: the L1 gap of their CDFs."""
+    return float(np.abs(np.cumsum(mass_a) - np.cumsum(mass_b)).sum() * (2.0 / len(mass_a)))
 
 
 def spectral_descriptor(win, bin_count: int = 4) -> DosHistogram:

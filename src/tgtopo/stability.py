@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectral
 from .errors import InputError
-from .temporal import TemporalGraph, WindowGraph, from_events
+from .temporal import EmptyEventListError, NonFiniteTimestampError, TemporalGraph, WindowGraph
 from .topology import betti0_curve
 
 
@@ -51,6 +51,8 @@ class PerturbationSpec:
             raise StabilityError(f"unknown mode {self.mode!r}")
         _check_count(self.seed, 0, "seed")
         _check_count(self.trials, 30, "trials")  # campaigns need at least 30
+        if isinstance(self.magnitude, bool) or not isinstance(self.magnitude, numbers.Real):
+            raise StabilityError(f"magnitude must be a real number, got {self.magnitude!r}")
         # larger noise overflows the trials' L1 sums (or uniform's range) to inf
         if self.mode == "timestamp" and not 0 < self.magnitude <= 1e300:
             raise StabilityError(f"timestamp mode needs 0 < eps <= 1e300, got {self.magnitude}")
@@ -80,22 +82,18 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
     """
     if not eps > 0:
         raise StabilityError(f"eps must be positive, got {eps}")
-    rng = np.random.default_rng(seed)
-    shifts = rng.uniform(-eps, eps, size=graph.num_events)
+    if not graph.num_events:
+        raise EmptyEventListError("graph has no events")
+    shifts = np.random.default_rng(seed).uniform(-eps, eps, size=graph.num_events)
     ev = graph.events.copy()
-    # only an overflowed time (sorted to an end) can be invalid: from_events reports it
     with np.errstate(over="ignore"):
         ev[:, 2] += shifts
-    shifted = TemporalGraph(graph.num_nodes, ev[np.argsort(ev[:, 2], kind="stable")], graph.label)
-    l1 = float(np.abs(shifts).sum())
-    if math.isfinite(shifted.t_min) and math.isfinite(shifted.t_max):  # NaN when empty
-        return shifted, l1
-    return from_events(graph.num_nodes, _triples(shifted.events), graph.label), l1
-
-
-def _triples(ev):
-    """An event array's rows as ``(int, int, float)``: int ids hash faster than floats."""
-    return zip(*ev[:, :2].astype(np.int64).T.tolist(), ev[:, 2].tolist())
+    shifted = TemporalGraph(graph.num_nodes, ev, graph.label)
+    bad = np.flatnonzero(~np.isfinite(shifted.events[:, 2]))
+    if bad.size:  # a time that overflowed
+        u, v, t = shifted.events[bad[0]].tolist()
+        raise NonFiniteTimestampError(f"event ({int(u)},{int(v)}) has timestamp {t}")
+    return shifted, float(np.abs(shifts).sum())
 
 
 def _check_count(x, low, name):  # k, bins, seed and trials
@@ -184,7 +182,7 @@ def spectral_stability_trial(win, k: int, seed: int, bins: int = 4):
     lap = spectral._laplacians(2, n, np.arange(len(i)) >= len(before), i, j)
     eigs = spectral.eigenvalues_sym(spectral.SymMatrix(n, lap))
     mass = spectral._masses(eigs.ravel(), np.repeat([0, 1], n), np.array([n, n]), bins)
-    return spectral._w1(mass[0], mass[1], 2.0 / bins), k / n  # dos_histogram's bin width
+    return spectral._w1(mass[0], mass[1]), k / n
 
 
 def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
@@ -193,7 +191,7 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
     Draws n in [n_low, n_high], then m = max(1, int(events_per_node * n)) events as three
     vectors: ``u`` uniform over [0, n), ``v = (u + offset) % n`` with the offset uniform over
     [1, n), so each pair is uniform over the ordered pairs with u != v, and ``t = 10.0 *
-    rng.random(m)``.  The events are stable-sorted by t.
+    rng.random(m)``; ``TemporalGraph`` stable-sorts them by t.
     """
     if not (2 <= n_low <= n_high < 2**32 and math.isfinite(events_per_node)):
         raise StabilityError(f"sizes {n_low}, {n_high}, {events_per_node}: need 2 <= n_low <= "
@@ -203,8 +201,7 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
     u = rng.integers(0, n, m)
     v = (u + rng.integers(1, n, m)) % n
     t = 10.0 * rng.random(m)
-    ev = np.column_stack([u, v, t])  # valid as drawn, so from_events' checks are skipped
-    return TemporalGraph(n, ev[np.argsort(t, kind="stable")])
+    return TemporalGraph(n, np.column_stack([u, v, t]))  # valid as drawn: no checks
 
 
 class _DrawnWindow(NamedTuple):  # a campaign's ER draw, read by the edge trial as a window

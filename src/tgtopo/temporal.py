@@ -70,9 +70,10 @@ class WindowSpec:
 class TemporalGraph:
     """Immutable events sorted by timestamp.
 
-    ``events`` is a read-only (E, 3) float64 array of rows ``(u, v, t)`` in
-    ascending ``t``; node ids below 2**53 are exact, repeated pairs are kept.
-    It is a copy held over immutable ``bytes``, so no view can be made writeable.
+    ``events`` is a read-only (E, 3) float64 array of rows ``(u, v, t)``,
+    stable-sorted here by ``t``; node ids below 2**53 are exact, repeated pairs
+    are kept.  It is a copy held over immutable ``bytes``, so no view can be
+    made writeable.  The rows are not validated: ``from_events`` does that.
     """
 
     num_nodes: int
@@ -81,6 +82,7 @@ class TemporalGraph:
 
     def __post_init__(self):
         ev = np.asarray(self.events, np.float64)
+        ev = ev[np.argsort(ev[:, 2], kind="stable")]
         object.__setattr__(self, "events", np.ndarray(ev.shape, np.float64, ev.tobytes()))
 
     @property
@@ -130,7 +132,7 @@ def _check_events(num_nodes, ev, events):
 
 
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
-    """Build a TemporalGraph, validating integer endpoints and times, sorting by time."""
+    """Build a TemporalGraph, validating integer endpoints and times."""
     events, checked = list(events), []
     for u, v, t in events:
         try:
@@ -146,14 +148,14 @@ def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGra
     _check_events(num_nodes, ev, events)
     if not checked and not allow_empty:
         raise EmptyEventListError("empty event list (pass allow_empty=True to permit)")
-    return TemporalGraph(num_nodes, ev[np.argsort(ev[:, 2], kind="stable")], label)
+    return TemporalGraph(num_nodes, ev, label)
 
 
 def from_records(num_nodes, records, label=None) -> TemporalGraph:
     """``from_events`` for a nonempty ``EVENT`` array."""
     ev = np.column_stack((records["u"], records["v"], records["t"]))
     _check_events(num_nodes, ev, records)
-    return TemporalGraph(num_nodes, ev[np.argsort(ev[:, 2], kind="stable")], label)
+    return TemporalGraph(num_nodes, ev, label)
 
 
 @dataclass(frozen=True)
@@ -195,15 +197,6 @@ class StaticGraph:
 
     num_nodes: int
     edges: tuple  # sorted (u, v), u < v
-
-    @property
-    def neighbors(self) -> tuple:
-        """Per-node sorted neighbour tuples."""
-        nbrs = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:  # in this order each node's neighbours arrive sorted
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(tuple, nbrs))
 
 
 class Windows(Sequence):

@@ -143,12 +143,6 @@ def _rank(words) -> int:
     return len(pivots)
 
 
-def gf2_rank(matrix) -> int:
-    """Rank over GF(2); accepts any row-iterable of 0/1 entries."""
-    return _rank(sum(1 << j for j, bit in enumerate(row) if int(bit) & 1)
-                 for row in matrix)
-
-
 def boundary2_matrix(cx: CliqueComplex2):
     """Dense edge-by-triangle GF(2) boundary matrix, kept as an oracle for betti1."""
     edge_idx = {e: i for i, e in enumerate(cx.edges)}

@@ -4,6 +4,8 @@ Central differences with h = 1e-5; relative error normalized by
 max(|analytic|, |numeric|, 1) must stay below 1e-4.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,13 @@ from tgtopo.autodiff import (
     NonFiniteValueError,
     ShapeMismatchError,
     Tensor,
+    _attention,
     add,
-    attention,
     concat,
     cross_entropy_with_logits,
     dropout,
     embedding_add,
     layer_norm,
-    linear,
     matmul,
     mean_pool,
     relu,
@@ -83,7 +84,7 @@ def _transpose(t):
 
 
 def attention_chain(x, heads, s):
-    """The op chain that ``attention`` replaces, kept as its reference.
+    """The op chain that ``_attention`` computes, kept as its reference.
 
     One head's output was used as is (fusion attention); several were
     concatenated (the encoders).  Backward runs the nodes in reverse creation
@@ -204,25 +205,6 @@ class TestFiniteDifferences:
 
         fd_check(make, lambda ps: weighted_sum(embedding_add(ps[0], ps[1])))
 
-    def test_linear(self):
-        def make(rng):
-            return [
-                Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-                Tensor(rng.normal(size=(4, 2)), requires_grad=True),
-                Tensor(rng.normal(size=(2,)), requires_grad=True),
-            ]
-
-        fd_check(make, lambda ps: weighted_sum(linear(ps[0], ps[1], ps[2])))
-
-    @pytest.mark.parametrize("num_heads", [1, 2])
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_attention(self, num_heads, n):
-        def forward(ps):
-            out, _ = attention(ps[0], _heads(ps[1:]), 0.7)
-            return weighted_sum(out)
-
-        fd_check(lambda rng: _attention_inputs(rng, n, 4, num_heads), forward, n_trials=3)
-
     def test_cross_entropy(self):
         def make(rng):
             return [Tensor(rng.normal(size=(1, 4)), requires_grad=True)]
@@ -249,57 +231,43 @@ class TestFiniteDifferences:
         fd_check(make, forward)
 
 
-def _grads_after(loss, tensors):
-    loss.backward()
-    return [t.grad.tobytes() for t in tensors]
-
-
 class TestFusedOpsMatchChain:
-    """Fused ops give the same bytes as the node chains they replace: the
-    output and every input gradient, so the sum order into a shared input
-    is the chain's."""
+    """The attention kernel ``_attention`` gives the bytes of the op chain it
+    replaces: the output, the probabilities, x's gradient (its parts summed in
+    the chain's order) and every weight's gradient."""
+
+    @staticmethod
+    def _assert_kernel_is_chain(rng, n, d, num_heads, residual=False):
+        ps = _attention_inputs(rng, n, d, num_heads)
+        s = 1.0 / np.sqrt(d // num_heads)
+        attended, probs = attention_chain(ps[0], _heads(ps[1:]), s)
+        # residual: x also feeds an add, as the fusion views do, so x sums
+        # the residual's gradient first, then q, k, v of each head
+        out = add(ps[0], attended) if residual else attended
+        weighted_sum(out, seed=n).backward()
+        stack = np.array([[w.data for w in ws] for ws in _heads(ps[1:])])
+        k_out, k_probs, grad = _attention(ps[0].data, stack, s)
+        parts, g_stack = grad(attended.grad)
+        g_x = ([attended.grad] if residual else []) + list(parts.reshape(-1, n, d))
+        assert k_out.tobytes() == attended.data.tobytes()
+        assert [p.tobytes() for p in k_probs] == [p.tobytes() for p in probs]
+        assert functools.reduce(np.add, g_x).tobytes() == ps[0].grad.tobytes()
+        assert ([g.tobytes() for g in g_stack.reshape(-1, d, d // num_heads)]
+                == [w.grad.tobytes() for w in ps[1:]])
 
     @pytest.mark.parametrize("num_heads", [1, 2])
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
     def test_attention(self, num_heads, n, residual):
-        # residual: x also feeds an add, as the fusion views do, so x sums
-        # the residual's gradient first, then q, k, v of each head
-        rng = np.random.default_rng(31 + n + num_heads)
-        data = [t.data for t in _attention_inputs(rng, n, 8, num_heads)]
-        runs = []
-        for op in (attention, attention_chain):
-            ps = [Tensor(a.copy(), requires_grad=True) for a in data]
-            out, probs = op(ps[0], _heads(ps[1:]), 1.0 / np.sqrt(8 // num_heads))
-            if residual:
-                out = add(ps[0], out)
-            grads = _grads_after(weighted_sum(out, seed=n), ps)
-            runs.append((out.data.tobytes(), [p.tobytes() for p in probs], grads))
-        assert runs[0] == runs[1]
+        self._assert_kernel_is_chain(np.random.default_rng(31 + n + num_heads), n, 8, num_heads,
+                                     residual)
 
     @pytest.mark.parametrize("num_heads", [1, 2, 4])
     @pytest.mark.parametrize("n", [5, 92])
     def test_attention_at_encoder_width(self, num_heads, n):
         # d = 32 as in the encoders; with one head BLAS rounds g_k @ wk.T
         # differently once g_k is copied out of its transposed layout
-        rng = np.random.default_rng(41 + n + num_heads)
-        data = [t.data for t in _attention_inputs(rng, n, 32, num_heads)]
-        runs = []
-        for op in (attention, attention_chain):
-            ps = [Tensor(a.copy(), requires_grad=True) for a in data]
-            out, _ = op(ps[0], _heads(ps[1:]), 1.0 / np.sqrt(32 // num_heads))
-            runs.append((out.data.tobytes(), _grads_after(weighted_sum(out, seed=n), ps)))
-        assert runs[0] == runs[1]
-
-    def test_linear(self):
-        rng = np.random.default_rng(12)
-        data = [rng.normal(size=(5, 6)), rng.normal(size=(6, 3)), rng.normal(size=(3,))]
-        runs = []
-        for op in (linear, lambda x, w, b: add(matmul(x, w), b)):
-            ps = [Tensor(a.copy(), requires_grad=True) for a in data]
-            out = op(*ps)
-            runs.append((out.data.tobytes(), _grads_after(weighted_sum(out), ps)))
-        assert runs[0] == runs[1]
+        self._assert_kernel_is_chain(np.random.default_rng(41 + n + num_heads), n, 32, num_heads)
 
 
 class TestOpSemantics:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from test_autodiff import fd_check, weighted_sum
+from test_autodiff import attention_chain, fd_check, weighted_sum
 from tgtopo import autodiff as ad
 from tgtopo.autodiff import Tensor
 from tgtopo.model import (
@@ -110,13 +110,13 @@ def structural_chain(model, features, agg):
     for w_self, w_neigh, bias in model.sage_params:
         h = sage_layer(h, agg, w_self, w_neigh, bias)
     pooled = global_mean_pool(h)
-    return ad.linear(_row(pooled), model.sage_proj, model.sage_proj_b)
+    return ad.add(ad.matmul(_row(pooled), model.sage_proj), model.sage_proj_b)
 
 
 def fusion_chain(views, wq, wk, wv):
     """``fusion_attention``, its residual and the reshape to a row as tape
-    ops: the attention node, an add and a reshape."""
-    attended, (probs,) = ad.attention(views, [(wq, wk, wv)], 1.0 / np.sqrt(VIEW_DIM))
+    ops: the attention chain, an add and a reshape."""
+    attended, (probs,) = attention_chain(views, [(wq, wk, wv)], 1.0 / np.sqrt(VIEW_DIM))
     fused = _row(ad.add(views, attended))
     weights = probs.sum(axis=0) / probs.shape[0]
     return fused, weights
@@ -133,7 +133,7 @@ def head_chain(model, views, rng=None, train=False, grad=True):
                    np.eye(3)[{"gsage-only": 0, "topo-only": 1, "dos-only": 2}[model.cfg.mode]])
     if train and model.cfg.dropout > 0:
         fused = ad.dropout(fused, model.cfg.dropout, rng, train)
-    logits = ad.linear(fused, model.cls_w, model.cls_b)
+    logits = ad.add(ad.matmul(fused, model.cls_w), model.cls_b)
     return logits, SimpleNamespace(fused=fused.data.reshape(-1).copy(), view_weights=weights)
 
 
@@ -379,26 +379,26 @@ def encoder_chain(enc, tokens, rng=None, train=False):
     as its reference: returns (view 1x10 Tensor, attention matrices)."""
     cfg = enc.cfg
     n = tokens.shape[0]
-    x = ad.linear(tokens, enc.w_in, enc.b_in)
+    x = ad.add(ad.matmul(tokens, enc.w_in), enc.b_in)
     x = ad.embedding_add(x, Tensor(time_embedding(n, cfg.tf_model_dim)))
     attn_all = []
     scale = 1.0 / np.sqrt(cfg.tf_model_dim // cfg.tf_heads)
     for layer in enc.layers:
         normed = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-        heads_out, probs = ad.attention(normed, layer["heads"], scale)
+        heads_out, probs = attention_chain(normed, layer["heads"], scale)
         attn_all += probs
         attended = ad.matmul(heads_out, layer["wo"])
         if train and cfg.dropout > 0:
             attended = ad.dropout(attended, cfg.dropout, rng, train)
         x = ad.add(x, attended)
         normed2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
-        h = ad.relu(ad.linear(normed2, layer["w1"], layer["b1"]))
-        h = ad.linear(h, layer["w2"], layer["b2"])
+        h = ad.relu(ad.add(ad.matmul(normed2, layer["w1"]), layer["b1"]))
+        h = ad.add(ad.matmul(h, layer["w2"]), layer["b2"])
         if train and cfg.dropout > 0:
             h = ad.dropout(h, cfg.dropout, rng, train)
         x = ad.add(x, h)
     pooled = ad.mean_pool(x, axis=0)
-    return ad.linear(_row(pooled), enc.w_out, enc.b_out), attn_all
+    return ad.add(ad.matmul(_row(pooled), enc.w_out), enc.b_out), attn_all
 
 
 class TestStackedEncoderMatchesChain:

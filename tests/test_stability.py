@@ -62,6 +62,14 @@ class TestPerturbationSpec:
         with pytest.raises(StabilityError):
             PerturbationSpec(mode, magnitude, trials, seed)
 
+    @pytest.mark.parametrize("mode", ["edge", "timestamp"])
+    @pytest.mark.parametrize("magnitude", [True, False, np.bool_(True), "2", None, 1j],
+                             ids=["True", "False", "np-True", "str", "None", "complex"])
+    def test_rejects_bool_or_non_real_magnitude(self, mode, magnitude):
+        # True once ran as k = 1 (or eps = 1); a str or None raised a bare TypeError
+        with pytest.raises(StabilityError):
+            PerturbationSpec(mode, magnitude, 30, 1)
+
     def test_integral_float_k_runs_as_its_integer(self):
         # argparse hands the CLI's --magnitude over as a float
         assert (run_campaign(PerturbationSpec("edge", 2.0, 30, 4)).trials

@@ -15,6 +15,7 @@ from tgtopo.temporal import (
     NonFiniteTimestampError,
     OutOfRangeNodeError,
     SelfLoopError,
+    TemporalGraph,
     TemporalGraphError,
     WindowGraph,
     WindowSpec,
@@ -119,7 +120,16 @@ BUILDERS = {
         tmp_path, "tgtopo.data._loadtxt", return_value=None),
     "perturb_timestamps": lambda tmp_path: perturb_timestamps(from_events(5, EVENTS), 0.5, 1)[0],
     "random_temporal_graph": lambda tmp_path: random_temporal_graph(np.random.default_rng(2)),
+    "temporal_graph": lambda tmp_path: TemporalGraph(5, np.array(EVENTS)),
+    "temporal_graph_empty": lambda tmp_path: TemporalGraph(5, np.empty((0, 3))),
 }
+
+
+def test_temporal_graph_stable_sorts_its_rows():
+    # the one place events are put in time order: every builder hands its rows over as they are
+    rows = np.array(EVENTS)
+    assert TemporalGraph(5, rows).events.tolist() == rows[[3, 1, 0, 2]].tolist()  # 2.5 tied
+    assert TemporalGraph(5, np.empty((0, 3))).events.shape == (0, 3)
 
 
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
@@ -445,11 +455,11 @@ class TestStaticProjection:
     def test_empty(self):
         g = from_events(3, [], allow_empty=True)
         s = static_projection(g)
-        assert s.edges == () and s.neighbors == ((), (), ())
+        assert s.edges == () and s.num_nodes == 3
 
-    def test_neighbor_lists(self):
+    def test_reversed_pairs_come_out_sorted(self):
         g = from_events(3, [(2, 0, 1.0), (1, 0, 2.0)])
-        assert static_projection(g).neighbors == ((1, 2), (0,), (0,))
+        assert static_projection(g).edges == ((0, 1), (0, 2))
 
     def test_union_of_covering_windows(self, toy_graph):
         seq = window_sequence(toy_graph, WindowSpec(2.0, 1.0))
