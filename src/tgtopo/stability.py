@@ -11,9 +11,9 @@ three vector draws (``random_temporal_graph``): sources, targets and times.  An
 edge campaign draws its window as local pairs and builds no ``WindowGraph``; the
 edits rebuild the deletable list only when a degree crosses 1 <-> 2.  An edge
 trial solves both normalized Laplacians in one stacked ``eigvalsh`` and bins both
-spectra at once; a timestamp trial reads each Betti-0 curve off the event array
-with one union-find (``topology.betti0_curve``), with no persistence diagram.
-Both equal the per-window chains byte for byte.
+spectra at once; a timestamp trial ranks the node ids once and reads each Betti-0
+curve off the event array in one pass (``topology.betti0_curve``), with no
+persistence diagram.  Both equal the per-window chains byte for byte.
 """
 
 from __future__ import annotations
@@ -51,12 +51,10 @@ class PerturbationSpec:
             raise StabilityError(f"unknown mode {self.mode!r}")
         _check_count(self.seed, 0, "seed")
         _check_count(self.trials, 30, "trials")  # campaigns need at least 30
-        if isinstance(self.magnitude, bool) or not isinstance(self.magnitude, numbers.Real):
-            raise StabilityError(f"magnitude must be a real number, got {self.magnitude!r}")
-        # larger noise overflows the trials' L1 sums (or uniform's range) to inf
-        if self.mode == "timestamp" and not 0 < self.magnitude <= 1e300:
-            raise StabilityError(f"timestamp mode needs 0 < eps <= 1e300, got {self.magnitude}")
-        if self.mode == "edge" and not (self.magnitude >= 0 and self.magnitude % 1 == 0):
+        if self.mode == "timestamp":
+            _check_eps(self.magnitude)
+        elif isinstance(self.magnitude, bool) or not isinstance(self.magnitude, numbers.Real) \
+                or not (self.magnitude >= 0 and self.magnitude % 1 == 0):
             raise StabilityError(f"edge mode needs an integer k >= 0, got {self.magnitude}")
 
 
@@ -80,8 +78,8 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
     Returns the perturbed graph (same structure) and the exact L1 distance
     between the two timestamp functions.
     """
-    if not eps > 0:
-        raise StabilityError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
+    _check_count(seed, 0, "seed")
     if not graph.num_events:
         raise EmptyEventListError("graph has no events")
     shifts = np.random.default_rng(seed).uniform(-eps, eps, size=graph.num_events)
@@ -96,6 +94,11 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
     return shifted, float(np.abs(shifts).sum())
 
 
+def _check_eps(eps):  # larger noise overflows the trials' L1 sums (or uniform's range) to inf
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps <= 1e300:
+        raise StabilityError(f"eps must be a real number in (0, 1e300], got {eps!r}")
+
+
 def _check_count(x, low, name):  # k, bins, seed and trials
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
         raise StabilityError(f"{name} must be an integer >= {low}, got {x!r}")
@@ -106,6 +109,7 @@ def _edit_edges(win, k: int, seed: int):
     after them (the kept ones in order, then the insertions).  The deletable edges are an
     ascending list, rebuilt only after an edit moves a degree across 1 <-> 2."""
     _check_count(k, 0, "k")
+    _check_count(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     n = win.num_nodes
     # the original edges' local endpoints, in sorted order; ``live`` marks those not deleted
@@ -165,11 +169,22 @@ def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
     if graph.num_events == 0:
         raise StabilityError("graph has no events")
     perturbed, l1 = perturb_timestamps(graph, eps, seed)
-    grid = np.union1d(graph.events[:, 2], perturbed.events[:, 2])
-    curve_a, curve_b = (betti0_curve(g.events, grid) for g in (graph, perturbed))
-    gaps = np.diff(grid, append=grid[-1])
+    grid, gaps = _grid(graph.events[:, 2], perturbed.events[:, 2])
+    ids = np.unique(graph.events[:, :2])  # both graphs have the same nodes: ranked once
+    curve_a, curve_b = (betti0_curve(g.events, grid, ids) for g in (graph, perturbed))
     # summed in order, as Python floats, so the total does not depend on numpy's pairwise sum
     return sum((np.abs(curve_a - curve_b) * gaps).tolist()), l1
+
+
+def _grid(a, b):
+    """``np.union1d(a, b)`` and its gaps ``np.diff(grid, append=grid[-1])``, byte for byte."""
+    both = np.sort(np.concatenate([a, b]))
+    keep = np.ones(len(both), bool)  # ``np.unique``'s sort and not-equal mask
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
+    grid = both[keep]
+    gaps = np.zeros(len(grid))
+    np.subtract(grid[1:], grid[:-1], out=gaps[:-1])
+    return grid, gaps
 
 
 def spectral_stability_trial(win, k: int, seed: int, bins: int = 4):

@@ -1,4 +1,4 @@
-"""Clique complexes, Betti numbers, and degree-0 sublevel persistence.
+"""Clique complexes, Betti numbers, degree-0 sublevel persistence and Betti-0 curves.
 
 Complexes are truncated at dimension 2 (triangles): beta_1 of a clique
 complex only depends on simplices up to dimension 2, and the per-window
@@ -7,7 +7,8 @@ windows stacked by node count (``temporal.stack_windows``): one label
 propagation gives every window's beta_0 and one ``flatnonzero`` over the
 stacked common-neighbour mask its triangles; beta_1 is the cycle rank minus
 the GF(2) rank of the triangle boundary columns: Python ints with bit x set
-for edge x, ORed together from an object array of powers of two.
+for edge x, ORed together from an object array of powers of two.  ``betti0_curve``
+counts an event stream's births and spanning-forest merges in one union-find pass.
 """
 
 from __future__ import annotations
@@ -55,15 +56,6 @@ class PersistenceDiagram:
 class BettiVector:
     thresholds: tuple
     values: tuple
-
-
-def _find(parent, x):
-    """Root of ``x`` in a list or dict union-find forest, halving the path
-    (which re-points non-roots only, so it never changes which node is a root)."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def _components(g, n, owner, i, j) -> np.ndarray:
@@ -175,50 +167,53 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
             raise MissingEdgeValueError(f"edge ({u},{v}) has no value")
         pair = (u, v) if u < v else (v, u)
         w = float(w)
-        if pair not in values or w < values[pair]:
-            values[pair] = w
+        values[pair] = min(values.get(pair, w), w)
     if not values:
         return PersistenceDiagram(0, ())
 
     birth = {}
     for (u, v), w in values.items():
         for x in (u, v):
-            if x not in birth or w < birth[x]:
-                birth[x] = w
+            birth[x] = min(birth.get(x, w), w)
 
-    parent, order = {x: x for x in birth}, sorted(values, key=lambda e: (values[e], e))
-    points = [(birth[y], values[order[x]]) for x, y in _merges(parent, birth, order)]
+    parent, points = {x: x for x in birth}, []
+    for (u, v), w in sorted(values.items(), key=lambda kv: (kv[1], kv[0])):  # Kruskal
+        while parent[u] != u:  # halving the path to the root
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:  # the later-born root dies; on a tie the second end's
+            u, v = (v, u) if birth[v] < birth[u] else (u, v)
+            parent[v] = u
+            points.append((birth[v], w))
     points = [p for p in points if keep_zero_persistence or p[1] > p[0]]
     points += [(birth[x], INF) for x in birth if parent[x] == x]
     return PersistenceDiagram(0, tuple(sorted(points)))
 
 
-def _merges(parent, birth, pairs):
-    """Kruskal's union-find over ``pairs`` in order, on a forest ``parent`` (list or
-    dict) of roots born at ``birth``: yields ``(x, y)`` for each pair x that joins
-    two components and the root y that dies (elder rule: the later born; on a tie
-    the second end's root), so each root is born no later than its component."""
-    for x, (u, v) in enumerate(pairs):
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            if birth[rv] < birth[ru]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            yield x, rv
-
-
-def betti0_curve(events, thresholds) -> np.ndarray:
+def betti0_curve(events, thresholds, ids=None) -> np.ndarray:
     """``betti_curve(sublevel_persistence0(events), thresholds).values`` of a
-    time-sorted (E, 3) event array at finite thresholds: the vertices born (at
-    their first event) by t less the spanning-forest merges by t, which neither
-    the elder rule nor zero-persistence points change."""
-    _, first, local = np.unique(events[:, :2], return_index=True, return_inverse=True)
-    times = events[:, 2]
-    births = times[first // 2]
-    merged = [x for x, _ in _merges(list(range(len(first))), births.tolist(),
-                                    local.reshape(-1, 2).tolist())]
-    return (np.searchsorted(np.sort(births), thresholds, "right")
-            - np.searchsorted(times[merged], thresholds, "right"))
+    time-sorted (E, 3) event array at finite thresholds: the vertices born (at their
+    first event) by t less the spanning-forest merges by t, which neither the elder
+    rule nor zero-persistence points change; ``ids`` are ``np.unique(events[:, :2])``."""
+    ids = np.unique(events[:, :2]) if ids is None else ids
+    parent, born, merged = [-1] * len(ids), [], []  # -1: not seen yet
+    for (u, v), t in zip(np.searchsorted(ids, events[:, :2]).tolist(), events[:, 2].tolist()):
+        if parent[u] < 0:
+            parent[u] = u
+            born.append(t)
+        if parent[v] < 0:
+            parent[v] = v
+            born.append(t)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
+            merged.append(t)
+    return (np.searchsorted(born, thresholds, "right")
+            - np.searchsorted(merged, thresholds, "right"))
 
 
 def betti_curve(pd: PersistenceDiagram, thresholds) -> BettiVector:

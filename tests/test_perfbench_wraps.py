@@ -89,6 +89,16 @@ def test_each_campaign_trial_is_one_trial_call(spec, trial, monkeypatch):
     assert len(run_campaign(spec).trials) == len(calls) == spec.trials
 
 
+def test_each_timestamp_trial_perturbs_once_by_module_attribute(monkeypatch):
+    # perfbench's stability.perturb_timestamps span wraps the module attribute, so a
+    # trial that perturbed through another name would leave that span at 0
+    spec, calls = PerturbationSpec("timestamp", 0.1, 31, 1), []
+    original = tgtopo.stability.perturb_timestamps
+    monkeypatch.setattr(tgtopo.stability, "perturb_timestamps",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    assert len(run_campaign(spec).trials) == len(calls) == spec.trials
+
+
 def test_one_adam_step_per_graph_step_and_one_fusion_call_per_forward():
     # perfbench counts train_steps_per_s from Adam.step stamps and times the
     # fusion span around model.fusion_attention: a step that took two Adam

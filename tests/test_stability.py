@@ -13,6 +13,7 @@ from tgtopo.stability import (
     InfeasibleKError,
     _draw_er,
     _DrawnWindow,
+    _grid,
     PerturbationSpec,
     StabilityError,
     campaign_csv,
@@ -286,6 +287,49 @@ class TestEditCountAndBinGuards:
             spectral_stability_trial(self.win, 2, 3, 4)
 
 
+class TestSeedAndEpsGuards:
+    # a campaign graph and window; a seed or eps that PerturbationSpec would refuse
+    # is refused by every entry point too, before any generator is made
+    graph = random_temporal_graph(np.random.default_rng(9))
+    win = random_er_window(np.random.default_rng(9))
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a generator was made")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3", True, np.bool_(True)],
+                             ids=["None", "-1", "1.5", "str", "True", "np-True"])
+    def test_every_entry_refuses_seed(self, seed, no_draws):
+        for call in (lambda: perturb_timestamps(self.graph, 0.1, seed),
+                     lambda: topo_stability_trial(self.graph, 0.1, seed),
+                     lambda: perturb_edges(self.win, 2, seed),
+                     lambda: spectral_stability_trial(self.win, 2, seed)):
+            with pytest.raises(StabilityError, match="seed must be an integer >= 0"):
+                call()
+
+    @pytest.mark.parametrize("eps", [math.inf, 1e308, sys.float_info.max, np.nextafter(1e300, math.inf),
+                                     math.nan, 0.0, -0.1, True, np.bool_(True), None, "0.1"],
+                             ids=["inf", "1e308", "max", "above-1e300", "nan", "0", "-0.1",
+                                  "True", "np-True", "None", "str"])
+    def test_timestamp_entries_refuse_eps_as_the_spec_does(self, eps, no_draws):
+        for call in (lambda: perturb_timestamps(self.graph, eps, 3),
+                     lambda: topo_stability_trial(self.graph, eps, 3),
+                     lambda: PerturbationSpec("timestamp", eps, 30, 3)):
+            with pytest.raises(StabilityError):
+                call()
+
+    def test_numpy_seed_and_largest_eps_are_taken(self):
+        assert topo_stability_trial(self.graph, np.float64(0.1), np.int64(3)) == \
+            topo_stability_trial(self.graph, 0.1, 3)
+        assert perturb_edges(self.win, 2, np.int64(3)) == perturb_edges(self.win, 2, 3)
+        assert spectral_stability_trial(self.win, 2, np.uint32(3)) == \
+            spectral_stability_trial(self.win, 2, 3)
+        PerturbationSpec("timestamp", 1e300, 30, 3)
+        perturb_timestamps(from_events(3, [(0, 1, 0.0), (1, 2, 1.0)]), 1e300, 3)
+
+
 def spectral_trial_chain(win, k, seed, bins=4):
     """The per-window edge trial: two windows, two Laplacians, two eigensolves,
     two histograms."""
@@ -345,6 +389,27 @@ class TestArrayTrialsMatchChains:
         graph = from_events(8, [(u, v, t) for (u, v), t in events])
         assert _hex(topo_stability_trial(graph, eps, seed)) == _hex(
             topo_trial_chain(graph, eps, seed))
+
+    def test_timestamp_trial_matches_chain_on_campaign_draws(self):
+        rng = np.random.default_rng(24)
+        for i in range(50):
+            graph, eps = random_temporal_graph(rng), (0.01, 0.1, 1.0)[i % 3]
+            seed = int(rng.integers(0, 2**31))
+            assert _hex(topo_stability_trial(graph, eps, seed)) == _hex(
+                topo_trial_chain(graph, eps, seed))
+
+    signed = st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | st.floats(-10, 10)  # ties, both zeros
+
+    @given(st.lists(signed, min_size=1, max_size=25), st.lists(signed, min_size=1, max_size=25))
+    @example([0.0, 1.0], [-0.0, 1.0])
+    @example([-0.0], [0.0, 0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_grid_and_gaps_are_union1d_and_diff(self, a, b):
+        a, b = np.sort(a), np.sort(b)  # the trial's two time columns are sorted
+        grid, gaps = _grid(a, b)
+        expected = np.union1d(a, b)
+        assert grid.tobytes() == expected.tobytes()
+        assert gaps.tobytes() == np.diff(expected, append=expected[-1]).tobytes()
 
 
 class TestCampaigns:

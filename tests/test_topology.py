@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bfs_component_count, gf2_rank_dense, random_er_edges, window_from_edges
 from tgtopo.spectral import normalized_laplacian
-from tgtopo.temporal import _windows, from_events, stack_windows
+from tgtopo.temporal import TemporalGraph, _windows, from_events, stack_windows
 from tgtopo.topology import (
     _rank,
     _triangles,
@@ -310,6 +310,28 @@ class TestSharedUnionFind:
         thresholds += graph.events[:, 2].tolist()  # births and merges tie with thresholds
         expected = betti_curve(sublevel_persistence0(graph.events.tolist()), thresholds)
         assert betti0_curve(graph.events, thresholds).tolist() == list(expected.values)
+
+
+class TestBetti0CurveKernel:
+    times = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-4, 4)  # ties, both zeros
+
+    @given(st.lists(st.integers(0, 2**52), min_size=2, max_size=8, unique=True),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6), times),
+                    min_size=1, max_size=16),
+           st.lists(times | st.just(-INF), max_size=4))
+    @example([0, 2**52], [(0, 0, 0.0), (1, 0, -0.0)], [-0.0, 0.0])
+    @example([5, 2**52, 2**40], [(0, 0, -0.0), (2, 0, 0.0), (1, 1, -0.0)], [0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_ids_and_tied_times_give_the_diagram_curve(self, ids, picks, thresholds):
+        # ids far apart and up to 2**52 (exact in float64); the second end is another id
+        n = len(ids)
+        rows = [(ids[a % n], ids[(a + 1 + b % (n - 1)) % n], t) for a, b, t in picks]
+        graph = TemporalGraph(2**52 + 1, np.array(rows, dtype=np.float64))
+        thresholds += graph.events[:, 2].tolist()
+        expected = betti_curve(sublevel_persistence0(graph.events.tolist()), thresholds).values
+        assert betti0_curve(graph.events, thresholds).tolist() == list(expected)
+        ranked = np.unique(graph.events[:, :2])
+        assert betti0_curve(graph.events, thresholds, ranked).tolist() == list(expected)
 
 
 class TestBettiCurve:
