@@ -51,10 +51,11 @@ class PerturbationSpec:
             raise StabilityError(f"unknown mode {self.mode!r}")
         _check_count(self.seed, 0, "seed")
         _check_count(self.trials, 30, "trials")  # campaigns need at least 30
+        if isinstance(self.magnitude, bool) or not isinstance(self.magnitude, numbers.Real):
+            raise StabilityError(f"magnitude must be a real number, got {self.magnitude!r}")
         if self.mode == "timestamp":
             _check_eps(self.magnitude)
-        elif isinstance(self.magnitude, bool) or not isinstance(self.magnitude, numbers.Real) \
-                or not (self.magnitude >= 0 and self.magnitude % 1 == 0):
+        if self.mode == "edge" and not (self.magnitude >= 0 and self.magnitude % 1 == 0):
             raise StabilityError(f"edge mode needs an integer k >= 0, got {self.magnitude}")
 
 
@@ -178,11 +179,8 @@ def topo_stability_trial(graph: TemporalGraph, eps: float, seed: int):
 
 def _grid(a, b):
     """``np.union1d(a, b)`` and its gaps ``np.diff(grid, append=grid[-1])``, byte for byte."""
-    both = np.sort(np.concatenate([a, b]))
-    keep = np.ones(len(both), bool)  # ``np.unique``'s sort and not-equal mask
-    np.not_equal(both[1:], both[:-1], out=keep[1:])
-    grid = both[keep]
-    gaps = np.zeros(len(grid))
+    grid = np.union1d(a, b)
+    gaps = np.zeros(len(grid))  # no ``append`` copy
     np.subtract(grid[1:], grid[:-1], out=gaps[:-1])
     return grid, gaps
 

@@ -167,14 +167,16 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
             raise MissingEdgeValueError(f"edge ({u},{v}) has no value")
         pair = (u, v) if u < v else (v, u)
         w = float(w)
-        values[pair] = min(values.get(pair, w), w)
+        if pair not in values or w < values[pair]:
+            values[pair] = w
     if not values:
         return PersistenceDiagram(0, ())
 
     birth = {}
     for (u, v), w in values.items():
         for x in (u, v):
-            birth[x] = min(birth.get(x, w), w)
+            if x not in birth or w < birth[x]:
+                birth[x] = w
 
     parent, points = {x: x for x in birth}, []
     for (u, v), w in sorted(values.items(), key=lambda kv: (kv[1], kv[0])):  # Kruskal
@@ -191,12 +193,11 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
     return PersistenceDiagram(0, tuple(sorted(points)))
 
 
-def betti0_curve(events, thresholds, ids=None) -> np.ndarray:
+def betti0_curve(events, thresholds, ids) -> np.ndarray:
     """``betti_curve(sublevel_persistence0(events), thresholds).values`` of a
     time-sorted (E, 3) event array at finite thresholds: the vertices born (at their
     first event) by t less the spanning-forest merges by t, which neither the elder
     rule nor zero-persistence points change; ``ids`` are ``np.unique(events[:, :2])``."""
-    ids = np.unique(events[:, :2]) if ids is None else ids
     parent, born, merged = [-1] * len(ids), [], []  # -1: not seen yet
     for (u, v), t in zip(np.searchsorted(ids, events[:, :2]).tolist(), events[:, 2].tolist()):
         if parent[u] < 0:
