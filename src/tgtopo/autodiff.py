@@ -23,7 +23,9 @@ term, then its neighbours'), so it is bit for bit the gradient of the unfused
 chain run in that order.
 
 The kernels ``_layer_norm`` and ``_attention`` also take stacks of (S, N, d)
-inputs and (S, ...) parameters, each slice byte-equal to an unstacked call:
+inputs and (S, ...) parameters, each slice byte-equal to an unstacked call
+(``_attention`` is the one attention kernel: ``model.encode`` runs it on the
+encoders' stacks, ``model.fusion_attention`` on the 3 view tokens):
 ``swapaxes(-1, -2)`` for ``.T``, heads on a stack axis of their own,
 ``sum(..., keepdims=True) / d`` for ``mean``.  Every matmul keeps the memory
 layout its operands had in the chain (a transposed operand stays a transposed

@@ -42,7 +42,9 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", type=float, default=0.2,
+                   help="the held-out part is one of max(2, round(1/f)) stratified folds, "
+                        "so 0.9 holds out about half")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--model", required=True)
@@ -103,12 +105,13 @@ def _run(args) -> int:
             raise PipelineError(f"--test-fraction must lie in (0, 1), got {args.test_fraction}")
         cfg = _load_config(args.config)
         dataset = data.load_dataset(args.data)
+        folds = 1.0 / args.test_fraction  # inf for the smallest subnormals
+        folds = max(2, round(folds)) if np.isfinite(folds) else folds
+        if folds > len(dataset):
+            raise PipelineError(f"--test-fraction {args.test_fraction!r} needs {folds:.3g} "
+                                f"folds, more than the {len(dataset)} graphs")
         features = pipeline.extract_descriptors(dataset, cfg)
-        folds = pipeline.stratified_folds(
-            [gf.label for gf in features],
-            max(2, round(1.0 / args.test_fraction)),
-            cfg.seed,
-        )
+        folds = pipeline.stratified_folds([gf.label for gf in features], folds, cfg.seed)
         test_idx = set(folds[0].tolist())
         train_feats = [gf for i, gf in enumerate(features) if i not in test_idx]
         model, metrics = pipeline.train(train_feats, dataset.num_classes, cfg)

@@ -12,7 +12,8 @@ Each part is one tape node (``TemporalGraphClassifier._structural_view``,
 ``encode``, ``TemporalGraphClassifier._head``) running the chain of
 ``autodiff`` ops it replaces, bit for bit: a hidden SAGE layer's gradient
 adds its W_self term, then its neighbours'; the fusion views add the
-residual's, then q, k, v.
+residual's, then q, k, v.  Fusion and the encoders run the one attention
+kernel, ``autodiff._attention``.
 """
 
 from __future__ import annotations
@@ -279,37 +280,20 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
             [[p for layer in tape for p in layer[2][i]] for i in range(s)])
 
 
-def fusion_attention(views, wq, wk, wv):
+def fusion_attention(views, w):
     """Single-head self-attention over the 3 view tokens (a 3 x 10 array) and
-    its residual add, op for op as the matmul/softmax chain on plain 2-D arrays.
-
-    Returns (fused 3 x 10 array, view_weights, ``grad(g)``: the views'
-    gradient, the residual's then q's, k's and v's, and the three weights').
-    The per-view weight is the total attention mass received by that view
-    across the three queries, normalized to sum to 1.  A residual connection
-    around the attention block keeps a direct gradient path into each view
-    encoder, which avoids long plateaus early in training.
+    its residual add: ``autodiff._attention`` on ``w``, the (1, 3, 10, 10)
+    stack of the q, k and v weights.  Returns (fused 3 x 10 array,
+    view_weights, ``_attention``'s ``grad``).  The per-view weight is the
+    total attention mass received by that view across the three queries,
+    normalized to sum to 1.  A residual connection around the attention block
+    keeps a direct gradient path into each view encoder, which avoids long
+    plateaus early in training.
     """
     if views.shape != (3, VIEW_DIM):
         raise ad.ShapeMismatchError(f"expected 3x{VIEW_DIM} views, got {views.shape}")
-    scale = 1.0 / np.sqrt(VIEW_DIM)
-    q, k, v = views @ wq, views @ wk, views @ wv
-    probs = q @ k.T
-    probs *= scale
-    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-
-    def grad(g):
-        g_scores, g_v = g @ v.T, probs.T @ g
-        g_scores -= np.add.reduce(g_scores * probs, axis=-1, keepdims=True)
-        g_scores *= probs
-        g_scores *= scale
-        g_q, g_k = g_scores @ k, (q.T @ g_scores).T
-        return (g + g_q @ wq.T + g_k @ wk.T + g_v @ wv.T,
-                (views.T @ g_q, views.T @ g_k, views.T @ g_v))
-
-    return views + probs @ v, np.add.reduce(probs, axis=0) / len(probs), grad
+    out, probs, grad = ad._attention(views, w, 1.0 / np.sqrt(VIEW_DIM))
+    return views + out, np.add.reduce(probs[0], axis=0) / len(probs[0]), grad
 
 
 class TemporalGraphClassifier:
@@ -391,7 +375,7 @@ class TemporalGraphClassifier:
         ``grad`` False no tape is kept."""
         x = np.concatenate([v.data for v in views])
         if self.fuse:
-            x, weights, fuse_grad = fusion_attention(x, *(w.data for w in self.fuse))
+            x, weights, fuse_grad = fusion_attention(x, np.stack([t.data for t in self.fuse])[None])
         else:  # the views present share the weight equally
             weights = np.divide(self.has_view, sum(self.has_view))
         fused = x.reshape(1, -1)
@@ -407,9 +391,10 @@ class TemporalGraphClassifier:
             b._accumulate(np.add.reduce(g, axis=0))
             w._accumulate(fused.T @ g)
             g_x = (g @ w.data.T * mask if drop else g @ w.data.T).reshape(x.shape)
-            if self.fuse:
-                g_x, g_ws = fuse_grad(g_x)
-                for t, g_t in zip(self.fuse, g_ws):
+            if self.fuse:  # the residual's, then q's, k's and v's
+                parts, g_w = fuse_grad(g_x)
+                g_x = g_x + parts[0, 0] + parts[0, 1] + parts[0, 2]
+                for t, g_t in zip(self.fuse, g_w[0]):
                     t._accumulate(g_t)
             for v in views:
                 v._accumulate(g_x[:len(v.data)])

@@ -168,12 +168,23 @@ class TestExitCodes:
         pytest.param(_tiny_stride_args, "cv", id="window_count_above_cap_cv"),
         pytest.param(_train_args, "0", id="zero_test_fraction"),
         pytest.param(_train_args, "nan", id="nan_test_fraction"),
+        pytest.param(_train_args, "5e-324", id="test_fraction_with_infinite_fold_count"),
     ])
     def test_malformed_input_is_data_error(self, build, text, dataset_dir, tmp_path,
                                            capsys):
         assert main(build(tmp_path, dataset_dir, text)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fraction, folds", [("5e-324", "inf"), ("1e-300", "1e+300"),
+                                                 ("0.05", "20"), ("0.095", "11")])
+    def test_more_folds_than_graphs_names_the_fraction(self, fraction, folds, dataset_dir,
+                                                        tmp_path, capsys):
+        # the 10-graph dataset takes at most 10 folds, and 1/0.095 = 10.53 rounds
+        # to 11; the message names the fraction and the count in 3 digits
+        assert main(_train_args(tmp_path, dataset_dir, fraction)) == 2
+        assert capsys.readouterr().err == (f"data error: --test-fraction {float(fraction)!r} needs "
+                                           f"{folds} folds, more than the 10 graphs\n")
 
     @pytest.mark.parametrize("header", ["# classes 1\n", ""])
     def test_one_class_data_is_data_error(self, header, tmp_path, capsys):

@@ -643,14 +643,16 @@ class TestCheckpointBytes:
 
 def fusion_node(views, wq, wk, wv):
     """``fusion_attention`` on a tape: the kernel's value, reshaped to one row,
-    and its gradients as one node."""
-    fused, weights, grad = fusion_attention(views.data, wq.data, wk.data, wv.data)
+    and its gradients as one node (the views' adds the residual's, then q's,
+    k's and v's parts, as ``_head`` does)."""
+    fused, weights, grad = fusion_attention(views.data, np.stack([wq.data, wk.data, wv.data])[None])
 
     def backward(g):
-        g_views, g_ws = grad(g.reshape(fused.shape))
+        g = g.reshape(fused.shape)
+        parts, g_ws = grad(g)
         if views.requires_grad:
-            views._accumulate(g_views)
-        for w, g_w in zip((wq, wk, wv), g_ws):
+            views._accumulate(g + parts[0, 0] + parts[0, 1] + parts[0, 2])
+        for w, g_w in zip((wq, wk, wv), g_ws[0]):
             w._accumulate(g_w)
 
     return Tensor(fused.reshape(1, -1), parents=(views, wq, wk, wv), backward=backward), weights
@@ -689,7 +691,7 @@ class TestFusionAttention:
         rng = np.random.default_rng(0)
         wq, wk, wv = self._qkv(rng)
         with pytest.raises(ad.ShapeMismatchError):
-            fusion_attention(np.zeros((2, VIEW_DIM)), wq.data, wk.data, wv.data)
+            fusion_attention(np.zeros((2, VIEW_DIM)), np.stack([wq.data, wk.data, wv.data])[None])
 
     @pytest.mark.parametrize("views_grad", [True, False], ids=["views_grad", "constant_views"])
     def test_bytes_match_chain(self, views_grad):

@@ -1,4 +1,9 @@
+import ctypes
+import glob
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +181,19 @@ class TestDescriptorFingerprint:
         assert self._digest(spec, cfg) == self.LONG_STREAM[multiplicity]
 
 
+def openblas_kernel():
+    """The kernel name of numpy's bundled OpenBLAS (``OPENBLAS_CORETYPE`` forces
+    one for a process), or None when it cannot be read."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 class TestTrainingFingerprint:
     # SHA-256 over the float64 bytes of the loss history, then of every
     # trained parameter in dict order, after 2 epochs on the descriptor
@@ -184,11 +202,32 @@ class TestTrainingFingerprint:
     # intended change to the numerics of training.  The dropout digest also
     # pins the rng draws around attention, and the concat-fuse digest the
     # path without fusion attention.  Recorded again when Adam folded its bias
-    # corrections and moment factors into the step size and eps (DIGEST was
-    # e23a3340…, DROPOUT_DIGEST 20faa15a…, CONCAT_FUSE_DIGEST a634f784…).
-    DIGEST = "a66ea01ee34fa075e8681e4f5838a5a660480e3930a39d52279172d1770cab01"
-    DROPOUT_DIGEST = "faf3afb328224156ee0542fbf540aaef4595edd69f7d50e9ba62a041a7d7f5ca"
-    CONCAT_FUSE_DIGEST = "cc044b3105b1684836891a572fc81ef956acf76754398ae143dafd1ec81cfd8a"
+    # corrections and moment factors into the step size and eps (the SkylakeX
+    # digests were e23a3340…, 20faa15a… and a634f784…).
+    #
+    # Each OpenBLAS kernel blocks its sums and uses FMA its own way, so the
+    # training matmuls round differently in the last bits: the digests are
+    # recorded per kernel, (default, dropout, concat-fuse), under the name the
+    # library reports.  OPENBLAS_CORETYPE=Prescott reports "Katmai".
+    DIGESTS = {
+        "SkylakeX": ("a66ea01ee34fa075e8681e4f5838a5a660480e3930a39d52279172d1770cab01",
+                     "faf3afb328224156ee0542fbf540aaef4595edd69f7d50e9ba62a041a7d7f5ca",
+                     "cc044b3105b1684836891a572fc81ef956acf76754398ae143dafd1ec81cfd8a"),
+        "Haswell": ("cf749d02a13b87965519db2f6f36321b7db6d3efbc50b956903f0526a6b31a46",
+                    "c01dc49b386cad36bcf847791ff15b639131f38c9be2cced2d7a12ef23cb714e",
+                    "9a493fcd1a03d9c3be319f3ddc288580c39a9c485af92d4e0a3258e81a05a4f3"),
+        "Sandybridge": ("39958b03f54805cc26ae821982c873021f4962012c5becda32bb17713f26aed3",
+                        "763013383a58cbd8e826fb0b379a3a0198c6686d5e86d175530a85801202d159",
+                        "2d3ba01b3b1ee9c9f0e8c53348888ef25a35a718e2a49005bc2089b80dae07da"),
+        "Katmai": ("e6ec066100429c1445d304ab5f3abc6cb69ff2469e9e352b70eaa414bca01ec8",
+                   "b193b879eb30ffbe5649187260f30090265eb3d1aaaa977071ff862fc35ac319",
+                   "941d04f999a50c1d3f0f2e88bc7561db2b6b19056803d5270280ae214e7d276c"),
+    }
+    # OPENBLAS_CORETYPE value: (the /proc/cpuinfo flag it needs, the name it
+    # reports); "pni" is the flag of SSE3
+    FORCED = {"Haswell": ("avx2", "Haswell"), "Sandybridge": ("avx", "Sandybridge"),
+              "Prescott": ("pni", "Katmai")}
+    TESTS = ("test_default_config_digest", "test_dropout_digest", "test_concat_fuse_digest")
 
     @staticmethod
     def _digest(cfg):
@@ -201,14 +240,44 @@ class TestTrainingFingerprint:
             h.update(np.ascontiguousarray(t.data, dtype=np.float64).tobytes())
         return h.hexdigest()
 
+    @classmethod
+    def _recorded(cls, which):
+        kernel, forced = openblas_kernel(), os.environ.get("OPENBLAS_CORETYPE")
+        if kernel is None:
+            pytest.fail("cannot read the kernel name of numpy's bundled OpenBLAS")
+        if forced in cls.FORCED and kernel != cls.FORCED[forced][1]:
+            pytest.fail(f"OPENBLAS_CORETYPE={forced} runs the kernel {kernel!r}, "
+                        f"not {cls.FORCED[forced][1]!r}")
+        if kernel not in cls.DIGESTS:
+            pytest.fail(f"no training digests recorded for the OpenBLAS kernel {kernel!r}")
+        return cls.DIGESTS[kernel][which]
+
     def test_default_config_digest(self):
-        assert self._digest(RunConfig(epochs=2)) == self.DIGEST
+        assert self._digest(RunConfig(epochs=2)) == self._recorded(0)
 
     def test_dropout_digest(self):
-        assert self._digest(RunConfig(epochs=2, dropout=0.1)) == self.DROPOUT_DIGEST
+        assert self._digest(RunConfig(epochs=2, dropout=0.1)) == self._recorded(1)
 
     def test_concat_fuse_digest(self):
-        assert self._digest(RunConfig(epochs=2, mode="concat-fuse")) == self.CONCAT_FUSE_DIGEST
+        assert self._digest(RunConfig(epochs=2, mode="concat-fuse")) == self._recorded(2)
+
+    def test_digests_under_every_forced_kernel(self):
+        # the three tests above, rerun in one subprocess per kernel that this
+        # CPU can run, with only OPENBLAS_CORETYPE added to the environment
+        try:
+            with open("/proc/cpuinfo") as fh:
+                flags = {f for line in fh if line.startswith("flags") for f in line.split()}
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to tell which kernels this CPU runs")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        ids = [f"tests/test_pipeline.py::TestTrainingFingerprint::{name}" for name in self.TESTS]
+        for forced, (flag, _) in self.FORCED.items():
+            if flag not in flags:
+                continue
+            run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                  *ids], cwd=root, capture_output=True, text=True,
+                                 env={**os.environ, "OPENBLAS_CORETYPE": forced})
+            assert run.returncode == 0, f"OPENBLAS_CORETYPE={forced}:\n{run.stdout[-3000:]}"
 
 
 class TestDescriptorCache:

@@ -443,6 +443,108 @@ class TestCampaigns:
         assert len(lines) == 32
 
 
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def edge_bound(bins, k_over_n):
+    """The proven edge-trial bound and its rounding tolerance.
+
+    The masses c/n round once each; a CDF value sums at most B of them, all in
+    [0, 1], so it is off by at most B*u and a CDF gap by (2B + 1)*u.  The B
+    gaps' sum, the width 2/B and the bound's own arithmetic add (B + 6)*u
+    relative.  So W1 exceeds the exact bound by at most 2(2B + 1)*u + (B + 6)*u
+    * bound, which 4(B + 2)*u*(1 + bound) covers."""
+    bound = 2 * (bins - 1) / bins * k_over_n
+    return bound, 4 * (bins + 2) * U * (1 + bound)
+
+
+def timestamp_tolerance(rhs, perturbed_times):
+    """How far a timestamp trial's lhs may exceed rhs through rounding.
+
+    The exact curves' L1 distance is at most the sum of the realised shifts
+    |fl(t + s) - t| <= |s| + u*|fl(t + s)| (plus 2**-1074 each if subnormal).
+    lhs rounds each grid gap and product once and sums at most 2m terms in
+    order, (1 + u)**(2m + 1); numpy's sum of the m drawn |s| in rhs is low by
+    at most (m - 1)*u relative.  To first order with slack: rhs * 4m*u plus
+    2u * sum |fl(t + s)| plus m * 2**-1074."""
+    m = len(perturbed_times)
+    return rhs * 4 * m * U + 2 * U * np.abs(perturbed_times).sum() + m * 2.0**-1074
+
+
+class TestProvenBounds:
+    """The bounds the ``stability`` docstring proves: W1 <= 2(B - 1)/B * k/n
+    for edge trials and lhs <= rhs for timestamp trials, each up to its
+    stated rounding tolerance, and both reached."""
+
+    pairs = TestArrayTrialsMatchChains.pairs
+
+    @given(st.lists(pairs, min_size=1, max_size=20), st.integers(0, 2**31 - 1),
+           st.sampled_from([1, 2, 3, 4, 7]))
+    @example([(0, 1), (1, 2), (2, 3), (3, 0)], 0, 4)
+    @settings(max_examples=150, deadline=None)
+    def test_edge_trials_within_interlacing_bound(self, edges, seed, bins):
+        win = window_from_edges(edges)
+        for k in range(1, 40):  # every feasible k
+            try:
+                w1, k_over_n = spectral_stability_trial(win, k, seed, bins)
+            except InfeasibleKError:
+                break
+            bound, tol = edge_bound(bins, k_over_n)
+            assert k_over_n == k / win.num_nodes
+            assert w1 <= bound + tol
+
+    def test_edge_trials_on_er_draws_within_interlacing_bound(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            nodes, pairs = _draw_er(rng, 3, 30, float(rng.uniform(0.1, 0.6)))
+            k, bins = int(rng.integers(1, 6)), int(rng.choice([2, 4]))
+            if not len(nodes):
+                continue
+            try:
+                w1, _ = spectral_stability_trial(_DrawnWindow(len(nodes), pairs), k,
+                                                 int(rng.integers(2**31)), bins)
+            except InfeasibleKError:
+                continue
+            bound, tol = edge_bound(bins, k / len(nodes))
+            assert w1 <= bound + tol
+
+    def test_k1_edge_campaign_reaches_the_bound(self):
+        report = run_campaign(PerturbationSpec("edge", 1, 200, 12))
+        for k_over_n, w1 in report.trials:
+            bound, tol = edge_bound(4, k_over_n)
+            assert bound == 1.5 * k_over_n and w1 <= bound + tol
+        assert report.empirical_constant == pytest.approx(1.5, rel=1e-12)
+
+    events = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5),
+                                st.integers(0, 3).map(float) | st.floats(0, 10)),
+                      min_size=1, max_size=18)
+
+    @given(events, st.sampled_from([1e-300, 1e-9, 1e-3, 0.5, 4.0, 50.0]) | st.floats(1e-6, 50),
+           st.integers(0, 2**31 - 1))
+    @example([(0, 1, 1.0)], 0.5, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_timestamp_trials_within_shift_bound(self, events, eps, seed):
+        # 2-6 nodes: u and u + offset mod 6 are distinct
+        graph = from_events(6, [(u, (u + o) % 6, t) for u, o, t in events])
+        lhs, rhs = topo_stability_trial(graph, eps, seed)
+        perturbed, l1 = perturb_timestamps(graph, eps, seed)
+        assert rhs == l1
+        assert lhs <= rhs + timestamp_tolerance(rhs, perturbed.events[:, 2])
+
+    @given(st.floats(0, 10), st.floats(1e-3, 50), st.integers(0, 2**31 - 1))
+    @example(1.0, 0.5, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_one_event_reaches_the_timestamp_bound(self, t, eps, seed):
+        # lhs is the one grid gap |fl(t + s) - t|, and rhs is |s|: they differ
+        # by the rounding of t + s, at most u*|fl(t + s)|, and of the gap's
+        # subtraction, at most u*lhs
+        graph = from_events(2, [(0, 1, t)])
+        lhs, rhs = topo_stability_trial(graph, eps, seed)
+        moved = perturb_timestamps(graph, eps, seed)[0].events[0, 2]
+        assert lhs == abs(moved - t)
+        assert abs(lhs - rhs) <= 2 * U * (abs(moved) + lhs) + 2.0**-1074
+
+
 class TestCampaignFingerprint:
     # SHA-256 of campaign_csv for one timestamp campaign and two edge
     # campaigns.  Refactors of the perturbations and distances leave it

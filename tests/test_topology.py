@@ -291,7 +291,7 @@ def sublevel_persistence0_reference(edge_values, keep_zero_persistence=False):
     return tuple(sorted(points))
 
 
-class TestSharedUnionFind:
+class TestUnionFind:
     # sublevel_persistence0 and betti0_curve each run their own union-find: the
     # diagram is checked against the reference loop, the curve against the diagram
     values = st.integers(-3, 3).map(float) | st.floats(-4, 4)  # ties are common
