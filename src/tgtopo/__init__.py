@@ -28,7 +28,6 @@ from .spectral import (
     normalized_laplacian,
     eigenvalues_sym,
     dos_histogram,
-    wasserstein1_hist,
     spectral_descriptor,
 )
 from .model import ModelConfig, TemporalGraphClassifier, FusionOutput

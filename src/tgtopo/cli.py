@@ -150,13 +150,9 @@ def _run(args) -> int:
             raise PipelineError(f"--deltas/--sigmas: {exc}") from exc
         _write_or_print(pipeline.sweep_windows(dataset, deltas, sigmas, cfg), args.out)
     elif args.command == "stability":
-        if args.mode == "topo":
-            magnitude = args.magnitude if args.magnitude is not None else 0.1
-            spec = stability.PerturbationSpec("timestamp", magnitude, args.trials,
-                                              args.seed)
-        else:
-            magnitude = args.magnitude if args.magnitude is not None else 2
-            spec = stability.PerturbationSpec("edge", magnitude, args.trials, args.seed)
+        mode, magnitude = {"topo": ("timestamp", 0.1), "spectral": ("edge", 2)}[args.mode]
+        magnitude = magnitude if args.magnitude is None else args.magnitude
+        spec = stability.PerturbationSpec(mode, magnitude, args.trials, args.seed)
         report = stability.run_campaign(spec)
         _write_or_print(stability.campaign_csv([report]), args.out)
         print(

@@ -328,6 +328,9 @@ class TemporalGraphClassifier:
         self.cls_w = store.matrix("cls.w", fused_dim, cfg.num_classes)
         self.cls_b = store.vector("cls.b", cfg.num_classes)
         self.arena, self.grad_arena, self.blocks = _stack(self.encoders, store.params.values())
+        if self.fuse:  # q, k and v lie side by side in the arena: one (1, 3, 10, 10) view
+            at = (self.fuse[0].data.ctypes.data - self.arena.ctypes.data) // self.arena.itemsize
+            self.fuse_w = self.arena[at:at + 3 * VIEW_DIM**2].reshape(1, 3, VIEW_DIM, VIEW_DIM)
 
     @property
     def parameters(self) -> dict:
@@ -375,7 +378,7 @@ class TemporalGraphClassifier:
         ``grad`` False no tape is kept."""
         x = np.concatenate([v.data for v in views])
         if self.fuse:
-            x, weights, fuse_grad = fusion_attention(x, np.stack([t.data for t in self.fuse])[None])
+            x, weights, fuse_grad = fusion_attention(x, self.fuse_w)
         else:  # the views present share the weight equally
             weights = np.divide(self.has_view, sum(self.has_view))
         fused = x.reshape(1, -1)
@@ -442,6 +445,8 @@ class TemporalGraphClassifier:
                 raise ValueError("unrecognized checkpoint format")
             arrays = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
                       for name, entry in payload["params"].items()}
+            if bad := [name for name, a in arrays.items() if not np.isfinite(a).all()]:
+                raise ValueError(f"{bad[0]} holds a non-finite value")  # json reads NaN, Infinity
             model = cls(ModelConfig(**payload["config"]), seed=0,
                         shapes={name: a.shape for name, a in arrays.items()})
             if set(arrays) != set(model.parameters):

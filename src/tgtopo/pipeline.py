@@ -253,8 +253,10 @@ def evaluate(model, features: list, dataset_name="dataset"):
 
     Raises PipelineError if the extracted input widths differ from the
     model's, e.g. a dataset with another number of distinct timestamps
-    (``feature_dim``) or another ``dos_bins``."""
-    for name, width in _input_widths(features[0]).items() if features else ():
+    (``feature_dim``) or another ``dos_bins``, and for no graphs at all."""
+    if not features:
+        raise PipelineError("no graphs to evaluate")
+    for name, width in _input_widths(features[0]).items():
         expected = getattr(model.cfg, name)
         if width != expected:
             raise PipelineError(
@@ -269,28 +271,29 @@ def evaluate(model, features: list, dataset_name="dataset"):
             correct += 1
         weights += fusion.view_weights
         embeddings.append(fusion.fused)
-    n = len(features)
-    weights /= max(n, 1)
-    metrics = Metrics(fold_accuracies=[correct / max(n, 1)])
+    weights /= len(features)
+    metrics = Metrics(fold_accuracies=[correct / len(features)])
     report = AttentionReport(dataset_name, *[float(w) for w in weights])
     return metrics, report, np.array(embeddings)
 
 
 def stratified_folds(labels, folds: int, seed: int) -> list:
-    """Seeded stratified partition: list of index arrays, one per fold."""
+    """Seeded stratified partition into sorted int64 index arrays, one per fold: each class's
+    shuffled indices in turn, dealt round robin, so fold sizes differ by at most 1, as do a
+    class's counts per fold."""
     labels = np.asarray(labels)
     if folds < 2:
         raise PipelineError("need at least 2 folds")
     if len(labels) < folds:
         raise TooFewGraphsError(f"{len(labels)} graphs < {folds} folds")
     rng = np.random.default_rng(seed)
-    assignments = [[] for _ in range(folds)]
+    dealt = []
     for cls in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            assignments[j % folds].append(int(i))
-    return [np.array(sorted(fold)) for fold in assignments]
+        dealt.append(idx)
+    dealt = np.concatenate(dealt)
+    return [np.sort(dealt[k::folds]) for k in range(folds)]
 
 
 def kfold_cv(dataset: Dataset, config: RunConfig, features=None):

@@ -30,10 +30,6 @@ class EmptyWindowError(SpectralError):
     pass
 
 
-class BinMismatchError(SpectralError):
-    pass
-
-
 @dataclass(frozen=True)
 class SymMatrix:
     """Dense symmetric matrix; ``normalized_laplacian`` builds it exactly so."""
@@ -127,13 +123,6 @@ def spectral_descriptors(stack, bin_count: int = 4):
     sizes = counts[:, 0]
     return (_masses(np.concatenate(eigs), np.concatenate(owner), sizes, bin_count),
             sizes == 0)
-
-
-def wasserstein1_hist(a: DosHistogram, b: DosHistogram) -> float:
-    """1-D optimal transport between two histograms on the same bins."""
-    if a.bin_edges != b.bin_edges:
-        raise BinMismatchError("histograms use different bin edges")
-    return _w1(a.mass, b.mass)
 
 
 def _w1(mass_a, mass_b) -> float:

@@ -19,10 +19,11 @@ are proven, and tight.
   snapping is monotone.  Of the B CDF gaps that ``_w1`` sums times the bin width
   2/B, the last is 0 and each other at most k/n.  k = 1 reaches 1.5 at B = 4.
 Trials run on numpy arrays with the draws, in order, of the per-pair loops they
-replaced, and equal the per-window chains byte for byte: an edge trial edits the
-drawn local pairs, solves both Laplacians in one stacked ``eigvalsh`` and bins
-both spectra at once; a timestamp trial ranks the node ids once and reads each
-Betti-0 curve off the event array in one pass (``topology.betti0_curve``).
+replaced, and equal the per-window chains byte for byte: an edge trial takes the
+node count and the (E, 2) local pairs of an ER draw, edits the pairs, solves both
+Laplacians in one stacked ``eigvalsh`` and bins both spectra at once; a timestamp
+trial ranks the node ids once and reads each Betti-0 curve off the event array in
+one pass (``topology.betti0_curve``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,21 +114,19 @@ def _check_count(x, low, name):  # k, bins, seed and trials
         raise StabilityError(f"{name} must be an integer >= {low}, got {x!r}")
 
 
-def _edit_edges(win, k: int, seed: int):
-    """``perturb_edges``' k edits: the window's (E, 2) local pairs a < b before the edits and
-    after them (the kept ones in order, then the insertions).  The deletable edges are an
-    ascending list, rebuilt only after an edit moves a degree across 1 <-> 2."""
+def _edit_edges(n, pairs, k: int, seed: int):
+    """``perturb_edges``' k edits to a window on n nodes with the (E, 2) lexicographic local
+    pairs a < b: its pairs after them (the kept ones in order, then the insertions).  The
+    deletable edges are an ascending list, rebuilt only after an edit moves a degree across
+    1 <-> 2."""
     _check_count(k, 0, "k")
     _check_count(seed, 0, "seed")
     rng = np.random.default_rng(seed)
-    n = win.num_nodes
-    # the original edges' local endpoints, in sorted order; ``live`` marks those not deleted
-    local = win.local_edges()
-    eu, ev = local.T
+    eu, ev = pairs.T  # ``live`` marks the original edges not deleted
     live = np.ones(len(eu), bool)
     adj = np.zeros((n, n), bool)  # upper triangle: the original edges
     adj[eu, ev] = True
-    degree = np.bincount(local.ravel(), minlength=n)
+    degree = np.bincount(pairs.ravel(), minlength=n)
     # the absent pairs (a, b), a < b, as a * n + b: ascending is lexicographic
     non_edges, added, crossed = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist(), [], True
     for step in range(k):
@@ -148,8 +146,7 @@ def _edit_edges(win, k: int, seed: int):
         degree[a] += 1 if insert else -1
         degree[b] += 1 if insert else -1
         crossed = (2 if insert else 1) in (degree[a], degree[b])  # rose to 2 or fell to 1
-    return local, np.concatenate([local.compress(live, axis=0),
-                                  np.array(added, np.int64).reshape(-1, 2)])
+    return np.concatenate([pairs.compress(live, axis=0), np.array(added, np.int64).reshape(-1, 2)])
 
 
 def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
@@ -161,7 +158,7 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
     when k exceeds the feasible modification count.
     """
     n, nodes = win.num_nodes, np.array(win.nodes, dtype=np.int64)
-    i, j = np.divmod(np.sort(_edit_edges(win, k, seed)[1] @ [n, 1]), n)  # lexicographic
+    i, j = np.divmod(np.sort(_edit_edges(n, win.local_edges(), k, seed) @ [n, 1]), n)
     edges = tuple(zip(nodes[i].tolist(), nodes[j].tolist()))
     return WindowGraph(win.window_index, win.t_start, win.delta, win.nodes, edges,
                        (1,) * len(edges))
@@ -194,14 +191,14 @@ def _grid(a, b):
     return grid, gaps
 
 
-def spectral_stability_trial(win, k: int, seed: int, bins: int = 4):
-    """One edge-modification trial: returns (W1 distance, k/n)."""
+def spectral_stability_trial(n, pairs, k: int, seed: int, bins: int = 4):
+    """One edge-modification trial on a window of n nodes with the (E, 2) lexicographic
+    local pairs ``pairs``: returns (W1 distance, k/n)."""
     _check_count(bins, 1, "bins")
-    if not (n := win.num_nodes):
+    if not n:
         raise StabilityError("window is empty")
-    before, after = _edit_edges(win, k, seed)
-    i, j = np.concatenate([before, after]).T  # one stack: graph 0 before, graph 1 after
-    lap = spectral._laplacians(2, n, np.arange(len(i)) >= len(before), i, j)
+    i, j = np.concatenate([pairs, _edit_edges(n, pairs, k, seed)]).T  # graph 0 before, 1 after
+    lap = spectral._laplacians(2, n, np.arange(len(i)) >= len(pairs), i, j)
     eigs = spectral.eigenvalues_sym(spectral.SymMatrix(n, lap))
     mass = spectral._masses(eigs.ravel(), np.repeat([0, 1], n), np.array([n, n]), bins)
     return spectral._w1(mass[0], mass[1]), k / n
@@ -224,14 +221,6 @@ def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
     v = (u + rng.integers(1, n, m)) % n
     t = 10.0 * rng.random(m)
     return TemporalGraph(n, np.column_stack([u, v, t]))  # valid as drawn: no checks
-
-
-class _DrawnWindow(NamedTuple):  # a campaign's ER draw, read by the edge trial as a window
-    num_nodes: int
-    pairs: np.ndarray
-
-    def local_edges(self):
-        return self.pairs
 
 
 def _draw_er(rng, n_low=20, n_high=60, p=0.2):
@@ -267,8 +256,8 @@ def run_campaign(spec: PerturbationSpec, bins: int = 4) -> StabilityReport:
             report.trials.append((rhs, lhs))
         else:
             nodes, pairs = _draw_er(rng)
-            w1, ratio_base = spectral_stability_trial(_DrawnWindow(len(nodes), pairs),
-                                                      int(spec.magnitude), trial_seed, bins)
+            w1, ratio_base = spectral_stability_trial(len(nodes), pairs, int(spec.magnitude),
+                                                      trial_seed, bins)
             report.trials.append((ratio_base, w1))
     return report
 

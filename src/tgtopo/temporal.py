@@ -181,10 +181,6 @@ class WindowGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def num_event_edges(self) -> int:
-        return sum(self.edge_multiplicity)
-
     def local_edges(self) -> np.ndarray:
         """(E, 2) endpoints of ``edges`` as indices into ``nodes``."""
         ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges))
@@ -268,25 +264,8 @@ def window_sequence(graph: TemporalGraph, spec: WindowSpec) -> Windows:
     return _windows(graph, starts, spec.delta)
 
 
-def _pack(windows) -> tuple:
-    """The ``counts``, ``owner`` and ``local`` of ``Windows`` for a list of ``WindowGraph``s."""
-    counts = np.array([(w.num_nodes, w.num_edges, w.num_event_edges) for w in windows],
-                      dtype=np.int64).reshape(-1, 3)
-    sizes, m = counts[:, 0], counts[:, 1]
-    nodes = np.fromiter(chain.from_iterable(w.nodes for w in windows), np.int64, sizes.sum())
-    ends = np.fromiter(chain.from_iterable(chain.from_iterable(w.edges for w in windows)),
-                       np.int64, 2 * m.sum()).reshape(-1, 2)
-    ids, nodes = np.unique(nodes, return_inverse=True)  # ranks keep keys below W x len(ids)
-    owner = np.repeat(np.arange(len(counts)), m)
-    keys = np.repeat(np.arange(len(counts)), sizes) * len(ids) + nodes  # ascending
-    first = np.cumsum(sizes) - sizes  # each window's first node in ``keys``
-    ends = owner[:, None] * len(ids) + np.searchsorted(ids, ends)
-    return counts, owner, np.searchsorted(keys, ends) - first[owner, None]
-
-
-def stack_windows(windows) -> tuple:
-    """A ``Windows``' arrays, or a packed list of ``WindowGraph``s, grouped for
-    stacked per-window work.
+def stack_windows(windows: Windows) -> tuple:
+    """A ``Windows``' arrays grouped for stacked per-window work.
 
     Returns ``(counts, groups)``: a (W, 3) int array of each window's node,
     pair and event counts, and per run of at most ``STACK_LIMIT // n**2``
@@ -294,8 +273,7 @@ def stack_windows(windows) -> tuple:
     of their indices and of all their pairs in window then lexicographic order,
     as the position of the pair's window in ``ids`` and local indices i < j.
     """
-    counts, owner, local = ((windows.counts, windows.owner, windows.local)
-                            if isinstance(windows, Windows) else _pack(windows))
+    counts, owner, local = windows.counts, windows.owner, windows.local
     sizes = counts[:, 0]
     size_of, groups = sizes[owner], []
     for n in np.unique(sizes[sizes > 0]).tolist():

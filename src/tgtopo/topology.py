@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .temporal import WindowGraph, stack_windows
 
 INF = math.inf
 
@@ -147,8 +146,9 @@ def boundary2_matrix(cx: CliqueComplex2):
 
 def betti1(cx: CliqueComplex2) -> int:
     """First Betti number: cycle rank minus the rank of the triangle boundary."""
-    win = WindowGraph(0, 0.0, 1.0, tuple(range(cx.vertices)), cx.edges, (1,) * len(cx.edges))
-    return int(topo_descriptors(stack_windows([win]))[0, 3])
+    i, j = np.array(cx.edges, dtype=np.int64).reshape(-1, 2).T  # already local pairs
+    group = (cx.vertices, [0], np.zeros_like(i), i, j)  # one window, as ``stack_windows`` groups
+    return int(topo_descriptors((np.array([[cx.vertices, len(i), len(i)]]), [group]))[0, 3])
 
 
 def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> PersistenceDiagram:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tgtopo.temporal import from_events
+from tgtopo.temporal import TemporalGraph, _windows, from_events
 
 
 @pytest.fixture
@@ -92,3 +92,14 @@ def window_from_edges(edges):
     edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
     nodes = tuple(sorted({x for e in edges for x in e}))
     return WindowGraph(0, 0.0, 1.0, nodes, tuple(edges), (1,) * len(edges))
+
+
+def as_windows(windows):
+    """The program's ``Windows`` for hand-built ``WindowGraph``s: window i's
+    events (each pair repeated by its multiplicity) at time 2i, cut by
+    ``temporal._windows`` into the windows [2i, 2i + 1]."""
+    events = [(u, v, 2.0 * i) for i, w in enumerate(windows)
+              for (u, v), m in zip(w.edges, w.edge_multiplicity) for _ in range(m)]
+    n = max((x for w in windows for x in w.nodes), default=0) + 1
+    graph = TemporalGraph(n, np.array(events, np.float64).reshape(-1, 3))
+    return _windows(graph, 2.0 * np.arange(len(windows)), 1.0)

@@ -207,6 +207,10 @@ class TestExitCodes:
                      or p, id="unknown_parameter"),
         pytest.param(lambda p: p["config"].update(frobs=1) or p, id="unknown_config_key"),
         pytest.param(lambda p: p["params"].pop("cls.w") and p, id="missing_parameter"),
+        pytest.param(lambda p: p["params"]["cls.b"].update(data=[float("nan"), 0.0]) or p,
+                     id="nan_parameter"),
+        pytest.param(lambda p: p["params"]["cls.w"]["data"].__setitem__(0, float("inf")) or p,
+                     id="infinite_parameter"),
     ])
     def test_malformed_checkpoint_is_data_error(self, mutate, dataset_dir, tmp_path,
                                                 capsys):

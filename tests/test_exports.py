@@ -13,7 +13,7 @@ EXPORTS = [
     "sublevel_persistence0", "betti_curve",
     # spectral
     "SymMatrix", "DosHistogram", "normalized_laplacian", "eigenvalues_sym", "dos_histogram",
-    "wasserstein1_hist", "spectral_descriptor",
+    "spectral_descriptor",
     # model, data, pipeline
     "ModelConfig", "TemporalGraphClassifier", "FusionOutput", "Dataset", "load_dataset",
     "save_dataset", "synth_generate", "RunConfig", "extract_descriptors", "train", "kfold_cv",

@@ -535,6 +535,29 @@ class TestParameterArena:
         assert (self._assert_encode_is_chain(loaded, self._streams())
                 == encode(source.encoders, source.blocks, self._streams())[0].data.tobytes())
 
+    def test_fusion_weights_are_one_view_of_the_arena(self, tmp_path):
+        # the head reads q, k and v as one (1, 3, 10, 10) view: it sees an Adam
+        # step and a loaded checkpoint without a copy
+        def stacked(m):
+            return np.stack([t.data for t in m.fuse])[None]
+
+        model = self._model()
+        assert model.fuse_w.shape == (1, 3, VIEW_DIM, VIEW_DIM) and model.fuse_w.base is model.arena
+        assert all(np.shares_memory(model.fuse_w[0, x], t.data) for x, t in enumerate(model.fuse))
+        assert model.fuse_w.tobytes() == stacked(model).tobytes()
+        opt, before = Adam(model.parameters, lr=0.1), model.fuse_w.copy()
+        rng = np.random.default_rng(3)
+        logits, _ = model.forward(*self._streams(), rng.normal(size=(4, 3)), np.full((4, 4), 0.25),
+                                  train=True)
+        ad.cross_entropy_with_logits(logits, 1).backward()
+        opt.step()
+        assert not np.array_equal(model.fuse_w, before)
+        assert model.fuse_w.tobytes() == stacked(model).tobytes()
+        model.save(tmp_path / "ckpt.json")
+        loaded = TemporalGraphClassifier.load(tmp_path / "ckpt.json")
+        assert loaded.fuse_w.base is loaded.arena
+        assert loaded.fuse_w.tobytes() == model.fuse_w.tobytes()
+
     def test_encode_sees_in_place_writes(self):
         model = self._model()
         before = self._assert_encode_is_chain(model, self._streams())
@@ -948,6 +971,17 @@ class TestClassifier:
         payload["params"]["sage.proj_b"] = {"shape": [1, 10], "data": [0.0] * 10}
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="sage.proj_b"):
+            TemporalGraphClassifier.load(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_checkpoint_array_is_rejected(self, value, tmp_path):
+        # json reads NaN and Infinity, and evaluation used to run on NaN logits
+        path = tmp_path / "ckpt.json"
+        _sage_model().save(path)
+        payload = json.loads(path.read_text())
+        payload["params"]["cls.b"]["data"][0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="cls.b"):
             TemporalGraphClassifier.load(path)
 
     def test_bad_checkpoint_format(self, tmp_path):

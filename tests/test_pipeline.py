@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tgtopo.pipeline
 from tgtopo.data import Dataset, load_dataset, save_dataset, synth_generate
@@ -334,12 +335,52 @@ class TestStratifiedFolds:
         with pytest.raises(PipelineError):
             stratified_folds([0, 1], 1, seed=0)
 
+    def test_no_empty_fold_when_classes_do_not_fill_the_folds(self):
+        # two classes of 3 over 5 folds: dealing every class from fold 0 left
+        # folds 3 and 4 empty, so CV trained on every graph and scored nothing
+        folds = stratified_folds([0, 0, 0, 1, 1, 1], 5, seed=0)
+        assert sorted(len(f) for f in folds) == [1, 1, 1, 1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 3), min_size=2, max_size=40),
+           folds=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_partition_and_balance(self, labels, folds, seed):
+        if len(labels) < folds:
+            with pytest.raises(TooFewGraphsError):
+                stratified_folds(labels, folds, seed)
+            return
+        out = stratified_folds(labels, folds, seed)
+        assert len(out) == folds and all(f.dtype == np.int64 for f in out)
+        assert sorted(np.concatenate(out).tolist()) == list(range(len(labels)))
+        sizes = [len(f) for f in out]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        for cls in set(labels):
+            per_fold = [sum(labels[i] == cls for i in f.tolist()) for f in out]
+            assert max(per_fold) - min(per_fold) <= 1
+
 
 class TestTraining:
     def test_no_graphs_is_too_few(self):
         # an empty training set used to end in a bare IndexError from features[0]
         with pytest.raises(TooFewGraphsError, match="no graphs"):
             train([], 2, RunConfig(epochs=2))
+
+    def test_evaluating_no_graphs_is_refused(self, small_features):
+        # an empty test fold used to score accuracy 0.0 with all-zero view weights
+        model, _ = train(small_features[:2], 2, RunConfig(epochs=1))
+        with pytest.raises(PipelineError, match="no graphs"):
+            evaluate(model, [])
+
+    def test_cv_with_classes_smaller_than_the_folds_scores_every_fold(self, small_dataset):
+        # 3 graphs of each class over 5 folds: every fold tests a graph, and the
+        # mean view weights sum to 1
+        by_class = [[g for g in small_dataset.graphs if g.label == c][:3] for c in (0, 1)]
+        ds = Dataset("six", tuple(by_class[0] + by_class[1]), 2)
+        metrics, report = kfold_cv(ds, RunConfig(epochs=1, folds=5))
+        assert len(metrics.fold_accuracies) == 5
+        assert all(acc in (0.0, 0.5, 1.0) for acc in metrics.fold_accuracies)
+        assert sum((report.structural, report.topological, report.spectral)) == \
+            pytest.approx(1.0)
 
     def test_topo_only_learns_small(self, small_dataset, small_features):
         cfg = RunConfig(mode="topo-only", epochs=25, seed=2)

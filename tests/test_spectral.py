@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bfs_component_count, random_er_edges, window_from_edges
+from conftest import as_windows, bfs_component_count, random_er_edges, window_from_edges
 from tgtopo.spectral import (
     _laplacians,
-    DosHistogram,
+    _w1,
     SpectralError,
     SymMatrix,
     dos_histogram,
@@ -15,7 +15,6 @@ from tgtopo.spectral import (
     normalized_laplacian,
     spectral_descriptor,
     spectral_descriptors,
-    wasserstein1_hist,
 )
 from tgtopo.stability import _edit_edges, random_er_window
 from tgtopo.temporal import WindowGraph, stack_windows
@@ -94,7 +93,8 @@ class TestPairBuiltLaplacians:
         rng = np.random.default_rng(seed)
         win = random_er_window(rng, 4, 20, 0.3)
         k = min(k, win.num_nodes * (win.num_nodes - 1) // 2 - win.num_edges)  # inserts suffice
-        before, after = _edit_edges(win, k, seed)
+        before = win.local_edges()
+        after = _edit_edges(win.num_nodes, before, k, seed)
         i, j = np.concatenate([before, after]).T
         assert_same_laplacians(2, win.num_nodes, np.repeat([0, 1], [len(before), len(after)]), i, j)
 
@@ -169,7 +169,7 @@ class TestDosHistogram:
         k6 = window_from_edges([(u, v) for u in range(6) for v in range(u + 1, 6)])
         eigs = eigenvalues_sym(normalized_laplacian(k6))  # 0 once, 6/5 five times
         assert np.allclose(dos_histogram(eigs, 5).mass, [1 / 6, 0, 0, 5 / 6, 0])
-        stack = stack_windows([k6])
+        stack = stack_windows(as_windows([k6]))
         assert np.array_equal(spectral_descriptors(stack, 5)[0][0],
                               dos_histogram(eigs, 5).mass)
 
@@ -199,49 +199,34 @@ class TestDosHistogram:
 
 
 class TestWasserstein1:
-    def _hist(self, mass):
-        return DosHistogram(
-            bin_edges=(0.0, 0.5, 1.0, 1.5, 2.0),
-            mass=tuple(float(x) for x in mass),
-            empty=False,
-        )
+    """``_w1`` on mass rows over the 4 bins of [0, 2]."""
 
     def test_identical(self):
-        h = self._hist([0.25, 0.25, 0.25, 0.25])
-        assert wasserstein1_hist(h, h) == 0.0
+        h = [0.25, 0.25, 0.25, 0.25]
+        assert _w1(h, h) == 0.0
 
     def test_full_shift(self):
         # all mass moved from the first bin to the last: 3 bins * 0.5 width
-        a = self._hist([1.0, 0.0, 0.0, 0.0])
-        b = self._hist([0.0, 0.0, 0.0, 1.0])
-        assert wasserstein1_hist(a, b) == pytest.approx(1.5)
+        assert _w1([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]) == pytest.approx(1.5)
 
     def test_adjacent_shift(self):
-        a = self._hist([1.0, 0.0, 0.0, 0.0])
-        b = self._hist([0.0, 1.0, 0.0, 0.0])
-        assert wasserstein1_hist(a, b) == pytest.approx(0.5)
+        assert _w1([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]) == pytest.approx(0.5)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
-            m = rng.uniform(0, 1, size=(3, 4))
-            m /= m.sum(axis=1, keepdims=True)
-            a, b, c = (self._hist(row) for row in m)
-            assert wasserstein1_hist(a, b) == pytest.approx(wasserstein1_hist(b, a))
-            assert wasserstein1_hist(a, c) <= (
-                wasserstein1_hist(a, b) + wasserstein1_hist(b, c) + 1e-12
-            )
+            a, b, c = rng.uniform(0, 1, size=(3, 4))
+            a, b, c = a / a.sum(), b / b.sum(), c / c.sum()
+            assert _w1(a, b) == pytest.approx(_w1(b, a))
+            assert _w1(a, c) <= _w1(a, b) + _w1(b, c) + 1e-12
 
     def test_matches_cdf_formula(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             m = rng.uniform(0, 1, size=(2, 4))
             m /= m.sum(axis=1, keepdims=True)
-            a, b = (self._hist(row) for row in m)
-            cdf_a = np.cumsum(a.mass)
-            cdf_b = np.cumsum(b.mass)
-            direct = float(np.abs(cdf_a - cdf_b).sum() * 0.5)
-            assert wasserstein1_hist(a, b) == pytest.approx(direct)
+            direct = float(np.abs(np.cumsum(m[0]) - np.cumsum(m[1])).sum() * 0.5)
+            assert _w1(m[0], m[1]) == pytest.approx(direct)
 
 
 class TestSpectralDescriptor:

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import graph_key, window_from_edges
-from tgtopo.spectral import spectral_descriptor, wasserstein1_hist
+from tgtopo.spectral import _w1, spectral_descriptor
 from tgtopo.stability import (
     InfeasibleKError,
     _draw_er,
-    _DrawnWindow,
     _grid,
     PerturbationSpec,
     StabilityError,
@@ -257,7 +256,7 @@ class TestTrials:
     def test_spectral_trial_bounds(self):
         rng = np.random.default_rng(9)
         win = random_er_window(rng)
-        w1, ratio_base = spectral_stability_trial(win, 2, seed=3)
+        w1, ratio_base = spectral_stability_trial(win.num_nodes, win.local_edges(), 2, seed=3)
         assert 0.0 <= w1 <= 3.0  # diameter of the metric on [0,2]
         assert ratio_base == pytest.approx(2 / win.num_nodes)
 
@@ -265,26 +264,27 @@ class TestTrials:
 class TestEditCountAndBinGuards:
     # a campaign window; k and bins are refused before any draw
     win = random_er_window(np.random.default_rng(9))
+    local = win.num_nodes, win.local_edges()
 
     @pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, "2", None])
     def test_trial_and_perturb_edges_refuse_k(self, k):
         with pytest.raises(StabilityError, match="k must be an integer >= 0"):
-            spectral_stability_trial(self.win, k, seed=3)
+            spectral_stability_trial(*self.local, k, seed=3)
         with pytest.raises(StabilityError, match="k must be an integer >= 0"):
             perturb_edges(self.win, k, seed=3)
 
     @pytest.mark.parametrize("bins", [0, -1, 2.5, True, None])
     def test_trial_refuses_bins(self, bins):
         with pytest.raises(StabilityError, match="bins must be an integer >= 1"):
-            spectral_stability_trial(self.win, 2, seed=3, bins=bins)
+            spectral_stability_trial(*self.local, 2, seed=3, bins=bins)
 
     def test_campaign_refuses_bins(self):
         with pytest.raises(StabilityError, match="bins must be an integer >= 1"):
             run_campaign(PerturbationSpec("edge", 2, 30, 2), bins=0)
 
     def test_numpy_integers_are_taken(self):
-        assert spectral_stability_trial(self.win, np.int64(2), 3, np.int64(4)) == \
-            spectral_stability_trial(self.win, 2, 3, 4)
+        assert spectral_stability_trial(*self.local, np.int64(2), 3, np.int64(4)) == \
+            spectral_stability_trial(*self.local, 2, 3, 4)
 
 
 class TestSeedAndEpsGuards:
@@ -292,6 +292,7 @@ class TestSeedAndEpsGuards:
     # is refused by every entry point too, before any generator is made
     graph = random_temporal_graph(np.random.default_rng(9))
     win = random_er_window(np.random.default_rng(9))
+    local = win.num_nodes, win.local_edges()
 
     @pytest.fixture
     def no_draws(self, monkeypatch):
@@ -305,7 +306,7 @@ class TestSeedAndEpsGuards:
         for call in (lambda: perturb_timestamps(self.graph, 0.1, seed),
                      lambda: topo_stability_trial(self.graph, 0.1, seed),
                      lambda: perturb_edges(self.win, 2, seed),
-                     lambda: spectral_stability_trial(self.win, 2, seed)):
+                     lambda: spectral_stability_trial(*self.local, 2, seed)):
             with pytest.raises(StabilityError, match="seed must be an integer >= 0"):
                 call()
 
@@ -324,8 +325,8 @@ class TestSeedAndEpsGuards:
         assert topo_stability_trial(self.graph, np.float64(0.1), np.int64(3)) == \
             topo_stability_trial(self.graph, 0.1, 3)
         assert perturb_edges(self.win, 2, np.int64(3)) == perturb_edges(self.win, 2, 3)
-        assert spectral_stability_trial(self.win, 2, np.uint32(3)) == \
-            spectral_stability_trial(self.win, 2, 3)
+        assert spectral_stability_trial(*self.local, 2, np.uint32(3)) == \
+            spectral_stability_trial(*self.local, 2, 3)
         PerturbationSpec("timestamp", 1e300, 30, 3)
         perturb_timestamps(from_events(3, [(0, 1, 0.0), (1, 2, 1.0)]), 1e300, 3)
 
@@ -334,8 +335,8 @@ def spectral_trial_chain(win, k, seed, bins=4):
     """The per-window edge trial: two windows, two Laplacians, two eigensolves,
     two histograms."""
     perturbed = perturb_edges(win, k, seed)
-    w1 = wasserstein1_hist(spectral_descriptor(win, bins), spectral_descriptor(perturbed, bins))
-    return float(w1), k / win.num_nodes
+    w1 = _w1(spectral_descriptor(win, bins).mass, spectral_descriptor(perturbed, bins).mass)
+    return w1, k / win.num_nodes
 
 
 def topo_trial_chain(graph, eps, seed):
@@ -365,6 +366,7 @@ class TestArrayTrialsMatchChains:
     @settings(max_examples=150, deadline=None)
     def test_edge_trial_bytes_and_infeasible_k(self, edges, seed, bins):
         win = window_from_edges(edges)
+        local = win.num_nodes, win.local_edges()
         k, past = 0, None
         while past is None or k <= past + 2:  # every feasible k, then three past it
             try:
@@ -372,10 +374,10 @@ class TestArrayTrialsMatchChains:
             except InfeasibleKError as exc:
                 past = k if past is None else past
                 with pytest.raises(InfeasibleKError, match=f"^{re.escape(str(exc))}$"):
-                    spectral_stability_trial(win, k, seed, bins)
+                    spectral_stability_trial(*local, k, seed, bins)
             else:
                 assert past is None
-                assert _hex(spectral_stability_trial(win, k, seed, bins)) == _hex(expected)
+                assert _hex(spectral_stability_trial(*local, k, seed, bins)) == _hex(expected)
             k += 1
 
     times = st.integers(0, 3).map(float) | st.floats(0, 10)  # ties are common
@@ -486,7 +488,8 @@ class TestProvenBounds:
         win = window_from_edges(edges)
         for k in range(1, 40):  # every feasible k
             try:
-                w1, k_over_n = spectral_stability_trial(win, k, seed, bins)
+                w1, k_over_n = spectral_stability_trial(win.num_nodes, win.local_edges(), k,
+                                                        seed, bins)
             except InfeasibleKError:
                 break
             bound, tol = edge_bound(bins, k_over_n)
@@ -501,7 +504,7 @@ class TestProvenBounds:
             if not len(nodes):
                 continue
             try:
-                w1, _ = spectral_stability_trial(_DrawnWindow(len(nodes), pairs), k,
+                w1, _ = spectral_stability_trial(len(nodes), pairs, k,
                                                  int(rng.integers(2**31)), bins)
             except InfeasibleKError:
                 continue
@@ -654,6 +657,8 @@ class TestRandomGenerators:
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_trial_on_drawn_pairs_is_trial_on_window(self):
+        # a campaign's trial on its draw gives the bytes of the per-window chain
+        # on the window that ``random_er_window`` makes of the same draw
         rng = np.random.default_rng(30)
         for seed in range(20):
             state = rng.bit_generator.state
@@ -661,8 +666,8 @@ class TestRandomGenerators:
             rng.bit_generator.state = state
             win = random_er_window(rng)
             for k in (0, 1, 2, 16):
-                assert _hex(spectral_stability_trial(_DrawnWindow(len(nodes), pairs), k, seed)) \
-                    == _hex(spectral_stability_trial(win, k, seed))
+                assert _hex(spectral_stability_trial(len(nodes), pairs, k, seed)) \
+                    == _hex(spectral_trial_chain(win, k, seed))
 
     def test_random_er_window_takes_p_zero_and_one(self):
         assert random_er_window(np.random.default_rng(0), 4, 4, 0.0).edges == ()

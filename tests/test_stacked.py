@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import tgtopo.temporal
-from conftest import bfs_component_count, gf2_rank_dense, window_from_edges
+from conftest import as_windows, bfs_component_count, gf2_rank_dense, window_from_edges
 from tgtopo.spectral import spectral_descriptor, spectral_descriptors
 from tgtopo.temporal import WindowSpec, from_events, stack_windows, window_sequence
 from tgtopo.topology import betti0, betti1, clique_complex, topo_descriptors
@@ -65,7 +65,7 @@ def test_stacked_descriptors_match_oracles_and_one_window_functions(windows, lim
     # a small STACK_LIMIT splits equal node counts into several stacks
     saved, tgtopo.temporal.STACK_LIMIT = tgtopo.temporal.STACK_LIMIT, limit
     try:
-        stack = stack_windows(windows)
+        stack = stack_windows(as_windows(windows))
     finally:
         tgtopo.temporal.STACK_LIMIT = saved
     phi = topo_descriptors(stack)

@@ -20,7 +20,6 @@ from tgtopo.temporal import (
     WindowGraph,
     WindowSpec,
     from_events,
-    stack_windows,
     static_projection,
     temporal_degree,
     _windows,
@@ -322,12 +321,6 @@ def oracle_windows(graph, spec):
     return out
 
 
-def stack_bytes(stack):
-    counts, groups = stack
-    return [(counts.dtype.str, counts.shape, counts.tobytes())] + [
-        (n, *((a.dtype.str, a.tobytes()) for a in arrays)) for n, *arrays in groups]
-
-
 @st.composite
 def gappy_graphs(draw):
     """Up to 12 nodes, whose ids may sit far apart (up to 2**53 - 1), and events
@@ -340,9 +333,9 @@ def gappy_graphs(draw):
     return from_events(n, events or [(0, 1, 0.0)])
 
 
-class TestTwoWaysIntoStack:
-    """``window_sequence``'s lazy windows, a list of the windows it builds and
-    ``window`` all describe the same windows."""
+class TestLazyWindows:
+    """``window_sequence``'s lazy windows, windows cut one at a time by
+    ``_windows`` and the linear-scan oracle all describe the same windows."""
 
     @staticmethod
     def check(graph, spec):
@@ -354,7 +347,6 @@ class TestTwoWaysIntoStack:
             assert seq[cut] == want[cut]
         with pytest.raises(IndexError):
             seq[len(seq)]
-        assert stack_bytes(stack_windows(seq)) == stack_bytes(stack_windows(list(seq)))
         for w in want:
             assert _windows(graph, np.array([w.t_start]), spec.delta)[0] == replace(
                 w, window_index=0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import bfs_component_count, gf2_rank_dense, random_er_edges, window_from_edges
+from conftest import (as_windows, bfs_component_count, gf2_rank_dense, random_er_edges,
+                      window_from_edges)
 from tgtopo.spectral import normalized_laplacian
 from tgtopo.temporal import TemporalGraph, _windows, from_events, stack_windows
 from tgtopo.topology import (
@@ -78,7 +79,8 @@ class TestCliqueComplex:
             assert list(cx.edges) == es
             assert list(cx.triangles) == brute
             assert cx.components == bfs_component_count(m, es)
-            assert topo_descriptors(stack_windows([w]))[0, 2] == betti0(w) == cx.components
+            stack = stack_windows(as_windows([w]))
+            assert topo_descriptors(stack)[0, 2] == betti0(w) == cx.components
             adjacent = np.nonzero(np.triu(normalized_laplacian(w).array, 1))
             assert sorted(zip(*(ix.tolist() for ix in adjacent))) == es
 
@@ -410,7 +412,7 @@ def test_flat_triangle_search_matches_nonzero(n, data):
 
 
 def descriptor(w, count_edge_multiplicity=False):
-    return topo_descriptors(stack_windows([w]), count_edge_multiplicity)[0].tolist()
+    return topo_descriptors(stack_windows(as_windows([w])), count_edge_multiplicity)[0].tolist()
 
 
 class TestDescriptor:
