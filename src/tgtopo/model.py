@@ -83,14 +83,18 @@ def time_embedding(n: int, d_model: int) -> np.ndarray:
     return table
 
 
+def _aggregation(n, u, v) -> np.ndarray:
+    """Row-stochastic neighbor-averaging matrix of the simple graph on n nodes with edges
+    (u[e], v[e]), repeats allowed; an isolated node's row, its neighbor mean, is zero."""
+    adj = np.zeros((n, n))
+    adj[u, v] = adj[v, u] = 1.0
+    return adj / np.maximum(adj.sum(axis=1), 1.0)[:, None]  # 1 / deg(u) at (u, v), else 0.0
+
+
 def mean_aggregation_matrix(static) -> np.ndarray:
-    """Row-stochastic neighbor-averaging matrix of a StaticGraph (zero rows
-    for isolated nodes, so their neighbor mean is the zero vector)."""
-    ends = np.array(static.edges, np.int64).reshape(-1, 2)
-    inv = 1.0 / np.maximum(np.bincount(ends.ravel(), minlength=static.num_nodes), 1)
-    m = np.zeros((static.num_nodes, static.num_nodes))
-    m[ends, ends[:, ::-1]] = inv[ends]  # m[u, v] = 1 / deg(u) and m[v, u] = 1 / deg(v)
-    return m
+    """``_aggregation`` of a StaticGraph; the pipeline calls ``_aggregation`` on a
+    graph's event endpoints instead, which gives the same bytes."""
+    return _aggregation(static.num_nodes, *np.array(static.edges, np.int64).reshape(-1, 2).T)
 
 
 class _ParamStore:

@@ -15,14 +15,14 @@ from .model import (
     MODES,
     ModelConfig,
     TemporalGraphClassifier,
-    mean_aggregation_matrix,
+    _aggregation,
 )
 from .optim import Adam
 from .temporal import (
     WindowSpec,
     stack_windows,
-    static_projection,
     temporal_degree,
+    window_count,
     window_sequence,
 )
 
@@ -151,21 +151,26 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
 
     The temporal-degree grid is the dataset-wide sorted union of distinct
     timestamps so that the structural branch sees a fixed feature width.  A
-    graph's n x n and n x T matrices over ``temporal.ENTRY_LIMIT`` entries are refused first.
+    graph's n x n, n x T and windows x ``dos_bins`` matrices over ``temporal.ENTRY_LIMIT``
+    entries are refused first.  The n x n matrix is built from the event endpoints.
     """
     config.validate()
     grid = np.unique(np.concatenate([g.events[:, 2] for g in dataset.graphs]))
     if (n := max(g.num_nodes for g in dataset.graphs)) * max(n, len(grid)) > temporal.ENTRY_LIMIT:
         raise temporal.TemporalGraphError(f"{n} nodes and {len(grid)} timesteps exceed "
                                           f"{temporal.ENTRY_LIMIT} matrix entries")
+    spec, bins = config.window_spec(), config.dos_bins  # W x bins DoS masses and bin counts
+    if (w := max(window_count(g, spec) for g in dataset.graphs)) * bins > temporal.ENTRY_LIMIT:
+        raise temporal.TemporalGraphError(f"{w} windows of {bins} DoS bins exceed "
+                                          f"{temporal.ENTRY_LIMIT} matrix entries")
     binary = config.feature_mode == "binary"
     out = []
     for g in dataset.graphs:
-        stack = stack_windows(window_sequence(g, config.window_spec()))
+        stack = stack_windows(window_sequence(g, spec))
         phi = topology.topo_descriptors(stack, config.count_edge_multiplicity).astype(np.float64)
-        psi, psi_empty = spectral.spectral_descriptors(stack, config.dos_bins)
+        psi, psi_empty = spectral.spectral_descriptors(stack, bins)
         feats = temporal_degree(g, grid, binary=binary)
-        agg = mean_aggregation_matrix(static_projection(g))
+        agg = _aggregation(g.num_nodes, *g.events[:, :2].T.astype(np.int64))
         out.append(GraphFeatures(g.label, phi, psi, psi_empty, feats, agg))
     return out
 
@@ -253,9 +258,12 @@ def evaluate(model, features: list, dataset_name="dataset"):
 
     Raises PipelineError if the extracted input widths differ from the
     model's, e.g. a dataset with another number of distinct timestamps
-    (``feature_dim``) or another ``dos_bins``, and for no graphs at all."""
+    (``feature_dim``) or another ``dos_bins``, for a label it has no class for, and
+    for no graphs at all."""
     if not features:
         raise PipelineError("no graphs to evaluate")
+    if (top := max(gf.label for gf in features)) >= (k := model.cfg.num_classes):
+        raise PipelineError(f"the model was trained with {k} classes, but the data has label {top}")
     for name, width in _input_widths(features[0]).items():
         expected = getattr(model.cfg, name)
         if width != expected:

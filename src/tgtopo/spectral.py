@@ -89,7 +89,7 @@ def _masses(eigs, owner, sizes, bin_count, slack=1e-6) -> np.ndarray:
         )
     # a bin's index is the number of interior edges at or below the value
     edges = 2.0 * np.arange(1, bin_count) / bin_count
-    idx = np.searchsorted(edges, np.clip(np.round(eigs, 9), 0.0, 2.0), "right")
+    idx = np.searchsorted(edges, np.round(eigs, 9), "right")  # clamped, as no edge is 0 or 2
     counts = np.bincount(owner * bin_count + idx, minlength=len(sizes) * bin_count)
     return counts.reshape(-1, bin_count) / np.maximum(sizes, 1)[:, None]
 

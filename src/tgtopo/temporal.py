@@ -15,6 +15,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -101,6 +102,7 @@ class TemporalGraph:
 STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of float64
 WINDOW_LIMIT = 1 << 20  # windows per graph
 ENTRY_LIMIT = 1 << 26  # entries of a graph's n x n or n x T feature matrix: 512 MB of float64
+DENSE = 8  # ``_unique`` counts over key spaces up to this many times the keys
 EVENT = np.dtype([("u", np.int64), ("v", np.int64), ("t", np.float64)])  # one event record
 
 
@@ -204,7 +206,8 @@ class Windows(Sequence):
     def __init__(self, starts, delta, counts, nodes, owner, local, mult):
         self.starts, self.delta, self.counts, self.nodes = starts, delta, counts, nodes
         self.owner, self.local, self.mult = owner, local, mult
-        self.first = np.vstack([[0, 0], np.cumsum(counts[:, :2], axis=0)])  # node, pair
+
+    first = cached_property(lambda self: np.vstack([[0, 0], np.cumsum(self.counts[:, :2], 0)]))
 
     def __len__(self):
         return len(self.counts)
@@ -219,26 +222,37 @@ class Windows(Sequence):
                            tuple(zip(u, v)), tuple(self.mult[c:d].tolist()))
 
 
+def _unique(keys, size):
+    """``np.unique(keys, return_inverse=True, return_counts=True)`` for int64 ``keys`` in
+    [0, size): a ``bincount`` if ``size`` is at most ``DENSE`` x ``keys.size``, else a sort."""
+    if size > DENSE * keys.size:
+        return np.unique(keys, return_inverse=True, return_counts=True)
+    counts = np.bincount(keys.ravel(), minlength=size)
+    values = counts.nonzero()[0]
+    rank = np.empty(size, np.intp)  # read only at the keys, each one of ``values``
+    rank[values] = np.arange(values.size)
+    return values, rank[keys], counts[values]
+
+
 def _windows(graph: TemporalGraph, starts, delta) -> Windows:
     """Windows [t, t + delta] for the ascending float64 array ``starts``: one
-    ``np.unique`` over (window, pair) keys of all windows gives their pairs and
+    ``_unique`` over (window, pair) keys of all windows gives their pairs and
     multiplicities, one over (window, node) keys their nodes.  Node ids and pairs
-    are ranked first, so no key exceeds events**2 or windows x pairs."""
+    are ranked first, so no key exceeds events**2 or windows x pairs.  Dense key
+    spaces (all four on synthetic data) are counted, sparse node ids sorted."""
     ev = graph.events
-    u, v = ev[:, 0], ev[:, 1]
-    ends = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1).astype(np.int64)
-    ids, rank = np.unique(ends, return_inverse=True)
-    pairs, pair = np.unique(rank.reshape(-1, 2) @ [len(ids), 1], return_inverse=True)
+    ids, (u, v), _ = _unique(ev[:, :2].T.astype(np.int64), graph.num_nodes)
+    pairs, pair, _ = _unique(np.minimum(u, v) * len(ids) + np.maximum(u, v), len(ids) ** 2)
     lo = np.searchsorted(ev[:, 2], starts, "left")
     size = np.searchsorted(ev[:, 2], starts + delta, "right") - lo
     at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-    keys, mult = np.unique(np.repeat(np.arange(len(starts)) * len(pairs), size) + pair[at],
-                           return_counts=True)
+    keys, _, mult = _unique(np.repeat(np.arange(len(starts)) * len(pairs), size) + pair[at],
+                            len(starts) * len(pairs))
     owner, ends = np.divmod(keys, len(pairs))
-    nodes, local = np.unique(owner * len(ids) + np.divmod(pairs[ends], len(ids)),
-                             return_inverse=True)  # (2, pairs): every u key, then every v key
+    nodes, local, _ = _unique(owner * len(ids) + np.divmod(pairs[ends], len(ids)),
+                              len(starts) * len(ids))  # (2, pairs): every u key, then every v key
     sizes = np.bincount(nodes // len(ids), minlength=len(starts))
-    local = (local.reshape(2, -1) - (np.cumsum(sizes) - sizes)[owner]).T
+    local = (local - (np.cumsum(sizes) - sizes)[owner]).T
     counts = np.stack([sizes, np.bincount(owner, minlength=len(starts)), size], axis=1)
     return Windows(starts, delta, counts, ids[nodes % len(ids)], owner, local, mult)
 
@@ -276,7 +290,7 @@ def stack_windows(windows: Windows) -> tuple:
     counts, owner, local = windows.counts, windows.owner, windows.local
     sizes = counts[:, 0]
     size_of, groups = sizes[owner], []
-    for n in np.unique(sizes[sizes > 0]).tolist():
+    for n in (np.bincount(sizes)[1:].nonzero()[0] + 1).tolist():
         ids = np.flatnonzero(sizes == n)
         run = max(1, STACK_LIMIT // n**2)
         for part in (ids[s:s + run] for s in range(0, len(ids), run)):
@@ -308,7 +322,5 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
 
 def static_projection(graph: TemporalGraph) -> StaticGraph:
     """Union of all event pairs with timestamps discarded."""
-    u, v = graph.events[:, 0], graph.events[:, 1]
-    pairs = np.unique(np.minimum(u, v) + 1j * np.maximum(u, v))  # sorted by real, then imag
-    ends = np.stack([pairs.real, pairs.imag], axis=1).astype(np.int64).tolist()
+    ends = np.unique(np.sort(graph.events[:, :2], axis=1), axis=0).astype(np.int64).tolist()
     return StaticGraph(graph.num_nodes, tuple(map(tuple, ends)))

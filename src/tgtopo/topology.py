@@ -61,12 +61,12 @@ def _components(g, n, owner, i, j) -> np.ndarray:
     """Connected components of each of g graphs on n vertices, by min-label
     propagation with pointer jumping: labels stay vertices of their own
     component, so each component ends with one vertex labelled with itself."""
-    a, b, label = owner * n + i, owner * n + j, np.arange(g * n)
+    a, b = owner * n + i, owner * n + j
+    ends, other, label = np.concatenate([a, b]), np.concatenate([b, a]), np.arange(g * n)
     while True:
         low = label.copy()
-        np.minimum.at(low, a, label[b])
-        np.minimum.at(low, b, label[a])
-        if np.array_equal(low := low[low], label):
+        np.minimum.at(low, ends, label[other])
+        if ((low := low[low]) == label).all():
             return (label == np.arange(g * n)).reshape(g, n).sum(axis=1)
         label = low
 

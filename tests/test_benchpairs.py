@@ -141,3 +141,12 @@ def test_run_once_keeps_bytecode_in_the_given_directory(tmp_path, monkeypatch):
     assert {k: v for k, v in kwargs["env"].items() if k not in dropped} == {
         k: v for k, v in os.environ.items() if k not in dropped}
     assert run["seed"] == 3 and run["metrics"] == {"m": 2.0}
+
+
+def test_environment_records_the_openblas_kernel():
+    # the metrics-CSV fingerprints hold per OpenBLAS kernel, so a BENCH file names it
+    from test_pipeline import openblas_kernel
+
+    env = benchpairs.environment({"src_lines": 1, "numpy": "x"})
+    assert env["openblas_kernel"] == openblas_kernel()
+    assert {"src_lines", "numpy", "machine", "system", "dont_write_bytecode"} <= set(env)

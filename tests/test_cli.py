@@ -114,6 +114,30 @@ class TestExitCodes:
         assert main(_node_count_args(tmp_path, dataset_dir, 11)) == 2
         assert "100 matrix entries" in capsys.readouterr().err
 
+    def test_dos_masses_over_entry_limit(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # one window of 101 bins, over a limit made small here; the real case was
+        # --bins 100000000, which the kernel killed for its memory
+        monkeypatch.setattr(tgtopo.temporal, "ENTRY_LIMIT", 100)
+        assert main(_node_count_args(tmp_path, dataset_dir, 3) + ["--bins", "101"]) == 2
+        assert "1 windows of 101 DoS bins exceed 100" in capsys.readouterr().err
+
+    def test_checkpoint_with_fewer_classes_than_the_data_is_data_error(self, tmp_path, capsys):
+        # a 2-class checkpoint once scored a 3-class dataset with exit 0
+        spec = dict(num_graphs=10, nodes=8, timesteps=8, cycle_density=[0, 2, 4])
+        for classes in (2, 3):
+            save_dataset(synth_generate({**spec, "classes": classes,
+                                         "cycle_density": spec["cycle_density"][:classes]}, 1),
+                         tmp_path / f"ds{classes}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\n")
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--data", str(tmp_path / "ds2"), "--config", str(cfg),
+                     "--out", str(ckpt)]) == 0
+        code = main(["eval", "--model", str(ckpt), "--data", str(tmp_path / "ds3"),
+                     "--report", str(tmp_path / "r.csv"), "--config", str(cfg)])
+        assert code == 2
+        assert "2 classes" in capsys.readouterr().err
+
     def test_success(self, dataset_dir, tmp_path, capsys):
         code = main(["extract", "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
         assert code == 0

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_autodiff import attention_chain, fd_check, weighted_sum
 from tgtopo import autodiff as ad
@@ -19,6 +20,7 @@ from tgtopo.model import (
     TemporalGraphClassifier,
     TransformerEncoder,
     _ParamStore,
+    _aggregation,
     _stack,
     encode,
     fusion_attention,
@@ -75,6 +77,23 @@ class TestAggregation:
         m = mean_aggregation_matrix(static_projection(g))
         sums = m.sum(axis=1)
         assert all(s == pytest.approx(1.0) or s == 0.0 for s in sums)
+
+    @given(n=st.integers(2, 9), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_event_endpoints_give_the_static_projections_bytes(self, n, data):
+        # the pipeline builds the matrix from events, whose pairs repeat and come
+        # in either order; nodes without events keep zero rows
+        ids = st.integers(0, n - 1)
+        events = [(u, v, float(t)) for u, v, t in data.draw(st.lists(
+            st.tuples(ids, ids, st.integers(0, 3)), min_size=1, max_size=25)) if u != v]
+        g = from_events(n, events or [(0, 1, 0.0)])
+        m = _aggregation(n, *g.events[:, :2].T.astype(np.int64))
+        assert m.tobytes() == mean_aggregation_matrix(static_projection(g)).tobytes()
+        nbrs = [{b for a, b, _ in g.events.tolist() if a == x}
+                | {a for a, b, _ in g.events.tolist() if b == x} for x in range(n)]
+        want = [[1.0 / len(nbrs[x]) if y in nbrs[x] else 0.0 for y in range(n)]
+                for x in range(n)]
+        assert m.tolist() == want
 
 
 def _row(t: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,10 +125,26 @@ class TestEntryLimit:
         if not refused:
             assert len(extract_descriptors(dataset, RunConfig())) == 2
             return
-        for name in ("temporal_degree", "mean_aggregation_matrix"):
+        for name in ("temporal_degree", "_aggregation"):
             monkeypatch.setattr(tgtopo.pipeline, name, pytest.fail)
         with pytest.raises(TemporalGraphError, match="100 matrix entries"):
             extract_descriptors(dataset, RunConfig())
+
+    @pytest.mark.parametrize("bins, refused", [(25, False), (26, True)])
+    def test_dos_masses_refused_before_extraction(self, monkeypatch, bins, refused):
+        # 4 windows of 26 bins ask for 104 DoS masses (and bin counts), over the limit;
+        # the 3 x 3 and 3 x 16 feature matrices fit
+        monkeypatch.setattr(tgtopo.temporal, "ENTRY_LIMIT", 100)
+        graphs = (from_events(3, [(0, 1, float(t)) for t in range(16)], label=0),
+                  from_events(3, [(0, 1, 0.0), (1, 2, 1.0)], label=1))
+        dataset = Dataset("d", graphs, 2)
+        assert window_count(graphs[0], RunConfig().window_spec()) == 4
+        if not refused:
+            assert extract_descriptors(dataset, RunConfig(dos_bins=bins))[0].psi.shape == (4, 25)
+            return
+        monkeypatch.setattr(tgtopo.pipeline, "window_sequence", pytest.fail)
+        with pytest.raises(TemporalGraphError, match="4 windows of 26 DoS bins exceed 100"):
+            extract_descriptors(dataset, RunConfig(dos_bins=bins))
 
 
 class TestDescriptorFingerprint:
@@ -370,6 +387,13 @@ class TestTraining:
         model, _ = train(small_features[:2], 2, RunConfig(epochs=1))
         with pytest.raises(PipelineError, match="no graphs"):
             evaluate(model, [])
+
+    def test_label_outside_the_models_classes_is_refused(self, small_features):
+        # a 2-class model once scored a class-2 graph, which it cannot classify right
+        model, _ = train(small_features[:2], 2, RunConfig(epochs=1))
+        graphs = [small_features[0], replace(small_features[1], label=2)]
+        with pytest.raises(PipelineError, match="2 classes.*label 2"):
+            evaluate(model, graphs)
 
     def test_cv_with_classes_smaller_than_the_folds_scores_every_fold(self, small_dataset):
         # 3 graphs of each class over 5 folds: every fold tests a graph, and the

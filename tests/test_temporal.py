@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tgtopo.temporal
 from tgtopo.data import load_graph
 from tgtopo.stability import perturb_timestamps, random_temporal_graph
 from tgtopo.temporal import (
@@ -22,6 +23,7 @@ from tgtopo.temporal import (
     from_events,
     static_projection,
     temporal_degree,
+    _unique,
     _windows,
     window_count,
     window_sequence,
@@ -360,6 +362,42 @@ class TestLazyWindows:
     @settings(max_examples=80, deadline=None)
     def test_hypothesis_graphs(self, graph, spec):
         self.check(graph, spec)
+
+    def test_sparse_node_ids_take_the_sort_branch(self):
+        # ids near 2**40 make the node key space far larger than the keys
+        base = 2**40
+        events = [(base + (k * 7) % 5, base + (k * 3 + 1) % 5, float(k % 9)) for k in range(30)]
+        g = from_events(2**40 + 5, [e for e in events if e[0] != e[1]])
+        assert g.num_nodes > tgtopo.temporal.DENSE * 2 * g.num_events
+        self.check(g, WindowSpec(3.0, 2.0))
+        assert {x for w in window_sequence(g, WindowSpec(3.0, 2.0)) for x in w.nodes} == set(
+            g.events[:, :2].astype(np.int64).ravel().tolist())
+
+
+class TestUnique:
+    @staticmethod
+    def check(keys, size):
+        want = np.unique(keys, return_inverse=True, return_counts=True)
+        got = _unique(keys, size)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    @given(size=st.integers(1, 300), pairs=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_unique(self, size, pairs, data):
+        # sizes up to 300 over at most 60 keys fall on both sides of DENSE
+        keys = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=60)),
+                        dtype=np.int64)
+        keys = keys[:len(keys) // 2 * 2].reshape(-1, 2) if pairs and len(keys) > 1 else keys
+        self.check(keys, size)
+
+    @pytest.mark.parametrize("size", [1, 8 * 6, 8 * 6 + 1])
+    def test_both_branches_at_the_constant(self, size):
+        assert tgtopo.temporal.DENSE == 8
+        keys = np.array([0, 0, size - 1, 0, size - 1, 0], dtype=np.int64)
+        self.check(keys, size)
+        self.check(keys.reshape(3, 2), size)
+        self.check(np.zeros(0, np.int64), size)
 
 
 class TestTemporalDegree:

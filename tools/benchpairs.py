@@ -26,7 +26,8 @@ fingerprints and the fingerprint keys that differ on any pair, the ``src/``
 line counts, a sha256 of each side's ``src/`` files
 (so the file can be tied to the code it measured even when the change was not
 yet committed) and the environment, including whether ``PYTHONDONTWRITEBYTECODE``
-is set.  After writing it, the script prints the
+is set and the core name of numpy's bundled OpenBLAS (``openblas_kernel``, which
+``OPENBLAS_CORETYPE`` can force; the metrics-CSV fingerprints hold per kernel).  After writing it, the script prints the
 ``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and one
 stderr line per workload (each metric's median parent -> change, the pairs
 won, the metrics outside their bound, with a gain shown, and unresolved, and
@@ -35,6 +36,8 @@ or any run failed an operation.
 """
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -94,6 +97,26 @@ def run_once(tree, workload, seed, seconds, pycache):
         "environment": info["environment"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
     }
+
+
+def openblas_kernel():
+    """The kernel name of numpy's bundled OpenBLAS in this process, or None when it
+    cannot be read; the runs inherit this process's environment, so they load the same."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def environment(run_environment):
+    """A run's environment, with this machine's and this process's settings."""
+    return {**run_environment, "machine": platform.machine(), "system": platform.platform(),
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "openblas_kernel": openblas_kernel()}
 
 
 def spread(values):
@@ -202,9 +225,7 @@ def main(argv=None):
              for s in SIDES}
     for side in SIDES:
         report[side]["src_lines"] = first[side].pop("src_lines")
-    report["environment"] = {**first["change"], "machine": platform.machine(),
-                             "system": platform.platform(), "dont_write_bytecode":
-                             bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+    report["environment"] = environment(first["change"])
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     lines, ok = verdict(report)
     for line in [src_lines_line(report), *lines]:
