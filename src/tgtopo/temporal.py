@@ -226,7 +226,8 @@ def _unique(keys, size):
     """``np.unique(keys, return_inverse=True, return_counts=True)`` for int64 ``keys`` in
     [0, size): a ``bincount`` if ``size`` is at most ``DENSE`` x ``keys.size``, else a sort."""
     if size > DENSE * keys.size:
-        return np.unique(keys, return_inverse=True, return_counts=True)
+        values, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        return values, inverse.reshape(keys.shape), counts  # numpy < 2 returns it flat
     counts = np.bincount(keys.ravel(), minlength=size)
     values = counts.nonzero()[0]
     rank = np.empty(size, np.intp)  # read only at the keys, each one of ``values``

@@ -370,8 +370,6 @@ class TestLazyWindows:
         g = from_events(2**40 + 5, [e for e in events if e[0] != e[1]])
         assert g.num_nodes > tgtopo.temporal.DENSE * 2 * g.num_events
         self.check(g, WindowSpec(3.0, 2.0))
-        assert {x for w in window_sequence(g, WindowSpec(3.0, 2.0)) for x in w.nodes} == set(
-            g.events[:, :2].astype(np.int64).ravel().tolist())
 
 
 class TestUnique:
@@ -391,9 +389,9 @@ class TestUnique:
         keys = keys[:len(keys) // 2 * 2].reshape(-1, 2) if pairs and len(keys) > 1 else keys
         self.check(keys, size)
 
-    @pytest.mark.parametrize("size", [1, 8 * 6, 8 * 6 + 1])
+    @pytest.mark.parametrize("size", [1, tgtopo.temporal.DENSE * 6, tgtopo.temporal.DENSE * 6 + 1])
     def test_both_branches_at_the_constant(self, size):
-        assert tgtopo.temporal.DENSE == 8
+        # 6 keys: counted up to DENSE * 6, sorted above
         keys = np.array([0, 0, size - 1, 0, size - 1, 0], dtype=np.int64)
         self.check(keys, size)
         self.check(keys.reshape(3, 2), size)
