@@ -4,7 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 data error (malformed, out-of-range,
 unreadable or too-large-for-memory input, or an unwritable output path), 3
 numerical failure.  Every error the package defines derives from ``InputError``
 (2) or ``NumericalError`` (3); the others come from json, the OS, memory, LAPACK
-and numpy.
+and numpy.  Under ``InputError`` each module raises its own class
+(``TemporalGraphError``, ``TopologyError``, ``SpectralError``, ``StabilityError``,
+``PipelineError``, ``DataError`` with ``ParseError``, ``CheckpointError`` and
+``ShapeMismatchError``); under ``NumericalError`` are ``NonFiniteValueError`` and
+``NonFiniteLossError``.
 """
 
 from __future__ import annotations

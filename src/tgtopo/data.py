@@ -35,18 +35,6 @@ class ParseError(DataError):
         self.line_no = line_no
 
 
-class LabelOutOfRangeError(DataError):
-    pass
-
-
-class MissingManifestError(DataError):
-    pass
-
-
-class InvalidSpecError(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class Dataset:
     name: str
@@ -132,10 +120,10 @@ def save_dataset(dataset: Dataset, directory):
         fh.write("\n".join(names) + "\n")
 
 
-def load_dataset(directory, name=None) -> Dataset:
+def load_dataset(directory) -> Dataset:
     manifest = os.path.join(directory, MANIFEST)
     if not os.path.exists(manifest):
-        raise MissingManifestError(f"no {MANIFEST} in {directory}")
+        raise DataError(f"no {MANIFEST} in {directory}")
     try:
         with open(manifest, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh.read().splitlines()]
@@ -154,13 +142,10 @@ def load_dataset(directory, name=None) -> Dataset:
         num_classes = max(labels) + 1
     for g in graphs:
         if g.label is None or not 0 <= g.label < num_classes:
-            raise LabelOutOfRangeError(
-                f"label {g.label} outside [0,{num_classes})"
-            )
+            raise DataError(f"label {g.label} outside [0,{num_classes})")
     if num_classes < 2:
         raise DataError(f"{manifest}: need at least 2 classes, got {num_classes}")
-    return Dataset(name or os.path.basename(os.path.normpath(directory)),
-                   graphs, num_classes)
+    return Dataset(os.path.basename(os.path.normpath(directory)), graphs, num_classes)
 
 
 def _random_tree_edges(nodes, rng):
@@ -176,9 +161,9 @@ def _random_tree_edges(nodes, rng):
 
 def _spec_int(key, value, low) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidSpecError(f"spec {key} must be an integer, got {value!r}")
+        raise DataError(f"spec {key} must be an integer, got {value!r}")
     if value < low:
-        raise InvalidSpecError(f"spec {key} must be >= {low}, got {value}")
+        raise DataError(f"spec {key} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -196,29 +181,27 @@ def synth_generate(spec: dict, seed: int) -> Dataset:
     so the planted signal survives.  Deterministic per seed.
     """
     if not isinstance(spec, dict):
-        raise InvalidSpecError(f"spec must be a JSON object, got {type(spec).__name__}")
+        raise DataError(f"spec must be a JSON object, got {type(spec).__name__}")
     required = {"num_graphs", "nodes", "timesteps", "classes", "cycle_density"}
     missing = required - spec.keys()
     if missing:
-        raise InvalidSpecError(f"missing spec keys: {sorted(missing)}")
+        raise DataError(f"missing spec keys: {sorted(missing)}")
     num_graphs = _spec_int("num_graphs", spec["num_graphs"], 1)
     nodes = _spec_int("nodes", spec["nodes"], 3)
     timesteps = _spec_int("timesteps", spec["timesteps"], 1)
     classes = _spec_int("classes", spec["classes"], 2)
     anchor_stride = _spec_int("anchor_stride", spec.get("anchor_stride", 4), 1)
     if not isinstance(spec["cycle_density"], (list, tuple)):
-        raise InvalidSpecError("cycle_density must be a list")
+        raise DataError("cycle_density must be a list")
     density = [_spec_int("cycle_density", c, 0) for c in spec["cycle_density"]]
     if len(density) != classes:
-        raise InvalidSpecError("cycle_density must list one value per class")
+        raise DataError("cycle_density must list one value per class")
     if len(set(density)) != classes:
-        raise InvalidSpecError("cycle_density values must be distinct across classes")
+        raise DataError("cycle_density values must be distinct across classes")
     # a spanning tree leaves this many free node pairs for chords
     free_pairs = (nodes - 1) * (nodes - 2) // 2
     if max(density) > free_pairs:
-        raise InvalidSpecError(
-            f"cycle_density values must be <= {free_pairs} for {nodes} nodes"
-        )
+        raise DataError(f"cycle_density values must be <= {free_pairs} for {nodes} nodes")
 
     streams = np.random.SeedSequence(seed).spawn(num_graphs)
     graphs = []

@@ -31,10 +31,6 @@ class PipelineError(InputError):
     pass
 
 
-class TooFewGraphsError(PipelineError):
-    pass
-
-
 class NonFiniteLossError(NumericalError, RuntimeError):
     pass
 
@@ -152,9 +148,12 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     The temporal-degree grid is the dataset-wide sorted union of distinct
     timestamps so that the structural branch sees a fixed feature width.  A
     graph's n x n, n x T and windows x ``dos_bins`` matrices over ``temporal.ENTRY_LIMIT``
-    entries are refused first.  The n x n matrix is built from the event endpoints.
+    entries are refused first, as is a dataset with no graphs.  The n x n matrix is
+    built from the event endpoints.
     """
     config.validate()
+    if not dataset.graphs:
+        raise PipelineError("no graphs to extract descriptors from")
     grid = np.unique(np.concatenate([g.events[:, 2] for g in dataset.graphs]))
     if (n := max(g.num_nodes for g in dataset.graphs)) * max(n, len(grid)) > temporal.ENTRY_LIMIT:
         raise temporal.TemporalGraphError(f"{n} nodes and {len(grid)} timesteps exceed "
@@ -224,7 +223,7 @@ def train(features: list, num_classes: int, config: RunConfig):
     if num_classes < 2:
         raise PipelineError(f"need at least 2 classes, got {num_classes}")
     if not features:
-        raise TooFewGraphsError("no graphs to train on")
+        raise PipelineError("no graphs to train on")
     model = TemporalGraphClassifier(_model_config(features, num_classes, config),
                                     seed=config.seed)
     opt = Adam(model.parameters, lr=config.lr, weight_decay=config.weight_decay)
@@ -293,7 +292,7 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
     if folds < 2:
         raise PipelineError("need at least 2 folds")
     if len(labels) < folds:
-        raise TooFewGraphsError(f"{len(labels)} graphs < {folds} folds")
+        raise PipelineError(f"{len(labels)} graphs < {folds} folds")
     rng = np.random.default_rng(seed)
     dealt = []
     for cls in sorted(set(labels.tolist())):

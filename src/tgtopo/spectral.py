@@ -15,18 +15,17 @@ byte, and bins every window's eigenvalues with one ``bincount``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 
+SLACK = 1e-6  # eigenvalues this far outside [0, 2] mean a broken Laplacian
+
 
 class SpectralError(InputError):
-    pass
-
-
-class EmptyWindowError(SpectralError):
     pass
 
 
@@ -65,7 +64,7 @@ def normalized_laplacian(win) -> SymMatrix:
     """L = I - D^(-1/2) A D^(-1/2) on the window's deduplicated simple edges."""
     n = win.num_nodes
     if n == 0:
-        raise EmptyWindowError("cannot build a Laplacian for an empty window")
+        raise SpectralError("cannot build a Laplacian for an empty window")
     lap = _laplacians(1, n, 0, *win.local_edges().T)[0]
     lap.flags.writeable = False
     return SymMatrix(n, lap)
@@ -79,12 +78,12 @@ def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(m.array)
 
 
-def _masses(eigs, owner, sizes, bin_count, slack=1e-6) -> np.ndarray:
+def _masses(eigs, owner, sizes, bin_count) -> np.ndarray:
     """(len(sizes), bin_count) masses of spectra of ``sizes`` eigenvalues each,
     ``eigs[x]`` in spectrum ``owner[x]``, binned as ``dos_histogram`` says."""
-    if eigs.size and (eigs.min() < -slack or eigs.max() > 2.0 + slack):
+    if eigs.size and (eigs.min() < -SLACK or eigs.max() > 2.0 + SLACK):
         raise SpectralError(
-            f"eigenvalues outside [0,2] by more than {slack}: "
+            f"eigenvalues outside [0,2] by more than {SLACK}: "
             f"range [{eigs.min()}, {eigs.max()}]"
         )
     # a bin's index is the number of interior edges at or below the value
@@ -94,20 +93,22 @@ def _masses(eigs, owner, sizes, bin_count, slack=1e-6) -> np.ndarray:
     return counts.reshape(-1, bin_count) / np.maximum(sizes, 1)[:, None]
 
 
-def dos_histogram(eigs, bin_count: int = 4, slack: float = 1e-6) -> DosHistogram:
+def dos_histogram(eigs, bin_count: int = 4) -> DosHistogram:
     """Equal-width normalized histogram of eigenvalues over [0, 2].
 
     Bins are half-open except the last, which is closed on the right.
     Eigenvalues are snapped to a 1e-9 grid first, so one within round-off of
     an interior edge lands in the upper bin.  They are then clamped into
-    [0, 2]; values beyond ``slack`` outside the interval indicate a broken
-    Laplacian and raise.
+    [0, 2]; values beyond ``SLACK`` outside the interval indicate a broken
+    Laplacian and raise, as does a ``bin_count`` that is not an integer >= 1.
     """
+    if isinstance(bin_count, bool) or not isinstance(bin_count, numbers.Integral) or bin_count < 1:
+        raise SpectralError(f"bin_count must be an integer >= 1, got {bin_count!r}")
     edges = tuple(2.0 * j / bin_count for j in range(bin_count + 1))
     eigs = np.asarray(eigs, dtype=np.float64)
     if eigs.size == 0:
         return DosHistogram(edges, (0.0,) * bin_count, empty=True)
-    mass = _masses(eigs, 0, np.array([eigs.size]), bin_count, slack)
+    mass = _masses(eigs, 0, np.array([eigs.size]), bin_count)
     return DosHistogram(edges, tuple(mass[0].tolist()), empty=False)
 
 

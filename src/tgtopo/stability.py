@@ -36,15 +36,11 @@ import numpy as np
 
 from . import spectral
 from .errors import InputError
-from .temporal import EmptyEventListError, NonFiniteTimestampError, TemporalGraph, WindowGraph
+from .temporal import TemporalGraph, TemporalGraphError, WindowGraph
 from .topology import betti0_curve
 
 
 class StabilityError(InputError):
-    pass
-
-
-class InfeasibleKError(StabilityError):
     pass
 
 
@@ -91,7 +87,7 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
     _check_eps(eps)
     _check_count(seed, 0, "seed")
     if not graph.num_events:
-        raise EmptyEventListError("graph has no events")
+        raise TemporalGraphError("graph has no events")
     shifts = np.random.default_rng(seed).uniform(-eps, eps, size=graph.num_events)
     ev = graph.events.copy()
     with np.errstate(over="ignore"):
@@ -100,7 +96,7 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
     bad = np.flatnonzero(~np.isfinite(shifted.events[:, 2]))
     if bad.size:  # a time that overflowed
         u, v, t = shifted.events[bad[0]].tolist()
-        raise NonFiniteTimestampError(f"event ({int(u)},{int(v)}) has timestamp {t}")
+        raise TemporalGraphError(f"event ({int(u)},{int(v)}) has timestamp {t}")
     return shifted, float(np.abs(shifts).sum())
 
 
@@ -133,7 +129,7 @@ def _edit_edges(n, pairs, k: int, seed: int):
         if crossed:  # the first step, or an edit moved a degree across 1 <-> 2
             deletable = np.flatnonzero(live & (degree[eu] > 1) & (degree[ev] > 1)).tolist()
         if not non_edges and not deletable:
-            raise InfeasibleKError(f"no feasible modification at step {step} of {k}")
+            raise StabilityError(f"no feasible modification at step {step} of {k}")
         # a coin is drawn only when both moves are possible
         insert = not deletable or (bool(non_edges) and rng.random() < 0.5)
         if insert:
@@ -154,7 +150,7 @@ def perturb_edges(win: WindowGraph, k: int, seed: int) -> WindowGraph:
 
     A pair is modified at most once, so the symmetric difference has exactly
     k pairs.  Deletions are drawn only from original edges whose endpoints
-    both keep another edge, so no node is isolated; raises InfeasibleKError
+    both keep another edge, so no node is isolated; raises StabilityError
     when k exceeds the feasible modification count.
     """
     n, nodes = win.num_nodes, np.array(win.nodes, dtype=np.int64)
@@ -243,7 +239,7 @@ def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:
     return WindowGraph(0, 0.0, 1.0, tuple(nodes.tolist()), edges, (1,) * len(edges))
 
 
-def run_campaign(spec: PerturbationSpec, bins: int = 4) -> StabilityReport:
+def run_campaign(spec: PerturbationSpec) -> StabilityReport:
     """Aggregate independent trials with per-trial derived seeds."""
     report = StabilityReport(mode="topo" if spec.mode == "timestamp" else "spectral")
     streams = np.random.SeedSequence(spec.seed).spawn(spec.trials)
@@ -257,7 +253,7 @@ def run_campaign(spec: PerturbationSpec, bins: int = 4) -> StabilityReport:
         else:
             nodes, pairs = _draw_er(rng)
             w1, ratio_base = spectral_stability_trial(len(nodes), pairs, int(spec.magnitude),
-                                                      trial_seed, bins)
+                                                      trial_seed)
             report.trials.append((ratio_base, w1))
     return report
 

@@ -27,30 +27,6 @@ class TemporalGraphError(InputError):
     pass
 
 
-class OutOfRangeNodeError(TemporalGraphError):
-    pass
-
-
-class SelfLoopError(TemporalGraphError):
-    pass
-
-
-class NonFiniteTimestampError(TemporalGraphError):
-    pass
-
-
-class EmptyEventListError(TemporalGraphError):
-    pass
-
-
-class EmptyGraphError(TemporalGraphError):
-    pass
-
-
-class EmptyTimestepsError(TemporalGraphError):
-    pass
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Window length and stride; requires 0 < sigma < delta."""
@@ -127,10 +103,10 @@ def _check_events(num_nodes, ev, events):
     if bad.size:
         u, v, t = events[bad[0]]
         if out[bad[0]]:
-            raise OutOfRangeNodeError(f"event ({u},{v},{float(t)}) outside [0,{num_nodes})")
+            raise TemporalGraphError(f"event ({u},{v},{float(t)}) outside [0,{num_nodes})")
         if u == v:
-            raise SelfLoopError(f"self-loop at node {u}, t={float(t)}")
-        raise NonFiniteTimestampError(f"event ({u},{v}) has timestamp {float(t)}")
+            raise TemporalGraphError(f"self-loop at node {u}, t={float(t)}")
+        raise TemporalGraphError(f"event ({u},{v}) has timestamp {float(t)}")
 
 
 def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
@@ -149,7 +125,7 @@ def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGra
     ev = _array(checked)
     _check_events(num_nodes, ev, events)
     if not checked and not allow_empty:
-        raise EmptyEventListError("empty event list (pass allow_empty=True to permit)")
+        raise TemporalGraphError("empty event list (pass allow_empty=True to permit)")
     return TemporalGraph(num_nodes, ev, label)
 
 
@@ -262,7 +238,7 @@ def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
     """Number of sliding windows: ceil((t_max - t_min - delta)/sigma) + 1, min 1;
     a count above ``WINDOW_LIMIT`` raises before anything is allocated."""
     if graph.num_events == 0:
-        raise EmptyGraphError("window_count requires a nonempty graph")
+        raise TemporalGraphError("window_count requires a nonempty graph")
     span = graph.t_max - graph.t_min
     if span <= spec.delta:
         return 1
@@ -309,7 +285,7 @@ def temporal_degree(graph: TemporalGraph, timesteps, binary=False) -> np.ndarray
     """
     steps = np.array(list(timesteps), dtype=np.float64)
     if not steps.size:
-        raise EmptyTimestepsError("timesteps grid is empty")
+        raise TemporalGraphError("timesteps grid is empty")
     order = np.argsort(steps, kind="stable")
     ev = graph.events
     # an event's column is the last timestep equal to its time, if any

@@ -27,14 +27,6 @@ class TopologyError(InputError):
     pass
 
 
-class MissingEdgeValueError(TopologyError):
-    pass
-
-
-class EmptyThresholdsError(TopologyError):
-    pass
-
-
 @dataclass(frozen=True)
 class CliqueComplex2:
     """2-truncated clique complex: vertices 0..n-1, edges, 3-cliques, and beta_0."""
@@ -164,7 +156,7 @@ def sublevel_persistence0(edge_values, keep_zero_persistence=False) -> Persisten
     values = {}
     for u, v, w in edge_values:
         if w is None or (isinstance(w, float) and math.isnan(w)):
-            raise MissingEdgeValueError(f"edge ({u},{v}) has no value")
+            raise TopologyError(f"edge ({u},{v}) has no value")
         pair = (u, v) if u < v else (v, u)
         w = float(w)
         if pair not in values or w < values[pair]:
@@ -221,7 +213,7 @@ def betti_curve(pd: PersistenceDiagram, thresholds) -> BettiVector:
     """Number of diagram points alive at each threshold: birth <= t < death."""
     t = np.asarray(thresholds, dtype=np.float64)
     if not t.size:
-        raise EmptyThresholdsError("thresholds must be nonempty")
+        raise TopologyError("thresholds must be nonempty")
     points = np.reshape(pd.points, (-1, 2))
     # a point with birth <= death is alive at t iff born and not dead by t, so
     # the count is births minus deaths up to t; any other point is never alive

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,6 @@ from conftest import graph_key
 from tgtopo.data import (
     DataError,
     Dataset,
-    InvalidSpecError,
-    LabelOutOfRangeError,
-    MissingManifestError,
     ParseError,
     load_dataset,
     load_graph,
@@ -175,7 +173,7 @@ class TestDatasetIO:
         assert graph_key(back.graphs[2]) == graph_key(ds.graphs[2])
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(MissingManifestError):
+        with pytest.raises(DataError, match=f"^{re.escape(f'no manifest.txt in {tmp_path}')}$"):
             load_dataset(tmp_path)
 
     def test_label_out_of_range(self, tmp_path):
@@ -184,7 +182,7 @@ class TestDatasetIO:
         manifest = tmp_path / "ds" / "manifest.txt"
         text = manifest.read_text().replace("# classes 2", "# classes 1")
         manifest.write_text(text)
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(DataError, match=r"^label 1 outside \[0,1\)$"):
             load_dataset(tmp_path / "ds")
 
     @pytest.mark.parametrize("header", ["# classes 1\n", ""])
@@ -224,27 +222,35 @@ class TestSynthGenerate:
             assert g.t_min >= 1.0 and g.t_max <= 24.0
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(DataError, match=r"^missing spec keys: \['classes', 'cycle_density', "):
             synth_generate({"num_graphs": 5}, 0)
 
     def test_density_must_be_distinct(self):
         bad = dict(SPEC, cycle_density=[2, 2])
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(DataError, match="^cycle_density values must be distinct across"):
             synth_generate(bad, 0)
 
-    @pytest.mark.parametrize("spec", [
-        pytest.param([1, 2], id="not_an_object"),
-        pytest.param(dict(SPEC, nodes="abc"), id="string_value"),
-        pytest.param(dict(SPEC, nodes=12.5), id="float_value"),
-        pytest.param(dict(SPEC, num_graphs=True), id="bool_value"),
-        pytest.param(dict(SPEC, num_graphs=0), id="no_graphs"),
-        pytest.param(dict(SPEC, anchor_stride=0), id="zero_anchor_stride"),
-        pytest.param(dict(SPEC, cycle_density="03"), id="density_not_list"),
-        pytest.param(dict(SPEC, cycle_density=[-1, 3]), id="negative_density"),
-        pytest.param(dict(SPEC, nodes=4, cycle_density=[0, 4]), id="more_chords_than_pairs"),
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param([1, 2], "spec must be a JSON object, got list", id="not_an_object"),
+        pytest.param(dict(SPEC, nodes="abc"), "spec nodes must be an integer, got 'abc'",
+                     id="string_value"),
+        pytest.param(dict(SPEC, nodes=12.5), "spec nodes must be an integer, got 12.5",
+                     id="float_value"),
+        pytest.param(dict(SPEC, num_graphs=True), "spec num_graphs must be an integer, got True",
+                     id="bool_value"),
+        pytest.param(dict(SPEC, num_graphs=0), "spec num_graphs must be >= 1, got 0",
+                     id="no_graphs"),
+        pytest.param(dict(SPEC, anchor_stride=0), "spec anchor_stride must be >= 1, got 0",
+                     id="zero_anchor_stride"),
+        pytest.param(dict(SPEC, cycle_density="03"), "cycle_density must be a list",
+                     id="density_not_list"),
+        pytest.param(dict(SPEC, cycle_density=[-1, 3]), "spec cycle_density must be >= 0, got -1",
+                     id="negative_density"),
+        pytest.param(dict(SPEC, nodes=4, cycle_density=[0, 4]),
+                     "cycle_density values must be <= 3 for 4 nodes", id="more_chords_than_pairs"),
     ])
-    def test_invalid_spec_rejected(self, spec):
-        with pytest.raises(InvalidSpecError):
+    def test_invalid_spec_rejected(self, spec, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             synth_generate(spec, 0)
 
     def test_betti1_separation(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tgtopo.cli import main
-from tgtopo.data import Dataset, InvalidSpecError, load_dataset, load_graph, synth_generate
+from tgtopo.data import DataError, Dataset, load_dataset, load_graph, synth_generate
 from tgtopo.errors import InputError
 from tgtopo.model import CheckpointError, TemporalGraphClassifier
 from tgtopo.pipeline import PipelineError, RunConfig, extract_descriptors
@@ -169,7 +169,7 @@ spec_dicts = st.fixed_dictionaries({}, optional={
 def test_synth_gives_a_dataset_or_an_invalid_spec_error(tmp_path_factory, spec):
     try:
         assert isinstance(synth_generate(spec, 0), Dataset)
-    except InvalidSpecError:
+    except DataError:
         pass
     # an exception that main does not map to an exit code would reach a traceback
     root = tmp_path_factory.mktemp("synth")

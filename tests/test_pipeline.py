@@ -19,7 +19,6 @@ from tgtopo.pipeline import (
     Metrics,
     PipelineError,
     RunConfig,
-    TooFewGraphsError,
     attention_csv,
     embeddings_csv,
     evaluate,
@@ -100,6 +99,11 @@ class TestExtraction:
         grid = {t for g in small_dataset.graphs for _, _, t in g.events}
         widths = {gf.features.shape[1] for gf in small_features}
         assert widths == {len(grid)}
+
+    def test_no_graphs_is_refused(self):
+        # an empty dataset ended in numpy's bare ValueError from np.concatenate
+        with pytest.raises(PipelineError, match="^no graphs to extract descriptors from$"):
+            extract_descriptors(Dataset("none", (), 2), RunConfig())
 
     def test_dos_rows_normalized_or_empty(self, small_features):
         for gf in small_features:
@@ -345,7 +349,7 @@ class TestStratifiedFolds:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_too_few_graphs(self):
-        with pytest.raises(TooFewGraphsError):
+        with pytest.raises(PipelineError, match="^3 graphs < 5 folds$"):
             stratified_folds([0, 1, 0], 5, seed=0)
 
     def test_rejects_single_fold(self):
@@ -363,7 +367,7 @@ class TestStratifiedFolds:
            folds=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
     def test_partition_and_balance(self, labels, folds, seed):
         if len(labels) < folds:
-            with pytest.raises(TooFewGraphsError):
+            with pytest.raises(PipelineError, match=f"^{len(labels)} graphs < {folds} folds$"):
                 stratified_folds(labels, folds, seed)
             return
         out = stratified_folds(labels, folds, seed)
@@ -379,7 +383,7 @@ class TestStratifiedFolds:
 class TestTraining:
     def test_no_graphs_is_too_few(self):
         # an empty training set used to end in a bare IndexError from features[0]
-        with pytest.raises(TooFewGraphsError, match="no graphs"):
+        with pytest.raises(PipelineError, match="^no graphs to train on$"):
             train([], 2, RunConfig(epochs=2))
 
     def test_evaluating_no_graphs_is_refused(self, small_features):

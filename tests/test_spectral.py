@@ -187,6 +187,16 @@ class TestDosHistogram:
         h = dos_histogram(np.array([]))
         assert h.empty and np.allclose(h.mass, 0.0)
 
+    @pytest.mark.parametrize("eigs", [[], [0.5, 1.5]], ids=["empty", "two"])
+    @pytest.mark.parametrize("bins", [0, -1, 2.5, True, None, "4"])
+    def test_refuses_bin_count_below_one_or_not_integer(self, eigs, bins):
+        # 0 bins ended in ZeroDivisionError and -1 in numpy's ValueError
+        with pytest.raises(SpectralError, match="^bin_count must be an integer >= 1, got "):
+            dos_histogram(eigs, bins)
+
+    def test_accepts_numpy_integer_bin_count(self):
+        assert dos_histogram([0.5, 1.5], np.int64(2)).mass == (0.5, 0.5)
+
     def test_zero_bin_mass_tracks_components(self):
         # multiplicity of eigenvalue 0 equals the number of components,
         # and every nonzero normalized-Laplacian eigenvalue here is >= 0.5

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -10,12 +11,6 @@ import tgtopo.temporal
 from tgtopo.data import load_graph
 from tgtopo.stability import perturb_timestamps, random_temporal_graph
 from tgtopo.temporal import (
-    EmptyEventListError,
-    EmptyGraphError,
-    EmptyTimestepsError,
-    NonFiniteTimestampError,
-    OutOfRangeNodeError,
-    SelfLoopError,
     TemporalGraph,
     TemporalGraphError,
     WindowGraph,
@@ -41,11 +36,11 @@ class TestFromEvents:
         assert g.events.tolist() == [[0, 1, 1.0], [0, 1, 3.0]]
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(TemporalGraphError, match=r"^self-loop at node 0, t=1\.0$"):
             from_events(2, [(0, 0, 1.0)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRangeNodeError):
+        with pytest.raises(TemporalGraphError, match=r"^event \(0,2,1\.0\) outside \[0,2\)$"):
             from_events(2, [(0, 2, 1.0)])
 
     @pytest.mark.parametrize("u, v", [(0.5, 1), (0, 1.7), (True, 2), (0, np.True_)],
@@ -63,28 +58,25 @@ class TestFromEvents:
     def test_integral_float_node_ids_accepted(self):
         assert from_events(3, [(0.0, np.int64(2), 1.0)]).events.tolist() == [[0, 2, 1.0]]
 
-    @pytest.mark.parametrize("events, error, message", [
-        ([(0, 1, math.nan), (0, 5, 1.0)], NonFiniteTimestampError,
-         "event (0,1) has timestamp nan"),
-        ([(0, 5, 1.0), (0, 1, math.nan)], OutOfRangeNodeError, "event (0,5,1.0) outside [0,3)"),
-        ([(1, 1, 2.0), (0, 5, 1.0)], SelfLoopError, "self-loop at node 1, t=2.0"),
-        ([(0, 5, 1.0), (0.5, 1, 0.0)], OutOfRangeNodeError, "event (0,5,1.0) outside [0,3)"),
-        ([(0.5, 1, 0.0), (0, 5, 1.0)], TemporalGraphError,
-         "event (0.5,1,0.0): node ids must be integers"),
-        ([(2, 2.0, 1), (10**400, 1, 0.0)], SelfLoopError, "self-loop at node 2, t=1.0"),
-        ([(0, 1, 1.0), (-10**400, 1, 0.0)], OutOfRangeNodeError,
-         f"event ({-10**400},1,0.0) outside [0,3)"),
-        ([(4.0, 1, 1.0)], OutOfRangeNodeError, "event (4.0,1,1.0) outside [0,3)"),
+    @pytest.mark.parametrize("events, message", [
+        ([(0, 1, math.nan), (0, 5, 1.0)], "event (0,1) has timestamp nan"),
+        ([(0, 5, 1.0), (0, 1, math.nan)], "event (0,5,1.0) outside [0,3)"),
+        ([(1, 1, 2.0), (0, 5, 1.0)], "self-loop at node 1, t=2.0"),
+        ([(0, 5, 1.0), (0.5, 1, 0.0)], "event (0,5,1.0) outside [0,3)"),
+        ([(0.5, 1, 0.0), (0, 5, 1.0)], "event (0.5,1,0.0): node ids must be integers"),
+        ([(2, 2.0, 1), (10**400, 1, 0.0)], "self-loop at node 2, t=1.0"),
+        ([(0, 1, 1.0), (-10**400, 1, 0.0)], f"event ({-10**400},1,0.0) outside [0,3)"),
+        ([(4.0, 1, 1.0)], "event (4.0,1,1.0) outside [0,3)"),
     ], ids=["nan_first", "range_first", "self_loop_first", "range_before_fraction",
             "fraction_before_range", "self_loop_before_huge_id", "huge_negative_id",
             "integral_float_id_shown_as_given"])
-    def test_first_bad_event_in_input_order_raises(self, events, error, message):
-        with pytest.raises(error) as exc:
+    def test_first_bad_event_in_input_order_raises(self, events, message):
+        with pytest.raises(TemporalGraphError) as exc:
             from_events(3, events)
-        assert type(exc.value) is error and str(exc.value) == message
+        assert str(exc.value) == message
 
     def test_empty_needs_flag(self):
-        with pytest.raises(EmptyEventListError):
+        with pytest.raises(TemporalGraphError, match=r"^empty event list \(pass allow_empty=True"):
             from_events(2, [])
         g = from_events(2, [], allow_empty=True)
         assert g.num_events == 0
@@ -95,9 +87,10 @@ class TestFromEvents:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_timestamp_rejected(self, t):
-        with pytest.raises(NonFiniteTimestampError):
+        message = f"^{re.escape(f'event (0,1) has timestamp {t}')}$"
+        with pytest.raises(TemporalGraphError, match=message):
             from_events(2, [(0, 1, 1.0), (0, 1, t)])
-        with pytest.raises(NonFiniteTimestampError):
+        with pytest.raises(TemporalGraphError, match=message):
             from_events(2, [(0, 1, t), (0, 1, 1.0)])
 
 
@@ -184,7 +177,7 @@ class TestWindowCount:
 
     def test_empty_graph_raises(self):
         g = from_events(2, [], allow_empty=True)
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(TemporalGraphError, match="^window_count requires a nonempty graph$"):
             window_count(g, WindowSpec(2.0, 1.0))
 
     def test_random_configs_match_enumeration(self):
@@ -427,7 +420,7 @@ class TestTemporalDegree:
             assert m[:, j].sum() == 2 * n_events
 
     def test_empty_grid_rejected(self, toy_graph):
-        with pytest.raises(EmptyTimestepsError):
+        with pytest.raises(TemporalGraphError, match="^timesteps grid is empty$"):
             temporal_degree(toy_graph, [])
 
     @settings(max_examples=60, deadline=None)

@@ -11,8 +11,8 @@ from tgtopo.temporal import TemporalGraph, _windows, from_events, stack_windows
 from tgtopo.topology import (
     _rank,
     _triangles,
-    EmptyThresholdsError,
     PersistenceDiagram,
+    TopologyError,
     betti0,
     betti0_curve,
     betti1,
@@ -353,7 +353,7 @@ class TestBettiCurve:
         assert betti_curve(pd, [1.0, 2.0]).values == (1, 1)
 
     def test_empty_thresholds_rejected(self):
-        with pytest.raises(EmptyThresholdsError):
+        with pytest.raises(TopologyError, match="^thresholds must be nonempty$"):
             betti_curve(PersistenceDiagram(0, ()), [])
 
     # few distinct values, so births, deaths and thresholds often tie
