@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 import tgtopo.cli
+import tgtopo.pipeline
 import tgtopo.spectral
+import tgtopo.stability
 import tgtopo.temporal
+import tgtopo.topology
 from tgtopo.cli import main
 from tgtopo.errors import InputError, NumericalError
-from tgtopo.data import load_dataset, synth_generate, save_dataset
+from tgtopo.data import DataError, load_dataset, synth_generate, save_dataset
+from tgtopo.pipeline import PipelineError
+from tgtopo.spectral import SpectralError
+from tgtopo.stability import StabilityError
+from tgtopo.temporal import TemporalGraphError
+from tgtopo.topology import TopologyError
 from tgtopo.model import CheckpointError, ModelConfig, TemporalGraphClassifier
 
 
@@ -370,6 +378,56 @@ ERRORS = [
 ]
 
 
+def _label_out_of_range(root):
+    (root / "manifest.txt").write_text("# classes 2\ng.txt\n")
+    (root / "g.txt").write_text("n 3 label 5\n0 1 1.0\n")
+    return load_dataset(root)
+
+
+def _empty_graph():
+    return tgtopo.temporal.from_events(2, [], allow_empty=True)
+
+
+# (module class, id, call that refuses, message with {tmp} for the call's directory)
+REFUSALS = [
+    (TemporalGraphError, "out_of_range_node",
+     lambda _: tgtopo.temporal.from_events(2, [(0, 2, 1.0)]), "event (0,2,1.0) outside [0,2)"),
+    (TemporalGraphError, "self_loop",
+     lambda _: tgtopo.temporal.from_events(2, [(0, 0, 1.0)]), "self-loop at node 0, t=1.0"),
+    (TemporalGraphError, "non_finite_timestamp",
+     lambda _: tgtopo.temporal.from_events(2, [(0, 1, float("nan"))]),
+     "event (0,1) has timestamp nan"),
+    (TemporalGraphError, "empty_event_list", lambda _: tgtopo.temporal.from_events(2, []),
+     "empty event list (pass allow_empty=True to permit)"),
+    (TemporalGraphError, "empty_graph",
+     lambda _: tgtopo.temporal.window_count(_empty_graph(), tgtopo.temporal.WindowSpec(2.0, 1.0)),
+     "window_count requires a nonempty graph"),
+    (TemporalGraphError, "empty_timesteps",
+     lambda _: tgtopo.temporal.temporal_degree(
+         tgtopo.temporal.from_events(2, [(0, 1, 1.0)]), []),
+     "timesteps grid is empty"),
+    (TopologyError, "missing_edge_value",
+     lambda _: tgtopo.topology.sublevel_persistence0([(0, 1, None)]), "edge (0,1) has no value"),
+    (TopologyError, "empty_thresholds",
+     lambda _: tgtopo.topology.betti_curve(tgtopo.topology.PersistenceDiagram(0, ()), []),
+     "thresholds must be nonempty"),
+    (SpectralError, "empty_window",
+     lambda _: tgtopo.spectral.normalized_laplacian(
+         tgtopo.temporal.WindowGraph(0, 0.0, 1.0, (), (), ())),
+     "cannot build a Laplacian for an empty window"),
+    (StabilityError, "infeasible_k",
+     lambda _: tgtopo.stability.perturb_edges(
+         tgtopo.temporal.WindowGraph(0, 0.0, 1.0, (0, 1), ((0, 1),), (1,)), 1, 0),
+     "no feasible modification at step 0 of 1"),
+    (PipelineError, "too_few_graphs",
+     lambda _: tgtopo.pipeline.stratified_folds([0, 1, 0], 5, seed=0), "3 graphs < 5 folds"),
+    (DataError, "label_out_of_range", _label_out_of_range, "label 5 outside [0,2)"),
+    (DataError, "missing_manifest", load_dataset, "no manifest.txt in {tmp}"),
+    (DataError, "invalid_spec", lambda _: synth_generate([1, 2], 0),
+     "spec must be a JSON object, got list"),
+]
+
+
 class TestErrorHierarchy:
     def test_every_package_error_derives_from_exactly_one_base(self):
         errors = _package_errors()
@@ -385,3 +443,18 @@ class TestErrorHierarchy:
         monkeypatch.setattr(tgtopo.cli, "_run", fail)
         assert main(["stability", "--mode", "topo"]) == (2 if issubclass(cls, InputError) else 3)
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("module, name, refuse, message", REFUSALS,
+                             ids=[f"{module.__name__}-{name}" for module, name, _, _ in REFUSALS])
+    def test_each_module_refusal_is_its_module_class_and_exits_2(
+            self, module, name, refuse, message, tmp_path, monkeypatch, capsys):
+        # the refusals that had a leaf class of their own now raise their module's
+        # class with the same text, which main maps to exit 2 on one stderr line
+        message = message.format(tmp=tmp_path)
+        with pytest.raises(InputError) as exc:
+            refuse(tmp_path)
+        assert type(exc.value) is module and str(exc.value) == message
+
+        monkeypatch.setattr(tgtopo.cli, "_run", lambda args: refuse(tmp_path))
+        assert main(["stability", "--mode", "topo"]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
