@@ -153,13 +153,14 @@ def matmul(a, b) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=backward)
 
 
-def _attention(x, w, scale):
+def _attention(x, w, scale, w_t=None):
     """Multi-head self-attention on a stack ``x`` (..., N, d) with the heads'
     q, k, v weights stacked as ``w`` (..., h, 3, d, k), op for op as the
-    matmul/softmax/concat chain.  Returns the head outputs, probabilities
-    (..., h, N, N) and ``grad(g, out=None)``: the parts (..., h, 3, N, d) of
-    x's gradient, in the order the chain added them, and w's gradient,
-    written into ``out`` if given."""
+    matmul/softmax/concat chain (``w_t``, if given, is ``w.swapaxes(-1, -2)``).
+    Returns the head outputs, probabilities (..., h, N, N) and ``grad(g,
+    out=None)``: the parts (..., h, 3, N, d) of x's gradient, in the order the
+    chain added them, and w's gradient, written into ``out`` if given."""
+    w_t = w.swapaxes(-1, -2) if w_t is None else w_t
     qkv = x[..., None, None, :, :] @ w
     q, k, v = qkv[..., 0, :, :], qkv[..., 1, :, :], qkv[..., 2, :, :]
     # the softmax works in place: fresh (..., h, N, N) temporaries of long
@@ -185,7 +186,7 @@ def _attention(x, w, scale):
         x_t = x.swapaxes(-1, -2)[..., None, :, :]
         # three products each, so every operand keeps the chain's layout
         for i, g_i in enumerate((g_scores @ k, g_k, g_v)):
-            np.matmul(g_i, w[..., i, :, :].swapaxes(-1, -2), out=parts[..., i, :, :])
+            np.matmul(g_i, w_t[..., i, :, :], out=parts[..., i, :, :])
             np.matmul(x_t, g_i, out=g_w[..., i, :, :])
         return parts, g_w
 
@@ -225,13 +226,13 @@ def relu(a) -> Tensor:
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=-1, keepdims=True)
+    out_data = exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
+            dot = np.add.reduce(g * out_data, axis=-1, keepdims=True)
             a._accumulate(out_data * (g - dot))
 
     return Tensor(out_data, parents=(a,), backward=backward)
@@ -334,23 +335,27 @@ def embedding_add(tokens, table) -> Tensor:
     return add(tokens, table)
 
 
-def cross_entropy_with_logits(logits, label: int) -> Tensor:
-    """Negative log-likelihood of ``label`` under softmax(logits); scalar."""
-    logits = _as_tensor(logits)
-    vec = logits.data.reshape(-1)
+def _cross_entropy(vec, label):
+    """The loss of the logits row ``vec`` at ``label`` and its gradient in them,
+    softmax − one-hot; ``cross_entropy_with_logits`` and the model's head run this."""
     if not np.isfinite(vec).all():
         raise NonFiniteValueError("non-finite logits")
     if not 0 <= label < vec.size:
         raise ShapeMismatchError(f"label {label} out of range for {vec.size} classes")
-    shifted = vec - vec.max()
-    logsumexp = np.log(np.exp(shifted).sum())
-    probs = np.exp(shifted - logsumexp)
-    loss = logsumexp - shifted[label]
+    shifted = vec - np.maximum.reduce(vec)
+    logsumexp = np.log(np.add.reduce(np.exp(shifted)))
+    grad = np.exp(shifted - logsumexp)
+    grad[label] -= 1.0
+    return logsumexp - shifted[label], grad
+
+
+def cross_entropy_with_logits(logits, label: int) -> Tensor:
+    """Negative log-likelihood of ``label`` under softmax(logits); scalar."""
+    logits = _as_tensor(logits)
+    loss, grad = _cross_entropy(logits.data.reshape(-1), label)
 
     def backward(g):
         if logits.requires_grad:
-            grad = probs.copy()
-            grad[label] -= 1.0
             logits._accumulate(float(g) * grad.reshape(logits.data.shape))
 
     return Tensor(loss, parents=(logits,), backward=backward)

@@ -176,7 +176,8 @@ def _stack(encoders, params):
     first as one (S, ...) block of both, encoder after encoder (vectors as
     (S, 1, d), q, k, v as (S, h, 3, d, d_h)).  Returns the arenas and the
     blocks as ``encode`` reads them (parameter blocks, gradient blocks, each
-    block's tensors); each encoder's ``blocks`` are its rows of them.
+    block's tensors, the parameter blocks' transposed views, built once);
+    each encoder's ``blocks`` are its rows of them.
     Parameters an optimizer already packed in another order raise ValueError,
     since blocks cut from that arena would not be the groups' tensors."""
     groups = [[t for ts in g for t in ts] for g in zip(*(e.groups for e in encoders))]
@@ -186,31 +187,33 @@ def _stack(encoders, params):
     starts = np.cumsum([0] + [t.data.size for t in order]) * arenas[0].itemsize
     if any(t.data.ctypes.data != arenas[0].ctypes.data + a for t, a in zip(order, starts)):
         raise ValueError("the parameters live in an arena not laid out as one stack")
-    blocks, offset, s = ([], [], groups), 0, len(encoders)
+    blocks, offset, s = ([], []), 0, len(encoders)
     for ts in groups:
         end, shape = offset + sum(t.data.size for t in ts), ts[0].data.shape
         shape = (s, -1, 3, *shape) if len(ts) > s else (s, -1, shape[-1])
         for arena, out in zip(arenas, blocks):
             out.append(arena[offset:end].reshape(shape))
         offset = end
+    blocks = (*blocks, groups, [b.swapaxes(-1, -2) for b in blocks[0]])
     for i, e in enumerate(encoders):
-        e.blocks = [b[i:i + 1] for b in blocks[0]], [b[i:i + 1] for b in blocks[1]], e.groups
+        e.blocks = tuple(e.groups if bs is groups else [b[i:i + 1] for b in bs] for bs in blocks)
     return (*arenas, blocks)
 
 
-def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
+def encode(encoders, blocks, streams, rng=None, train=False, grad=True, attention=True):
     """Run S encoders of equal layer shapes on S token streams of length N as
     one tape node on their (S, ...) parameter blocks (``_stack``) and an
     (S, N, d) residual stream; returns (S x 10 views Tensor, per encoder its
-    attention matrices).  Backward writes each stacked gradient into its
-    gradient block once.  Values and gradients are bit for bit each encoder's chain of tape ops
-    (``encoder_chain`` in the tests): a residual-stream gradient is the
-    residual add's, then the layer norm's; the attention input sums q, k, v
-    of head 0, then of head 1, ...; dropout masks are drawn first, encoder by
-    encoder, layer by layer, attention mask then FFN mask.  With ``grad``
-    False no tape is kept: the views have no backward and no attention
-    matrices come back, so a layer's temporaries are freed before the next
-    layer allocates its own (at long streams they are about 0.7 MB a layer)."""
+    attention matrices, or None with ``attention`` False).  Backward writes
+    each stacked gradient into its gradient block once.  Values and gradients
+    are bit for bit each encoder's chain of tape ops (``encoder_chain`` in the
+    tests): a residual-stream gradient is the residual add's, then the layer
+    norm's; the attention input sums q, k, v of head 0, then of head 1, ...;
+    dropout masks are drawn first, encoder by encoder, layer by layer,
+    attention mask then FFN mask.  With ``grad`` False no tape is kept: the
+    views have no backward and no attention matrices come back, so a layer's
+    temporaries are freed before the next layer allocates its own (at long
+    streams they are about 0.7 MB a layer)."""
     cfg = encoders[0].cfg
     streams = [np.asarray(t, dtype=np.float64) for t in streams]
     s, n, d = len(streams), streams[0].shape[0], cfg.tf_model_dim
@@ -218,15 +221,17 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
         raise ad.ShapeMismatchError(f"token streams of lengths {[len(t) for t in streams]}")
     drop = train and cfg.dropout > 0
     masks = ad.dropout_mask(rng, cfg.dropout, (s, cfg.tf_layers, 2, n, d)) if drop else None
-    params, grad_blocks, groups = blocks
+    params, grad_blocks, groups, params_t = blocks
     width, scale = (len(params) - 2) // cfg.tf_layers, 1.0 / np.sqrt(d // cfg.tf_heads)
-    x = np.stack([t @ e.w_in.data + e.b_in.data for t, e in zip(streams, encoders)])
-    x = x + time_embedding(n, d)
+    x = np.empty((s, n, d))
+    for x_e, t, e in zip(x, streams, encoders):
+        np.add(np.matmul(t, e.w_in.data, out=x_e), e.b_in.data, out=x_e)
+    x += time_embedding(n, d)
     tape = []
     for l in range(cfg.tf_layers):
         g1, b1, g2, b2, qkv, wo, w1, c1, w2, c2 = params[l * width:(l + 1) * width]
         normed, ln1_grad = ad._layer_norm(x, g1, b1)
-        heads_out, probs, att_grad = ad._attention(normed, qkv, scale)
+        heads_out, probs, att_grad = ad._attention(normed, qkv, scale, params_t[l * width + 4])
         attended = heads_out @ wo
         if drop:
             attended = attended * masks[:, l, 0]
@@ -249,18 +254,18 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
     def fill(out, g):
         np.matmul(pooled.swapaxes(-1, -2), g, out=out[-2])
         out[-1][...] = g
-        g_x = np.repeat((g @ w_out.swapaxes(-1, -2)) / n, n, axis=-2)
+        g_x = np.repeat((g @ params_t[-2]) / n, n, axis=-2)
         for l in reversed(range(cfg.tf_layers)):
-            *_, wo, w1, _, w2, _ = params[l * width:(l + 1) * width]
+            *_, wo_t, w1_t, _, w2_t, _ = params_t[l * width:(l + 1) * width]
             o_g1, o_b1, o_g2, o_b2, o_qkv, o_wo, o_w1, o_c1, o_w2, o_c2 = out[l * width:][:width]
             ln1_grad, heads_out, _, att_grad, normed2, ln2_grad, active, h = tape[l]
             g_out = g_x * masks[:, l, 1] if drop else g_x
-            g_pre = (g_out @ w2.swapaxes(-1, -2)) * active
-            g_normed2 = g_pre @ w1.swapaxes(-1, -2)
+            g_pre = (g_out @ w2_t) * active
+            g_normed2 = g_pre @ w1_t
             g_ln, g_g2 = ln2_grad(g_normed2)
             g_x = g_x + g_ln
             g_att = g_x * masks[:, l, 0] if drop else g_x
-            g_parts, _ = att_grad(g_att @ wo.swapaxes(-1, -2), out=o_qkv)
+            g_parts, _ = att_grad(g_att @ wo_t, out=o_qkv)
             g_normed = np.add.reduce(g_parts.reshape(s, -1, n, d), axis=1)  # the parts in order
             g_ln, g_g1 = ln1_grad(g_normed)
             g_x = g_x + g_ln
@@ -280,8 +285,8 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True):
     if not grad:
         return Tensor(views), [[] for _ in streams]
     parents = sum((e.parents for e in encoders), ())
-    return (Tensor(views, parents=parents, backward=backward),
-            [[p for layer in tape for p in layer[2][i]] for i in range(s)])
+    probs = [[p for layer in tape for p in layer[2][i]] for i in range(s)] if attention else None
+    return Tensor(views, parents=parents, backward=backward), probs
 
 
 def fusion_attention(views, w):
@@ -374,12 +379,13 @@ class TemporalGraphClassifier:
         params = (*(t for ps in self.sage_params for t in ps), proj, proj_b)
         return Tensor(pooled @ proj.data + proj_b.data, parents=params, backward=backward)
 
-    def _head(self, views, rng=None, train=False, grad=True):
+    def _head(self, views, rng=None, train=False, grad=True, label=None):
         """The classifier head as one tape node in every mode: the view rows
         stacked, ``fusion_attention`` if the model has it, the reshape to one
-        row, dropout and the ``cls`` linear, bit for bit as that chain of
-        ``autodiff`` ops.  Returns (logits Tensor, FusionOutput); with
-        ``grad`` False no tape is kept."""
+        row, dropout, the ``cls`` linear and, given a ``label``, the
+        cross-entropy loss, bit for bit as that chain of ``autodiff`` ops.
+        Returns (logits Tensor, or the scalar loss Tensor given a label,
+        FusionOutput); with ``grad`` False no tape is kept."""
         x = np.concatenate([v.data for v in views])
         if self.fuse:
             x, weights, fuse_grad = fusion_attention(x, self.fuse_w)
@@ -391,10 +397,13 @@ class TemporalGraphClassifier:
         fused = fused * mask if drop else fused
         w, b = self.cls_w, self.cls_b
         logits, out = fused @ w.data + b.data, FusionOutput(fused.reshape(-1).copy(), weights)
+        if label is not None:  # the loss's gradient in the logits: softmax − one-hot
+            loss, g_logits = ad._cross_entropy(logits.reshape(-1), label)
         if not grad:
-            return Tensor(logits), out
+            return Tensor(logits if label is None else loss), out
 
         def backward(g):
+            g = g if label is None else float(g) * g_logits.reshape(logits.shape)
             b._accumulate(np.add.reduce(g, axis=0))
             w._accumulate(fused.T @ g)
             g_x = (g @ w.data.T * mask if drop else g @ w.data.T).reshape(x.shape)
@@ -407,21 +416,24 @@ class TemporalGraphClassifier:
                 v._accumulate(g_x[:len(v.data)])
                 g_x = g_x[len(v.data):]
 
-        return Tensor(logits, parents=(*views, *self.fuse, w, b), backward=backward), out
+        return Tensor(logits if label is None else loss, parents=(*views, *self.fuse, w, b),
+                      backward=backward), out
 
-    def forward(self, phi, psi, features, agg, rng=None, train=False, grad=True):
+    def forward(self, phi, psi, features, agg, rng=None, train=False, grad=True, label=None):
         """Compute logits for one graph.
 
         phi: N x topo_dim, psi: N x dos_bins, features: n x feature_dim,
-        agg: n x n neighbor-mean matrix.  Returns (logits Tensor, FusionOutput).
-        With ``grad`` False (evaluation) the encoders and the head keep no
-        tape, and no gradient reaches their parameters.
+        agg: n x n neighbor-mean matrix.  Returns (logits Tensor, FusionOutput);
+        given a ``label``, the head's node returns the cross-entropy loss
+        instead of the logits.  With ``grad`` False (evaluation) the encoders
+        and the head keep no tape, and no gradient reaches their parameters.
         """
         views = [self._structural_view(features, agg)] if self.has_view[0] else []
         if self.encoders:
             streams = [{"topo_tf": phi, "dos_tf": psi}[e.prefix] for e in self.encoders]
-            views.append(encode(self.encoders, self.blocks, streams, rng, train, grad)[0])
-        return self._head(views, rng, train, grad)
+            views.append(encode(self.encoders, self.blocks, streams, rng, train, grad,
+                                attention=False)[0])
+        return self._head(views, rng, train, grad, label)
 
     def save(self, path):
         """Checkpoint: JSON container of named arrays; round-trips bit-exactly

@@ -8,12 +8,13 @@ parameters when it is built, each encoder parameter group as one (S, ...)
 block of both arenas.  ``Adam`` updates the arena its parameters tile, in any
 order, with a handful of vectorized updates instead of a Python loop over
 tensors; ``pack`` refuses part of an arena (a new one would leave a model's
-blocks stale).  The moments ``m`` and ``v`` are flat arrays of the same
-length.  Every element goes through the same float operations in the same
-order as a per-tensor loop would, so results are bit-identical to it.  Code
-that changes a packed parameter must write into ``t.data`` in place, not
-rebind it.  ``step`` copies only gradients set by hand and leaves the arena's
-gradients intact.
+blocks stale).  A step sweeps five arrays of the arena's length: parameters,
+gradients, the moments ``m`` and ``v``, and one scratch array that holds g²,
+then the denominator, then the update.  Every element goes through the same
+float operations in the same order as a per-tensor loop would, so results are
+bit-identical to it.  Code that changes a packed parameter must write into
+``t.data`` in place, not rebind it.  ``step`` copies only gradients set by
+hand and leaves the arena's gradients intact.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class Adam:
         self.step_count = 0
         self.flat, self._grad = pack(params.values())
         self._tmp = np.empty_like(self.flat)
-        self._den = np.empty_like(self.flat)
-        self._grad_views = [t._grad_view for t in params.values()]
+        self._slots = [(name, t, t._grad_view) for name, t in params.items()]
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
@@ -81,7 +81,7 @@ class Adam:
             t.grad = None
 
     def step(self):
-        for (name, p), gv in zip(self.params.items(), self._grad_views):
+        for name, p, gv in self._slots:
             if p.grad is gv:
                 continue
             if p.grad is None:
@@ -95,13 +95,13 @@ class Adam:
         # lr * (m / bc1) / (sqrt(v / bc2) + eps) as in Kingma & Ba (2015), section 2
         scale = math.sqrt((1.0 - self.beta2**t) / (1.0 - self.beta2))
         alpha = self.lr * (1.0 - self.beta1) / (1.0 - self.beta1**t) * scale
-        p, g, m, v, tmp, den = self.flat, self._grad, self.m, self.v, self._tmp, self._den
+        p, g, m, v, tmp = self.flat, self._grad, self.m, self.v, self._tmp
         if self.weight_decay:
             p *= 1.0 - self.lr * self.weight_decay
         m *= self.beta1
         m += g
         v *= self.beta2
         v += np.multiply(g, g, out=tmp)
-        np.sqrt(v, out=den)
-        den += self.eps * scale
-        p -= np.multiply(alpha, np.divide(m, den, out=tmp), out=tmp)
+        np.sqrt(v, out=tmp)
+        tmp += self.eps * scale
+        p -= np.multiply(alpha, np.divide(m, tmp, out=tmp), out=tmp)

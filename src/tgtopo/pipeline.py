@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import spectral, temporal, topology
-from .autodiff import NonFiniteValueError, cross_entropy_with_logits
+from .autodiff import NonFiniteValueError
 from .data import Dataset
 from .errors import InputError, NumericalError
 from .model import (
@@ -218,12 +218,16 @@ def _model_config(features, num_classes, config: RunConfig) -> ModelConfig:
 def train(features: list, num_classes: int, config: RunConfig):
     """Per-graph stochastic updates in a seeded shuffled order.
 
-    Returns (model, Metrics with per-epoch mean loss history).
+    Returns (model, Metrics with per-epoch mean loss history).  A label
+    outside [0, num_classes) is refused before the model is built.
     """
     if num_classes < 2:
         raise PipelineError(f"need at least 2 classes, got {num_classes}")
     if not features:
         raise PipelineError("no graphs to train on")
+    for i, gf in enumerate(features):
+        if not 0 <= gf.label < num_classes:
+            raise PipelineError(f"graph {i} has label {gf.label}, outside [0, {num_classes})")
     model = TemporalGraphClassifier(_model_config(features, num_classes, config),
                                     seed=config.seed)
     opt = Adam(model.parameters, lr=config.lr, weight_decay=config.weight_decay)
@@ -235,10 +239,9 @@ def train(features: list, num_classes: int, config: RunConfig):
         for idx in order:
             gf = features[idx]
             opt.zero_grad()
-            logits, _ = model.forward(gf.phi, gf.psi, gf.features, gf.agg,
-                                      rng=rng, train=True)
             try:
-                loss = cross_entropy_with_logits(logits, gf.label)
+                loss, _ = model.forward(gf.phi, gf.psi, gf.features, gf.agg,
+                                        rng=rng, train=True, label=gf.label)
             except NonFiniteValueError as exc:
                 raise NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, graph {idx}"

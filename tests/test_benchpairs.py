@@ -86,6 +86,21 @@ def test_gain_shown_needs_nine_in_ten_wins_and_a_gap_beyond_the_parent_iqr(
     assert m["gain_shown"] is shown
 
 
+def test_pair_ratios_are_recorded_and_printed():
+    # each pair's change/parent: pairs 12/10, 11/10, 10/10, 9/10, then a zero
+    # parent, which has no ratio
+    m = benchpairs.compare("rate", _runs([10, 10, 10, 10, 0], [12, 11, 10, 9, 3]),
+                           {"better": "higher"})
+    assert m["pair_ratio"] == pytest.approx({"median": 1.05, "q1": 0.975, "q3": 1.125})
+    report = _report()
+    report["workloads"]["long-stream"]["metrics"]["extract_graphs_per_s"]["pair_ratio"] = (
+        m["pair_ratio"])
+    (line,), _ = benchpairs.verdict(report)
+    assert line.startswith("long-stream: extract_graphs_per_s 20->31 (5/5) x1.050 "
+                           "[0.975, 1.125], peak_rss_mb 50->60 (0/5);")
+    assert "pair_ratio" not in benchpairs.compare("rate", _runs([0, 0], [1, 2]), {})
+
+
 @pytest.mark.parametrize("parent, unresolved", [
     ([400, 450, 500, 550, 600, 630, 407, 520, 480, 560], True),  # IQR/median 0.20 > 0.1
     ([500, 505, 510, 495, 490, 500, 502, 498, 507, 493], False),

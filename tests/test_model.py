@@ -141,9 +141,10 @@ def fusion_chain(views, wq, wk, wv):
     return fused, weights
 
 
-def head_chain(model, views, rng=None, train=False, grad=True):
+def head_chain(model, views, rng=None, train=False, grad=True, label=None):
     """``TemporalGraphClassifier._head`` as the chain of tape ops it
-    replaces: concat, fusion attention (full mode), dropout and linear."""
+    replaces: concat, fusion attention (full mode), dropout, linear and,
+    given a label, the cross-entropy loss."""
     if model.fuse:
         fused, weights = fusion_chain(ad.concat(views, axis=0), *model.fuse)
     else:
@@ -153,6 +154,8 @@ def head_chain(model, views, rng=None, train=False, grad=True):
     if train and model.cfg.dropout > 0:
         fused = ad.dropout(fused, model.cfg.dropout, rng, train)
     logits = ad.add(ad.matmul(fused, model.cls_w), model.cls_b)
+    if label is not None:
+        logits = ad.cross_entropy_with_logits(logits, label)
     return logits, SimpleNamespace(fused=fused.data.reshape(-1).copy(), view_weights=weights)
 
 
@@ -486,9 +489,13 @@ class TestParameterArena:
 
     def test_stacks_share_memory_with_the_arena(self):
         model = self._model()
-        params, grads, groups = model.blocks
-        assert len(params) == len(grads) == len(groups) == 2 * 10 + 2
-        for p, g, ts in zip(params, grads, groups):
+        params, grads, groups, params_t = model.blocks
+        assert len(params) == len(grads) == len(groups) == len(params_t) == 2 * 10 + 2
+        for p, g, ts, p_t in zip(params, grads, groups, params_t):
+            # matmuls read a block's transposed view, built once, as the chain read w.T
+            assert p_t.base is model.arena and p_t.ctypes.data == p.ctypes.data
+            assert p_t.shape == (*p.shape[:-2], p.shape[-1], p.shape[-2])
+            assert p_t.strides == (*p.strides[:-2], p.strides[-1], p.strides[-2])
             assert np.shares_memory(p, model.arena) and np.shares_memory(g, model.grad_arena)
             assert p.base is model.arena and g.base is model.grad_arena
             assert p.flags.c_contiguous and g.flags.c_contiguous  # one slice each
@@ -499,10 +506,10 @@ class TestParameterArena:
         assert params[4].shape == (2, 2, 3, 32, 16)  # q, k, v of both heads
         assert params[0].shape == (2, 1, 32)
         for i, e in enumerate(model.encoders):
-            rows, grad_rows, tensors = e.blocks
+            rows, grad_rows, tensors, rows_t = e.blocks
             assert tensors is e.groups
             assert all(np.shares_memory(r, p[i]) and r.shape == (1, *p.shape[1:])
-                       for r, p in zip(rows + grad_rows, params + grads))
+                       for r, p in zip(rows + grad_rows + rows_t, params + grads + params_t))
 
     def test_encoder_forward_is_its_row_of_encode(self):
         # each encoder runs on its row of the model's blocks, with no repack,
@@ -966,6 +973,23 @@ class TestClassifier:
         assert [t._stamp for t in ran] == sorted((t._stamp for t in ran), reverse=True)
         assert all(t.grad is not None for t in model.parameters.values())
 
+    def test_training_step_tape_with_the_loss_in_the_head(self):
+        # given a label, the head's node is the loss: 3 closures a step, and
+        # its backward starts from softmax - one-hot
+        cfg = ModelConfig(mode="full", feature_dim=3)
+        model = TemporalGraphClassifier(cfg, seed=1)
+        phi, psi, feats, agg = self._toy_inputs(cfg, np.random.default_rng(3))
+        loss, _ = model.forward(phi, psi, feats, agg, train=True, label=1)
+        ran = []
+        for t in (loss, *loss._parents):
+            if t._backward is not None:
+                t._backward = (lambda t, run: lambda g: ran.append(t) or run(g))(t, t._backward)
+        loss.backward()
+        assert [t.data.shape for t in ran] == [(), (2, VIEW_DIM), (1, VIEW_DIM)]
+        assert ran[0] is loss and loss._parents[-2:] == (model.cls_w, model.cls_b)
+        assert all(t.grad is not None for t in model.parameters.values())
+
+
     def test_checkpoint_config_cannot_size_the_model(self, tmp_path):
         # a 98-byte file whose config asks for 1500-wide layers and that holds
         # no array: the model used to be built (105 MB) before any array was read
@@ -1008,3 +1032,39 @@ class TestClassifier:
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError):
             TemporalGraphClassifier.load(path)
+
+
+class TestLossInHead:
+    """``forward`` given a label returns the loss from the head's node, with
+    the bytes of the unfused chain ``cross_entropy_with_logits(forward(...)[0],
+    label)``: the loss, the fused row, every parameter gradient and the rng
+    state after the dropout draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(MODES), dropout=st.sampled_from([0.0, 0.3]),
+           label=st.sampled_from([0, 1]), n=st.integers(1, 8), seed=st.integers(0, 2**16))
+    def test_bytes_match_the_unfused_loss(self, mode, dropout, label, n, seed):
+        data = np.random.default_rng(seed)
+        phi, psi = data.normal(size=(n, 4)), np.abs(data.normal(size=(n, 4)))
+        feats, agg = _graph_inputs(5, 3, seed % 2 == 1, seed)
+        runs = []
+        for in_head in (True, False):
+            model = TemporalGraphClassifier(ModelConfig(mode=mode, feature_dim=3,
+                                                        dropout=dropout), seed=seed % 5)
+            rng = np.random.default_rng(seed)
+            if in_head:
+                loss, fusion = model.forward(phi, psi, feats, agg, rng, train=True, label=label)
+            else:
+                logits, fusion = model.forward(phi, psi, feats, agg, rng, train=True)
+                loss = ad.cross_entropy_with_logits(logits, label)
+            loss.backward()
+            runs.append((loss.data.tobytes(), fusion.fused.tobytes(), _param_grads(model),
+                         rng.random()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == len(model.parameters)
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_out_of_range(self, label):
+        model = TemporalGraphClassifier(ModelConfig(mode="topo-only"), seed=0)
+        with pytest.raises(ad.ShapeMismatchError, match=f"label {label} out of range"):
+            model.forward(np.zeros((3, 4)), None, None, None, train=True, label=label)

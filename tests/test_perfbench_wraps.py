@@ -99,11 +99,17 @@ def test_each_timestamp_trial_perturbs_once_by_module_attribute(monkeypatch):
     assert len(run_campaign(spec).trials) == len(calls) == spec.trials
 
 
-def test_one_adam_step_per_graph_step_and_one_fusion_call_per_forward():
+def test_one_adam_step_per_graph_step_and_one_fusion_call_per_forward(monkeypatch):
     # perfbench counts train_steps_per_s from Adam.step stamps and times the
     # fusion span around model.fusion_attention: a step that took two Adam
-    # steps, or a head that fused without that call, would change what they mean
+    # steps, or a head that fused without that call, would change what they
+    # mean.  Its wrap_layers names a forward's span from its train argument (a
+    # keyword, or the 7th positional argument with self), so a forward whose
+    # parameters moved would shift time between the train and eval spans
     spans = _load("spans")
+    monkeypatch.setitem(sys.modules, "spans", spans)  # bench imports it by name
+    monkeypatch.setattr(sys, "path", list(sys.path))  # Program() prepends src/
+    bench = _load("bench")
     dataset = synth_generate(dict(num_graphs=6, nodes=8, timesteps=8, classes=2,
                                   cycle_density=[0, 2]), 1)
     cfg = RunConfig(delta=4.0, sigma=2.0, epochs=2, folds=3)
@@ -112,10 +118,9 @@ def test_one_adam_step_per_graph_step_and_one_fusion_call_per_forward():
                                   (lambda: kfold_cv(dataset, cfg, features=feats),
                                    (cfg.folds - 1) * len(feats) * cfg.epochs, len(feats))):
         with spans.Tracer() as tracer:
-            tracer.wrap(tgtopo.optim.Adam, "step", "optim.adam_step")
-            tracer.wrap(tgtopo.model.TemporalGraphClassifier, "forward", "model.forward")
-            tracer.wrap(tgtopo.model, "fusion_attention", "model.forward.fusion")
+            bench.wrap_layers(bench.Program(), tracer)
             run()
         assert tracer.calls["optim.adam_step"] == steps
-        assert tracer.calls["model.forward"] == steps + evaluated
+        assert tracer.calls["model.forward.train"] == steps
+        assert tracer.calls["model.forward.eval"] == evaluated
         assert tracer.calls["model.forward.fusion"] == steps + evaluated

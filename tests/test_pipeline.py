@@ -399,6 +399,43 @@ class TestTraining:
         with pytest.raises(PipelineError, match="2 classes.*label 2"):
             evaluate(model, graphs)
 
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_training_label_outside_the_classes_is_refused_before_the_model(
+            self, small_features, label, monkeypatch):
+        # such a graph used to end in ShapeMismatchError from the loss, and only
+        # when its step came up, after the model had trained on the others
+        built = []
+        monkeypatch.setattr(tgtopo.pipeline, "TemporalGraphClassifier",
+                            lambda *a, **k: built.append(a) or TemporalGraphClassifier(*a, **k))
+        graphs = list(small_features[:6])
+        graphs[4] = replace(graphs[4], label=label)
+        with pytest.raises(PipelineError, match=f"^graph 4 has label {label}, outside "
+                                                r"\[0, 2\)$"):
+            train(graphs, 2, RunConfig(epochs=1))
+        assert built == []
+
+    @pytest.mark.parametrize("bias, cause", [
+        ((np.inf, 0.0), tgtopo.autodiff.NonFiniteValueError),  # non-finite logits
+        ((1e308, -1e308), type(None)),  # finite logits whose shift overflows for label 1
+    ], ids=["logits", "loss"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_loss_ends_training(self, small_features, bias, cause, monkeypatch):
+        # a zero cls.w passes no gradient, so the model never moves off the bias
+        class Poisoned(TemporalGraphClassifier):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.cls_w.data[...], self.cls_b.data[...] = 0.0, bias
+
+        monkeypatch.setattr(tgtopo.pipeline, "TemporalGraphClassifier", Poisoned)
+        cfg = RunConfig(epochs=1, seed=3)
+        order = np.random.default_rng(cfg.seed + 1).permutation(len(small_features))
+        idx = order[0] if np.isinf(bias[0]) else next(
+            i for i in order if small_features[i].label == 1)
+        with pytest.raises(tgtopo.pipeline.NonFiniteLossError,
+                           match=f"^non-finite loss at epoch 0, graph {idx}$") as info:
+            train(small_features, 2, cfg)
+        assert isinstance(info.value.__cause__, cause)
+
     def test_cv_with_classes_smaller_than_the_folds_scores_every_fold(self, small_dataset):
         # 3 graphs of each class over 5 folds: every fold tests a graph, and the
         # mean view weights sum to 1

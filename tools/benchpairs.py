@@ -16,23 +16,26 @@ Each side keeps its bytecode in its own directory, empty when the script starts
 the runs may write bytecode there even where ``PYTHONDONTWRITEBYTECODE`` is set.
 
 The BENCH file records every run, each metric's median and interquartile
-range per side, how many pairs the change won, how far its median is from the
-parent's against the bound in ``BENCHMARK.json``, whether a gain is shown
-(the change won at least 9 in 10 pairs and its median beats the parent's by
-more than the parent's interquartile range), whether the metric is unresolved
-(the parent's interquartile range over its median exceeds the bound, so the
-pairs cannot tell a regression of that size from noise), both sides'
-fingerprints and the fingerprint keys that differ on any pair, the ``src/``
-line counts, a sha256 of each side's ``src/`` files
-(so the file can be tied to the code it measured even when the change was not
-yet committed) and the environment, including whether ``PYTHONDONTWRITEBYTECODE``
-is set and the core name of numpy's bundled OpenBLAS (``openblas_kernel``, which
-``OPENBLAS_CORETYPE`` can force; the metrics-CSV fingerprints hold per kernel).  After writing it, the script prints the
-``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and one
-stderr line per workload (each metric's median parent -> change, the pairs
-won, the metrics outside their bound, with a gain shown, and unresolved, and
-the fingerprint keys that differ) and exits 1 if any pair's fingerprints differ
-or any run failed an operation.
+range per side, the median and quartiles of its per-pair change/parent ratio
+(``pair_ratio``, over the pairs whose parent value is not 0), how many pairs
+the change won, how far its median is from the parent's against the bound in
+``BENCHMARK.json``, whether a gain is shown (the change won at least 9 in 10
+pairs and its median beats the parent's by more than the parent's
+interquartile range), whether the metric is unresolved (the parent's
+interquartile range over its median exceeds the bound, so the pairs cannot
+tell a regression of that size from noise), both sides' fingerprints and the
+fingerprint keys that differ on any pair, the ``src/`` line counts, a sha256
+of each side's ``src/`` files (so the file can be tied to the code it measured
+even when the change was not yet committed) and the environment, including
+whether ``PYTHONDONTWRITEBYTECODE`` is set and the core name of numpy's
+bundled OpenBLAS (``openblas_kernel``, which ``OPENBLAS_CORETYPE`` can force;
+the metrics-CSV fingerprints hold per kernel).  After writing it, the script
+prints the ``src/`` line counts (``src/ lines: <parent> -> <change>
+(<delta>)``) and one stderr line per workload (each metric's median parent ->
+change, the pairs won and the pair ratio's median [q1, q3], the metrics
+outside their bound, with a gain shown, and unresolved, and the fingerprint
+keys that differ) and exits 1 if any pair's fingerprints differ or any run
+failed an operation.
 """
 
 import argparse
@@ -131,6 +134,8 @@ def compare(name, runs, spec):
     out = {"unit": spec.get("unit"), "better": "higher" if higher else "lower",
            "parent": spread(parent), "change": spread(change), "pairs": len(parent),
            "change_wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change))}
+    if ratios := [c / p for p, c in zip(parent, change) if p]:  # each pair's own change
+        out["pair_ratio"] = {k: spread(ratios)[k] for k in ("median", "q1", "q3")}
     p, c, iqr = out["parent"]["median"], out["change"]["median"], out["parent"]["iqr"]
     out["gain_shown"] = (10 * out["change_wins"] >= 9 * out["pairs"]
                          and ((c - p) if higher else (p - c)) > iqr)
@@ -160,6 +165,11 @@ def summarize(runs, specs):
     }
 
 
+def _ratio(m):
+    r = m.get("pair_ratio")
+    return f" x{r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]" if r else ""
+
+
 def _names(metrics, test):
     return ", ".join(name for name, m in metrics.items() if test(m)) or "none"
 
@@ -171,7 +181,8 @@ def verdict(report):
     for workload, summary in report["workloads"].items():
         metrics, differ = summary["metrics"], summary.get("fingerprints_differ", [])
         moves = ", ".join(f"{name} {m['parent']['median']:.4g}->{m['change']['median']:.4g}"
-                          f" ({m['change_wins']}/{m['pairs']})" for name, m in metrics.items())
+                          f" ({m['change_wins']}/{m['pairs']}){_ratio(m)}"
+                          for name, m in metrics.items())
         lines.append(f"{workload}: {moves}; "
                      f"outside bound: {_names(metrics, lambda m: not m.get('within_bound', True))}; "
                      f"gain shown: {_names(metrics, lambda m: m.get('gain_shown'))}; "
