@@ -15,12 +15,12 @@ parameter's values writes into ``t.data`` in place rather than rebinding it.
 
 Fused ops stand for a chain of the ops below as one tape node: in ``model``,
 ``TemporalGraphClassifier._structural_view``, ``encode`` and
-``TemporalGraphClassifier._head``.  Their forward and backward run the same
-numpy expressions on arrays of the same layout as the chain would, and an
-input's gradient adds the chain's contributions in a fixed order (the fusion
-views: the residual's, then q's, k's and v's; a hidden SAGE layer: its W_self
-term, then its neighbours'), so it is bit for bit the gradient of the unfused
-chain run in that order.
+``TemporalGraphClassifier._head`` (given a label, with the loss).  Their
+forward and backward run the same numpy expressions on arrays of the same
+layout as the chain would, and an input's gradient adds the chain's
+contributions in a fixed order (the fusion views: the residual's, then q's,
+k's and v's; a hidden SAGE layer: its W_self term, then its neighbours'), so
+it is bit for bit the gradient of the unfused chain run in that order.
 
 The kernels ``_layer_norm`` and ``_attention`` also take stacks of (S, N, d)
 inputs and (S, ...) parameters, each slice byte-equal to an unstacked call

@@ -9,11 +9,11 @@ three view tokens produces the fused 30-dimensional representation together
 with the per-view attention mass.
 
 Each part is one tape node (``TemporalGraphClassifier._structural_view``,
-``encode``, ``TemporalGraphClassifier._head``) running the chain of
-``autodiff`` ops it replaces, bit for bit: a hidden SAGE layer's gradient
-adds its W_self term, then its neighbours'; the fusion views add the
-residual's, then q, k, v.  Fusion and the encoders run the one attention
-kernel, ``autodiff._attention``.
+``encode``, ``TemporalGraphClassifier._head``, which given a label ends in the
+loss) running the chain of ``autodiff`` ops it replaces, bit for bit: a hidden
+SAGE layer's gradient adds its W_self term, then its neighbours'; the fusion
+views add the residual's, then q, k, v.  Fusion and the encoders run the one
+attention kernel, ``autodiff._attention``.
 """
 
 from __future__ import annotations
