@@ -979,15 +979,22 @@ class TestClassifier:
         cfg = ModelConfig(mode="full", feature_dim=3)
         model = TemporalGraphClassifier(cfg, seed=1)
         phi, psi, feats, agg = self._toy_inputs(cfg, np.random.default_rng(3))
+        logits = model.forward(phi, psi, feats, agg, train=True)[0].data.reshape(-1)
         loss, _ = model.forward(phi, psi, feats, agg, train=True, label=1)
         ran = []
+
+        def recording(t, run):
+            return lambda g: ran.append(t) or run(g)
+
         for t in (loss, *loss._parents):
             if t._backward is not None:
-                t._backward = (lambda t, run: lambda g: ran.append(t) or run(g))(t, t._backward)
+                t._backward = recording(t, t._backward)
         loss.backward()
         assert [t.data.shape for t in ran] == [(), (2, VIEW_DIM), (1, VIEW_DIM)]
         assert ran[0] is loss and loss._parents[-2:] == (model.cls_w, model.cls_b)
         assert all(t.grad is not None for t in model.parameters.values())
+        probs = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+        assert np.allclose(model.cls_b.grad, probs - [0.0, 1.0], rtol=0, atol=1e-15)
 
 
     def test_checkpoint_config_cannot_size_the_model(self, tmp_path):
