@@ -54,6 +54,7 @@ class NonFiniteValueError(NumericalError):
 
 # creation stamps, shared by every tape: a node is stamped after its parents
 _created = itertools.count()
+LN_EPS = 1e-5  # added to the variance by every layer norm
 
 
 class Tensor:
@@ -238,12 +239,12 @@ def softmax(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=backward)
 
 
-def _layer_norm(a, gain, bias, eps=1e-5):
+def _layer_norm(a, gain, bias):
     """Layer norm over the last axis of ``a``; returns the output and
     ``grad(g)``: the gradient of ``a`` and the gain's before its row sum."""
     d = a.shape[-1]
     centered = a - np.add.reduce(a, axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(np.add.reduce(centered**2, axis=-1, keepdims=True) / d + eps)
+    inv_std = 1.0 / np.sqrt(np.add.reduce(centered**2, axis=-1, keepdims=True) / d + LN_EPS)
     norm = centered * inv_std
 
     def grad(g):
@@ -256,12 +257,12 @@ def _layer_norm(a, gain, bias, eps=1e-5):
     return norm * gain + bias, grad
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply learned gain and shift."""
+def layer_norm(a, gain, bias) -> Tensor:
+    """Normalize over the last axis, with ``LN_EPS``, then apply learned gain and shift."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     if gain.data.shape != a.data.shape[-1:] or bias.data.shape != a.data.shape[-1:]:
         raise ShapeMismatchError("layer_norm gain/bias must match the last axis")
-    out_data, grad = _layer_norm(a.data, gain.data, bias.data, eps)
+    out_data, grad = _layer_norm(a.data, gain.data, bias.data)
 
     def backward(g):
         g_a, g_gain = grad(g)

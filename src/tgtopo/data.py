@@ -48,8 +48,6 @@ class Dataset:
 def write_graph(graph: TemporalGraph, path):
     if graph.label is None:
         raise DataError(f"{path}: an unlabeled graph cannot be written")
-    if not graph.num_events:  # load_graph refuses a header-only file
-        raise DataError(f"{path}: a graph with no events cannot be written")
     with open(path, "w") as fh:
         fh.write(f"n {graph.num_nodes} label {graph.label}\n")
         for u, v, t in graph.events.tolist():

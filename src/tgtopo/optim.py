@@ -1,4 +1,4 @@
-"""Adam with decoupled weight decay over one flat parameter arena.
+"""Adam with decoupled weight decay over one flat parameter arena; its betas and eps are fixed.
 
 ``pack`` copies parameters, in the order given, into one contiguous float64
 array and rebinds each tensor's ``data`` to a reshaped view of it; each
@@ -24,6 +24,8 @@ import math
 import numpy as np
 
 from .autodiff import ShapeMismatchError
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's settings, those Kingma & Ba (2015) suggest
 
 
 def pack(tensors):
@@ -53,21 +55,17 @@ def pack(tensors):
 
 
 class Adam:
-    """Bias-corrected Adam; weight decay is decoupled and applied as
-    p <- p * (1 - lr * wd) before the moment update.  ``m`` and ``v`` lack
-    their (1 - beta) factors (m <- beta1 m + g, v <- beta2 v + g^2); those
-    and the bias corrections fold into the step size and eps, so ``step``
-    makes 11 passes over the arena and one divide."""
+    """Bias-corrected Adam with ``BETA1``, ``BETA2`` and ``EPS``; weight decay
+    is decoupled and applied as p <- p * (1 - lr * wd) before the moment
+    update.  ``m`` and ``v`` lack their (1 - beta) factors (m <- beta1 m + g,
+    v <- beta2 v + g^2); those and the bias corrections fold into the step
+    size and eps, so ``step`` makes 11 passes over the arena and one divide."""
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=1e-4):
+    def __init__(self, params: dict, lr=1e-3, weight_decay=1e-4):
         if not lr > 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.flat, self._grad = pack(params.values())
@@ -93,15 +91,15 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         # lr * (m / bc1) / (sqrt(v / bc2) + eps) as in Kingma & Ba (2015), section 2
-        scale = math.sqrt((1.0 - self.beta2**t) / (1.0 - self.beta2))
-        alpha = self.lr * (1.0 - self.beta1) / (1.0 - self.beta1**t) * scale
+        scale = math.sqrt((1.0 - BETA2**t) / (1.0 - BETA2))
+        alpha = self.lr * (1.0 - BETA1) / (1.0 - BETA1**t) * scale
         p, g, m, v, tmp = self.flat, self._grad, self.m, self.v, self._tmp
         if self.weight_decay:
             p *= 1.0 - self.lr * self.weight_decay
-        m *= self.beta1
+        m *= BETA1
         m += g
-        v *= self.beta2
+        v *= BETA2
         v += np.multiply(g, g, out=tmp)
         np.sqrt(v, out=tmp)
-        tmp += self.eps * scale
+        tmp += EPS * scale
         p -= np.multiply(alpha, np.divide(m, tmp, out=tmp), out=tmp)

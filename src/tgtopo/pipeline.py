@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,6 +216,13 @@ def _model_config(features, num_classes, config: RunConfig) -> ModelConfig:
     )
 
 
+def _check_labels(features, num_classes):
+    """Refuse a label that is not an integer in [0, num_classes): None, a bool or 1.5 too."""
+    for i, y in enumerate(gf.label for gf in features):
+        if isinstance(y, bool) or not isinstance(y, numbers.Integral) or not 0 <= y < num_classes:
+            raise PipelineError(f"graph {i} has label {y}, outside [0, {num_classes})")
+
+
 def train(features: list, num_classes: int, config: RunConfig):
     """Per-graph stochastic updates in a seeded shuffled order.
 
@@ -225,9 +233,7 @@ def train(features: list, num_classes: int, config: RunConfig):
         raise PipelineError(f"need at least 2 classes, got {num_classes}")
     if not features:
         raise PipelineError("no graphs to train on")
-    for i, gf in enumerate(features):
-        if not 0 <= gf.label < num_classes:
-            raise PipelineError(f"graph {i} has label {gf.label}, outside [0, {num_classes})")
+    _check_labels(features, num_classes)
     model = TemporalGraphClassifier(_model_config(features, num_classes, config),
                                     seed=config.seed)
     opt = Adam(model.parameters, lr=config.lr, weight_decay=config.weight_decay)
@@ -264,8 +270,7 @@ def evaluate(model, features: list, dataset_name="dataset"):
     for no graphs at all."""
     if not features:
         raise PipelineError("no graphs to evaluate")
-    if (top := max(gf.label for gf in features)) >= (k := model.cfg.num_classes):
-        raise PipelineError(f"the model was trained with {k} classes, but the data has label {top}")
+    _check_labels(features, model.cfg.num_classes)
     for name, width in _input_widths(features[0]).items():
         expected = getattr(model.cfg, name)
         if width != expected:

@@ -45,9 +45,9 @@ class WindowSpec:
 
 @dataclass(frozen=True, eq=False)  # == on an array field would raise
 class TemporalGraph:
-    """Immutable events sorted by timestamp.
+    """Immutable events sorted by timestamp, at least one: every builder comes here.
 
-    ``events`` is a read-only (E, 3) float64 array of rows ``(u, v, t)``,
+    ``events`` is a read-only (E, 3) float64 array of rows ``(u, v, t)``, E >= 1,
     stable-sorted here by ``t``; node ids below 2**53 are exact, repeated pairs
     are kept.  It is a copy held over immutable ``bytes``, so no view can be
     made writeable.  The rows are not validated: ``from_events`` does that.
@@ -59,6 +59,8 @@ class TemporalGraph:
 
     def __post_init__(self):
         ev = np.asarray(self.events, np.float64)
+        if not len(ev):
+            raise TemporalGraphError("empty event list")
         ev = ev[np.argsort(ev[:, 2], kind="stable")]
         object.__setattr__(self, "events", np.ndarray(ev.shape, np.float64, ev.tobytes()))
 
@@ -68,11 +70,11 @@ class TemporalGraph:
 
     @property
     def t_min(self) -> float:
-        return float(self.events[0, 2]) if len(self.events) else math.nan
+        return float(self.events[0, 2])
 
     @property
     def t_max(self) -> float:
-        return float(self.events[-1, 2]) if len(self.events) else math.nan
+        return float(self.events[-1, 2])
 
 
 STACK_LIMIT = 1 << 17  # matrix entries per group of stacked windows: 1 MB of float64
@@ -109,8 +111,8 @@ def _check_events(num_nodes, ev, events):
         raise TemporalGraphError(f"event ({u},{v}) has timestamp {float(t)}")
 
 
-def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGraph:
-    """Build a TemporalGraph, validating integer endpoints and times."""
+def from_events(num_nodes, events, label=None) -> TemporalGraph:
+    """Build a TemporalGraph, validating integer endpoints and times, then nonemptiness."""
     events, checked = list(events), []
     for u, v, t in events:
         try:
@@ -124,13 +126,11 @@ def from_events(num_nodes, events, label=None, allow_empty=False) -> TemporalGra
         checked.append((iu, iv, t))
     ev = _array(checked)
     _check_events(num_nodes, ev, events)
-    if not checked and not allow_empty:
-        raise TemporalGraphError("empty event list (pass allow_empty=True to permit)")
     return TemporalGraph(num_nodes, ev, label)
 
 
 def from_records(num_nodes, records, label=None) -> TemporalGraph:
-    """``from_events`` for a nonempty ``EVENT`` array."""
+    """``from_events`` for an ``EVENT`` array."""
     ev = np.column_stack((records["u"], records["v"], records["t"]))
     _check_events(num_nodes, ev, records)
     return TemporalGraph(num_nodes, ev, label)
@@ -237,8 +237,6 @@ def _windows(graph: TemporalGraph, starts, delta) -> Windows:
 def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
     """Number of sliding windows: ceil((t_max - t_min - delta)/sigma) + 1, min 1;
     a count above ``WINDOW_LIMIT`` raises before anything is allocated."""
-    if graph.num_events == 0:
-        raise TemporalGraphError("window_count requires a nonempty graph")
     span = graph.t_max - graph.t_min
     if span <= spec.delta:
         return 1

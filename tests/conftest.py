@@ -97,9 +97,11 @@ def window_from_edges(edges):
 def as_windows(windows):
     """The program's ``Windows`` for hand-built ``WindowGraph``s: window i's
     events (each pair repeated by its multiplicity) at time 2i, cut by
-    ``temporal._windows`` into the windows [2i, 2i + 1]."""
+    ``temporal._windows`` into the windows [2i, 2i + 1].  Windows that are all
+    empty get one event at time -1, outside every window, as a graph has one."""
     events = [(u, v, 2.0 * i) for i, w in enumerate(windows)
               for (u, v), m in zip(w.edges, w.edge_multiplicity) for _ in range(m)]
-    n = max((x for w in windows for x in w.nodes), default=0) + 1
+    events = events or [(0, 1, -1.0)]
+    n = max((x for w in windows for x in w.nodes), default=1) + 1
     graph = TemporalGraph(n, np.array(events, np.float64).reshape(-1, 3))
     return _windows(graph, 2.0 * np.arange(len(windows)), 1.0)

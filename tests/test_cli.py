@@ -144,7 +144,7 @@ class TestExitCodes:
         code = main(["eval", "--model", str(ckpt), "--data", str(tmp_path / "ds3"),
                      "--report", str(tmp_path / "r.csv"), "--config", str(cfg)])
         assert code == 2
-        assert "2 classes" in capsys.readouterr().err
+        assert "has label 2, outside [0, 2)" in capsys.readouterr().err
 
     def test_success(self, dataset_dir, tmp_path, capsys):
         code = main(["extract", "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
@@ -155,6 +155,8 @@ class TestExitCodes:
         pytest.param(_graph_args, "0 7 1.0\n", id="node_out_of_range"),
         pytest.param(_graph_args, "0 1 1.0\n0 1 nan\n", id="trailing_nan_timestamp"),
         pytest.param(_graph_args, "0 1 inf\n1 2 1.0\n", id="inf_timestamp"),
+        pytest.param(_graph_args, "", id="header_only_graph_file"),
+        pytest.param(_graph_args, "\n \n", id="blank_event_lines"),
         pytest.param(_node_count_args, 2**54, id="node_count_above_two_to_53"),
         # the (n, n) aggregation matrix is over temporal.ENTRY_LIMIT: refused unallocated
         pytest.param(_node_count_args, 2**53, id="node_count_out_of_memory"),
@@ -384,10 +386,6 @@ def _label_out_of_range(root):
     return load_dataset(root)
 
 
-def _empty_graph():
-    return tgtopo.temporal.from_events(2, [], allow_empty=True)
-
-
 # (module class, id, call that refuses, message with {tmp} for the call's directory)
 REFUSALS = [
     (TemporalGraphError, "out_of_range_node",
@@ -398,10 +396,7 @@ REFUSALS = [
      lambda _: tgtopo.temporal.from_events(2, [(0, 1, float("nan"))]),
      "event (0,1) has timestamp nan"),
     (TemporalGraphError, "empty_event_list", lambda _: tgtopo.temporal.from_events(2, []),
-     "empty event list (pass allow_empty=True to permit)"),
-    (TemporalGraphError, "empty_graph",
-     lambda _: tgtopo.temporal.window_count(_empty_graph(), tgtopo.temporal.WindowSpec(2.0, 1.0)),
-     "window_count requires a nonempty graph"),
+     "empty event list"),
     (TemporalGraphError, "empty_timesteps",
      lambda _: tgtopo.temporal.temporal_degree(
          tgtopo.temporal.from_events(2, [(0, 1, 1.0)]), []),

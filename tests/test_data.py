@@ -17,7 +17,7 @@ from tgtopo.data import (
     write_graph,
 )
 from tgtopo.errors import InputError
-from tgtopo.temporal import from_events, window_sequence, WindowSpec
+from tgtopo.temporal import TemporalGraphError, from_events, window_sequence, WindowSpec
 from tgtopo import topology
 
 
@@ -48,12 +48,10 @@ class TestGraphIO:
         assert not path.exists()
 
     def test_empty_graph_refused_before_writing(self, tmp_path):
-        # load_graph refuses a header-only file, so save_dataset would write a
-        # dataset that load_dataset cannot read
-        path = tmp_path / "g.txt"
-        with pytest.raises(DataError, match="no events"):
-            write_graph(from_events(3, [], label=0, allow_empty=True), path)
-        assert not path.exists()
+        # load_graph refuses a header-only file, so save_dataset could write a
+        # dataset that load_dataset cannot read: no such graph can be built
+        with pytest.raises(TemporalGraphError, match="^empty event list$"):
+            from_events(3, [], label=0)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "g.txt"

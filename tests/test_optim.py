@@ -68,7 +68,7 @@ class TestAdam:
     def test_two_step_hand_trace(self):
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         p = _param([0.3])
-        opt = Adam({"p": p}, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
+        opt = Adam({"p": p}, lr=lr, weight_decay=0.0)
         x = 0.3
         m = v = 0.0
         for t, g in ((1, 0.7), (2, -0.2)):
@@ -125,8 +125,9 @@ class TestFlatArena:
         shapes = {"w": (3, 4), "b": (5,), "s": (), "t": (2, 1, 3), "u": (1, 7)}
         init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = {name: _param(x) for name, x in init.items()}
-        hp = dict(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-3)
+        hp = dict(lr=0.01, weight_decay=1e-3)
         opt = Adam(params, **hp)
+        hp.update(beta1=0.9, beta2=0.999, eps=1e-8)  # the references take Adam's constants
         refs = [{name: x.copy() for name, x in init.items()} for _ in range(2)]
         moments = [[{name: np.zeros_like(x) for name, x in init.items()} for _ in range(2)]
                    for _ in range(2)]

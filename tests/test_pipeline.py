@@ -2,6 +2,7 @@ import ctypes
 import glob
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -396,8 +397,23 @@ class TestTraining:
         # a 2-class model once scored a class-2 graph, which it cannot classify right
         model, _ = train(small_features[:2], 2, RunConfig(epochs=1))
         graphs = [small_features[0], replace(small_features[1], label=2)]
-        with pytest.raises(PipelineError, match="2 classes.*label 2"):
+        with pytest.raises(PipelineError, match=r"^graph 1 has label 2, outside \[0, 2\)$"):
             evaluate(model, graphs)
+
+    @pytest.mark.parametrize("call", ["train", "evaluate"])
+    @pytest.mark.parametrize("label", [None, True, 1.5, -1, 2])
+    def test_label_that_is_not_a_class_is_refused_by_train_and_evaluate(
+            self, small_features, label, call):
+        # evaluate once scored -1, 1.5 and True as a wrong prediction, and train
+        # ended in TypeError, IndexError or ValueError from the model
+        graphs = list(small_features[:6])
+        graphs[4] = replace(graphs[4], label=label)
+        message = rf"^graph 4 has label {re.escape(str(label))}, outside \[0, 2\)$"
+        with pytest.raises(PipelineError, match=message):
+            if call == "train":
+                train(graphs, 2, RunConfig(epochs=1))
+            else:
+                evaluate(train(small_features[:2], 2, RunConfig(epochs=1))[0], graphs)
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_training_label_outside_the_classes_is_refused_before_the_model(

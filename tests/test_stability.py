@@ -113,10 +113,6 @@ class TestPerturbTimestamps:
             for seed in range(10):
                 perturb_timestamps(g, 1e300, seed)
 
-    def test_empty_graph_is_refused_as_before(self):
-        with pytest.raises(TemporalGraphError, match="^graph has no events$"):
-            perturb_timestamps(from_events(3, [], allow_empty=True), 0.1, 0)
-
     def test_seed_determinism(self):
         g = from_events(3, [(0, 1, 1.0), (1, 2, 2.0)])
         a, _ = perturb_timestamps(g, 0.1, seed=5)
@@ -245,11 +241,6 @@ class TestTrials:
         lhs, rhs = topo_stability_trial(g, 1e-9, seed=1)
         assert lhs == pytest.approx(0.0, abs=1e-6)
         assert rhs <= 3e-9
-
-    def test_topo_trial_empty_graph_rejected(self):
-        g = from_events(3, [], allow_empty=True)
-        with pytest.raises(StabilityError):
-            topo_stability_trial(g, 0.1, seed=0)
 
     def test_spectral_trial_bounds(self):
         rng = np.random.default_rng(9)

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tgtopo.temporal
-from tgtopo.data import load_graph
+from tgtopo.data import ParseError, load_graph
 from tgtopo.stability import perturb_timestamps, random_temporal_graph
 from tgtopo.temporal import (
+    EVENT,
     TemporalGraph,
     TemporalGraphError,
     WindowGraph,
     WindowSpec,
     from_events,
+    from_records,
     static_projection,
     temporal_degree,
     _unique,
@@ -75,11 +77,12 @@ class TestFromEvents:
             from_events(3, events)
         assert str(exc.value) == message
 
-    def test_empty_needs_flag(self):
-        with pytest.raises(TemporalGraphError, match=r"^empty event list \(pass allow_empty=True"):
+    def test_empty_list_is_refused(self):
+        with pytest.raises(TemporalGraphError, match="^empty event list$"):
             from_events(2, [])
-        g = from_events(2, [], allow_empty=True)
-        assert g.num_events == 0
+        # the events are checked first, so a bad node count is named before emptiness
+        with pytest.raises(TemporalGraphError, match="^num_nodes must be"):
+            from_events(0, [])
 
     def test_duplicates_preserved(self):
         g = from_events(2, [(0, 1, 1.0), (0, 1, 1.0)])
@@ -107,7 +110,6 @@ def _load(tmp_path, refused, **how):
 
 BUILDERS = {
     "from_events": lambda tmp_path: from_events(5, EVENTS),
-    "from_events_allow_empty": lambda tmp_path: from_events(5, [], allow_empty=True),
     "load_graph_numpy_parse": lambda tmp_path: _load(  # numpy reads every line
         tmp_path, "tgtopo.data.from_events", side_effect=AssertionError),
     "load_graph_line_loop": lambda tmp_path: _load(
@@ -115,7 +117,6 @@ BUILDERS = {
     "perturb_timestamps": lambda tmp_path: perturb_timestamps(from_events(5, EVENTS), 0.5, 1)[0],
     "random_temporal_graph": lambda tmp_path: random_temporal_graph(np.random.default_rng(2)),
     "temporal_graph": lambda tmp_path: TemporalGraph(5, np.array(EVENTS)),
-    "temporal_graph_empty": lambda tmp_path: TemporalGraph(5, np.empty((0, 3))),
 }
 
 
@@ -123,7 +124,29 @@ def test_temporal_graph_stable_sorts_its_rows():
     # the one place events are put in time order: every builder hands its rows over as they are
     rows = np.array(EVENTS)
     assert TemporalGraph(5, rows).events.tolist() == rows[[3, 1, 0, 2]].tolist()  # 2.5 tied
-    assert TemporalGraph(5, np.empty((0, 3))).events.shape == (0, 3)
+
+
+def _header_only(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 5 label 1\n")
+    return load_graph(path)
+
+
+# every way to build a graph with no events: the one refusal in TemporalGraph
+EMPTY_BUILDERS = {
+    "from_events": (lambda tmp_path: from_events(5, []), TemporalGraphError, ""),
+    "temporal_graph": (lambda tmp_path: TemporalGraph(5, np.empty((0, 3))), TemporalGraphError, ""),
+    "from_records": (lambda tmp_path: from_records(5, np.empty(0, EVENT)), TemporalGraphError, ""),
+    "load_graph_header_only": (_header_only, ParseError, "{tmp}/g.txt: "),  # CLI exit 2
+}
+
+
+@pytest.mark.parametrize("build, error, where", EMPTY_BUILDERS.values(), ids=EMPTY_BUILDERS.keys())
+def test_every_builder_refuses_an_empty_event_list(build, error, where, tmp_path):
+    with pytest.raises(error) as exc:
+        build(tmp_path)
+    assert type(exc.value) is error
+    assert str(exc.value) == where.format(tmp=tmp_path) + "empty event list"
 
 
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
@@ -133,11 +156,8 @@ def test_builder_gives_read_only_time_sorted_events(build, tmp_path):
     assert type(ev) is np.ndarray and ev.dtype == np.float64 and ev.shape == (g.num_events, 3)
     assert ev.flags.c_contiguous and not ev.flags.writeable
     assert np.all(ev[1:, 2] >= ev[:-1, 2])
-    assert type(g.t_min) is float and type(g.t_max) is float
-    if g.num_events:
-        assert (g.t_min, g.t_max) == (ev[0, 2], ev[-1, 2])
-    else:
-        assert math.isnan(g.t_min) and math.isnan(g.t_max)
+    assert g.num_events and type(g.t_min) is float and type(g.t_max) is float
+    assert (g.t_min, g.t_max) == (ev[0, 2], ev[-1, 2])
 
 
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
@@ -174,11 +194,6 @@ class TestWindowCount:
         g = from_events(2, [(0, 1, 0.0), (0, 1, 24.0)])
         starts = [s for s in range(0, 25, 4) if s <= 24 - 6]
         assert window_count(g, WindowSpec(6.0, 4.0)) == len(starts) + 1 == 6
-
-    def test_empty_graph_raises(self):
-        g = from_events(2, [], allow_empty=True)
-        with pytest.raises(TemporalGraphError, match="^window_count requires a nonempty graph$"):
-            window_count(g, WindowSpec(2.0, 1.0))
 
     def test_random_configs_match_enumeration(self):
         rng = np.random.default_rng(11)
@@ -226,10 +241,10 @@ class TestWindow:
         for _ in range(300):
             n = int(rng.integers(2, 9))
             events = []
-            for _ in range(int(rng.integers(0, 40))):
+            for _ in range(int(rng.integers(1, 40))):
                 u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
                 events.append((u, v, float(rng.integers(0, 12))))
-            g = from_events(n, events, allow_empty=True)
+            g = from_events(n, events)
             for _ in range(10):
                 t = float(rng.integers(-2, 13)) if rng.random() < 0.7 else rng.uniform(-2, 13)
                 delta = float(rng.integers(1, 6)) if rng.random() < 0.7 else rng.uniform(0.1, 6)
@@ -425,13 +440,14 @@ class TestTemporalDegree:
 
     @settings(max_examples=60, deadline=None)
     @given(events=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                                     st.integers(-2, 5).map(float)), max_size=30),
+                                     st.integers(-2, 5).map(float)).filter(lambda e: e[0] != e[1]),
+                           min_size=1, max_size=30),
            grid=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 3.0, 5.0, math.nan]),
                          min_size=1, max_size=8))
     def test_matches_event_loop(self, events, grid):
         # the event loop it replaced: a duplicated timestep counts in its
         # last column, and an unsorted or NaN grid is allowed
-        g = from_events(5, [(u, v, t) for u, v, t in events if u != v], allow_empty=True)
+        g = from_events(5, events)
         col = {float(t): j for j, t in enumerate(grid)}
         want = np.zeros((5, len(grid)))
         for u, v, t in g.events.tolist():
@@ -460,9 +476,9 @@ def temporal_degree_add_at(graph, timesteps, binary=False):
 def test_temporal_degree_matches_add_at(n, binary, data, grid):
     # repeated events, a duplicated or NaN timestep, nodes with no event
     ids = st.integers(0, n - 1)
-    events = data.draw(st.lists(st.tuples(ids, ids, st.sampled_from([-1.0, 0.0, 1.0, 2.5, 5.0])),
-                                max_size=30))
-    g = from_events(n, [e for e in events if e[0] != e[1]], allow_empty=True)
+    event = st.tuples(ids, ids, st.sampled_from([-1.0, 0.0, 1.0, 2.5, 5.0]))
+    events = data.draw(st.lists(event.filter(lambda e: e[0] != e[1]), min_size=1, max_size=30))
+    g = from_events(n, events)
     got, want = temporal_degree(g, grid, binary), temporal_degree_add_at(g, grid, binary)
     assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
     assert got.tobytes() == want.tobytes()
@@ -472,11 +488,6 @@ class TestStaticProjection:
     def test_dedup(self):
         g = from_events(3, [(0, 1, 1.0), (0, 1, 3.0), (1, 2, 2.0)])
         assert static_projection(g).edges == ((0, 1), (1, 2))
-
-    def test_empty(self):
-        g = from_events(3, [], allow_empty=True)
-        s = static_projection(g)
-        assert s.edges == () and s.num_nodes == 3
 
     def test_reversed_pairs_come_out_sorted(self):
         g = from_events(3, [(2, 0, 1.0), (1, 0, 2.0)])

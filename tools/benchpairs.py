@@ -34,8 +34,9 @@ prints the ``src/`` line counts (``src/ lines: <parent> -> <change>
 (<delta>)``) and one stderr line per workload (each metric's median parent ->
 change, the pairs won and the pair ratio's median [q1, q3], the metrics
 outside their bound, with a gain shown, and unresolved, and the fingerprint
-keys that differ) and exits 1 if any pair's fingerprints differ or any run
-failed an operation.
+keys that differ) and exits 1 if any pair's fingerprints differ, any run
+failed an operation or any metric's median is worse than the parent's by
+more than its bound.
 """
 
 import argparse
@@ -176,7 +177,7 @@ def _names(metrics, test):
 
 def verdict(report):
     """One summary line per workload, and whether every pair's fingerprints
-    matched and no run failed an operation."""
+    matched, no run failed an operation and every metric is within its bound."""
     lines, ok = [], True
     for workload, summary in report["workloads"].items():
         metrics, differ = summary["metrics"], summary.get("fingerprints_differ", [])
@@ -190,7 +191,8 @@ def verdict(report):
                      f"fingerprints match: {summary['fingerprints_match']}"
                      f"{' (differ: ' + ', '.join(differ) + ')' if differ else ''}; "
                      f"failed: {summary['failed']}")
-        ok &= summary["fingerprints_match"] and not any(summary["failed"].values())
+        ok &= (summary["fingerprints_match"] and not any(summary["failed"].values())
+               and all(m.get("within_bound", True) for m in metrics.values()))
     return lines, ok
 
 
