@@ -45,7 +45,7 @@ class WindowSpec:
 
 @dataclass(frozen=True, eq=False)  # == on an array field would raise
 class TemporalGraph:
-    """Immutable events sorted by timestamp, at least one: every builder comes here.
+    """Immutable events, at least one, sorted by timestamp; every builder comes through here.
 
     ``events`` is a read-only (E, 3) float64 array of rows ``(u, v, t)``, E >= 1,
     stable-sorted here by ``t``; node ids below 2**53 are exact, repeated pairs
