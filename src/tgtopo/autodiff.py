@@ -3,7 +3,10 @@
 Each ``Tensor`` wraps a float64 array; operations record closures on a tape
 (the parent DAG) and ``backward`` replays them in reverse creation order,
 which runs a node after every node that consumes it.  Only the operations
-needed by the classifier are provided.
+needed by the classifier are provided.  An op computes its value and gives
+``_node`` one gradient function of ``g`` per input; the node's one closure
+feeds each input that requires a gradient, in the order given.  ``layer_norm``
+keeps a closure of its own: one ``_layer_norm`` gradient call feeds two inputs.
 
 Backward visits only the parents whose closure can run (``_nodes``), never
 constant inputs such as token matrices or leaf parameters.  A tensor's first
@@ -115,43 +118,34 @@ def _unbroadcast(g, shape):
     return g
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data + b.data
+def _node(out, *inputs) -> Tensor:
+    """A tape node of value ``out`` over ``(tensor, grad)`` pairs: the tensors, in order,
+    are its parents, and its backward gives each that requires a gradient ``grad(g)``."""
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        for t, grad in inputs:
+            if t.requires_grad:
+                t._accumulate(grad(g))
 
-    return Tensor(out_data, parents=(a, b), backward=backward)
+    return Tensor(out, parents=tuple(t for t, _ in inputs), backward=backward)
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    return _node(a.data + b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def scale(a, s: float) -> Tensor:
-    a = _as_tensor(a)
-    s = float(s)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(s * g)
-
-    return Tensor(a.data * s, parents=(a,), backward=backward)
+    a, s = _as_tensor(a), float(s)
+    return _node(a.data * s, (a, lambda g: s * g))
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return Tensor(out_data, parents=(a, b), backward=backward)
+    return _node(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def _attention(x, w, scale, w_t=None):
@@ -216,27 +210,15 @@ def accumulate_blocks(groups, views, fill):
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=backward)
+    return _node(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _as_tensor(a)
-    shifted = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / np.add.reduce(exp, axis=-1, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = np.add.reduce(g * out_data, axis=-1, keepdims=True)
-            a._accumulate(out_data * (g - dot))
-
-    return Tensor(out_data, parents=(a,), backward=backward)
+    exp = np.exp(a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True))
+    out = exp / np.add.reduce(exp, axis=-1, keepdims=True)
+    return _node(out, (a, lambda g: out * (g - np.add.reduce(g * out, axis=-1, keepdims=True))))
 
 
 def _layer_norm(a, gain, bias):
@@ -258,7 +240,8 @@ def _layer_norm(a, gain, bias):
 
 
 def layer_norm(a, gain, bias) -> Tensor:
-    """Normalize over the last axis, with ``LN_EPS``, then apply learned gain and shift."""
+    """Normalize over the last axis, with ``LN_EPS``, then apply learned gain and shift.
+    Its own backward, not ``_node``'s: one ``_layer_norm`` gradient call feeds ``a`` and gain."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     if gain.data.shape != a.data.shape[-1:] or bias.data.shape != a.data.shape[-1:]:
         raise ShapeMismatchError("layer_norm gain/bias must match the last axis")
@@ -290,40 +273,22 @@ def dropout(a, rate: float, rng: np.random.Generator, train: bool = True) -> Ten
     if not train or rate == 0.0:
         return a
     mask = dropout_mask(rng, rate, a.data.shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return Tensor(a.data * mask, parents=(a,), backward=backward)
+    return _node(a.data * mask, (a, lambda g: g * mask))
 
 
 def mean_pool(a, axis: int = 0) -> Tensor:
     a = _as_tensor(a)
     n = a.data.shape[axis]
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
-
-    return Tensor(a.data.mean(axis=axis), parents=(a,), backward=backward)
+    return _node(a.data.mean(axis=axis),
+                 (a, lambda g: np.repeat(np.expand_dims(g / n, axis), n, axis=axis)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offset, offset + size)
-                t._accumulate(g[tuple(sl)])
-            offset += size
-
-    return Tensor(out_data, parents=tuple(tensors), backward=backward)
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])
+    return _node(np.concatenate([t.data for t in tensors], axis=axis),  # axis may be < 0
+                 *((t, lambda g, s=slice(end - t.data.shape[axis], end):
+                    g.swapaxes(0, axis)[s].swapaxes(0, axis)) for t, end in zip(tensors, ends)))
 
 
 def embedding_add(tokens, table) -> Tensor:
@@ -354,9 +319,4 @@ def cross_entropy_with_logits(logits, label: int) -> Tensor:
     """Negative log-likelihood of ``label`` under softmax(logits); scalar."""
     logits = _as_tensor(logits)
     loss, grad = _cross_entropy(logits.data.reshape(-1), label)
-
-    def backward(g):
-        if logits.requires_grad:
-            logits._accumulate(float(g) * grad.reshape(logits.data.shape))
-
-    return Tensor(loss, parents=(logits,), backward=backward)
+    return _node(loss, (logits, lambda g: float(g) * grad.reshape(logits.data.shape)))

@@ -228,13 +228,6 @@ def _draw_er(rng, n_low=20, n_high=60, p=0.2):
     return np.flatnonzero(kept), (np.cumsum(kept) - 1)[np.column_stack([i, j])]
 
 
-def random_er_window(rng, n_low=20, n_high=60, p=0.2) -> WindowGraph:
-    """Erdős–Rényi window with isolated vertices dropped."""
-    nodes, pairs = _draw_er(rng, n_low, n_high, p)
-    edges = tuple(zip(*nodes[pairs].T.tolist()))
-    return WindowGraph(0, 0.0, 1.0, tuple(nodes.tolist()), edges, (1,) * len(edges))
-
-
 def run_campaign(spec: PerturbationSpec) -> StabilityReport:
     """Aggregate independent trials with per-trial derived seeds."""
     report = StabilityReport(mode="topo" if spec.mode == "timestamp" else "spectral")

@@ -85,6 +85,12 @@ def random_er_edges(rng, n, p):
     ]
 
 
+def er_window(rng, n_low=20, n_high=60, p=0.2):
+    """An Erdős–Rényi window over n in [n_low, n_high] nodes, isolated nodes
+    dropped: the draws, in order, of ``stability._draw_er``, one per pair."""
+    return window_from_edges(random_er_edges(rng, int(rng.integers(n_low, n_high + 1)), p))
+
+
 def window_from_edges(edges):
     """Build a WindowGraph directly from a simple edge list."""
     from tgtopo.temporal import WindowGraph

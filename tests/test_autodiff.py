@@ -5,6 +5,7 @@ max(|analytic|, |numeric|, 1) must stay below 1e-4.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -187,14 +188,12 @@ class TestFiniteDifferences:
 
         fd_check(make, lambda ps: weighted_sum(mean_pool(ps[0], axis=0)))
 
-    def test_concat(self):
+    @pytest.mark.parametrize("axis, shapes", [(0, [(2, 3), (4, 3)]), (-1, [(3, 2), (3, 4)])])
+    def test_concat(self, axis, shapes):
         def make(rng):
-            return [
-                Tensor(rng.normal(size=(2, 3)), requires_grad=True),
-                Tensor(rng.normal(size=(4, 3)), requires_grad=True),
-            ]
+            return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
 
-        fd_check(make, lambda ps: weighted_sum(concat(ps, axis=0)))
+        fd_check(make, lambda ps: weighted_sum(concat(ps, axis=axis)))
 
     def test_embedding_add(self):
         def make(rng):
@@ -355,3 +354,32 @@ class TestOpSemantics:
     def test_label_out_of_range(self):
         with pytest.raises(ShapeMismatchError):
             cross_entropy_with_logits(Tensor([[0.0, 1.0]]), 5)
+
+
+# each op's input shapes, and the op on inputs of those shapes
+OPS = {
+    "add": ([(3, 4), (4,)], add),
+    "scale": ([(3, 4)], lambda a: scale(a, 1.5)),
+    "matmul": ([(3, 4), (4, 2)], matmul),
+    "relu": ([(3, 4)], relu),
+    "softmax": ([(3, 4)], softmax),
+    "layer_norm": ([(3, 4), (4,), (4,)], layer_norm),
+    "dropout": ([(3, 4)], lambda a: dropout(a, 0.5, np.random.default_rng(3), train=True)),
+    "mean_pool": ([(3, 4)], mean_pool),
+    "concat_axis_0": ([(2, 4), (3, 4), (1, 4)], lambda *ts: concat(ts, axis=0)),
+    "concat_axis_-1": ([(3, 2), (3, 1), (3, 3)], lambda *ts: concat(ts, axis=-1)),
+    "cross_entropy_with_logits": ([(1, 3)], lambda a: cross_entropy_with_logits(a, 1)),
+}
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_only_inputs_that_require_grad_get_a_gradient(name):
+    # every mix of constant and trainable inputs: a constant keeps no gradient,
+    # and a trainable input gets one of its own shape
+    shapes, op = OPS[name]
+    rng = np.random.default_rng(8)
+    for flags in itertools.product((False, True), repeat=len(shapes)):
+        inputs = [Tensor(rng.normal(size=s), requires_grad=f) for s, f in zip(shapes, flags)]
+        weighted_sum(op(*inputs)).backward()
+        for t, trainable in zip(inputs, flags):
+            assert t.grad.shape == t.data.shape if trainable else t.grad is None

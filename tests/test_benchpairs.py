@@ -89,17 +89,39 @@ def test_gain_shown_needs_nine_in_ten_wins_and_a_gap_beyond_the_parent_iqr(
 
 def test_pair_ratios_are_recorded_and_printed():
     # each pair's change/parent: pairs 12/10, 11/10, 10/10, 9/10, then a zero
-    # parent, which has no ratio
+    # parent, which has no ratio; pairs 0 and 2 ran the parent first, 1 and 3 the change
     m = benchpairs.compare("rate", _runs([10, 10, 10, 10, 0], [12, 11, 10, 9, 3]),
                            {"better": "higher"})
     assert m["pair_ratio"] == pytest.approx({"median": 1.05, "q1": 0.975, "q3": 1.125})
+    assert m["pair_ratio_by_order"] == pytest.approx({"parent_first": 1.1, "change_first": 1.0})
     report = _report()
-    report["workloads"]["long-stream"]["metrics"]["extract_graphs_per_s"]["pair_ratio"] = (
-        m["pair_ratio"])
+    metric = report["workloads"]["long-stream"]["metrics"]["extract_graphs_per_s"]
+    metric["pair_ratio"] = m["pair_ratio"]
     (line,), _ = benchpairs.verdict(report)
     assert line.startswith("long-stream: extract_graphs_per_s 20->31 (5/5) x1.050 "
                            "[0.975, 1.125], peak_rss_mb 50->60 (0/5);")
-    assert "pair_ratio" not in benchpairs.compare("rate", _runs([0, 0], [1, 2]), {})
+    metric["pair_ratio_by_order"] = m["pair_ratio_by_order"]
+    (line,), _ = benchpairs.verdict(report)
+    assert line.startswith("long-stream: extract_graphs_per_s 20->31 (5/5) x1.050 "
+                           "[0.975, 1.125] (parent first x1.100, change first x1.000), "
+                           "peak_rss_mb 50->60 (0/5);")
+    # one pair ran only parent first
+    one = benchpairs.compare("rate", _runs([10], [12]), {})
+    assert one["pair_ratio_by_order"] == pytest.approx({"parent_first": 1.2})
+    zero = benchpairs.compare("rate", _runs([0, 0], [1, 2]), {})
+    assert not {"pair_ratio", "pair_ratio_by_order"} & set(zero)
+
+
+def test_verdict_fails_when_src_changed_while_the_runs_went_on():
+    # a change side whose src/ was edited mid-run measured two programs
+    report = {**_report(), "change": {"src_sha256": "a" * 64}}
+    lines, ok = benchpairs.verdict(report)
+    assert ok and len(lines) == 1
+    report["change"]["src_sha256_after"] = "b" * 64
+    lines, ok = benchpairs.verdict(report)
+    assert not ok and len(lines) == 2
+    assert lines[0] == ("change src/ changed while the runs went on: sha256 "
+                        "aaaaaaaaaaaa -> bbbbbbbbbbbb")
 
 
 @pytest.mark.parametrize("parent, unresolved", [

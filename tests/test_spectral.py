@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_windows, bfs_component_count, random_er_edges, window_from_edges
+from conftest import (as_windows, bfs_component_count, er_window, random_er_edges,
+                      window_from_edges)
 from tgtopo.spectral import (
     _laplacians,
     _w1,
@@ -16,7 +17,7 @@ from tgtopo.spectral import (
     spectral_descriptor,
     spectral_descriptors,
 )
-from tgtopo.stability import _edit_edges, random_er_window
+from tgtopo.stability import _edit_edges
 from tgtopo.temporal import WindowGraph, stack_windows
 
 
@@ -91,7 +92,7 @@ class TestPairBuiltLaplacians:
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 16))
     def test_edge_trial_pairs_match_dense_form(self, seed, k):
         rng = np.random.default_rng(seed)
-        win = random_er_window(rng, 4, 20, 0.3)
+        win = er_window(rng, 4, 20, 0.3)
         k = min(k, win.num_nodes * (win.num_nodes - 1) // 2 - win.num_edges)  # inserts suffice
         before = win.local_edges()
         after = _edit_edges(win.num_nodes, before, k, seed)

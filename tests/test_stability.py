@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import graph_key, window_from_edges
+from conftest import er_window, graph_key, window_from_edges
 from tgtopo.spectral import _w1, spectral_descriptor
 from tgtopo.stability import (
     _draw_er,
@@ -17,7 +17,6 @@ from tgtopo.stability import (
     campaign_csv,
     perturb_edges,
     perturb_timestamps,
-    random_er_window,
     random_temporal_graph,
     run_campaign,
     spectral_stability_trial,
@@ -124,7 +123,7 @@ class TestPerturbEdges:
     def test_symmetric_difference_exactly_k(self):
         rng = np.random.default_rng(2)
         for trial in range(50):
-            win = random_er_window(rng, n_low=10, n_high=20, p=0.3)
+            win = er_window(rng, n_low=10, n_high=20, p=0.3)
             k = int(rng.integers(1, 6))
             out = perturb_edges(win, k, seed=trial)
             diff = set(win.edges) ^ set(out.edges)
@@ -133,7 +132,7 @@ class TestPerturbEdges:
     def test_no_isolated_nodes_created(self):
         rng = np.random.default_rng(4)
         for trial in range(30):
-            win = random_er_window(rng, n_low=10, n_high=16, p=0.3)
+            win = er_window(rng, n_low=10, n_high=16, p=0.3)
             out = perturb_edges(win, 3, seed=trial)
             touched = {x for e in out.edges for x in e}
             assert set(win.nodes) <= touched
@@ -151,7 +150,7 @@ class TestPerturbEdges:
     def test_matches_reference_for_every_feasible_k(self):
         rng = np.random.default_rng(12)
         for _ in range(12):
-            win = random_er_window(rng, n_low=4, n_high=9, p=float(rng.choice([0.3, 0.7])))
+            win = er_window(rng, n_low=4, n_high=9, p=float(rng.choice([0.3, 0.7])))
             for seed in range(3):
                 k = 0
                 while True:
@@ -169,7 +168,7 @@ class TestPerturbEdges:
         # the campaigns' windows: 20-60 nodes at p = 0.2, k of 0, 1, 2 and 16
         rng = np.random.default_rng(21)
         for _ in range(8):
-            win = random_er_window(rng)
+            win = er_window(rng)
             for k in (0, 1, 2, 16):
                 for seed in range(3):
                     assert perturb_edges(win, k, seed) == perturb_edges_reference(win, k, seed)
@@ -181,7 +180,7 @@ class TestPerturbEdges:
         rng = np.random.default_rng(5)
         for n_low, n_high, ks in ((20, 60, (1, 2, 5, 16, 40)), (4, 12, range(80))):
             for _ in range(10):
-                win = random_er_window(rng, n_low, n_high, 0.05)
+                win = er_window(rng, n_low, n_high, 0.05)
                 if not win.num_nodes:
                     continue
                 for seed in range(2):
@@ -244,7 +243,7 @@ class TestTrials:
 
     def test_spectral_trial_bounds(self):
         rng = np.random.default_rng(9)
-        win = random_er_window(rng)
+        win = er_window(rng)
         w1, ratio_base = spectral_stability_trial(win.num_nodes, win.local_edges(), 2, seed=3)
         assert 0.0 <= w1 <= 3.0  # diameter of the metric on [0,2]
         assert ratio_base == pytest.approx(2 / win.num_nodes)
@@ -252,7 +251,7 @@ class TestTrials:
 
 class TestEditCountAndBinGuards:
     # a campaign window; k and bins are refused before any draw
-    win = random_er_window(np.random.default_rng(9))
+    win = er_window(np.random.default_rng(9))
     local = win.num_nodes, win.local_edges()
 
     @pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, "2", None])
@@ -276,7 +275,7 @@ class TestSeedAndEpsGuards:
     # a campaign graph and window; a seed or eps that PerturbationSpec would refuse
     # is refused by every entry point too, before any generator is made
     graph = random_temporal_graph(np.random.default_rng(9))
-    win = random_er_window(np.random.default_rng(9))
+    win = er_window(np.random.default_rng(9))
     local = win.num_nodes, win.local_edges()
 
     @pytest.fixture
@@ -557,31 +556,7 @@ class TestCampaignFingerprint:
             "89c44247fc654418ec432332aa4e14a2e0f6011e123e4f4d71bceabe6979b2c3"
 
 
-def random_er_window_reference(rng, n_low=20, n_high=60, p=0.2):
-    """The scalar loop random_er_window replaced: one draw per node pair."""
-    n = int(rng.integers(n_low, n_high + 1))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    nodes = tuple(sorted({x for e in edges for x in e}))
-    return WindowGraph(0, 0.0, 1.0, nodes, tuple(sorted(edges)), (1,) * len(edges))
-
-
 class TestRandomGenerators:
-    @pytest.mark.parametrize("generate, reference, kwargs", [
-        (random_er_window, random_er_window_reference, {}),
-        (random_er_window, random_er_window_reference, dict(n_low=1, n_high=9, p=0.5)),
-    ])
-    def test_matches_scalar_reference(self, generate, reference, kwargs):
-        # same output and the generator left in the same state, so the
-        # campaign's later draws line up too
-        for state in range(120):
-            rng, ref = np.random.default_rng(state), np.random.default_rng(state)
-            assert generate(rng, **kwargs) == reference(ref, **kwargs)
-            assert rng.bit_generator.state == ref.bit_generator.state
-
     @pytest.mark.parametrize("kwargs", [
         dict(n_low=1, n_high=1),  # every u equals v: the scalar loop never ended
         dict(n_low=1, n_high=5),
@@ -605,15 +580,11 @@ class TestRandomGenerators:
             assert 10 <= g.num_nodes <= 40
             assert g.num_events >= 1
 
-    def test_random_er_window_no_isolated(self):
+    def test_draw_er_drops_isolated_nodes(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            win = random_er_window(rng)
-            deg = {v: 0 for v in win.nodes}
-            for u, v in win.edges:
-                deg[u] += 1
-                deg[v] += 1
-            assert all(d >= 1 for d in deg.values())
+            nodes, pairs = _draw_er(rng)
+            assert np.array_equal(np.unique(pairs), np.arange(len(nodes)))
 
 
     @pytest.mark.parametrize("kwargs", [
@@ -623,22 +594,23 @@ class TestRandomGenerators:
         dict(p=-0.1),
         dict(p=1.5),
     ])
-    def test_random_er_window_refuses_inputs_before_drawing(self, kwargs):
+    def test_draw_er_refuses_inputs_before_drawing(self, kwargs):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(StabilityError):
-            random_er_window(rng, **kwargs)
+            _draw_er(rng, **kwargs)
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("n_low, n_high, p", [
-        (20, 60, 0.2), (0, 6, 0.5), (1, 4, 0.3), (0, 1, 1.0), (3, 12, 0.0), (2, 9, 1.0)])
-    def test_draw_er_is_random_er_window_as_pairs(self, n_low, n_high, p):
-        # the campaign's draw: the same nodes and local pairs as the window, and the
-        # generator left in the same state, so any later draw lines up too
+        (20, 60, 0.2), (1, 9, 0.5), (0, 6, 0.5), (1, 4, 0.3), (0, 1, 1.0), (3, 12, 0.0),
+        (2, 9, 1.0)])
+    def test_draw_er_matches_the_scalar_draw(self, n_low, n_high, p):
+        # the campaign's draw: the nodes and local pairs of the window that one draw per
+        # pair makes, and the generator left in the same state, so later draws line up
         for state in range(120):
             rng, ref = np.random.default_rng(state), np.random.default_rng(state)
             nodes, pairs = _draw_er(rng, n_low, n_high, p)
-            win = random_er_window(ref, n_low, n_high, p)
+            win = er_window(ref, n_low, n_high, p)
             assert tuple(nodes.tolist()) == win.nodes and len(nodes) == win.num_nodes
             assert pairs.dtype == np.int64 and pairs.shape == (win.num_edges, 2)
             assert np.array_equal(pairs, win.local_edges())
@@ -646,20 +618,23 @@ class TestRandomGenerators:
 
     def test_trial_on_drawn_pairs_is_trial_on_window(self):
         # a campaign's trial on its draw gives the bytes of the per-window chain
-        # on the window that ``random_er_window`` makes of the same draw
+        # on the window that the scalar draw makes of the same generator state
         rng = np.random.default_rng(30)
         for seed in range(20):
             state = rng.bit_generator.state
             nodes, pairs = _draw_er(rng)
             rng.bit_generator.state = state
-            win = random_er_window(rng)
+            win = er_window(rng)
             for k in (0, 1, 2, 16):
                 assert _hex(spectral_stability_trial(len(nodes), pairs, k, seed)) \
                     == _hex(spectral_trial_chain(win, k, seed))
 
-    def test_random_er_window_takes_p_zero_and_one(self):
-        assert random_er_window(np.random.default_rng(0), 4, 4, 0.0).edges == ()
-        assert len(random_er_window(np.random.default_rng(0), 4, 4, 1.0).edges) == 6
+    def test_draw_er_takes_p_zero_and_one(self):
+        nodes, pairs = _draw_er(np.random.default_rng(0), 4, 4, 0.0)
+        assert len(nodes) == 0 and pairs.shape == (0, 2)
+        nodes, pairs = _draw_er(np.random.default_rng(0), 4, 4, 1.0)
+        assert nodes.tolist() == [0, 1, 2, 3] and pairs.tolist() == [
+            [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 def _assert_valid_draw(g, n_low, n_high, events_per_node):

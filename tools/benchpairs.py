@@ -15,28 +15,33 @@ Each side keeps its bytecode in its own directory, empty when the script starts
 (``PYTHONPYCACHEPREFIX``), so both sides start from the same bytecode state;
 the runs may write bytecode there even where ``PYTHONDONTWRITEBYTECODE`` is set.
 
-The BENCH file records every run, each metric's median and interquartile
-range per side, the median and quartiles of its per-pair change/parent ratio
-(``pair_ratio``, over the pairs whose parent value is not 0), how many pairs
-the change won, how far its median is from the parent's against the bound in
-``BENCHMARK.json``, whether a gain is shown (the change won at least 9 in 10
-pairs and its median beats the parent's by more than the parent's
+The BENCH file records every run, each metric's median and interquartile range
+per side, the median and quartiles of its per-pair change/parent ratio
+(``pair_ratio``, over the pairs whose parent value is not 0), that ratio's
+median over the pairs run parent first and over those run change first
+(``pair_ratio_by_order``; unchanged code can read apart by run order), how
+many pairs the change won, how far its median is from the parent's against the
+bound in ``BENCHMARK.json``, whether a gain is shown (the change won at least
+9 in 10 pairs and its median beats the parent's by more than the parent's
 interquartile range), whether the metric is unresolved (the parent's
 interquartile range over its median exceeds the bound, so the pairs cannot
 tell a regression of that size from noise), both sides' fingerprints and the
 fingerprint keys that differ on any pair, the ``src/`` line counts, a sha256
 of each side's ``src/`` files (so the file can be tied to the code it measured
-even when the change was not yet committed) and the environment, including
-whether ``PYTHONDONTWRITEBYTECODE`` is set and the core name of numpy's
-bundled OpenBLAS (``openblas_kernel``, which ``OPENBLAS_CORETYPE`` can force;
-the metrics-CSV fingerprints hold per kernel).  After writing it, the script
-prints the ``src/`` line counts (``src/ lines: <parent> -> <change>
-(<delta>)``) and one stderr line per workload (each metric's median parent ->
-change, the pairs won and the pair ratio's median [q1, q3], the metrics
+even when the change was not yet committed; if the working tree's ``src/``
+changed while the runs went on, its digest after the last run as
+``src_sha256_after``) and the environment, including whether
+``PYTHONDONTWRITEBYTECODE`` is set and the core name of numpy's bundled
+OpenBLAS (``openblas_kernel``, which ``OPENBLAS_CORETYPE`` can force; the
+metrics-CSV fingerprints hold per kernel). After writing it, the script prints
+the ``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and
+one stderr line per workload (each metric's median parent -> change, the pairs
+won, the pair ratio's median [q1, q3] and its median by run order, the metrics
 outside their bound, with a gain shown, and unresolved, and the fingerprint
 keys that differ) and exits 1 if any pair's fingerprints differ, any run
-failed an operation or any metric's median is worse than the parent's by
-more than its bound.
+failed an operation, any metric's median is worse than the parent's by more
+than its bound, or the working tree's ``src/`` changed while the runs went on
+(the change side would then mix two programs).
 """
 
 import argparse
@@ -135,8 +140,12 @@ def compare(name, runs, spec):
     out = {"unit": spec.get("unit"), "better": "higher" if higher else "lower",
            "parent": spread(parent), "change": spread(change), "pairs": len(parent),
            "change_wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change))}
-    if ratios := [c / p for p, c in zip(parent, change) if p]:  # each pair's own change
-        out["pair_ratio"] = {k: spread(ratios)[k] for k in ("median", "q1", "q3")}
+    if ratios := {i: c / p for i, (p, c) in enumerate(zip(parent, change)) if p}:
+        out["pair_ratio"] = {k: spread(list(ratios.values()))[k] for k in ("median", "q1", "q3")}
+        # pair i ran the parent first when i is even
+        by_order = {"parent_first": [r for i, r in ratios.items() if i % 2 == 0],
+                    "change_first": [r for i, r in ratios.items() if i % 2]}
+        out["pair_ratio_by_order"] = {k: float(np.median(v)) for k, v in by_order.items() if v}
     p, c, iqr = out["parent"]["median"], out["change"]["median"], out["parent"]["iqr"]
     out["gain_shown"] = (10 * out["change_wins"] >= 9 * out["pairs"]
                          and ((c - p) if higher else (p - c)) > iqr)
@@ -167,8 +176,10 @@ def summarize(runs, specs):
 
 
 def _ratio(m):
-    r = m.get("pair_ratio")
-    return f" x{r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]" if r else ""
+    r, by_order = m.get("pair_ratio"), m.get("pair_ratio_by_order", {})
+    orders = ", ".join(f"{k.replace('_', ' ')} x{v:.3f}" for k, v in by_order.items())
+    return ((f" x{r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]" if r else "")
+            + (f" ({orders})" if orders else ""))
 
 
 def _names(metrics, test):
@@ -177,8 +188,14 @@ def _names(metrics, test):
 
 def verdict(report):
     """One summary line per workload, and whether every pair's fingerprints
-    matched, no run failed an operation and every metric is within its bound."""
+    matched, no run failed an operation, every metric is within its bound and
+    the change side's ``src/`` stayed the same through the runs."""
     lines, ok = [], True
+    change = report.get("change", {})
+    if "src_sha256_after" in change:
+        lines.append(f"change src/ changed while the runs went on: sha256 "
+                     f"{change['src_sha256'][:12]} -> {change['src_sha256_after'][:12]}")
+        ok = False
     for workload, summary in report["workloads"].items():
         metrics, differ = summary["metrics"], summary.get("fingerprints_differ", [])
         moves = ", ".join(f"{name} {m['parent']['median']:.4g}->{m['change']['median']:.4g}"
@@ -234,6 +251,8 @@ def main(argv=None):
                           f"descriptors {run['fingerprint']['descriptors'][:8]}",
                           file=sys.stderr)
             report["workloads"][workload] = summarize(runs, specs)
+        if (after := src_digest(ROOT)) != report["change"]["src_sha256"]:
+            report["change"]["src_sha256_after"] = after
     first = {s: dict(report["workloads"][workloads[0]]["runs"][s][0]["environment"])
              for s in SIDES}
     for side in SIDES:
