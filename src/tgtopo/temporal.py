@@ -11,10 +11,11 @@ are cut from its events into arrays (a ``Windows`` sequence), and
 
 from __future__ import annotations
 
-import math
 import numbers
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
@@ -29,14 +30,16 @@ class TemporalGraphError(InputError):
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window length and stride; requires 0 < sigma < delta."""
+    """Window length and stride; requires 0 < sigma < delta < inf.  Window i is the closed
+    [t_min + i*sigma, t_min + i*sigma + delta], up to the first to reach t_max, decided
+    exactly on the float inputs: in floats where every edge is one, else in Fractions."""
 
     delta: float
     sigma: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise TemporalGraphError(f"delta must be > 0, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise TemporalGraphError(f"delta must be finite and > 0, got {self.delta}")
         if not (0 < self.sigma < self.delta):
             raise TemporalGraphError(
                 f"sigma must lie in (0, delta), got sigma={self.sigma} delta={self.delta}"
@@ -211,17 +214,27 @@ def _unique(keys, size):
     return values, rank[keys], counts[values]
 
 
-def _windows(graph: TemporalGraph, starts, delta) -> Windows:
-    """Windows [t, t + delta] for the ascending float64 array ``starts``: one
-    ``_unique`` over (window, pair) keys of all windows gives their pairs and
-    multiplicities, one over (window, node) keys their nodes.  Node ids and pairs
-    are ranked first, so no key exceeds events**2 or windows x pairs.  Dense key
-    spaces (all four on synthetic data) are counted, sparse node ids sorted."""
-    ev = graph.events
+def _windows(graph: TemporalGraph, starts, delta, exact=None) -> Windows:
+    """Windows [t, t + delta] for the ascending float64 array ``starts``, or for the
+    Fractions ``exact`` that it rounds, edges decided exactly.  One ``_unique`` over
+    (window, pair) keys of all windows gives their pairs and multiplicities, one over
+    (window, node) keys their nodes.  Node ids and pairs are ranked first, so no key
+    exceeds events**2 or windows x pairs.  Dense key spaces (all four on synthetic
+    data) are counted, sparse node ids sorted."""
+    ev, times = graph.events, graph.events[:, 2]
     ids, (u, v), _ = _unique(ev[:, :2].T.astype(np.int64), graph.num_nodes)
     pairs, pair, _ = _unique(np.minimum(u, v) * len(ids) + np.maximum(u, v), len(ids) ** 2)
-    lo = np.searchsorted(ev[:, 2], starts, "left")
-    size = np.searchsorted(ev[:, 2], starts + delta, "right") - lo
+    if exact is None:
+        lo, ends = np.searchsorted(times, starts, "left"), starts + delta
+        hi, part = np.searchsorted(times, ends, "right"), ends - starts
+        # a negative two-sum residual: the float end is above the exact one
+        if (below := (starts - (ends - part)) + (delta - part) < 0).any():
+            hi[below] = np.searchsorted(times, ends[below], "left")
+    else:
+        points, end = times.tolist(), Fraction(delta)
+        lo = np.array([bisect_left(points, s) for s in exact], np.intp)
+        hi = np.array([bisect_right(points, s + end) for s in exact], np.intp)
+    size = hi - lo
     at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
     keys, _, mult = _unique(np.repeat(np.arange(len(starts)) * len(pairs), size) + pair[at],
                             len(starts) * len(pairs))
@@ -234,23 +247,30 @@ def _windows(graph: TemporalGraph, starts, delta) -> Windows:
     return Windows(starts, delta, counts, ids[nodes % len(ids)], owner, local, mult)
 
 
+def _scaled(*values) -> list:
+    """The float ``values`` times the least power of two that makes all of them whole."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    scale = max(q for _, q in ratios)
+    return [n * (scale // q) for n, q in ratios]
+
+
 def window_count(graph: TemporalGraph, spec: WindowSpec) -> int:
-    """Number of sliding windows: ceil((t_max - t_min - delta)/sigma) + 1, min 1;
+    """Number of sliding windows: ceil((t_max - t_min - delta)/sigma) + 1, min 1, exactly;
     a count above ``WINDOW_LIMIT`` raises before anything is allocated."""
-    span = graph.t_max - graph.t_min
-    if span <= spec.delta:
-        return 1
-    steps = (span - spec.delta) / spec.sigma  # inf for a tiny sigma
-    if not steps <= WINDOW_LIMIT - 1:
+    t1, t0, delta, sigma = _scaled(graph.t_max, graph.t_min, spec.delta, spec.sigma)
+    if (count := 1 + max(0, -((t0 + delta - t1) // sigma))) > WINDOW_LIMIT:
         raise TemporalGraphError(f"delta={spec.delta}, sigma={spec.sigma} cut over "
                                  f"{WINDOW_LIMIT} windows")
-    return int(math.ceil(steps)) + 1
+    return count
 
 
 def window_sequence(graph: TemporalGraph, spec: WindowSpec) -> Windows:
     """Windows anchored at t_min: window i covers [t_min + i*sigma, ... + delta]."""
-    starts = graph.t_min + np.arange(window_count(graph, spec)) * spec.sigma
-    return _windows(graph, starts, spec.delta)
+    count, (t0, sigma) = window_count(graph, spec), _scaled(graph.t_min, spec.sigma)
+    if (count - 1) * (abs(t0) + sigma) < 2**53:  # every start is a float
+        return _windows(graph, graph.t_min + np.arange(count) * spec.sigma, spec.delta)
+    exact = [Fraction(graph.t_min) + i * Fraction(spec.sigma) for i in range(count)]
+    return _windows(graph, np.array([float(s) for s in exact]), spec.delta, exact)
 
 
 def stack_windows(windows: Windows) -> tuple:

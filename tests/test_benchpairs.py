@@ -187,4 +187,7 @@ def test_environment_records_the_openblas_kernel():
 
     env = benchpairs.environment({"src_lines": 1, "numpy": "x"})
     assert env["openblas_kernel"] == openblas_kernel()
+    # extraction overlaps two kernels on two threads, so a BENCH file says how many
+    # CPUs the runs could use (their affinity, which os.cpu_count() ignores)
+    assert env["cpus_usable"] == len(os.sched_getaffinity(0)) >= 1
     assert {"src_lines", "numpy", "machine", "system", "dont_write_bytecode"} <= set(env)

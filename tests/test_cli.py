@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +29,19 @@ def dataset_dir(tmp_path_factory):
     spec = dict(num_graphs=10, nodes=10, timesteps=12, classes=2, cycle_density=[0, 3])
     save_dataset(synth_generate(spec, 2), root / "ds")
     return root / "ds"
+
+
+@pytest.fixture(scope="module")
+def long_dataset_dir(tmp_path_factory):
+    # long-stream-shaped: cut with LONG_WINDOWS, each graph's stack is over the overlap gate
+    root = tmp_path_factory.mktemp("cli_long_data")
+    spec = dict(num_graphs=2, nodes=30, timesteps=96, anchor_stride=1, classes=2,
+                cycle_density=[0, 3])
+    save_dataset(synth_generate(spec, 1), root / "ds")
+    return root / "ds"
+
+
+LONG_WINDOWS = ["--delta", "4", "--sigma", "1"]
 
 
 def _graph_args(root, dataset_dir, events):
@@ -279,15 +293,37 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert width in err
 
-    def test_eigensolver_failure_is_numerical_error(self, dataset_dir, tmp_path,
-                                                    monkeypatch, capsys):
+    @pytest.mark.parametrize("data, window, on_worker", [
+        ("dataset_dir", [], False),
+        ("long_dataset_dir", LONG_WINDOWS, True),  # raised on the worker, re-raised on join
+    ])
+    def test_eigensolver_failure_is_numerical_error(self, data, window, on_worker, request,
+                                                    tmp_path, monkeypatch, capsys):
+        where = []
+
         def fail(m):
+            where.append(threading.current_thread() is not threading.main_thread())
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(tgtopo.spectral, "eigenvalues_sym", fail)
-        code = main(["extract", "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
-        assert code == 3
+        code = main(["extract", "--data", str(request.getfixturevalue(data)),
+                     "--out", str(tmp_path / "o"), *window])
+        assert code == 3 and where == [on_worker]
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_spectral_refusal_on_the_worker_is_data_error(self, long_dataset_dir, tmp_path,
+                                                          monkeypatch, capsys):
+        where = []
+
+        def fail(*args):
+            where.append(threading.current_thread() is not threading.main_thread())
+            raise SpectralError("window has a node without edges")
+
+        monkeypatch.setattr(tgtopo.spectral, "_laplacians", fail)
+        code = main(["extract", "--data", str(long_dataset_dir), "--out", str(tmp_path / "o"),
+                     *LONG_WINDOWS])
+        assert code == 2 and where == [True]
+        assert capsys.readouterr().err == "data error: window has a node without edges\n"
 
 
 class TestSynth:

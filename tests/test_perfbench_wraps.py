@@ -8,6 +8,7 @@ wrapping and unwraps it again."""
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,44 @@ def test_one_adam_step_per_graph_step_and_one_fusion_call_per_forward(monkeypatc
         assert tracer.calls["model.forward.train"] == steps
         assert tracer.calls["model.forward.eval"] == evaluated
         assert tracer.calls["model.forward.fusion"] == steps + evaluated
+
+
+def test_traced_spans_nest_when_extraction_overlaps(monkeypatch):
+    # perfbench's Tracer keeps one span stack for all threads.  While the worker's
+    # eigensolve span is open, a span opened by the calling thread (temporal_degree
+    # called before the join) would take its child time from the wrong parent, and
+    # one that closed after the eigensolve would read a negative self time
+    spans = _load("spans")
+    monkeypatch.setitem(sys.modules, "spans", spans)  # bench imports it by name
+    monkeypatch.setattr(sys, "path", list(sys.path))  # Program() prepends src/
+    bench = _load("bench")
+    # 60 nodes over 200 timesteps: a stack over the overlap gate, whose eigensolve
+    # takes several times as long as its topology
+    dataset = synth_generate(dict(num_graphs=1, nodes=60, timesteps=200, classes=2,
+                                  cycle_density=[0, 3]), 1)
+    main, log, started = threading.get_ident(), [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    with spans.Tracer() as tracer:
+        bench.wrap_layers(bench.Program(), tracer)
+        span = tracer.span
+
+        def logged(name, fn, *args, **kwargs):
+            log.append((1, name, threading.get_ident()))
+            try:
+                return span(name, fn, *args, **kwargs)
+            finally:
+                log.append((-1, name, threading.get_ident()))
+
+        monkeypatch.setattr(tracer, "span", logged)
+        extract_descriptors(dataset, RunConfig())
+    assert len(started) == 1 and ("spectral.eigensolve" in
+                                  {name for _, name, who in log if who != main})
+    assert tracer._open == [] and min(tracer.self_s.values()) >= 0
+    open_on_worker = 0
+    for step, name, who in log:
+        if who != main:
+            open_on_worker += step
+        else:
+            assert not open_on_worker, f"{name} opened or closed during a worker span"

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -113,6 +114,61 @@ class TestExtraction:
                     assert np.allclose(row, 0.0)
                 else:
                     assert row.sum() == pytest.approx(1.0)
+
+
+def mixed_dataset():
+    """A desk-shaped graph, whose stack stays under the overlap gate, and a
+    long-stream-shaped one (96 timesteps, a tree at each), whose stack is over it."""
+    desk = synth_generate(dict(num_graphs=1, nodes=30, timesteps=24, classes=2,
+                               cycle_density=[0, 3]), 1)
+    long = synth_generate(dict(num_graphs=1, nodes=30, timesteps=96, anchor_stride=1,
+                               classes=2, cycle_density=[0, 3]), 1)
+    return Dataset("mixed", desk.graphs + long.graphs, 2)
+
+
+class TestOverlap:
+    """A large stack's spectral descriptors run on a second thread while the calling
+    thread computes its topology: the same calls, so the same bytes."""
+
+    CFG = RunConfig(delta=4.0, sigma=1.0)
+
+    def test_both_paths_give_the_same_bytes(self, monkeypatch):
+        dataset, runs = mixed_dataset(), []
+        for gate in (0, 1 << 62):  # every graph takes the thread, then none does
+            monkeypatch.setattr(tgtopo.pipeline, "OVERLAP_PAIRS", gate)
+            monkeypatch.setattr(tgtopo.pipeline, "OVERLAP_N3", gate)
+            runs.append(extract_descriptors(dataset, self.CFG))
+        for threaded, inline in zip(*runs, strict=True):
+            for name in ("phi", "psi", "psi_empty", "features", "agg"):
+                a, b = getattr(threaded, name), getattr(inline, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_only_the_long_graph_takes_the_thread(self, monkeypatch):
+        dataset, where, started = mixed_dataset(), [], []
+        original, start = tgtopo.spectral.spectral_descriptors, threading.Thread.start
+        monkeypatch.setattr(tgtopo.spectral, "spectral_descriptors", lambda stack, bins: (
+            where.append(threading.current_thread() is threading.main_thread())
+            or original(stack, bins)))
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or start(self))
+        sizes = [stack_windows(tgtopo.temporal.window_sequence(g, self.CFG.window_spec()))[0]
+                 for g in dataset.graphs]
+        assert [(s[:, 1].sum() >= tgtopo.pipeline.OVERLAP_PAIRS,
+                 (s[:, 0] ** 3).sum() >= tgtopo.pipeline.OVERLAP_N3) for s in sizes] == [
+            (False, False), (True, True)]
+        extract_descriptors(dataset, self.CFG)
+        assert where == [True, False] and len(started) == 1
+
+    def test_a_topology_failure_surfaces_after_the_worker_is_joined(self, monkeypatch):
+        # the worker is still in its eigensolve when the calling thread raises
+        def fail(stack, multiplicity):
+            raise MemoryError("topology")
+
+        monkeypatch.setattr(tgtopo.topology, "topo_descriptors", fail)
+        dataset, before = Dataset("long", mixed_dataset().graphs[1:], 2), threading.active_count()
+        with pytest.raises(MemoryError, match="^topology$"):
+            extract_descriptors(dataset, self.CFG)
+        assert threading.active_count() == before
 
 
 class TestEntryLimit:

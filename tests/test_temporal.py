@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -179,6 +180,11 @@ class TestWindowSpec:
         with pytest.raises(TemporalGraphError):
             WindowSpec(delta=0.0, sigma=-1.0)
 
+    def test_rejects_an_infinite_length(self):
+        # no window edge t_min + i*sigma + delta would be a number
+        with pytest.raises(TemporalGraphError, match="^delta must be finite and > 0, got inf$"):
+            WindowSpec(delta=math.inf, sigma=1.0)
+
 
 class TestWindowCount:
     def test_formula_case(self):
@@ -255,8 +261,10 @@ class TestWindow:
 
 
 def window_linear_scan(graph, t, delta):
-    """Reference window: test every event against the closed [t, t + delta]."""
-    hi = t + delta
+    """Reference window: test every event against the closed [t, t + delta], both
+    edges exact (``t`` a float or a Fraction)."""
+    t = Fraction(t)
+    hi = t + Fraction(delta)
     mult = {}
     for u, v, te in graph.events.tolist():
         if t <= te <= hi:
@@ -320,15 +328,64 @@ class TestWindowSequence:
         assert window_count(g, spec) == len(window_sequence(g, spec))
 
 
+def exact_window_count(graph, spec):
+    """The least k >= 1 with t_min + (k - 1) * sigma + delta >= t_max, in Fractions."""
+    t0, t1, delta, sigma = map(Fraction, (graph.t_min, graph.t_max, spec.delta, spec.sigma))
+    return 1 + max(0, math.ceil((t1 - t0 - delta) / sigma))
+
+
 def oracle_windows(graph, spec):
-    """Every window of the sequence, each cut by its own linear scan."""
+    """Every window of the sequence, each cut by its own linear scan with the exact
+    start t_min + i * sigma; ``t_start`` is the float nearest that start."""
     out = []
-    for i in range(window_count(graph, spec)):
-        t = graph.t_min + i * spec.sigma
+    for i in range(exact_window_count(graph, spec)):
+        t = Fraction(graph.t_min) + i * Fraction(spec.sigma)
         edges, mult = window_linear_scan(graph, t, spec.delta)
-        out.append(WindowGraph(i, t, spec.delta, tuple(sorted({x for e in edges for x in e})),
-                               edges, mult))
+        out.append(WindowGraph(i, float(t), spec.delta,
+                               tuple(sorted({x for e in edges for x in e})), edges, mult))
     return out
+
+
+class TestExactWindowEdges:
+    """Window membership and the window count are decided exactly on the float
+    inputs, as ``fractions.Fraction`` decides them, not by how the edges round."""
+
+    def test_shifted_decimal_times_cut_the_same_windows(self):
+        # 3 * 0.1 rounds to 0.30000000000000004 and 7 + that rounds to the float 7.3,
+        # so float edges put (1, 2) in window 3 only after the shift; exactly, window
+        # 3 starts above 0.3 (and above 7.3), so it holds no edge either way
+        events = [(0, 1, 0.0), (1, 2, 0.3), (2, 3, 1.0)]
+        spec = WindowSpec(0.2, 0.1)
+        for shift in (0.0, 7.0):
+            g = from_events(4, [(u, v, t + shift) for u, v, t in events])
+            seq = window_sequence(g, spec)
+            assert len(seq) == window_count(g, spec) == exact_window_count(g, spec) == 9
+            assert seq[3].edges == () and list(seq) == oracle_windows(g, spec)
+
+    def test_an_end_that_rounds_up_is_not_reached(self):
+        # 0.1 + 0.2 rounds up to the float 0.30000000000000004, above the exact end
+        g = from_events(2, [(0, 1, 0.30000000000000004)])
+        assert _windows(g, np.array([0.1]), 0.2)[0].edges == ()
+        assert _windows(g, np.array([0.1]), 0.25)[0].edges == ((0, 1),)
+
+    @given(
+        times=st.lists(st.floats(-30, 30) | st.integers(-300, 300).map(lambda k: k / 10)
+                       | st.integers(-30, 30).map(float), min_size=1, max_size=30),
+        shift=st.sampled_from([0.0, 7.0, 0.1, -1e6, 2.0**40]),
+        sigma=st.floats(0.05, 5) | st.integers(1, 50).map(lambda k: k / 10),
+        ratio=st.floats(1.01, 4) | st.sampled_from([1.5, 2.0, 3.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_match_a_fraction_oracle(self, times, shift, sigma, ratio, data):
+        delta = data.draw(st.sampled_from([sigma * ratio, sigma + 0.1, 2 * sigma]))
+        spec = WindowSpec(delta, sigma)
+        pairs = data.draw(st.lists(st.sampled_from([(0, 1), (1, 2), (0, 2), (2, 3)]),
+                                   min_size=len(times), max_size=len(times)))
+        g = from_events(4, [(u, v, t + shift) for (u, v), t in zip(pairs, times)])
+        want = oracle_windows(g, spec)
+        assert window_count(g, spec) == len(want)
+        assert list(window_sequence(g, spec)) == want
 
 
 @st.composite
@@ -357,9 +414,10 @@ class TestLazyWindows:
             assert seq[cut] == want[cut]
         with pytest.raises(IndexError):
             seq[len(seq)]
-        for w in want:
-            assert _windows(graph, np.array([w.t_start]), spec.delta)[0] == replace(
-                w, window_index=0)
+        for i, w in enumerate(want):
+            if Fraction(w.t_start) == Fraction(graph.t_min) + i * Fraction(spec.sigma):
+                assert _windows(graph, np.array([w.t_start]), spec.delta)[0] == replace(
+                    w, window_index=0)
 
     def test_toy(self, toy_graph):
         self.check(toy_graph, WindowSpec(2.0, 1.0))

@@ -33,7 +33,8 @@ changed while the runs went on, its digest after the last run as
 ``src_sha256_after``) and the environment, including whether
 ``PYTHONDONTWRITEBYTECODE`` is set and the core name of numpy's bundled
 OpenBLAS (``openblas_kernel``, which ``OPENBLAS_CORETYPE`` can force; the
-metrics-CSV fingerprints hold per kernel). After writing it, the script prints
+metrics-CSV fingerprints hold per kernel) and the number of CPUs this process may run
+on (``cpus_usable``, from its affinity; the runs inherit it). After writing it, the script prints
 the ``src/`` line counts (``src/ lines: <parent> -> <change> (<delta>)``) and
 one stderr line per workload (each metric's median parent -> change, the pairs
 won, the pair ratio's median [q1, q3] and its median by run order, the metrics
@@ -125,7 +126,7 @@ def environment(run_environment):
     """A run's environment, with this machine's and this process's settings."""
     return {**run_environment, "machine": platform.machine(), "system": platform.platform(),
             "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-            "openblas_kernel": openblas_kernel()}
+            "openblas_kernel": openblas_kernel(), "cpus_usable": len(os.sched_getaffinity(0))}
 
 
 def spread(values):
