@@ -395,15 +395,16 @@ def embeddings_csv(embeddings, labels) -> str:
 
 
 def sweep_windows(dataset: Dataset, delta_list, sigma_list, config: RunConfig) -> str:
-    """Mean CV accuracy per (delta, sigma); invalid pairs emitted as NaN."""
+    """Mean CV accuracy per (delta, sigma); pairs ``WindowSpec`` refuses emitted as NaN."""
     lines = ["delta,sigma,accuracy_mean,accuracy_std"]
     for delta in delta_list:
         for sigma in sigma_list:
-            if not 0 < sigma < delta:
+            try:
+                spec = WindowSpec(float(delta), float(sigma))
+            except temporal.TemporalGraphError:
                 lines.append(f"{delta!r},{sigma!r},nan,nan")
                 continue
-            cfg = RunConfig(**{**config.__dict__, "delta": float(delta),
-                               "sigma": float(sigma)})
+            cfg = RunConfig(**{**config.__dict__, "delta": spec.delta, "sigma": spec.sigma})
             metrics, _ = kfold_cv(dataset, cfg)
             lines.append(
                 f"{delta!r},{sigma!r},{metrics.accuracy_mean!r},{metrics.accuracy_std!r}"

@@ -18,6 +18,18 @@ are proven, and tight.
   function by at most 1; ``_edit_edges`` never isolates a vertex, and the 1e-9
   snapping is monotone.  Of the B CDF gaps that ``_w1`` sums times the bin width
   2/B, the last is 0 and each other at most k/n.  k = 1 reaches 1.5 at B = 4.
+- One pair entering or leaving a window (no campaign runs this) moves the window's
+  row (v, e, beta_0, beta_1) by |dv| <= 2, |de| = 1, |d beta_0| <= 1 and
+  |d beta_1| <= max(1, c - 1), c the pair's common neighbours in the window.  Deleting
+  is adding undone, so take adding uv.  Each end new to the window enters as an
+  isolated vertex: dv <= 2, and beta_0 rises by 1 for each.  A simplex whose boundary
+  is present raises the Betti number of its own dimension by 1 or lowers the one
+  below by 1.  So the edge lowers beta_0 by 1 (ends in two components) or raises
+  beta_1 by 1: beta_0 moves by +2 - 1, +1 - 1, -1 or 0.  Then the c triangles uvw
+  enter, each lowering beta_1 by 1 or raising beta_2 by 1; the 2-truncated clique
+  complex adds no 3-cells.  With c >= 1 the ends share a component, so the edge
+  raised beta_1 and d beta_1 lies in [1 - c, 1]; with c = 0 it is 0 or 1.  K_{2,m}
+  plus the edge between its hubs attains c - 1: beta_1 falls from m - 1 to 0.
 Trials run on numpy arrays with the draws, in order, of the per-pair loops they
 replaced, and equal the per-window chains byte for byte: an edge trial takes the
 node count and the (E, 2) local pairs of an ER draw, edits the pairs, solves both

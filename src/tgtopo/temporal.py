@@ -15,7 +15,6 @@ import numbers
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
@@ -231,6 +230,7 @@ def _windows(graph: TemporalGraph, starts, delta, exact=None) -> Windows:
         if (below := (starts - (ends - part)) + (delta - part) < 0).any():
             hi[below] = np.searchsorted(times, ends[below], "left")
     else:
+        from fractions import Fraction  # only here: the float path never loads it
         points, end = times.tolist(), Fraction(delta)
         lo = np.array([bisect_left(points, s) for s in exact], np.intp)
         hi = np.array([bisect_right(points, s + end) for s in exact], np.intp)
@@ -269,6 +269,7 @@ def window_sequence(graph: TemporalGraph, spec: WindowSpec) -> Windows:
     count, (t0, sigma) = window_count(graph, spec), _scaled(graph.t_min, spec.sigma)
     if (count - 1) * (abs(t0) + sigma) < 2**53:  # every start is a float
         return _windows(graph, graph.t_min + np.arange(count) * spec.sigma, spec.delta)
+    from fractions import Fraction
     exact = [Fraction(graph.t_min) + i * Fraction(spec.sigma) for i in range(count)]
     return _windows(graph, np.array([float(s) for s in exact]), spec.delta, exact)
 

@@ -385,12 +385,13 @@ class TestSweepStability:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 1\nmode = topo-only\nfolds = 2\n")
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--data", str(dataset_dir), "--deltas", "4.0",
+        assert main(["sweep", "--data", str(dataset_dir), "--deltas", "4.0,inf",
                      "--sigmas", "2.0,5.0", "--config", str(cfg),
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "delta,sigma,accuracy_mean,accuracy_std"
-        assert any(line.endswith("nan,nan") for line in lines[1:])
+        assert lines[1].startswith("4.0,2.0,") and not lines[1].endswith("nan,nan")
+        assert lines[2:] == ["4.0,5.0,nan,nan", "inf,2.0,nan,nan", "inf,5.0,nan,nan"]
 
     def test_stability(self, tmp_path, capsys):
         out = tmp_path / "stab.csv"

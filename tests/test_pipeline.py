@@ -608,11 +608,11 @@ class TestReports:
 
 class TestSweep:
     def test_invalid_cells_are_nan(self, small_dataset):
+        # every cell WindowSpec refuses, an infinite delta too, is a NaN row
         cfg = RunConfig(mode="topo-only", epochs=1, seed=0, folds=2)
-        text = sweep_windows(small_dataset, [4.0], [2.0, 4.0, 6.0], cfg)
+        text = sweep_windows(small_dataset, [4.0, np.inf, np.nan, -1.0], [2.0, 4.0, 6.0], cfg)
         lines = text.splitlines()
         assert lines[0] == "delta,sigma,accuracy_mean,accuracy_std"
-        cells = {tuple(l.split(",")[:2]): l.split(",")[2] for l in lines[1:]}
-        assert cells[("4.0", "4.0")] == "nan"
-        assert cells[("4.0", "6.0")] == "nan"
-        assert cells[("4.0", "2.0")] != "nan"
+        cells = {tuple(l.split(",")[:2]): l.split(",")[2:] for l in lines[1:]}
+        assert len(cells) == 12 and cells.pop(("4.0", "2.0"))[0] != "nan"
+        assert all(acc == ["nan", "nan"] for acc in cells.values())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import er_window, graph_key, window_from_edges
+from conftest import as_windows, er_window, graph_key, window_from_edges
 from tgtopo.spectral import _w1, spectral_descriptor
 from tgtopo.stability import (
     _draw_er,
@@ -22,8 +22,8 @@ from tgtopo.stability import (
     spectral_stability_trial,
     topo_stability_trial,
 )
-from tgtopo.temporal import TemporalGraphError, WindowGraph, from_events
-from tgtopo.topology import betti_curve, sublevel_persistence0
+from tgtopo.temporal import TemporalGraphError, WindowGraph, from_events, stack_windows
+from tgtopo.topology import betti_curve, sublevel_persistence0, topo_descriptors
 
 INFEASIBLE = "no feasible modification at step "  # perturb_edges' refusal of too large a k
 
@@ -678,3 +678,39 @@ class TestRandomTemporalGraph:
         for seed in range(10):
             g = random_temporal_graph(np.random.Generator(bit_generator(seed)))
             _assert_valid_draw(g, 10, 40, 3.0)
+
+
+def membership_change(edges, pair):
+    """The pair's common neighbours c in the window ``edges`` without it, and the change of
+    the window's row (v, e, beta_0, beta_1) when the pair enters."""
+    a, b = sorted(pair)
+    without = [e for e in {tuple(sorted(e)) for e in edges} if e != (a, b)]
+    near = [{y for e in without for x, y in (e, e[::-1]) if x == end} for end in (a, b)]
+    rows = topo_descriptors(stack_windows(as_windows(
+        [window_from_edges(without), window_from_edges(without + [(a, b)])])))
+    return len(near[0] & near[1]), (rows[1] - rows[0]).tolist()
+
+
+def beta1_bound(c):  # the proven bound on |d beta_1| (module docstring)
+    return max(1, c - 1)
+
+
+class TestMembershipChange:
+    pairs = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1])
+
+    @given(st.lists(pairs, max_size=24), pairs)
+    @example([], (0, 1))  # both ends new: dv = 2, d beta_0 = 1
+    @example([(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)], (0, 1))  # a filled 3-clique: beta_2
+    @settings(max_examples=300, deadline=None)
+    def test_one_pair_moves_the_row_within_the_bounds(self, edges, pair):
+        c, (dv, de, d0, d1) = membership_change(edges, pair)
+        assert 0 <= dv <= 2 and de == 1 and abs(d0) <= 1
+        assert abs(d1) <= beta1_bound(c)
+
+    @pytest.mark.parametrize("m", [3, 6, 10])
+    def test_k2m_attains_the_beta1_bound(self, m):
+        # hubs 0 and 1, leaves 2..m+1: beta_1 = m - 1, and the hub edge fills every 4-cycle
+        c, (dv, de, d0, d1) = membership_change(
+            [(hub, leaf) for hub in (0, 1) for leaf in range(2, m + 2)], (0, 1))
+        assert (c, dv, de, d0, d1) == (m, 0, 1, 0, 1 - m)
+        assert abs(d1) == beta1_bound(c) > max(1, c - 2)  # a bound of c - 2 is refuted
