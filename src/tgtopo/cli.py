@@ -20,10 +20,7 @@ import sys
 
 import numpy as np
 
-from . import data, pipeline, stability
 from .errors import InputError, NumericalError
-from .model import TemporalGraphClassifier
-from .pipeline import PipelineError, RunConfig
 
 
 def _build_parser():
@@ -79,7 +76,9 @@ def _build_parser():
     return parser
 
 
-def _load_config(path) -> RunConfig:
+def _load_config(path):
+    from .pipeline import RunConfig
+
     return RunConfig.from_file(path) if path else RunConfig()
 
 
@@ -92,6 +91,15 @@ def _write_or_print(text, path):
 
 
 def _run(args) -> int:
+    # each command imports what it runs, so synth and stability (and --help or a
+    # usage error, which never get here) load no training code
+    if args.command == "synth":
+        from . import data
+    elif args.command == "stability":
+        from . import stability
+    else:
+        from . import data, pipeline
+        from .pipeline import PipelineError, RunConfig
     if args.command == "extract":
         cfg = RunConfig(delta=args.delta, sigma=args.sigma, dos_bins=args.bins)
         dataset = data.load_dataset(args.data)
@@ -124,6 +132,8 @@ def _run(args) -> int:
         print(f"final loss {metrics.loss_history[-1]:.4f}; checkpoint at {args.out}")
     elif args.command == "eval":
         cfg = _load_config(args.config)
+        from .model import TemporalGraphClassifier
+
         model = TemporalGraphClassifier.load(args.model)
         dataset = data.load_dataset(args.data)
         features = pipeline.extract_descriptors(dataset, cfg)

@@ -191,5 +191,3 @@ def test_environment_records_the_openblas_kernel():
     # CPUs the runs could use (their affinity, which os.cpu_count() ignores)
     assert env["cpus_usable"] == len(os.sched_getaffinity(0)) >= 1
     assert {"src_lines", "numpy", "machine", "system", "dont_write_bytecode"} <= set(env)
-    # whatever the calling shell sets, the runs' setup_s imports cached bytecode
-    assert env["runs_cache_bytecode"] is True

@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -398,6 +401,28 @@ class TestSweepStability:
         assert main(["stability", "--mode", "spectral", "--trials", "30",
                      "--seed", "1", "--magnitude", "2", "--out", str(out)]) == 0
         assert out.read_text().startswith("trial,mode,magnitude,distance,ratio")
+
+
+class TestColdStart:
+    # a fresh interpreter runs one command; the commands that never extract or train
+    # load no training code, and --help loads no command's module
+    @pytest.mark.parametrize("argv, loaded", [
+        (["--help"], []),
+        (["synth", "--spec", "{spec}", "--out", "{out}", "--seed", "0"], ["data", "temporal"]),
+        (["stability", "--mode", "topo", "--trials", "30", "--out", "{out}"],
+         ["spectral", "stability", "temporal", "topology"]),
+    ])
+    def test_command_loads_only_what_it_runs(self, argv, loaded, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(num_graphs=2, nodes=6, timesteps=6, classes=2,
+                                        cycle_density=[0, 1])))
+        argv = [a.format(spec=spec, out=tmp_path / "out") for a in argv]
+        code = ("import sys\nfrom tgtopo.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('tgtopo.')), file=sys.stderr)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tgtopo.cli.__file__)))
+        run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert run.stderr.split() == sorted(f"tgtopo.{m}" for m in ["cli", "errors", *loaded])
 
 
 def _package_errors():

@@ -31,10 +31,9 @@ of each side's ``src/`` files (so the file can be tied to the code it measured
 even when the change was not yet committed; if the working tree's ``src/``
 changed while the runs went on, its digest after the last run as
 ``src_sha256_after``) and the environment, including whether
-``PYTHONDONTWRITEBYTECODE`` is set in the calling shell (``dont_write_bytecode``),
-that the runs cache bytecode all the same (``runs_cache_bytecode``, so their
-``setup_s`` imports compiled modules, where a fresh interpreter under
-``PYTHONDONTWRITEBYTECODE`` compiles every import), the core name of numpy's bundled
+``PYTHONDONTWRITEBYTECODE`` is set in the calling shell (``dont_write_bytecode``;
+the runs drop it, as above, so their ``setup_s`` imports cached bytecode), the
+core name of numpy's bundled
 OpenBLAS (``openblas_kernel``, which ``OPENBLAS_CORETYPE`` can force; the
 metrics-CSV fingerprints hold per kernel) and the number of CPUs this process may run
 on (``cpus_usable``, from its affinity; the runs inherit it). After writing it, the script prints
@@ -129,7 +128,6 @@ def environment(run_environment):
     """A run's environment, with this machine's and this process's settings."""
     return {**run_environment, "machine": platform.machine(), "system": platform.platform(),
             "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-            "runs_cache_bytecode": True,  # ``run_once`` drops PYTHONDONTWRITEBYTECODE
             "openblas_kernel": openblas_kernel(), "cpus_usable": len(os.sched_getaffinity(0))}
 
 
