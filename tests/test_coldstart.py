@@ -1,6 +1,7 @@
 """tools/coldstart.py runs every case on both sides and records each time."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,11 @@ def coldstart(monkeypatch):
     return coldstart
 
 
-def test_every_case_runs_on_both_sides(coldstart, tmp_path, capsys):
+def test_every_case_runs_on_both_sides(coldstart, tmp_path, monkeypatch, capsys):
+    # the parent side is a copy of this tree's src/, so no git repository is needed
+    monkeypatch.setattr(coldstart, "git", lambda *args: "")
+    monkeypatch.setattr(coldstart, "export", lambda rev, dest: shutil.copytree(
+        coldstart.ROOT / "src", Path(dest) / "src"))
     out = tmp_path / "cold.json"
     assert coldstart.main(["--parent", "HEAD", "--out", str(out), "--pairs", "1"]) == 0
     report = json.loads(out.read_text())
