@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import InputError, NumericalError
 
@@ -118,7 +117,7 @@ def _run(args) -> int:
         cfg = _load_config(args.config)
         dataset = data.load_dataset(args.data)
         folds = 1.0 / args.test_fraction  # inf for the smallest subnormals
-        folds = max(2, round(folds)) if np.isfinite(folds) else folds
+        folds = max(2, round(folds)) if math.isfinite(folds) else folds
         if folds > len(dataset):
             raise PipelineError(f"--test-fraction {args.test_fraction!r} needs {folds:.3g} "
                                 f"folds, more than the {len(dataset)} graphs")
@@ -176,6 +175,11 @@ def _run(args) -> int:
     return 0
 
 
+def _linalg_error():  # numpy is loaded whenever LAPACK can have raised its LinAlgError
+    linalg = sys.modules.get("numpy.linalg")
+    return (linalg.LinAlgError,) if linalg else ()
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -187,7 +191,7 @@ def main(argv=None) -> int:
     except (InputError, json.JSONDecodeError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError, *_linalg_error()) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -157,11 +157,11 @@ def _random_tree_edges(nodes, rng):
     return edges
 
 
-def _spec_int(key, value, low) -> int:
+def _check_int(name, value, low) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataError(f"spec {key} must be an integer, got {value!r}")
+        raise DataError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise DataError(f"spec {key} must be >= {low}, got {value}")
+        raise DataError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -184,14 +184,14 @@ def synth_generate(spec: dict, seed: int) -> Dataset:
     missing = required - spec.keys()
     if missing:
         raise DataError(f"missing spec keys: {sorted(missing)}")
-    num_graphs = _spec_int("num_graphs", spec["num_graphs"], 1)
-    nodes = _spec_int("nodes", spec["nodes"], 3)
-    timesteps = _spec_int("timesteps", spec["timesteps"], 1)
-    classes = _spec_int("classes", spec["classes"], 2)
-    anchor_stride = _spec_int("anchor_stride", spec.get("anchor_stride", 4), 1)
+    num_graphs = _check_int("spec num_graphs", spec["num_graphs"], 1)
+    nodes = _check_int("spec nodes", spec["nodes"], 3)
+    timesteps = _check_int("spec timesteps", spec["timesteps"], 1)
+    classes = _check_int("spec classes", spec["classes"], 2)
+    anchor_stride = _check_int("spec anchor_stride", spec.get("anchor_stride", 4), 1)
     if not isinstance(spec["cycle_density"], (list, tuple)):
         raise DataError("cycle_density must be a list")
-    density = [_spec_int("cycle_density", c, 0) for c in spec["cycle_density"]]
+    density = [_check_int("spec cycle_density", c, 0) for c in spec["cycle_density"]]
     if len(density) != classes:
         raise DataError("cycle_density must list one value per class")
     if len(set(density)) != classes:
@@ -201,7 +201,7 @@ def synth_generate(spec: dict, seed: int) -> Dataset:
     if max(density) > free_pairs:
         raise DataError(f"cycle_density values must be <= {free_pairs} for {nodes} nodes")
 
-    streams = np.random.SeedSequence(seed).spawn(num_graphs)
+    streams = np.random.SeedSequence(_check_int("seed", seed, 0)).spawn(num_graphs)
     graphs = []
     for i in range(num_graphs):
         rng = np.random.default_rng(streams[i])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,27 +146,6 @@ class AttentionReport:
         return f"{self.dataset},{self.structural!r},{self.topological!r},{self.spectral!r}"
 
 
-def _start(background, fn, *args):
-    """Call ``fn(*args)`` on a new thread if ``background``: the function returned joins
-    it, then returns the call's result or raises its exception.  Else it makes the call."""
-    if not background:
-        return lambda: fn(*args)
-    out = []
-    def run():
-        try:
-            out.append((fn(*args), None))
-        except BaseException as exc:  # raised again by join, in the calling thread
-            out.append((None, exc))
-    thread = threading.Thread(target=run)
-    thread.start()
-    def join():
-        thread.join()
-        if out[0][1] is not None:
-            raise out[0][1]
-        return out[0][0]
-    return join
-
-
 def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     """Per-graph descriptor streams and static features; the config is validated first.
 
@@ -175,8 +154,9 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     graph's n x n, n x T and windows x ``dos_bins`` matrices over ``temporal.ENTRY_LIMIT``
     entries are refused first, as is a dataset with no graphs.  The n x n matrix is
     built from the event endpoints.  A stack at ``OVERLAP_PAIRS`` and ``OVERLAP_N3``
-    gets its spectral descriptors on a second thread during its topology (the same
-    bytes); it is joined, also if the topology raises, and its error raised here.
+    gets its spectral descriptors on the call's one worker thread during its topology
+    (the same bytes); its result is taken, also if the topology raises, and its error
+    raised here.  The worker starts with the first such stack and ends with the call.
     """
     config.validate()
     if not dataset.graphs:
@@ -191,17 +171,19 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
                                           f"{temporal.ENTRY_LIMIT} matrix entries")
     binary, multiplicity = config.feature_mode == "binary", config.count_edge_multiplicity
     out = []
-    for g in dataset.graphs:
-        stack = (sizes, _) = stack_windows(window_sequence(g, spec))
-        join = _start(sizes[:, 1].sum() >= OVERLAP_PAIRS and (sizes[:, 0] ** 3).sum()
-                      >= OVERLAP_N3, spectral.spectral_descriptors, stack, bins)
-        try:
-            phi = topology.topo_descriptors(stack, multiplicity).astype(np.float64)
-        finally:
-            psi, psi_empty = join()
-        feats = temporal_degree(g, grid, binary=binary)
-        agg = _aggregation(g.num_nodes, *g.events[:, :2].T.astype(np.int64))
-        out.append(GraphFeatures(g.label, phi, psi, psi_empty, feats, agg))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for g in dataset.graphs:
+            stack = (sizes, _) = stack_windows(window_sequence(g, spec))
+            over = sizes[:, 1].sum() >= OVERLAP_PAIRS and (sizes[:, 0] ** 3).sum() >= OVERLAP_N3
+            future = worker.submit(spectral.spectral_descriptors, stack, bins) if over else None
+            try:
+                phi = topology.topo_descriptors(stack, multiplicity).astype(np.float64)
+            finally:
+                psi, psi_empty = (future.result() if future
+                                  else spectral.spectral_descriptors(stack, bins))
+            feats = temporal_degree(g, grid, binary=binary)
+            agg = _aggregation(g.num_nodes, *g.events[:, :2].T.astype(np.int64))
+            out.append(GraphFeatures(g.label, phi, psi, psi_empty, feats, agg))
     return out
 
 

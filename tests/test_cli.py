@@ -88,6 +88,11 @@ def _synth_args(root, dataset_dir, spec):
             "--seed", "0"]
 
 
+def _synth_seed_args(root, dataset_dir, seed):
+    spec = dict(num_graphs=2, nodes=6, timesteps=6, classes=2, cycle_density=[0, 1])
+    return _synth_args(root, dataset_dir, json.dumps(spec))[:-1] + [seed]
+
+
 def _manifest_args(root, dataset_dir, manifest):
     ds = root / "ds"
     ds.mkdir()
@@ -199,6 +204,7 @@ class TestExitCodes:
         pytest.param(_synth_args, "[1, 2]", id="spec_not_object"),
         pytest.param(_synth_args, '{"num_graphs": 4, "nodes": "abc", "timesteps": 8, '
                      '"classes": 2, "cycle_density": [0, 2]}', id="spec_value_not_integer"),
+        pytest.param(_synth_seed_args, "-1", id="negative_synth_seed"),
         pytest.param(_stability_args, "--mode topo --trials 5", id="too_few_trials"),
         pytest.param(_stability_args, "--mode topo --trials 30 --magnitude -1",
                      id="negative_timestamp_noise"),
@@ -405,12 +411,13 @@ class TestSweepStability:
 
 class TestColdStart:
     # a fresh interpreter runs one command; the commands that never extract or train
-    # load no training code, and --help loads no command's module
+    # load no training code, and --help loads no command's module and no numpy
     @pytest.mark.parametrize("argv, loaded", [
         (["--help"], []),
-        (["synth", "--spec", "{spec}", "--out", "{out}", "--seed", "0"], ["data", "temporal"]),
+        (["synth", "--spec", "{spec}", "--out", "{out}", "--seed", "0"],
+         ["data", "numpy", "temporal"]),
         (["stability", "--mode", "topo", "--trials", "30", "--out", "{out}"],
-         ["spectral", "stability", "temporal", "topology"]),
+         ["numpy", "spectral", "stability", "temporal", "topology"]),
     ])
     def test_command_loads_only_what_it_runs(self, argv, loaded, tmp_path):
         spec = tmp_path / "spec.json"
@@ -418,11 +425,12 @@ class TestColdStart:
                                         cycle_density=[0, 1])))
         argv = [a.format(spec=spec, out=tmp_path / "out") for a in argv]
         code = ("import sys\nfrom tgtopo.cli import main\nassert main(sys.argv[1:]) == 0\n"
-                "print(*sorted(m for m in sys.modules if m.startswith('tgtopo.')), file=sys.stderr)")
+                "print(*(m.removeprefix('tgtopo.') for m in sys.modules\n"
+                "        if m.startswith('tgtopo.') or m == 'numpy'), file=sys.stderr)")
         src = os.path.dirname(os.path.dirname(os.path.abspath(tgtopo.cli.__file__)))
         run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert run.stderr.split() == sorted(f"tgtopo.{m}" for m in ["cli", "errors", *loaded])
+        assert sorted(run.stderr.split()) == sorted(["cli", "errors", *loaded])
 
 
 def _package_errors():

@@ -251,6 +251,15 @@ class TestSynthGenerate:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             synth_generate(spec, 0)
 
+    @pytest.mark.parametrize("seed, message", [
+        pytest.param(-1, "seed must be >= 0, got -1", id="negative"),
+        pytest.param(1.5, "seed must be an integer, got 1.5", id="float"),
+        pytest.param(True, "seed must be an integer, got True", id="bool"),
+    ])
+    def test_invalid_seed_rejected(self, seed, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            synth_generate(SPEC, seed)
+
     def test_betti1_separation(self):
         # planted chords must push mean per-window beta_1 of the dense class
         # at least 2 above the sparse class

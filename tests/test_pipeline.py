@@ -32,6 +32,7 @@ from tgtopo.pipeline import (
     sweep_windows,
     train,
 )
+from tgtopo.spectral import SpectralError
 import tgtopo.temporal
 from tgtopo.temporal import TemporalGraphError, from_events, stack_windows, window_count
 
@@ -117,33 +118,41 @@ class TestExtraction:
 
 
 def mixed_dataset():
-    """A desk-shaped graph, whose stack stays under the overlap gate, and a
-    long-stream-shaped one (96 timesteps, a tree at each), whose stack is over it."""
+    """A desk-shaped graph, whose stack stays under the overlap gate, and two
+    long-stream-shaped ones (96 timesteps, a tree at each), whose stacks are over it."""
     desk = synth_generate(dict(num_graphs=1, nodes=30, timesteps=24, classes=2,
                                cycle_density=[0, 3]), 1)
-    long = synth_generate(dict(num_graphs=1, nodes=30, timesteps=96, anchor_stride=1,
+    long = synth_generate(dict(num_graphs=2, nodes=30, timesteps=96, anchor_stride=1,
                                classes=2, cycle_density=[0, 3]), 1)
     return Dataset("mixed", desk.graphs + long.graphs, 2)
 
 
+def assert_same_bytes(*runs):
+    for graphs in zip(*runs, strict=True):
+        for name in ("phi", "psi", "psi_empty", "features", "agg"):
+            first, *rest = (getattr(gf, name) for gf in graphs)
+            for other in rest:
+                assert (first.dtype == other.dtype and first.shape == other.shape
+                        and first.tobytes() == other.tobytes())
+
+
 class TestOverlap:
-    """A large stack's spectral descriptors run on a second thread while the calling
-    thread computes its topology: the same calls, so the same bytes."""
+    """A large stack's spectral descriptors run on the call's worker thread while the
+    calling thread computes its topology: the same calls, so the same bytes."""
 
     CFG = RunConfig(delta=4.0, sigma=1.0)
 
     def test_both_paths_give_the_same_bytes(self, monkeypatch):
         dataset, runs = mixed_dataset(), []
-        for gate in (0, 1 << 62):  # every graph takes the thread, then none does
-            monkeypatch.setattr(tgtopo.pipeline, "OVERLAP_PAIRS", gate)
-            monkeypatch.setattr(tgtopo.pipeline, "OVERLAP_N3", gate)
+        gates = (tgtopo.pipeline.OVERLAP_PAIRS, tgtopo.pipeline.OVERLAP_N3)
+        # every graph takes the worker, then none does, then the long ones do
+        for pairs, n3 in ((0, 0), (1 << 62, 1 << 62), gates):
+            monkeypatch.setattr(tgtopo.pipeline, "OVERLAP_PAIRS", pairs)
+            monkeypatch.setattr(tgtopo.pipeline, "OVERLAP_N3", n3)
             runs.append(extract_descriptors(dataset, self.CFG))
-        for threaded, inline in zip(*runs, strict=True):
-            for name in ("phi", "psi", "psi_empty", "features", "agg"):
-                a, b = getattr(threaded, name), getattr(inline, name)
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert_same_bytes(*runs)
 
-    def test_only_the_long_graph_takes_the_thread(self, monkeypatch):
+    def test_only_the_long_graphs_take_the_one_worker(self, monkeypatch):
         dataset, where, started = mixed_dataset(), [], []
         original, start = tgtopo.spectral.spectral_descriptors, threading.Thread.start
         monkeypatch.setattr(tgtopo.spectral, "spectral_descriptors", lambda stack, bins: (
@@ -155,9 +164,9 @@ class TestOverlap:
                  for g in dataset.graphs]
         assert [(s[:, 1].sum() >= tgtopo.pipeline.OVERLAP_PAIRS,
                  (s[:, 0] ** 3).sum() >= tgtopo.pipeline.OVERLAP_N3) for s in sizes] == [
-            (False, False), (True, True)]
+            (False, False), (True, True), (True, True)]
         extract_descriptors(dataset, self.CFG)
-        assert where == [True, False] and len(started) == 1
+        assert where == [True, False, False] and len(started) == 1
 
     def test_a_topology_failure_surfaces_after_the_worker_is_joined(self, monkeypatch):
         # the worker is still in its eigensolve when the calling thread raises
@@ -169,6 +178,35 @@ class TestOverlap:
         with pytest.raises(MemoryError, match="^topology$"):
             extract_descriptors(dataset, self.CFG)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("topology_fails", [False, True], ids=["spectral", "both"])
+    def test_a_worker_failure_ends_the_call_and_its_worker(self, topology_fails, monkeypatch):
+        # the second long graph fails on the worker, also when its topology fails too;
+        # the worker's error is raised, no thread is left, and no state reaches the next call
+        dataset, before = mixed_dataset(), threading.active_count()
+        fresh = extract_descriptors(dataset, self.CFG)
+        assert threading.active_count() == before
+
+        def third_call_raises(fn, error):
+            calls = []
+
+            def call(stack, arg):
+                calls.append(stack)
+                if len(calls) == 3:
+                    raise error
+                return fn(stack, arg)
+            return call
+
+        monkeypatch.setattr(tgtopo.spectral, "spectral_descriptors", third_call_raises(
+            tgtopo.spectral.spectral_descriptors, SpectralError("second long")))
+        if topology_fails:
+            monkeypatch.setattr(tgtopo.topology, "topo_descriptors", third_call_raises(
+                tgtopo.topology.topo_descriptors, MemoryError("topology")))
+        with pytest.raises(SpectralError, match="^second long$"):
+            extract_descriptors(dataset, self.CFG)
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        assert_same_bytes(fresh, extract_descriptors(dataset, self.CFG))
 
 
 class TestEntryLimit:
