@@ -36,6 +36,12 @@ view), because BLAS may round another layout differently.  The parameter
 stacks are blocks of the arenas, laid out when the model is built
 (``model._stack``), and ``accumulate_blocks`` lets a backward write a stacked
 gradient straight into its gradient block.
+
+A step allocates little beyond what its tape keeps: kernels write their
+temporaries into arrays they made themselves (``_layer_norm``, ``_relu_in_place``,
+``model.encode``'s bias adds), as the same float operations in the same order, so
+the bytes are those of the expressions they replace.  They never write into an
+input, into an array a closure reads later, or into a gradient they were handed.
 """
 
 from __future__ import annotations
@@ -207,6 +213,12 @@ def accumulate_blocks(groups, views, fill):
             t.grad = t._grad_view
 
 
+def _relu_in_place(x):
+    """``np.where(x > 0, x, 0.0)`` bit for bit, written into ``x``: fmax maps NaN to 0.0,
+    and + 0.0 makes the -0.0 it may keep 0.0."""
+    return np.add(np.fmax(x, 0.0, out=x), 0.0, out=x)
+
+
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
@@ -225,18 +237,20 @@ def _layer_norm(a, gain, bias):
     """Layer norm over the last axis of ``a``; returns the output and
     ``grad(g)``: the gradient of ``a`` and the gain's before its row sum."""
     d = a.shape[-1]
-    centered = a - np.add.reduce(a, axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(np.add.reduce(centered**2, axis=-1, keepdims=True) / d + LN_EPS)
-    norm = centered * inv_std
+    norm = a - np.add.reduce(a, axis=-1, keepdims=True) / d  # centered, then normalized
+    out = np.square(norm)  # then the output
+    inv_std = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + LN_EPS)
+    norm *= inv_std
 
     def grad(g):
-        gh = g * gain
-        # d norm / d a through mean and variance
-        term = (gh - np.add.reduce(gh, axis=-1, keepdims=True) / d
-                - norm * (np.add.reduce(gh * norm, axis=-1, keepdims=True) / d))
-        return term * inv_std, g * norm
+        gh = g * gain  # then a's gradient: d norm / d a through mean and variance
+        g_gain = np.multiply(gh, norm)  # gh * norm, then norm's term, then the gain's gradient
+        gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
+        gh -= np.multiply(norm, np.add.reduce(g_gain, axis=-1, keepdims=True) / d, out=g_gain)
+        gh *= inv_std
+        return gh, np.multiply(g, norm, out=g_gain)
 
-    return norm * gain + bias, grad
+    return np.add(np.multiply(norm, gain, out=out), bias, out=out), grad
 
 
 def layer_norm(a, gain, bias) -> Tensor:

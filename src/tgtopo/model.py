@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,11 @@ class ModelConfig:
     mode: str = "full"
 
     def __post_init__(self):
+        for key in ("num_classes", "topo_dim", "dos_bins", "feature_dim", "hidden_dim",
+                    "sage_layers", "tf_layers", "tf_heads", "tf_model_dim", "tf_ffn_dim"):
+            value, low = getattr(self, key), int(key != "sage_layers")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.tf_model_dim % self.tf_heads != 0:
@@ -234,15 +240,19 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True, attentio
         heads_out, probs, att_grad = ad._attention(normed, qkv, scale, params_t[l * width + 4])
         attended = heads_out @ wo
         if drop:
-            attended = attended * masks[:, l, 0]
+            attended *= masks[:, l, 0]
+        # the residual adds make new arrays: in place, they leave a long stream's
+        # tape at the heap top, where glibc trims and re-faults it every step
         x = x + attended
         normed2, ln2_grad = ad._layer_norm(x, g2, b2)
-        pre = normed2 @ w1 + c1
+        pre = normed2 @ w1
+        pre += c1
         active = pre > 0
-        h = np.where(active, pre, 0.0)
-        out = h @ w2 + c2
+        h = ad._relu_in_place(pre)
+        out = h @ w2
+        out += c2
         if drop:
-            out = out * masks[:, l, 1]
+            out *= masks[:, l, 1]
         x = x + out
         if grad:
             tape.append((ln1_grad, heads_out, probs, att_grad, normed2, ln2_grad, active, h))
@@ -260,15 +270,16 @@ def encode(encoders, blocks, streams, rng=None, train=False, grad=True, attentio
             o_g1, o_b1, o_g2, o_b2, o_qkv, o_wo, o_w1, o_c1, o_w2, o_c2 = out[l * width:][:width]
             ln1_grad, heads_out, _, att_grad, normed2, ln2_grad, active, h = tape[l]
             g_out = g_x * masks[:, l, 1] if drop else g_x
-            g_pre = (g_out @ w2_t) * active
+            g_pre = g_out @ w2_t
+            g_pre *= active
             g_normed2 = g_pre @ w1_t
             g_ln, g_g2 = ln2_grad(g_normed2)
-            g_x = g_x + g_ln
+            g_x = np.add(g_x, g_ln, out=g_ln)  # not into g_x: g_out may be g_x
             g_att = g_x * masks[:, l, 0] if drop else g_x
             g_parts, _ = att_grad(g_att @ wo_t, out=o_qkv)
             g_normed = np.add.reduce(g_parts.reshape(s, -1, n, d), axis=1)  # the parts in order
             g_ln, g_g1 = ln1_grad(g_normed)
-            g_x = g_x + g_ln
+            g_x = np.add(g_x, g_ln, out=g_ln)
             for a, o in ((g_g1, o_g1), (g_normed, o_b1), (g_g2, o_g2), (g_normed2, o_b2),
                          (g_pre, o_c1), (g_out, o_c2)):
                 np.add.reduce(a, axis=-2, keepdims=True, out=o)
@@ -358,7 +369,7 @@ class TemporalGraphClassifier:
             pre = h @ w_self.data + neigh @ w_neigh.data + bias.data
             active = pre > 0
             tape.append((h, neigh, active))
-            h = np.where(active, pre, 0.0)
+            h = ad._relu_in_place(pre)
         pooled = (np.add.reduce(h, axis=0) / n).reshape(1, -1)
         proj, proj_b = self.sage_proj, self.sage_proj_b
 
@@ -368,7 +379,7 @@ class TemporalGraphClassifier:
             g_h = np.repeat((g @ proj.data.T) / n, n, axis=0)
             for l in reversed(range(len(tape))):
                 (w_self, w_neigh, bias), (h_in, neigh, active) = self.sage_params[l], tape[l]
-                g_pre = g_h * active
+                g_pre = np.multiply(g_h, active, out=g_h)
                 bias._accumulate(np.add.reduce(g_pre, axis=0))
                 w_self._accumulate(h_in.T @ g_pre)
                 w_neigh._accumulate(neigh.T @ g_pre)

@@ -99,7 +99,7 @@ class Adam:
         m *= BETA1
         m += g
         v *= BETA2
-        v += np.multiply(g, g, out=tmp)
+        v += np.square(g, out=tmp)
         np.sqrt(v, out=tmp)
         tmp += EPS * scale
         p -= np.multiply(alpha, np.divide(m, tmp, out=tmp), out=tmp)

@@ -67,6 +67,10 @@ class RunConfig:
         """Raise PipelineError for the first value outside its range.
 
         delta and sigma are checked by ``WindowSpec`` when windows are cut."""
+        for key in ("dos_bins", "sage_layers", "hidden_dim", "epochs", "seed", "folds"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise PipelineError(f"{key} must be an integer, got {value!r}")
         for key, ok, expected in (
             ("dos_bins", self.dos_bins >= 1, ">= 1"),
             ("sage_layers", self.sage_layers >= 1, ">= 1"),

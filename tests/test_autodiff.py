@@ -9,12 +9,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tgtopo.autodiff import (
+    LN_EPS,
     NonFiniteValueError,
     ShapeMismatchError,
     Tensor,
     _attention,
+    _layer_norm,
+    _relu_in_place,
     add,
     concat,
     cross_entropy_with_logits,
@@ -267,6 +272,71 @@ class TestFusedOpsMatchChain:
         # d = 32 as in the encoders; with one head BLAS rounds g_k @ wk.T
         # differently once g_k is copied out of its transposed layout
         self._assert_kernel_is_chain(np.random.default_rng(41 + n + num_heads), n, 32, num_heads)
+
+
+def layer_norm_oracle(a, gain, bias):
+    """``_layer_norm`` as it was before it reused its buffers: the reference
+    for the bytes of its output and both gradients."""
+    d = a.shape[-1]
+    centered = a - np.add.reduce(a, axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(np.add.reduce(centered**2, axis=-1, keepdims=True) / d + LN_EPS)
+    norm = centered * inv_std
+
+    def grad(g):
+        gh = g * gain
+        term = (gh - np.add.reduce(gh, axis=-1, keepdims=True) / d
+                - norm * (np.add.reduce(gh * norm, axis=-1, keepdims=True) / d))
+        return term * inv_std, g * norm
+
+    return norm * gain + bias, grad
+
+
+# every class of float64 the ReLU must map as np.where does: signed zeros,
+# NaN of either sign, infinities, subnormals and the normals around them
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+           2.225073858507201e-308, -2.225073858507201e-308, 2.2250738585072014e-308,
+           -2.2250738585072014e-308, 1.0, -1.0, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestInPlaceKernels:
+    """The kernels that write their temporaries into arrays they own give the
+    bytes of the expressions they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=7),
+                      elements=st.one_of(st.sampled_from(SPECIAL),
+                                         st.floats(allow_nan=True, allow_infinity=True))))
+    @example(np.array(SPECIAL))
+    def test_relu_is_where_bit_for_bit(self, x):
+        want = np.where(x > 0, x, 0.0)
+        got = x.copy()
+        assert _relu_in_place(got) is got
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=st.sampled_from([(), (1,), (2,), (3,)]), n=st.integers(1, 9),
+           d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           magnitude=st.sampled_from([1e-3, 1.0, 1e3]))
+    @example(stack=(), n=1, d=1, seed=0, magnitude=1.0)
+    @example(stack=(2,), n=1, d=1, seed=1, magnitude=1.0)
+    @example(stack=(2,), n=92, d=32, seed=2, magnitude=1.0)  # an encoder's stack
+    def test_layer_norm_is_the_oracle_bit_for_bit(self, stack, n, d, seed, magnitude):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(*stack, n, d)) * magnitude
+        gain, bias = (rng.normal(size=(*stack, 1, d) if stack else d) for _ in range(2))
+        g = rng.normal(size=a.shape)
+        inputs = [a, gain, bias, g]
+        copies = [x.copy() for x in inputs]
+        want, want_grad = layer_norm_oracle(a, gain, bias)
+        got, grad = _layer_norm(a, gain, bias)
+        assert got.tobytes() == want.tobytes()
+        want_g = want_grad(g)
+        for _ in range(2):  # the closure's arrays outlive a backward
+            got_g = grad(g)
+            assert [x.tobytes() for x in got_g] == [x.tobytes() for x in want_g]
+            assert not np.shares_memory(got_g[0], got_g[1])
+        assert got.tobytes() == want.tobytes()  # backward writes nothing it returned before
+        assert [x.tobytes() for x in inputs] == [x.tobytes() for x in copies]
 
 
 class TestOpSemantics:

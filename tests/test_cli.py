@@ -284,6 +284,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("tf_layers", 0), ("tf_heads", 0), ("tf_model_dim", 0), ("tf_ffn_dim", 0),
+        ("hidden_dim", 0), ("sage_layers", -1), ("tf_layers", 1.5), ("tf_heads", True),
+    ])
+    def test_checkpoint_config_with_a_bad_width_is_data_error(self, key, value, dataset_dir,
+                                                               tmp_path, capsys):
+        # a checkpoint of zero encoder layers, with no layer arrays, once loaded,
+        # and eval ended in a ZeroDivisionError traceback with exit 1
+        path = tmp_path / "model.json"
+        width = len({t for g in load_dataset(dataset_dir).graphs for _, _, t in g.events})
+        TemporalGraphClassifier(ModelConfig(feature_dim=width, tf_layers=1)).save(path)
+        payload = json.loads(path.read_text())
+        payload["config"][key] = value
+        if key == "tf_layers":  # the arrays of a model with no encoder layer
+            payload["params"] = {k: v for k, v in payload["params"].items() if "_tf.0." not in k}
+        path.write_text(json.dumps(payload))
+        code = main(["eval", "--model", str(path), "--data", str(dataset_dir),
+                     "--report", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert f"{key} must be an integer" in err
+
     @pytest.mark.parametrize("extra_timestamps, config, width", [
         pytest.param(3, "", "feature_dim", id="timestamp_count"),
         pytest.param(0, "dos_bins = 6\n", "dos_bins", id="dos_bins"),

@@ -324,6 +324,26 @@ class TestStructuralViewMatchesChain:
         assert len(runs[0][3]) == len(model.parameters)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("tf_layers", 0), ("tf_heads", 0), ("tf_model_dim", 0), ("tf_ffn_dim", 0),
+        ("hidden_dim", 0), ("feature_dim", 0), ("topo_dim", 0), ("dos_bins", 0),
+        ("num_classes", 0), ("sage_layers", -1), ("tf_heads", 2.0), ("tf_layers", True),
+        ("hidden_dim", "32"),
+    ])
+    def test_bad_width_is_refused(self, key, value):
+        # tf_heads = 0 raised ZeroDivisionError, a zero width failed later as
+        # "arena not laid out as one stack", and sage_layers = -1 built a model
+        low = 0 if key == "sage_layers" else 1
+        with pytest.raises(ValueError, match=f"^{key} must be an integer >= {low}, got "):
+            ModelConfig(**{key: value})
+
+    def test_no_sage_layer_and_numpy_integers_build(self):
+        cfg = ModelConfig(sage_layers=0, hidden_dim=np.int64(3), feature_dim=np.int32(3),
+                          tf_layers=1, tf_heads=np.uint8(1), tf_model_dim=4, tf_ffn_dim=6)
+        TemporalGraphClassifier(cfg)
+
+
 class TestTransformerEncoder:
     def _encoder(self, seed=0, **overrides):
         cfg = ModelConfig(**overrides)

@@ -7,6 +7,7 @@ deleted one would fail only the benchmark's self-test.  This runs the same
 wrapping and unwraps it again."""
 
 import importlib.util
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -166,3 +167,13 @@ def test_traced_spans_nest_when_extraction_overlaps(monkeypatch):
             open_on_worker += step
         else:
             assert not open_on_worker, f"{name} opened or closed during a worker span"
+
+
+def test_selftest_passes():
+    # the benchmark's own self-test, run as a script would be: every workload
+    # at its smallest size reports every declared metric with its unit and no
+    # failed operation, and a corrupted descriptor row counts as one (about 6 s)
+    run = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    assert "PASS" in run.stdout and "FAIL" not in run.stdout, run.stdout[-3000:]

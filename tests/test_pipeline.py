@@ -74,6 +74,25 @@ class TestRunConfig:
         with pytest.raises(PipelineError):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("dos_bins", 2.5), ("epochs", 1.5), ("hidden_dim", 8.5), ("seed", 0.5), ("folds", 2.5),
+        ("sage_layers", True), ("epochs", False), ("seed", "1"), ("folds", None),
+    ])
+    def test_integer_field_refuses_a_non_integer(self, key, value):
+        # 2.5 bins, 1.5 epochs, 8.5 hidden units and seed 0.5 once passed and
+        # ended in numpy's or Python's TypeError; 2.5 folds and True layers ran
+        with pytest.raises(PipelineError, match=f"^{key} must be an integer, got "
+                                                f"{re.escape(repr(value))}$"):
+            RunConfig(**{key: value}).validate()
+
+    def test_a_non_integer_is_refused_before_extraction(self, small_dataset):
+        with pytest.raises(PipelineError, match="dos_bins must be an integer"):
+            extract_descriptors(small_dataset, RunConfig(dos_bins=2.5))
+
+    def test_integer_fields_take_numpy_integers(self):
+        RunConfig(dos_bins=np.int64(4), sage_layers=np.int32(1), hidden_dim=np.uint16(8),
+                  epochs=np.int8(2), seed=np.uint64(3), folds=np.int64(2)).validate()
+
 
 class TestExtraction:
     def test_shapes(self, small_dataset, small_features):
