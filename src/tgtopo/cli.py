@@ -143,7 +143,7 @@ def _run(args) -> int:
                 pipeline.embeddings_csv(embeddings, [gf.label for gf in features]),
                 args.embeddings,
             )
-        print(f"accuracy {metrics.accuracy_mean:.4f}")
+        print(f"accuracy {metrics.accuracy_mean:.4f}", file=sys.stderr)
     elif args.command == "cv":
         cfg = _load_config(args.config)
         dataset = data.load_dataset(args.data)
@@ -152,7 +152,7 @@ def _run(args) -> int:
         print(
             f"accuracy {metrics.accuracy_mean:.4f} +/- {metrics.accuracy_std:.4f}; "
             f"view weights {report.structural:.3f}/{report.topological:.3f}/"
-            f"{report.spectral:.3f}"
+            f"{report.spectral:.3f}", file=sys.stderr,
         )
     elif args.command == "sweep":
         cfg = _load_config(args.config)
@@ -168,10 +168,12 @@ def _run(args) -> int:
         spec = stability.PerturbationSpec(mode, magnitude, args.trials, args.seed)
         report = stability.run_campaign(spec)
         _write_or_print(stability.campaign_csv([report]), args.out)
-        print(
-            f"{report.mode}: {len(report.trials)} trials, "
-            f"sup ratio {report.empirical_constant:.4f}"
-        )
+        over = report.over_bound()  # after the campaign: no check inside its timed trials
+        print(f"{report.mode}: {len(report.trials)} trials, sup ratio "
+              f"{report.empirical_constant:.4f}, proven bound {report.bound:.4f}, "
+              f"{over} trials over it", file=sys.stderr)
+        if over:
+            raise NumericalError(f"{over} trials exceed the proven bound {report.bound}")
     return 0
 
 

@@ -15,6 +15,7 @@ byte, and bins every window's eigenvalues with one ``bincount``.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import InputError
 
 SLACK = 1e-6  # eigenvalues this far outside [0, 2] mean a broken Laplacian
+TABLE_SIZES = 64  # the largest size whose table ``_size_cached`` keeps: campaign windows, bins
 
 
 class SpectralError(InputError):
@@ -44,6 +46,26 @@ class DosHistogram:
     bin_edges: tuple
     mass: tuple
     empty: bool = False
+
+
+def _size_cached(build):
+    """``build(size)``, read-only and kept in a bounded cache for sizes up to TABLE_SIZES; a
+    larger size is built on every call, so no size that a caller chooses grows the cache."""
+    @functools.lru_cache(TABLE_SIZES + 1)
+    def cached(size):
+        table = build(size)
+        table.flags.writeable = False
+        return table
+    @functools.wraps(build)
+    def table(size):
+        return cached(size) if size <= TABLE_SIZES else build(size)
+    table.cache_info = cached.cache_info
+    return table
+
+
+@_size_cached
+def _bin_edges(bin_count):  # the B - 1 interior edges 2j/B of B equal bins on [0, 2]
+    return 2.0 * np.arange(1, bin_count) / bin_count
 
 
 def _laplacians(g, n, w, i, j) -> np.ndarray:
@@ -79,17 +101,16 @@ def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
 
 
 def _masses(eigs, owner, sizes, bin_count) -> np.ndarray:
-    """(len(sizes), bin_count) masses of spectra of ``sizes`` eigenvalues each,
-    ``eigs[x]`` in spectrum ``owner[x]``, binned as ``dos_histogram`` says."""
+    """(len(sizes), bin_count) masses of spectra of ``sizes`` eigenvalues each, ``eigs[x]``
+    in spectrum ``owner[x]`` (the two broadcast together), binned as ``dos_histogram`` says."""
     if eigs.size and (eigs.min() < -SLACK or eigs.max() > 2.0 + SLACK):
         raise SpectralError(
             f"eigenvalues outside [0,2] by more than {SLACK}: "
             f"range [{eigs.min()}, {eigs.max()}]"
         )
     # a bin's index is the number of interior edges at or below the value
-    edges = 2.0 * np.arange(1, bin_count) / bin_count
-    idx = np.searchsorted(edges, np.round(eigs, 9), "right")  # clamped, as no edge is 0 or 2
-    counts = np.bincount(owner * bin_count + idx, minlength=len(sizes) * bin_count)
+    idx = np.searchsorted(_bin_edges(bin_count), np.round(eigs, 9), "right")  # no edge is 0 or 2
+    counts = np.bincount((owner * bin_count + idx).ravel(), minlength=len(sizes) * bin_count)
     return counts.reshape(-1, bin_count) / np.maximum(sizes, 1)[:, None]
 
 

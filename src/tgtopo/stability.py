@@ -51,6 +51,8 @@ from .errors import InputError
 from .temporal import TemporalGraph, TemporalGraphError, WindowGraph
 from .topology import betti0_curve
 
+_BOTH = np.array([[0], [1]])  # an edge trial's owner column: graph 0 before the edits, 1 after
+
 
 class StabilityError(InputError):
     pass
@@ -85,6 +87,17 @@ class StabilityReport:
     def empirical_constant(self) -> float:
         ratios = [d / m for m, d in self.trials if m > 0]
         return max(ratios) if ratios else 0.0
+
+    @property
+    def bound(self) -> float:  # the proven C of distance <= C * magnitude: 2(B - 1)/B at B = 4
+        return 1.0 if self.mode == "topo" else 1.5
+
+    def over_bound(self) -> int:
+        """Trials over the bound by more than 2**-40 * (1 + magnitude).  That covers the rounding
+        derived in the tests, u = 2**-53: 4(B + 2)u(1 + bound) for an edge trial, and
+        u(4m * rhs + 2(10m + rhs)) + m * 2**-1074 for a timestamp trial of ``run_campaign``,
+        whose m <= 120 events lie in [0, 10)."""
+        return sum(not d <= self.bound * m + 2**-40 * (1 + m) for m, d in self.trials)
 
     def mean_distance(self) -> float:
         return float(np.mean([d for _, d in self.trials])) if self.trials else 0.0
@@ -130,14 +143,15 @@ def _edit_edges(n, pairs, k: int, seed: int):
     rng = np.random.default_rng(seed)
     eu, ev = pairs.T  # ``live`` marks the original edges not deleted
     live = np.ones(len(eu), bool)
-    adj = np.zeros((n, n), bool)  # upper triangle: the original edges
-    adj[eu, ev] = True
-    degree = np.bincount(pairs.ravel(), minlength=n)
+    absent = _upper(n).copy()
+    absent[eu, ev] = False
+    degree = np.bincount(pairs.ravel(), minlength=n).tolist()  # Python ints: read every edit
     # the absent pairs (a, b), a < b, as a * n + b: ascending is lexicographic
-    non_edges, added, crossed = np.flatnonzero(~(adj | np.tri(n, dtype=bool))).tolist(), [], True
+    non_edges, added, crossed = np.flatnonzero(absent).tolist(), [], True
     for step in range(k):
         if crossed:  # the first step, or an edit moved a degree across 1 <-> 2
-            deletable = np.flatnonzero(live & (degree[eu] > 1) & (degree[ev] > 1)).tolist()
+            deg = np.array(degree)
+            deletable = np.flatnonzero(live & (deg[eu] > 1) & (deg[ev] > 1)).tolist()
         if not non_edges and not deletable:
             raise StabilityError(f"no feasible modification at step {step} of {k}")
         # a coin is drawn only when both moves are possible
@@ -204,8 +218,7 @@ def spectral_stability_trial(n, pairs, k: int, seed: int, bins: int = 4):
     i, j = np.concatenate([pairs, _edit_edges(n, pairs, k, seed)]).T  # graph 0 before, 1 after
     lap = spectral._laplacians(2, n, np.arange(len(i)) >= len(pairs), i, j)
     eigs = spectral.eigenvalues_sym(spectral.SymMatrix(n, lap))
-    mass = spectral._masses(eigs.ravel(), np.repeat([0, 1], n), np.array([n, n]), bins)
-    return spectral._w1(mass[0], mass[1]), k / n
+    return spectral._w1(*spectral._masses(eigs, _BOTH, np.array([n, n]), bins)), k / n
 
 
 def random_temporal_graph(rng, n_low=10, n_high=40, events_per_node=3.0):
@@ -233,11 +246,20 @@ def _draw_er(rng, n_low=20, n_high=60, p=0.2):
         raise StabilityError(f"sizes {n_low}, {n_high}, p={p}: need 0 <= n_low <= n_high "
                              "and 0 <= p <= 1")
     n = int(rng.integers(n_low, n_high + 1))
-    upper = np.flatnonzero(~np.tri(n, dtype=bool))  # the pairs i < j as i * n + j
     # one draw per pair, in row-major order (the order the campaign fingerprint pins)
-    i, j = np.divmod(upper[rng.random(len(upper)) < p], n)
-    kept = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) > 0
-    return np.flatnonzero(kept), (np.cumsum(kept) - 1)[np.column_stack([i, j])]
+    pairs = _pair_table(n)[rng.random(n * (n - 1) // 2) < p].astype(np.intp)
+    kept = np.bincount(pairs.ravel(), minlength=n) > 0
+    return np.flatnonzero(kept), (np.cumsum(kept) - 1)[pairs]
+
+
+@spectral._size_cached
+def _upper(n):  # True at the pairs a < b of n nodes
+    return ~np.tri(n, dtype=bool)
+
+
+@spectral._size_cached
+def _pair_table(n):  # (P, 2) pairs a < b, row-major; the least dtype that holds n: 2 B a pair
+    return np.argwhere(_upper(n)).astype(np.min_scalar_type(n))
 
 
 def run_campaign(spec: PerturbationSpec) -> StabilityReport:

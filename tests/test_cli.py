@@ -401,6 +401,34 @@ class TestTrainEvalCv:
         assert report.read_text().splitlines()[0] == "dataset,structural,topo,dos"
         assert emb.read_text().startswith("graph_id,label,")
 
+    def test_csv_on_stdout_is_the_whole_of_stdout(self, dataset_dir, tmp_path, capsys):
+        # eval and cv print their CSV to stdout when given no path; the summary line goes
+        # to stderr, so a redirected stdout is exactly the CSV
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\nmode = dos-only\nfolds = 2\n")
+        config = tgtopo.pipeline.RunConfig.from_file(str(cfg))
+        dataset = load_dataset(str(dataset_dir))
+        assert main(["cv", "--data", str(dataset_dir), "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        metrics, report = tgtopo.pipeline.kfold_cv(dataset, config)
+        assert out == tgtopo.pipeline.metrics_csv(metrics, config)
+        assert err == (f"accuracy {metrics.accuracy_mean:.4f} +/- {metrics.accuracy_std:.4f}; "
+                       f"view weights {report.structural:.3f}/{report.topological:.3f}/"
+                       f"{report.spectral:.3f}\n")
+
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(ckpt), "--data", str(dataset_dir),
+                     "--report", "", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        features = tgtopo.pipeline.extract_descriptors(dataset, config)
+        metrics, report, _ = tgtopo.pipeline.evaluate(TemporalGraphClassifier.load(str(ckpt)),
+                                                      features, dataset.name)
+        assert out == tgtopo.pipeline.attention_csv([report])
+        assert err == f"accuracy {metrics.accuracy_mean:.4f}\n"
+
     def test_cv_writes_metrics(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 2\nmode = dos-only\nfolds = 2\n")
@@ -430,6 +458,38 @@ class TestSweepStability:
         assert main(["stability", "--mode", "spectral", "--trials", "30",
                      "--seed", "1", "--magnitude", "2", "--out", str(out)]) == 0
         assert out.read_text().startswith("trial,mode,magnitude,distance,ratio")
+        assert capsys.readouterr() == ("", "spectral: 30 trials, sup ratio 0.5000, proven bound "
+                                           "1.5000, 0 trials over it\n")
+
+    @pytest.mark.parametrize("mode, spec", [("topo", ("timestamp", 0.1, 30, 1)),
+                                            ("spectral", ("edge", 2, 30, 1))])
+    def test_stability_csv_on_stdout_is_the_whole_of_stdout(self, mode, spec, capsys):
+        assert main(["stability", "--mode", mode, "--trials", "30", "--seed", "1"]) == 0
+        report = tgtopo.stability.run_campaign(tgtopo.stability.PerturbationSpec(*spec))
+        out, err = capsys.readouterr()
+        assert out == tgtopo.stability.campaign_csv([report])
+        assert err == (f"{report.mode}: 30 trials, sup ratio {report.empirical_constant:.4f}, "
+                       f"proven bound {report.bound:.4f}, 0 trials over it\n")
+
+    @pytest.mark.parametrize("mode, trial, bound", [
+        ("spectral", "spectral_stability_trial", 1.5),
+        ("topo", "topo_stability_trial", 1.0)])
+    def test_trial_over_the_proven_bound_is_numerical_failure(self, mode, trial, bound,
+                                                              monkeypatch, capsys):
+        # every third trial returns (distance, magnitude) 1e-9 over the bound: past rounding
+        def over(*args, **kwargs):
+            calls.append(1)
+            return bound * 0.25 * (1 + 1e-9 * (len(calls) % 3 == 0)), 0.25
+
+        calls = []
+        monkeypatch.setattr(tgtopo.stability, trial, over)
+        assert main(["stability", "--mode", mode, "--trials", "30", "--seed", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith("trial,mode,magnitude,distance,ratio\n")
+        lines = err.splitlines()
+        assert lines[0].endswith(f"proven bound {bound:.4f}, 10 trials over it")
+        assert [line for line in lines if line.startswith("numerical failure:")] == lines[1:]
+        assert lines[1:] == [f"numerical failure: 10 trials exceed the proven bound {bound}"]
 
 
 class TestColdStart:
@@ -453,7 +513,8 @@ class TestColdStart:
         src = os.path.dirname(os.path.dirname(os.path.abspath(tgtopo.cli.__file__)))
         run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert sorted(run.stderr.split()) == sorted(["cli", "errors", *loaded])
+        # the last stderr line: a command's summary line comes before it
+        assert sorted(run.stderr.splitlines()[-1].split()) == sorted(["cli", "errors", *loaded])
 
 
 def _package_errors():

@@ -1,8 +1,10 @@
 """Hypothesis fuzzing of the inputs a user hands the program: a checkpoint,
 a run config, a graph file, a dataset manifest, an event list, a synth
-spec, window and bin settings and a stability campaign may fail only with the
-package's documented errors."""
+spec, window and bin settings, a stability campaign and the ``stability``
+command's arguments may fail only with the package's documented errors."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from tgtopo.data import DataError, Dataset, load_dataset, load_graph, synth_gene
 from tgtopo.errors import InputError
 from tgtopo.model import CheckpointError, TemporalGraphClassifier
 from tgtopo.pipeline import PipelineError, RunConfig, extract_descriptors
-from tgtopo.stability import PerturbationSpec, StabilityError, StabilityReport, run_campaign
+from tgtopo.stability import (PerturbationSpec, StabilityError, StabilityReport, campaign_csv,
+                              run_campaign)
 from tgtopo.temporal import from_events
 
 CHECKPOINT = json.loads((Path(__file__).parent / "data" / "checkpoint_v1_small.json").read_text())
@@ -196,6 +199,61 @@ def test_stability_campaign_gives_a_report_or_a_stability_error(mode, magnitude,
                           StabilityReport)
     except StabilityError:
         pass
+
+
+HOSTILE = ["-1", "0", "nan", "inf", "-inf", "-0.0", "1e301", "2.5", "abc", ""]
+
+
+@st.composite
+def stability_flags(draw):
+    """``tgtopo stability`` flags and values: valid ones mixed with hostile ones.  Valid
+    trial counts stay at most 40 and edge counts at most 64, so no run takes long."""
+    def mixed(valid, hostile=st.sampled_from(HOSTILE)):  # valid four times in five
+        return draw(st.integers(0, 4).flatmap(lambda i: valid if i else hostile))
+
+    flags = {"--trials": mixed(st.integers(30, 40).map(str),
+                               st.integers(0, 29).map(str) | st.sampled_from(HOSTILE))}
+    if draw(st.integers(0, 9)):  # --mode is required
+        flags["--mode"] = mixed(st.sampled_from(["topo", "spectral"]),
+                                st.sampled_from(["timestamp", "edge", ""]))
+    if draw(st.booleans()):
+        flags["--seed"] = mixed(st.integers(0, 2**70).map(str))
+    if draw(st.booleans()):
+        flags["--magnitude"] = mixed(st.integers(0, 64).map(str),
+                                     st.floats(1e-300, 1e3).map(repr) | st.sampled_from(HOSTILE))
+    if draw(st.booleans()):
+        flags["--out"] = draw(st.sampled_from(["file", "directory", "missing directory", ""]))
+    return flags
+
+
+@given(stability_flags())
+@example({"--mode": "spectral", "--trials": "30", "--seed": "1"})
+@example({"--mode": "topo", "--trials": "30", "--out": "directory"})
+@example({"--mode": "spectral", "--trials": "30", "--magnitude": "-0.0", "--out": ""})
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_stability_command_exits_with_a_documented_code(tmp_path_factory, flags):
+    root = tmp_path_factory.mktemp("stability_argv")
+    paths = {"file": root / "campaign.csv", "directory": root,
+             "missing directory": root / "absent" / "campaign.csv", "": ""}
+    flags = {**flags, "--out": paths[flags["--out"]]} if "--out" in flags else flags
+    argv = ["stability"] + [str(x) for item in flags.items() for x in item]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code in (2, 3):
+        assert len([line for line in err.splitlines()
+                    if line.startswith(("data error:", "numerical failure:"))]) == 1, err
+    if code == 0:
+        mode, magnitude = {"topo": ("timestamp", 0.1), "spectral": ("edge", 2)}[flags["--mode"]]
+        magnitude = float(flags.get("--magnitude", magnitude))
+        csv = campaign_csv([run_campaign(PerturbationSpec(
+            mode, magnitude, int(flags["--trials"]), int(flags.get("--seed", 0))))])
+        if flags.get("--out"):
+            assert out == "" and flags["--out"].read_text() == csv
+        else:
+            assert out == csv
 
 
 # two graphs whose events span [0, 8]

@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_windows, er_window, graph_key, window_from_edges
-from tgtopo.spectral import _w1, spectral_descriptor
+from conftest import as_windows, er_window, graph_key, random_er_edges, window_from_edges
+from tgtopo import spectral
+from tgtopo.spectral import TABLE_SIZES, _w1, spectral_descriptor
 from tgtopo.stability import (
     _draw_er,
     _grid,
+    _pair_table,
+    _upper,
     PerturbationSpec,
     StabilityError,
+    StabilityReport,
     campaign_csv,
     perturb_edges,
     perturb_timestamps,
@@ -344,26 +348,36 @@ class TestArrayTrialsMatchChains:
     # few node ids, so pairs repeat and small windows run out of feasible edits
     pairs = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1])
 
-    @given(st.lists(pairs, min_size=1, max_size=20), st.integers(0, 2**31 - 1),
-           st.sampled_from([1, 3, 4, 7]))
+    # ER windows of up to 70 nodes, past the largest cached table size (64), sparse to dense
+    windows = st.builds(lambda n, p, state: random_er_edges(np.random.default_rng(state), n, p),
+                        st.integers(2, 70), st.sampled_from([0.03, 0.1, 0.2, 0.6]),
+                        st.integers(0, 2**32 - 1)).filter(len)
+
+    @given(st.lists(pairs, min_size=1, max_size=20) | windows, st.integers(0, 2**31 - 1),
+           st.integers(1, 8))
     @example([(0, 1)], 0, 4)
+    @example([(0, 1), (2, 3)], 5, 1)  # two components: deletions never become possible
     @settings(max_examples=150, deadline=None)
     def test_edge_trial_bytes_and_infeasible_k(self, edges, seed, bins):
         win = window_from_edges(edges)
-        local = win.num_nodes, win.local_edges()
-        k, past = 0, None
-        while past is None or k <= past + 2:  # every feasible k, then three past it
+        n, local = win.num_nodes, (win.num_nodes, win.local_edges())
+        # a pair is edited at most once, so n(n - 1)/2 + 1 edits are never feasible; the
+        # step this fails at is the largest feasible k, as k edits are the first k of any more
+        with pytest.raises(StabilityError, match=f"^{INFEASIBLE}") as info:
+            spectral_stability_trial(*local, n * (n - 1) // 2 + 1, seed, bins)
+        last = int(str(info.value)[len(INFEASIBLE):].split()[0])
+        # every feasible k (spread out on large windows), then three past it
+        ks = range(last + 4) if last < 40 else [0, 1, 2, 16, last // 2, *range(last, last + 4)]
+        for k in ks:
             try:
                 expected = spectral_trial_chain(win, k, seed, bins)
             except StabilityError as exc:
-                assert str(exc).startswith(INFEASIBLE), exc
-                past = k if past is None else past
+                assert k > last and str(exc) == f"{INFEASIBLE}{last} of {k}", exc
                 with pytest.raises(StabilityError, match=f"^{re.escape(str(exc))}$"):
                     spectral_stability_trial(*local, k, seed, bins)
             else:
-                assert past is None
+                assert k <= last
                 assert _hex(spectral_stability_trial(*local, k, seed, bins)) == _hex(expected)
-            k += 1
 
     times = st.integers(0, 3).map(float) | st.floats(0, 10)  # ties are common
 
@@ -504,6 +518,30 @@ class TestProvenBounds:
             bound, tol = edge_bound(4, k_over_n)
             assert bound == 1.5 * k_over_n and w1 <= bound + tol
         assert report.empirical_constant == pytest.approx(1.5, rel=1e-12)
+        assert report.bound == 1.5 and report.over_bound() == 0
+
+    @pytest.mark.parametrize("mode, bound", [("topo", 1.0), ("spectral", 1.5)])
+    def test_report_counts_trials_over_the_bound_past_its_tolerance(self, mode, bound):
+        # campaign trials bin into 4 bins; the tolerance 2**-40 * (1 + magnitude) covers the
+        # edge trials' derived rounding (the timestamp trials' is checked below)
+        for m in (0.0, 1e-300, 0.01, 0.5, 3.0, 1e300):
+            tol = 2**-40 * (1 + m)
+            edge, derived = edge_bound(4, m)
+            assert edge == 1.5 * m and derived <= tol
+            over = [(m, bound * m + 2 * tol), (m, math.nan), (m, math.inf)]
+            report = StabilityReport(mode, [(m, bound * m), (m, bound * m + 0.5 * tol), *over])
+            assert report.bound == bound and report.over_bound() == 3
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-16, 1e-15, 4e-15, 1e-9, 0.1, 1e300])
+    def test_timestamp_tolerance_covers_campaign_trials(self, eps):
+        # the derived timestamp tolerance on a campaign's trials is below the report's
+        rng = np.random.default_rng(7)
+        for seed in range(20):
+            g = random_temporal_graph(rng)
+            lhs, rhs = topo_stability_trial(g, eps, seed)
+            tol = timestamp_tolerance(rhs, perturb_timestamps(g, eps, seed)[0].events[:, 2])
+            assert lhs <= rhs + tol and tol <= 2**-40 * (1 + rhs)
+        assert run_campaign(PerturbationSpec("timestamp", eps, 30, 7)).over_bound() == 0
 
     events = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5),
                                 st.integers(0, 3).map(float) | st.floats(0, 10)),
@@ -603,7 +641,10 @@ class TestRandomGenerators:
 
     @pytest.mark.parametrize("n_low, n_high, p", [
         (20, 60, 0.2), (1, 9, 0.5), (0, 6, 0.5), (1, 4, 0.3), (0, 1, 1.0), (3, 12, 0.0),
-        (2, 9, 1.0)])
+        (2, 9, 1.0),
+        # every n from 1 to 60, sparse enough that most draws drop isolated nodes
+        (1, 60, 0.03), (1, 60, 0.1), (40, 60, 0.02),
+        (60, 70, 0.2)])  # sizes on both sides of the largest cached table (64)
     def test_draw_er_matches_the_scalar_draw(self, n_low, n_high, p):
         # the campaign's draw: the nodes and local pairs of the window that one draw per
         # pair makes, and the generator left in the same state, so later draws line up
@@ -628,6 +669,26 @@ class TestRandomGenerators:
             for k in (0, 1, 2, 16):
                 assert _hex(spectral_stability_trial(len(nodes), pairs, k, seed)) \
                     == _hex(spectral_trial_chain(win, k, seed))
+
+    def test_tables_are_read_only_and_their_caches_bounded(self):
+        # the per-size tables of the draw, the edits and the binning: a size up to
+        # TABLE_SIZES is built once and shared read-only; a larger one is built per call
+        for table in (_pair_table, _upper, spectral._bin_edges):
+            for size in range(1, 3 * TABLE_SIZES):
+                shared = size <= TABLE_SIZES
+                first, second = table(size), table(size)
+                assert (first is second) == shared
+                assert first.flags.writeable != shared
+                if shared:
+                    with pytest.raises(ValueError, match="read-only"):
+                        first[...] = 0
+            assert table.cache_info().currsize <= TABLE_SIZES + 1
+            assert table.cache_info().maxsize == TABLE_SIZES + 1
+        assert np.array_equal(_pair_table(5), [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3],
+                                               [1, 4], [2, 3], [2, 4], [3, 4]])
+        assert np.array_equal(_upper(3), [[False, True, True], [False, False, True],
+                                          [False, False, False]])
+        assert spectral._bin_edges(4).tolist() == [0.5, 1.0, 1.5]
 
     def test_draw_er_takes_p_zero_and_one(self):
         nodes, pairs = _draw_er(np.random.default_rng(0), 4, 4, 0.0)
