@@ -49,7 +49,7 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--report", required=True)
+    p.add_argument("--report", default=None, help="attention CSV path")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--config", default=None)
 
@@ -81,8 +81,8 @@ def _load_config(path):
     return RunConfig.from_file(path) if path else RunConfig()
 
 
-def _write_or_print(text, path):
-    if path:
+def _write_or_print(text, path):  # no path prints; an empty one fails as unwritable
+    if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     else:
@@ -138,7 +138,7 @@ def _run(args) -> int:
         features = pipeline.extract_descriptors(dataset, cfg)
         metrics, report, embeddings = pipeline.evaluate(model, features, dataset.name)
         _write_or_print(pipeline.attention_csv([report]), args.report)
-        if args.embeddings:
+        if args.embeddings is not None:
             _write_or_print(
                 pipeline.embeddings_csv(embeddings, [gf.label for gf in features]),
                 args.embeddings,

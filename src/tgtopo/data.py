@@ -10,14 +10,13 @@ Events are parsed into, and written losslessly from, the graph's event array.
 from __future__ import annotations
 
 import io
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .temporal import EVENT, TemporalGraph, TemporalGraphError, from_events, from_records
 
 MANIFEST = "manifest.txt"
@@ -157,14 +156,6 @@ def _random_tree_edges(nodes, rng):
     return edges
 
 
-def _check_int(name, value, low) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise DataError(f"{name} must be >= {low}, got {value}")
-    return int(value)
-
-
 def synth_generate(spec: dict, seed: int) -> Dataset:
     """Planted-cycle synthetic dataset.
 
@@ -184,14 +175,14 @@ def synth_generate(spec: dict, seed: int) -> Dataset:
     missing = required - spec.keys()
     if missing:
         raise DataError(f"missing spec keys: {sorted(missing)}")
-    num_graphs = _check_int("spec num_graphs", spec["num_graphs"], 1)
-    nodes = _check_int("spec nodes", spec["nodes"], 3)
-    timesteps = _check_int("spec timesteps", spec["timesteps"], 1)
-    classes = _check_int("spec classes", spec["classes"], 2)
-    anchor_stride = _check_int("spec anchor_stride", spec.get("anchor_stride", 4), 1)
+    num_graphs = check_int(spec["num_graphs"], 1, "spec num_graphs", DataError)
+    nodes = check_int(spec["nodes"], 3, "spec nodes", DataError)
+    timesteps = check_int(spec["timesteps"], 1, "spec timesteps", DataError)
+    classes = check_int(spec["classes"], 2, "spec classes", DataError)
+    anchor_stride = check_int(spec.get("anchor_stride", 4), 1, "spec anchor_stride", DataError)
     if not isinstance(spec["cycle_density"], (list, tuple)):
         raise DataError("cycle_density must be a list")
-    density = [_check_int("spec cycle_density", c, 0) for c in spec["cycle_density"]]
+    density = [check_int(c, 0, "spec cycle_density", DataError) for c in spec["cycle_density"]]
     if len(density) != classes:
         raise DataError("cycle_density must list one value per class")
     if len(set(density)) != classes:
@@ -201,7 +192,7 @@ def synth_generate(spec: dict, seed: int) -> Dataset:
     if max(density) > free_pairs:
         raise DataError(f"cycle_density values must be <= {free_pairs} for {nodes} nodes")
 
-    streams = np.random.SeedSequence(_check_int("seed", seed, 0)).spawn(num_graphs)
+    streams = np.random.SeedSequence(check_int(seed, 0, "seed", DataError)).spawn(num_graphs)
     graphs = []
     for i in range(num_graphs):
         rng = np.random.default_rng(streams[i])

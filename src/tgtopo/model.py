@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError
+from .errors import InputError, check_int, is_real
 from .optim import pack
 
 VIEW_DIM = 10
@@ -57,9 +56,10 @@ class ModelConfig:
     def __post_init__(self):
         for key in ("num_classes", "topo_dim", "dos_bins", "feature_dim", "hidden_dim",
                     "sage_layers", "tf_layers", "tf_heads", "tf_model_dim", "tf_ffn_dim"):
-            value, low = getattr(self, key), int(key != "sage_layers")
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+            setattr(self, key, check_int(getattr(self, key), int(key != "sage_layers"), key))
+        if not is_real(self.dropout) or not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be a real in [0, 1), got {self.dropout!r}")
+        self.dropout = float(self.dropout)  # json writes no numpy scalar
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.tf_model_dim % self.tf_heads != 0:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -12,7 +11,7 @@ import numpy as np
 from . import spectral, temporal, topology
 from .autodiff import NonFiniteValueError
 from .data import Dataset
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_int, is_int, is_real
 from .model import (
     MODES,
     ModelConfig,
@@ -64,26 +63,20 @@ class RunConfig:
         return WindowSpec(self.delta, self.sigma)
 
     def validate(self):
-        """Raise PipelineError for the first value outside its range.
-
-        delta and sigma are checked by ``WindowSpec`` when windows are cut."""
-        for key in ("dos_bins", "sage_layers", "hidden_dim", "epochs", "seed", "folds"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise PipelineError(f"{key} must be an integer, got {value!r}")
+        """Raise PipelineError for the first bad value, integer fields first, which are stored
+        as Python ints (``seed + 1`` wraps in a numpy dtype); ``WindowSpec`` checks delta and
+        sigma when windows are cut."""
+        for key, low in (("dos_bins", 1), ("sage_layers", 1), ("hidden_dim", 1), ("epochs", 1),
+                         ("seed", 0), ("folds", 2)):
+            setattr(self, key, check_int(getattr(self, key), low, key, PipelineError))
         for key, ok, expected in (
-            ("dos_bins", self.dos_bins >= 1, ">= 1"),
-            ("sage_layers", self.sage_layers >= 1, ">= 1"),
-            ("hidden_dim", self.hidden_dim >= 1, ">= 1"),
-            ("lr", 0 < self.lr < np.inf, "finite and > 0"),
-            ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
-            ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("folds", self.folds >= 2, ">= 2"),
-            ("feature_mode", self.feature_mode in FEATURE_MODES,
-             f"one of {FEATURE_MODES}"),
+            ("lr", is_real(self.lr) and 0 < self.lr < np.inf, "a finite real > 0"),
+            ("dropout", is_real(self.dropout) and 0 <= self.dropout < 1, "a real in [0, 1)"),
+            ("weight_decay", is_real(self.weight_decay) and 0 <= self.weight_decay < np.inf,
+             "a finite real >= 0"),
+            ("feature_mode", self.feature_mode in FEATURE_MODES, f"one of {FEATURE_MODES}"),
             ("mode", self.mode in MODES, f"one of {MODES}"),
+            ("count_edge_multiplicity", isinstance(self.count_edge_multiplicity, bool), "a bool"),
         ):
             if not ok:
                 raise PipelineError(f"{key} must be {expected}, got {getattr(self, key)!r}")
@@ -235,7 +228,7 @@ def _model_config(features, num_classes, config: RunConfig) -> ModelConfig:
 def _check_labels(features, num_classes):
     """Refuse a label that is not an integer in [0, num_classes): None, a bool or 1.5 too."""
     for i, y in enumerate(gf.label for gf in features):
-        if isinstance(y, bool) or not isinstance(y, numbers.Integral) or not 0 <= y < num_classes:
+        if not is_int(y) or not 0 <= y < num_classes:
             raise PipelineError(f"graph {i} has label {y}, outside [0, {num_classes})")
 
 

@@ -16,12 +16,11 @@ byte, and bins every window's eigenvalues with one ``bincount``.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 
 SLACK = 1e-6  # eigenvalues this far outside [0, 2] mean a broken Laplacian
 TABLE_SIZES = 64  # the largest size whose table ``_size_cached`` keeps: campaign windows, bins
@@ -123,8 +122,7 @@ def dos_histogram(eigs, bin_count: int = 4) -> DosHistogram:
     [0, 2]; values beyond ``SLACK`` outside the interval indicate a broken
     Laplacian and raise, as does a ``bin_count`` that is not an integer >= 1.
     """
-    if isinstance(bin_count, bool) or not isinstance(bin_count, numbers.Integral) or bin_count < 1:
-        raise SpectralError(f"bin_count must be an integer >= 1, got {bin_count!r}")
+    check_int(bin_count, 1, "bin_count", SpectralError)
     edges = tuple(2.0 * j / bin_count for j in range(bin_count + 1))
     eigs = np.asarray(eigs, dtype=np.float64)
     if eigs.size == 0:

@@ -41,17 +41,17 @@ one pass (``topology.betti0_curve``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import spectral
-from .errors import InputError
+from .errors import InputError, check_int, is_real
 from .temporal import TemporalGraph, TemporalGraphError, WindowGraph
 from .topology import betti0_curve
 
 _BOTH = np.array([[0], [1]])  # an edge trial's owner column: graph 0 before the edits, 1 after
+SPAWN_CHUNK = 1 << 12  # trial seeds spawned at a time: about 1.5 MB at any trial count
 
 
 class StabilityError(InputError):
@@ -68,9 +68,9 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.mode not in ("timestamp", "edge"):
             raise StabilityError(f"unknown mode {self.mode!r}")
-        _check_count(self.seed, 0, "seed")
-        _check_count(self.trials, 30, "trials")  # campaigns need at least 30
-        if isinstance(self.magnitude, bool) or not isinstance(self.magnitude, numbers.Real):
+        check_int(self.seed, 0, "seed", StabilityError)
+        check_int(self.trials, 30, "trials", StabilityError)  # campaigns need at least 30
+        if not is_real(self.magnitude):
             raise StabilityError(f"magnitude must be a real number, got {self.magnitude!r}")
         if self.mode == "timestamp":
             _check_eps(self.magnitude)
@@ -110,7 +110,7 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
     between the two timestamp functions.
     """
     _check_eps(eps)
-    _check_count(seed, 0, "seed")
+    check_int(seed, 0, "seed", StabilityError)
     shifts = np.random.default_rng(seed).uniform(-eps, eps, size=graph.num_events)
     ev = graph.events.copy()
     with np.errstate(over="ignore"):
@@ -124,13 +124,8 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
 
 
 def _check_eps(eps):  # larger noise overflows the trials' L1 sums (or uniform's range) to inf
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps <= 1e300:
+    if not is_real(eps) or not 0 < eps <= 1e300:
         raise StabilityError(f"eps must be a real number in (0, 1e300], got {eps!r}")
-
-
-def _check_count(x, low, name):  # k, bins, seed and trials
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
-        raise StabilityError(f"{name} must be an integer >= {low}, got {x!r}")
 
 
 def _edit_edges(n, pairs, k: int, seed: int):
@@ -138,8 +133,8 @@ def _edit_edges(n, pairs, k: int, seed: int):
     pairs a < b: its pairs after them (the kept ones in order, then the insertions).  The
     deletable edges are an ascending list, rebuilt only after an edit moves a degree across
     1 <-> 2."""
-    _check_count(k, 0, "k")
-    _check_count(seed, 0, "seed")
+    check_int(k, 0, "k", StabilityError)
+    check_int(seed, 0, "seed", StabilityError)
     rng = np.random.default_rng(seed)
     eu, ev = pairs.T  # ``live`` marks the original edges not deleted
     live = np.ones(len(eu), bool)
@@ -212,7 +207,7 @@ def _grid(a, b):
 def spectral_stability_trial(n, pairs, k: int, seed: int, bins: int = 4):
     """One edge-modification trial on a window of n nodes with the (E, 2) lexicographic
     local pairs ``pairs``: returns (W1 distance, k/n)."""
-    _check_count(bins, 1, "bins")
+    check_int(bins, 1, "bins", StabilityError)
     if not n:
         raise StabilityError("window is empty")
     i, j = np.concatenate([pairs, _edit_edges(n, pairs, k, seed)]).T  # graph 0 before, 1 after
@@ -263,11 +258,14 @@ def _pair_table(n):  # (P, 2) pairs a < b, row-major; the least dtype that holds
 
 
 def run_campaign(spec: PerturbationSpec) -> StabilityReport:
-    """Aggregate independent trials with per-trial derived seeds."""
+    """Aggregate independent trials: trial i draws from child i of ``SeedSequence(spec.seed)``,
+    spawned ``SPAWN_CHUNK`` at a time (``spawn`` goes on from the children spawned so far)."""
     report = StabilityReport(mode="topo" if spec.mode == "timestamp" else "spectral")
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.trials)
+    root = np.random.SeedSequence(spec.seed)
     for i in range(spec.trials):
-        rng = np.random.default_rng(streams[i])
+        if i % SPAWN_CHUNK == 0:
+            streams = root.spawn(min(SPAWN_CHUNK, spec.trials - i))
+        rng = np.random.default_rng(streams[i % SPAWN_CHUNK])
         trial_seed = int(rng.integers(0, 2**31))
         if spec.mode == "timestamp":
             g = random_temporal_graph(rng)

@@ -11,7 +11,6 @@ are cut from its events into arrays (a ``Windows`` sequence), and
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_int, is_real
 
 
 class TemporalGraphError(InputError):
@@ -29,7 +28,7 @@ class TemporalGraphError(InputError):
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window length and stride; requires 0 < sigma < delta < inf.  Window i is the closed
+    """Window length and stride, reals with 0 < sigma < delta < inf.  Window i is the closed
     [t_min + i*sigma, t_min + i*sigma + delta], up to the first to reach t_max, decided
     exactly on the float inputs: in floats where every edge is one, else in Fractions."""
 
@@ -37,11 +36,11 @@ class WindowSpec:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:
-            raise TemporalGraphError(f"delta must be finite and > 0, got {self.delta}")
-        if not (0 < self.sigma < self.delta):
+        if not is_real(self.delta) or not 0 < self.delta < np.inf:
+            raise TemporalGraphError(f"delta must be finite and > 0, got {self.delta!r}")
+        if not is_real(self.sigma) or not 0 < self.sigma < self.delta:
             raise TemporalGraphError(
-                f"sigma must lie in (0, delta), got sigma={self.sigma} delta={self.delta}"
+                f"sigma must lie in (0, delta), got sigma={self.sigma!r} delta={self.delta!r}"
             )
 
 
@@ -99,7 +98,7 @@ def _check_events(num_nodes, ev, events):
     """Raise for the first of ``events`` (as ``ev``, their float64 array, holds
     them) with a node outside [0, num_nodes), a self-loop or a non-finite time."""
     # windows read node ids through float64, which is exact only up to 2**53
-    if not isinstance(num_nodes, numbers.Integral) or not 0 < num_nodes <= 2**53:
+    if not is_int(num_nodes) or not 0 < num_nodes <= 2**53:
         raise TemporalGraphError(f"num_nodes must be an integer in [1, 2**53], got {num_nodes}")
     u, v, t = ev.T
     out = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)

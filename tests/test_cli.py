@@ -421,7 +421,7 @@ class TestTrainEvalCv:
                      "--out", str(ckpt)]) == 0
         capsys.readouterr()
         assert main(["eval", "--model", str(ckpt), "--data", str(dataset_dir),
-                     "--report", "", "--config", str(cfg)]) == 0
+                     "--config", str(cfg)]) == 0
         out, err = capsys.readouterr()
         features = tgtopo.pipeline.extract_descriptors(dataset, config)
         metrics, report, _ = tgtopo.pipeline.evaluate(TemporalGraphClassifier.load(str(ckpt)),
@@ -460,6 +460,12 @@ class TestSweepStability:
         assert out.read_text().startswith("trial,mode,magnitude,distance,ratio")
         assert capsys.readouterr() == ("", "spectral: 30 trials, sup ratio 0.5000, proven bound "
                                            "1.5000, 0 trials over it\n")
+
+    def test_an_empty_output_path_is_an_unwritable_path(self, capsys):
+        # an empty --out printed the CSV to stdout as if no path were given
+        assert main(["stability", "--mode", "spectral", "--trials", "30", "--out", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("data error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("mode, spec", [("topo", ("timestamp", 0.1, 30, 1)),
                                             ("spectral", ("edge", 2, 30, 1))])

@@ -230,20 +230,20 @@ class TestSynthGenerate:
 
     @pytest.mark.parametrize("spec, message", [
         pytest.param([1, 2], "spec must be a JSON object, got list", id="not_an_object"),
-        pytest.param(dict(SPEC, nodes="abc"), "spec nodes must be an integer, got 'abc'",
+        pytest.param(dict(SPEC, nodes="abc"), "spec nodes must be an integer >= 3, got 'abc'",
                      id="string_value"),
-        pytest.param(dict(SPEC, nodes=12.5), "spec nodes must be an integer, got 12.5",
+        pytest.param(dict(SPEC, nodes=12.5), "spec nodes must be an integer >= 3, got 12.5",
                      id="float_value"),
-        pytest.param(dict(SPEC, num_graphs=True), "spec num_graphs must be an integer, got True",
-                     id="bool_value"),
-        pytest.param(dict(SPEC, num_graphs=0), "spec num_graphs must be >= 1, got 0",
+        pytest.param(dict(SPEC, num_graphs=True),
+                     "spec num_graphs must be an integer >= 1, got True", id="bool_value"),
+        pytest.param(dict(SPEC, num_graphs=0), "spec num_graphs must be an integer >= 1, got 0",
                      id="no_graphs"),
-        pytest.param(dict(SPEC, anchor_stride=0), "spec anchor_stride must be >= 1, got 0",
-                     id="zero_anchor_stride"),
+        pytest.param(dict(SPEC, anchor_stride=0),
+                     "spec anchor_stride must be an integer >= 1, got 0", id="zero_anchor_stride"),
         pytest.param(dict(SPEC, cycle_density="03"), "cycle_density must be a list",
                      id="density_not_list"),
-        pytest.param(dict(SPEC, cycle_density=[-1, 3]), "spec cycle_density must be >= 0, got -1",
-                     id="negative_density"),
+        pytest.param(dict(SPEC, cycle_density=[-1, 3]),
+                     "spec cycle_density must be an integer >= 0, got -1", id="negative_density"),
         pytest.param(dict(SPEC, nodes=4, cycle_density=[0, 4]),
                      "cycle_density values must be <= 3 for 4 nodes", id="more_chords_than_pairs"),
     ])
@@ -252,9 +252,9 @@ class TestSynthGenerate:
             synth_generate(spec, 0)
 
     @pytest.mark.parametrize("seed, message", [
-        pytest.param(-1, "seed must be >= 0, got -1", id="negative"),
-        pytest.param(1.5, "seed must be an integer, got 1.5", id="float"),
-        pytest.param(True, "seed must be an integer, got True", id="bool"),
+        pytest.param(-1, "seed must be an integer >= 0, got -1", id="negative"),
+        pytest.param(1.5, "seed must be an integer >= 0, got 1.5", id="float"),
+        pytest.param(True, "seed must be an integer >= 0, got True", id="bool"),
     ])
     def test_invalid_seed_rejected(self, seed, message):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):

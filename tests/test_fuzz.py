@@ -1,20 +1,22 @@
 """Hypothesis fuzzing of the inputs a user hands the program: a checkpoint,
 a run config, a graph file, a dataset manifest, an event list, a synth
-spec, window and bin settings, a stability campaign and the ``stability``
-command's arguments may fail only with the package's documented errors."""
+spec, window and bin settings, a stability campaign, the ``stability``
+command's arguments and the settings objects of the Python API may fail only
+with the package's documented errors."""
 
 import contextlib
 import io
 import json
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tgtopo.cli import main
 from tgtopo.data import DataError, Dataset, load_dataset, load_graph, synth_generate
-from tgtopo.errors import InputError
-from tgtopo.model import CheckpointError, TemporalGraphClassifier
-from tgtopo.pipeline import PipelineError, RunConfig, extract_descriptors
+from tgtopo.errors import InputError, NumericalError
+from tgtopo.model import MODES, CheckpointError, ModelConfig, TemporalGraphClassifier
+from tgtopo.pipeline import FEATURE_MODES, PipelineError, RunConfig, extract_descriptors, train
 from tgtopo.stability import (PerturbationSpec, StabilityError, StabilityReport, campaign_csv,
                               run_campaign)
 from tgtopo.temporal import from_events
@@ -282,3 +284,99 @@ def test_extraction_gives_descriptors_or_an_input_error(delta, sigma, bins):
     assert len(features) == 2
     assert all(gf.phi.shape[0] == gf.psi.shape[0] <= 801 and gf.psi.shape[1] == bins
                for gf in features)
+
+
+# -- the settings objects of the Python API ------------------------------------------------
+
+HOSTILE_SETTINGS = [True, False, "1", "", None, float("nan"), float("inf"), -float("inf"), -0.0,
+                    1e301]
+
+
+def _setting(valid, scalar=None):
+    """A field's valid values, also as numpy scalars made by ``scalar``, or a hostile value."""
+    numpy_values = valid.map(scalar) if scalar else st.nothing()
+    return valid | numpy_values | st.sampled_from(HOSTILE_SETTINGS)
+
+
+def _ints(low, high):  # numpy integers in the least dtype that holds them: 127 as an int8
+    return _setting(st.integers(low, high), lambda v: np.min_scalar_type(v).type(v))
+
+
+def _reals(low, high):
+    return _setting(st.floats(low, high), np.float64) | st.floats(low, high).map(np.float32)
+
+
+# Valid sizes stay small and the stride at least 0.5, so an example that passes cuts at
+# most 9 windows from each graph's span of 4 and trains at most 2 epochs on 4 graphs.
+RUN_FIELDS = {
+    "delta": _reals(2.0, 8.0), "sigma": _reals(0.5, 4.0), "dos_bins": _ints(1, 6),
+    "sage_layers": _ints(0, 2), "hidden_dim": _ints(1, 8), "lr": _reals(1e-4, 0.1),
+    "dropout": _reals(0.0, 0.9), "weight_decay": _reals(0.0, 0.01),
+    "seed": _ints(0, 2**64 - 1), "folds": _ints(1, 3),
+    "feature_mode": _setting(st.sampled_from(FEATURE_MODES)),
+    "mode": _setting(st.sampled_from(MODES)),
+    "count_edge_multiplicity": _setting(st.booleans(), np.bool_),
+}
+SMALL = synth_generate({"num_graphs": 4, "nodes": 8, "timesteps": 6, "classes": 2,
+                        "cycle_density": [0, 3]}, 0)
+
+
+@given(st.fixed_dictionaries({"epochs": _ints(1, 2)}, optional=RUN_FIELDS))
+@example({"seed": np.int8(127), "epochs": 1})  # train's seed + 1 wrapped to -128
+@example({"lr": 1e301, "epochs": 2})
+@example({"weight_decay": 1e301, "epochs": 2})
+@settings(max_examples=100, deadline=None)
+def test_run_config_trains_or_raises_the_package_errors(fields):
+    config = RunConfig(**fields)
+    try:
+        config.validate()
+    except PipelineError:
+        return
+    try:
+        train(extract_descriptors(SMALL, config), SMALL.num_classes, config)
+    except (InputError, NumericalError):
+        pass
+
+
+MODEL_FIELDS = {
+    **{key: _ints(0, 4) for key in ("num_classes", "topo_dim", "dos_bins", "feature_dim",
+                                    "hidden_dim", "tf_layers", "tf_heads", "tf_ffn_dim")},
+    "sage_layers": _ints(-1, 2), "tf_model_dim": _ints(0, 8), "dropout": _reals(-0.5, 1.5),
+    "mode": _setting(st.sampled_from(MODES)),
+}
+
+
+@given(st.fixed_dictionaries({}, optional=MODEL_FIELDS))
+@settings(max_examples=100, deadline=None)
+def test_model_config_builds_a_model_or_raises_value_error(fields):
+    try:
+        config = ModelConfig(**fields)
+    except ValueError:
+        return
+    TemporalGraphClassifier(config)
+
+
+@given(_setting(st.sampled_from(["timestamp", "edge"])),
+       _reals(0.0, 4.0) | _ints(-1, 4), _ints(28, 40), _ints(-1, 2**64 - 1) | st.integers())
+@settings(max_examples=100, deadline=None)
+def test_perturbation_spec_passes_or_raises_stability_error(mode, magnitude, trials, seed):
+    try:
+        PerturbationSpec(mode, magnitude, trials, seed)
+    except StabilityError:
+        pass
+
+
+SYNTH_FIELDS = {
+    **{key: _ints(0, 4) for key in ("num_graphs", "timesteps", "classes", "anchor_stride")},
+    "nodes": _ints(2, 8),
+    "cycle_density": st.lists(_ints(-1, 6), max_size=3) | _ints(0, 3),
+}
+
+
+@given(st.fixed_dictionaries({}, optional=SYNTH_FIELDS), _ints(-1, 2**64 - 1) | st.integers())
+@settings(max_examples=100, deadline=None)
+def test_synth_spec_gives_a_dataset_or_a_data_error(spec, seed):
+    try:
+        assert isinstance(synth_generate(spec, seed), Dataset)
+    except DataError:
+        pass

@@ -338,10 +338,32 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"^{key} must be an integer >= {low}, got "):
             ModelConfig(**{key: value})
 
+    @pytest.mark.parametrize("dropout", [1.5, 1.0, -0.1, float("nan"), "0.1", None, True])
+    def test_bad_dropout_is_refused(self, dropout):
+        # RunConfig refused 1.5 while ModelConfig built a model with it
+        with pytest.raises(ValueError, match=r"^dropout must be a real in \[0, 1\), got "):
+            ModelConfig(dropout=dropout)
+
+    def test_checkpoint_with_a_bad_dropout_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        _sage_model().save(path)
+        payload = json.loads(path.read_text())
+        payload["config"]["dropout"] = 1.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="dropout must be a real in"):
+            TemporalGraphClassifier.load(path)
+
     def test_no_sage_layer_and_numpy_integers_build(self):
         cfg = ModelConfig(sage_layers=0, hidden_dim=np.int64(3), feature_dim=np.int32(3),
                           tf_layers=1, tf_heads=np.uint8(1), tf_model_dim=4, tf_ffn_dim=6)
         TemporalGraphClassifier(cfg)
+
+    def test_a_model_built_from_numpy_settings_saves(self, tmp_path):
+        # json refused the numpy scalars a ModelConfig kept: a builtin TypeError in save
+        cfg = ModelConfig(hidden_dim=np.int64(3), dropout=np.float32(0.5), tf_layers=np.uint8(1))
+        assert (type(cfg.hidden_dim), type(cfg.tf_layers), type(cfg.dropout)) == (int, int, float)
+        TemporalGraphClassifier(cfg).save(tmp_path / "model.json")
+        assert TemporalGraphClassifier.load(tmp_path / "model.json").cfg == cfg
 
 
 class TestTransformerEncoder:

@@ -81,9 +81,32 @@ class TestRunConfig:
     def test_integer_field_refuses_a_non_integer(self, key, value):
         # 2.5 bins, 1.5 epochs, 8.5 hidden units and seed 0.5 once passed and
         # ended in numpy's or Python's TypeError; 2.5 folds and True layers ran
-        with pytest.raises(PipelineError, match=f"^{key} must be an integer, got "
+        with pytest.raises(PipelineError, match=fr"^{key} must be an integer >= \d, got "
                                                 f"{re.escape(repr(value))}$"):
             RunConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("lr", "0.1", "a finite real > 0"), ("lr", None, "a finite real > 0"),
+        ("lr", True, "a finite real > 0"), ("dropout", None, "a real in [0, 1)"),
+        ("dropout", False, "a real in [0, 1)"), ("weight_decay", "0", "a finite real >= 0"),
+        ("count_edge_multiplicity", "no", "a bool"), ("count_edge_multiplicity", 1, "a bool"),
+    ])
+    def test_real_or_bool_field_refuses_another_type(self, key, value, expected):
+        # "0.1", None and "0" ended in a builtin TypeError; lr = True trained at
+        # lr 1.0, and "no" extracted with edge multiplicity on
+        message = f"{key} must be {expected}, got {value!r}"
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{key: value}).validate()
+
+    def test_real_fields_take_numpy_reals(self):
+        RunConfig(delta=np.float32(6), sigma=np.int64(4), lr=np.float64(0.01),
+                  dropout=np.float16(0.5), weight_decay=np.int32(0)).validate()
+
+    @pytest.mark.parametrize("key", ["delta", "sigma"])
+    def test_non_real_window_setting_is_a_temporal_graph_error(self, key, small_dataset):
+        # a string delta or sigma ended in a builtin TypeError inside extraction
+        with pytest.raises(TemporalGraphError, match=f"^{key} must .*'4'"):
+            extract_descriptors(small_dataset, RunConfig(**{key: "4"}))
 
     def test_a_non_integer_is_refused_before_extraction(self, small_dataset):
         with pytest.raises(PipelineError, match="dos_bins must be an integer"):
@@ -92,6 +115,19 @@ class TestRunConfig:
     def test_integer_fields_take_numpy_integers(self):
         RunConfig(dos_bins=np.int64(4), sage_layers=np.int32(1), hidden_dim=np.uint16(8),
                   epochs=np.int8(2), seed=np.uint64(3), folds=np.int64(2)).validate()
+
+    @pytest.mark.parametrize("seed", [np.int8(127), np.int64(2**63 - 1), np.uint64(2**64 - 1)])
+    def test_a_numpy_seed_at_the_top_of_its_dtype_trains_as_its_value(self, seed,
+                                                                       small_dataset):
+        # train's seed + 1 wrapped in the seed's dtype: numpy's ValueError for a signed
+        # seed and, for an unsigned one, the stream of seed 0
+        config = RunConfig(seed=seed, epochs=1, mode="dos-only")
+        features = extract_descriptors(small_dataset, config)
+        assert type(config.seed) is int and config.seed == seed
+        _, metrics = train(features, small_dataset.num_classes, config)
+        _, expected = train(features, small_dataset.num_classes,
+                            RunConfig(seed=int(seed), epochs=1, mode="dos-only"))
+        assert metrics.loss_history == expected.loss_history
 
 
 class TestExtraction:

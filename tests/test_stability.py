@@ -2,13 +2,14 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import as_windows, er_window, graph_key, random_er_edges, window_from_edges
-from tgtopo import spectral
+from tgtopo import spectral, stability
 from tgtopo.spectral import TABLE_SIZES, _w1, spectral_descriptor
 from tgtopo.stability import (
     _draw_er,
@@ -434,6 +435,32 @@ class TestCampaigns:
     def test_campaign_determinism(self, mode, magnitude):
         a, b = (run_campaign(PerturbationSpec(mode, magnitude, 30, 5)) for _ in "ab")
         assert a.trials == b.trials
+
+    @pytest.mark.parametrize("mode, magnitude", [("timestamp", 0.1), ("edge", 2)])
+    def test_seeds_spawned_in_chunks_are_the_seeds_spawned_at_once(self, mode, magnitude,
+                                                                    monkeypatch):
+        # no perfbench campaign (at most 400 trials) spawns inside a timed trial
+        assert stability.SPAWN_CHUNK >= 4096
+        spec = PerturbationSpec(mode, magnitude, 30, 6)
+        at_once = run_campaign(spec)  # one spawn of all 30 children
+        monkeypatch.setattr(stability, "SPAWN_CHUNK", 7)
+        chunked = run_campaign(spec)
+        assert np.array(chunked.trials).tobytes() == np.array(at_once.trials).tobytes()
+
+    def test_a_long_campaign_holds_one_chunk_of_seeds(self, monkeypatch):
+        # spawning all 200,000 children before the first trial peaked at about 75 MB
+        def first_trial(rng):
+            raise RuntimeError("first trial")
+
+        monkeypatch.setattr(stability, "_draw_er", first_trial)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="first trial"):
+                run_campaign(PerturbationSpec("edge", 2, 200_000, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_campaign_csv_layout(self):
         report = run_campaign(PerturbationSpec("edge", 1, 30, 3))
