@@ -78,7 +78,7 @@ def _build_parser():
 def _load_config(path):
     from .pipeline import RunConfig
 
-    return RunConfig.from_file(path) if path else RunConfig()
+    return RunConfig.from_file(path) if path is not None else RunConfig()
 
 
 def _write_or_print(text, path):  # no path prints; an empty one fails as unwritable

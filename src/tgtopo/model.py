@@ -38,7 +38,7 @@ class CheckpointError(InputError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     num_classes: int = 2
     topo_dim: int = 4
@@ -56,10 +56,11 @@ class ModelConfig:
     def __post_init__(self):
         for key in ("num_classes", "topo_dim", "dos_bins", "feature_dim", "hidden_dim",
                     "sage_layers", "tf_layers", "tf_heads", "tf_model_dim", "tf_ffn_dim"):
-            setattr(self, key, check_int(getattr(self, key), int(key != "sage_layers"), key))
+            low = int(key != "sage_layers")
+            object.__setattr__(self, key, check_int(getattr(self, key), low, key))
         if not is_real(self.dropout) or not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be a real in [0, 1), got {self.dropout!r}")
-        self.dropout = float(self.dropout)  # json writes no numpy scalar
+        object.__setattr__(self, "dropout", float(self.dropout))  # json writes no numpy scalar
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.tf_model_dim % self.tf_heads != 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ OVERLAP_PAIRS, OVERLAP_N3 = 1 << 12, 1 << 19
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     delta: float = 6.0
     sigma: float = 4.0
@@ -62,13 +62,13 @@ class RunConfig:
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.delta, self.sigma)
 
-    def validate(self):
-        """Raise PipelineError for the first bad value, integer fields first, which are stored
-        as Python ints (``seed + 1`` wraps in a numpy dtype); ``WindowSpec`` checks delta and
-        sigma when windows are cut."""
+    def __post_init__(self):
+        """Checked when built, by the constructor or ``dataclasses.replace``: PipelineError for
+        the first bad value, integer fields first, stored as Python ints (``seed + 1`` wraps in
+        a numpy dtype); ``WindowSpec`` checks delta and sigma when windows are cut."""
         for key, low in (("dos_bins", 1), ("sage_layers", 1), ("hidden_dim", 1), ("epochs", 1),
                          ("seed", 0), ("folds", 2)):
-            setattr(self, key, check_int(getattr(self, key), low, key, PipelineError))
+            object.__setattr__(self, key, check_int(getattr(self, key), low, key, PipelineError))
         for key, ok, expected in (
             ("lr", is_real(self.lr) and 0 < self.lr < np.inf, "a finite real > 0"),
             ("dropout", is_real(self.dropout) and 0 <= self.dropout < 1, "a real in [0, 1)"),
@@ -83,9 +83,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        """Line-oriented ``key = value`` config, checked by ``validate``."""
-        cfg = cls()
-        casts = {f: type(getattr(cfg, f)) for f in cfg.__dict__}
+        """Line-oriented ``key = value`` config; unset keys keep their defaults."""
+        casts, values = {f.name: type(f.default) for f in fields(cls)}, {}
         with open(path, errors="replace") as fh:  # a bad byte fails as an unknown key or value
             for i, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -98,11 +97,10 @@ class RunConfig:
                     raise PipelineError(f"{path}:{i}: unknown key {key!r}")
                 cast = casts[key]
                 try:
-                    setattr(cfg, key, _BOOLS[value.lower()] if cast is bool else cast(value))
+                    values[key] = _BOOLS[value.lower()] if cast is bool else cast(value)
                 except (KeyError, ValueError) as exc:
                     raise PipelineError(f"{path}:{i}: {key}: bad value {value!r}") from exc
-        cfg.validate()
-        return cfg
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class AttentionReport:
 
 
 def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
-    """Per-graph descriptor streams and static features; the config is validated first.
+    """Per-graph descriptor streams and static features.
 
     The temporal-degree grid is the dataset-wide sorted union of distinct
     timestamps so that the structural branch sees a fixed feature width.  A
@@ -155,7 +153,6 @@ def extract_descriptors(dataset: Dataset, config: RunConfig) -> list:
     (the same bytes); its result is taken, also if the topology raises, and its error
     raised here.  The worker starts with the first such stack and ends with the call.
     """
-    config.validate()
     if not dataset.graphs:
         raise PipelineError("no graphs to extract descriptors from")
     grid = np.unique(np.concatenate([g.events[:, 2] for g in dataset.graphs]))
@@ -331,7 +328,7 @@ def kfold_cv(dataset: Dataset, config: RunConfig, features=None):
         test_set = set(test_idx.tolist())
         train_feats = [gf for i, gf in enumerate(features) if i not in test_set]
         test_feats = [features[i] for i in test_idx]
-        fold_cfg = RunConfig(**{**config.__dict__, "seed": config.seed + k})
+        fold_cfg = replace(config, seed=config.seed + k)
         model, fold_metrics = train(train_feats, dataset.num_classes, fold_cfg)
         eval_metrics, report, _ = evaluate(model, test_feats, dataset.name)
         metrics.fold_accuracies.append(eval_metrics.fold_accuracies[0])
@@ -383,8 +380,7 @@ def sweep_windows(dataset: Dataset, delta_list, sigma_list, config: RunConfig) -
             except temporal.TemporalGraphError:
                 lines.append(f"{delta!r},{sigma!r},nan,nan")
                 continue
-            cfg = RunConfig(**{**config.__dict__, "delta": spec.delta, "sigma": spec.sigma})
-            metrics, _ = kfold_cv(dataset, cfg)
+            metrics, _ = kfold_cv(dataset, replace(config, delta=spec.delta, sigma=spec.sigma))
             lines.append(
                 f"{delta!r},{sigma!r},{metrics.accuracy_mean!r},{metrics.accuracy_std!r}"
             )

@@ -124,7 +124,7 @@ def perturb_timestamps(graph: TemporalGraph, eps: float, seed: int):
 
 
 def _check_eps(eps):  # larger noise overflows the trials' L1 sums (or uniform's range) to inf
-    if not is_real(eps) or not 0 < eps <= 1e300:
+    if not is_real(eps) or not 0 < float(eps) <= 1e300:  # a float32 would cast 1e300 to inf
         raise StabilityError(f"eps must be a real number in (0, 1e300], got {eps!r}")
 
 

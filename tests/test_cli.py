@@ -429,6 +429,17 @@ class TestTrainEvalCv:
         assert out == tgtopo.pipeline.attention_csv([report])
         assert err == f"accuracy {metrics.accuracy_mean:.4f}\n"
 
+    def test_an_empty_config_path_is_an_unreadable_path(self, tmp_path, capsys):
+        # --config '' ran the default config, where an empty output path is refused
+        spec = dict(num_graphs=4, nodes=8, timesteps=6, classes=2, cycle_density=[0, 3])
+        save_dataset(synth_generate(spec, 0), tmp_path / "ds")
+        (tmp_path / "run.cfg").write_text("epochs = 1\nfolds = 2\n")
+        assert main(["cv", "--data", str(tmp_path / "ds"), "--config",
+                     str(tmp_path / "run.cfg")]) == 0
+        capsys.readouterr()
+        assert main(["cv", "--data", str(tmp_path / "ds"), "--config", ""]) == 2
+        assert capsys.readouterr() == ("", "data error: [Errno 2] No such file or directory: ''\n")
+
     def test_cv_writes_metrics(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 2\nmode = dos-only\nfolds = 2\n")

@@ -7,13 +7,16 @@ with the package's documented errors."""
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tgtopo.cli import main
-from tgtopo.data import DataError, Dataset, load_dataset, load_graph, synth_generate
+from tgtopo.data import (DataError, Dataset, load_dataset, load_graph, save_dataset,
+                         synth_generate)
 from tgtopo.errors import InputError, NumericalError
 from tgtopo.model import MODES, CheckpointError, ModelConfig, TemporalGraphClassifier
 from tgtopo.pipeline import FEATURE_MODES, PipelineError, RunConfig, extract_descriptors, train
@@ -292,6 +295,15 @@ HOSTILE_SETTINGS = [True, False, "1", "", None, float("nan"), float("inf"), -flo
                     1e301]
 
 
+@contextlib.contextmanager
+def _no_warnings():
+    """A settings check that warns fails: a float32 eps once cast 1e300 to inf with a
+    RuntimeWarning and passed only because the comparison still came out right."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
 def _setting(valid, scalar=None):
     """A field's valid values, also as numpy scalars made by ``scalar``, or a hostile value."""
     numpy_values = valid.map(scalar) if scalar else st.nothing()
@@ -327,9 +339,9 @@ SMALL = synth_generate({"num_graphs": 4, "nodes": 8, "timesteps": 6, "classes": 
 @example({"weight_decay": 1e301, "epochs": 2})
 @settings(max_examples=100, deadline=None)
 def test_run_config_trains_or_raises_the_package_errors(fields):
-    config = RunConfig(**fields)
     try:
-        config.validate()
+        with _no_warnings():
+            config = RunConfig(**fields)
     except PipelineError:
         return
     try:
@@ -350,7 +362,8 @@ MODEL_FIELDS = {
 @settings(max_examples=100, deadline=None)
 def test_model_config_builds_a_model_or_raises_value_error(fields):
     try:
-        config = ModelConfig(**fields)
+        with _no_warnings():
+            config = ModelConfig(**fields)
     except ValueError:
         return
     TemporalGraphClassifier(config)
@@ -358,10 +371,12 @@ def test_model_config_builds_a_model_or_raises_value_error(fields):
 
 @given(_setting(st.sampled_from(["timestamp", "edge"])),
        _reals(0.0, 4.0) | _ints(-1, 4), _ints(28, 40), _ints(-1, 2**64 - 1) | st.integers())
+@example("timestamp", np.float32(0.1), 30, 0)  # 1e300 cast to float32 warned of overflow
 @settings(max_examples=100, deadline=None)
 def test_perturbation_spec_passes_or_raises_stability_error(mode, magnitude, trials, seed):
     try:
-        PerturbationSpec(mode, magnitude, trials, seed)
+        with _no_warnings():
+            PerturbationSpec(mode, magnitude, trials, seed)
     except StabilityError:
         pass
 
@@ -377,6 +392,71 @@ SYNTH_FIELDS = {
 @settings(max_examples=100, deadline=None)
 def test_synth_spec_gives_a_dataset_or_a_data_error(spec, seed):
     try:
-        assert isinstance(synth_generate(spec, seed), Dataset)
+        with _no_warnings():
+            assert isinstance(synth_generate(spec, seed), Dataset)
     except DataError:
         pass
+
+
+# -- a config file, through the CLI ---------------------------------------------------------
+
+BIG = "9" * 5000  # over the digits int() parses since Python 3.11; a number before that
+CONFIG_HOSTILE = ["", "nan", "inf", "-1", "2.5", "1e400", "yes", BIG, "٢"]  # ٢ is 2
+# Valid values stay small: every example trains at most 2 epochs of at most 3 folds on 4
+# graphs, at widths of at most 8.
+CONFIG_VALID = {
+    "delta": ["4", "6.0"], "sigma": ["1", "2.5"], "dos_bins": ["1", "4"],
+    "sage_layers": ["0", "1"], "hidden_dim": ["1", "8"], "lr": ["0.01", "1e-3"],
+    "dropout": ["0", "0.5"], "weight_decay": ["0", "1e-4"], "epochs": ["1", "2"],
+    "seed": ["0", str(2**64)], "folds": ["2", "3"], "feature_mode": list(FEATURE_MODES),
+    "mode": list(MODES), "count_edge_multiplicity": ["yes", "false"],
+}
+CAPPED = {"epochs", "folds", "hidden_dim", "sage_layers"}  # they draw no BIG
+
+
+@st.composite
+def config_files(draw):
+    """``key = value`` lines: RunConfig's fields, and now and then an unknown key, with valid
+    values and hostile ones; now and then a line has no ``=``.  The first two lines set a
+    small epoch count and a fold count the 4 graphs allow, so that most files train."""
+    def one_in(n, rare, common):
+        return draw(st.integers(1, n).flatmap(lambda i: rare if i == n else common))
+
+    lines = [f"epochs = {draw(st.sampled_from(['1', '2']))}",
+             f"folds = {draw(st.sampled_from(['2', '3']))}"]
+    for _ in range(draw(st.integers(0, 4))):
+        key = one_in(10, st.sampled_from(["widgets", ""]), st.sampled_from(sorted(CONFIG_VALID)))
+        value = one_in(4, st.sampled_from([v for v in CONFIG_HOSTILE
+                                           if key not in CAPPED or v != BIG]),
+                       st.sampled_from(CONFIG_VALID.get(key, ["1"])))
+        lines.append(f"{key}{one_in(10, st.just(' '), st.just(' = '))}{value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def small_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config_data")
+    save_dataset(SMALL, root / "ds")
+    return root
+
+
+@given(config_files())
+@example(f"epochs = 1\nfolds = 2\nseed = {BIG}\n")
+@example("epochs = 1\nfolds = 2\ndelta = 1e400\n")
+@example("epochs = 1\nfolds = 2\nhidden_dim = ٢\n")
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_config_file_exits_with_a_documented_code(small_dir, config):
+    (small_dir / "run.cfg").write_text(config, encoding="utf-8")
+    data, cfg = str(small_dir / "ds"), str(small_dir / "run.cfg")
+    for argv in (["cv", "--data", data, "--config", cfg],
+                 ["train", "--data", data, "--config", cfg, "--test-fraction", "0.5",
+                  "--out", str(small_dir / "model.json")],
+                 ["sweep", "--data", data, "--deltas", "4", "--sigmas", "2", "--config", cfg]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
+        if code in (2, 3):
+            assert len([line for line in err.splitlines()
+                        if line.startswith(("data error:", "numerical failure:"))]) == 1, err

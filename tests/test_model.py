@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -364,6 +365,13 @@ class TestModelConfig:
         assert (type(cfg.hidden_dim), type(cfg.tf_layers), type(cfg.dropout)) == (int, int, float)
         TemporalGraphClassifier(cfg).save(tmp_path / "model.json")
         assert TemporalGraphClassifier.load(tmp_path / "model.json").cfg == cfg
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ModelConfig)])
+    def test_a_field_cannot_be_assigned(self, key):
+        # a model's config could drift from the arrays it was built with
+        cfg = ModelConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, key, getattr(cfg, key))
 
 
 class TestTransformerEncoder:

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -83,7 +83,7 @@ class TestRunConfig:
         # ended in numpy's or Python's TypeError; 2.5 folds and True layers ran
         with pytest.raises(PipelineError, match=fr"^{key} must be an integer >= \d, got "
                                                 f"{re.escape(repr(value))}$"):
-            RunConfig(**{key: value}).validate()
+            RunConfig(**{key: value})
 
     @pytest.mark.parametrize("key, value, expected", [
         ("lr", "0.1", "a finite real > 0"), ("lr", None, "a finite real > 0"),
@@ -96,11 +96,11 @@ class TestRunConfig:
         # lr 1.0, and "no" extracted with edge multiplicity on
         message = f"{key} must be {expected}, got {value!r}"
         with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
-            RunConfig(**{key: value}).validate()
+            RunConfig(**{key: value})
 
     def test_real_fields_take_numpy_reals(self):
         RunConfig(delta=np.float32(6), sigma=np.int64(4), lr=np.float64(0.01),
-                  dropout=np.float16(0.5), weight_decay=np.int32(0)).validate()
+                  dropout=np.float16(0.5), weight_decay=np.int32(0))
 
     @pytest.mark.parametrize("key", ["delta", "sigma"])
     def test_non_real_window_setting_is_a_temporal_graph_error(self, key, small_dataset):
@@ -114,7 +114,7 @@ class TestRunConfig:
 
     def test_integer_fields_take_numpy_integers(self):
         RunConfig(dos_bins=np.int64(4), sage_layers=np.int32(1), hidden_dim=np.uint16(8),
-                  epochs=np.int8(2), seed=np.uint64(3), folds=np.int64(2)).validate()
+                  epochs=np.int8(2), seed=np.uint64(3), folds=np.int64(2))
 
     @pytest.mark.parametrize("seed", [np.int8(127), np.int64(2**63 - 1), np.uint64(2**64 - 1)])
     def test_a_numpy_seed_at_the_top_of_its_dtype_trains_as_its_value(self, seed,
@@ -127,6 +127,28 @@ class TestRunConfig:
         _, metrics = train(features, small_dataset.num_classes, config)
         _, expected = train(features, small_dataset.num_classes,
                             RunConfig(seed=int(seed), epochs=1, mode="dos-only"))
+        assert metrics.loss_history == expected.loss_history
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+    def test_a_field_cannot_be_assigned(self, key):
+        # a config was a mutable bag: a field set after its check reached train unchecked
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, key, getattr(cfg, key))
+
+    def test_a_copy_is_checked(self):
+        with pytest.raises(PipelineError, match="^epochs must be an integer >= 1, got 0$"):
+            replace(RunConfig(), epochs=0)
+
+    def test_a_bad_setting_is_refused_when_built(self):
+        # kfold_cv(..., features=...) passed lr = -1.0 to Adam: its plain ValueError
+        with pytest.raises(PipelineError, match=r"^lr must be a finite real > 0, got -1\.0$"):
+            RunConfig(lr=-1.0)
+
+    def test_train_takes_a_numpy_seed_as_its_value(self, small_features):
+        # train had no check of its own: numpy's ValueError from seed + 1 wrapped to -128
+        _, metrics = train(small_features, 2, RunConfig(seed=np.int8(127), epochs=1))
+        _, expected = train(small_features, 2, RunConfig(seed=127, epochs=1))
         assert metrics.loss_history == expected.loss_history
 
 
@@ -643,7 +665,7 @@ class TestTraining:
     def test_constant_model_scores_class_balance(self, small_features):
         # zeroed classifier head ties every logit; argmax resolves to class 0,
         # so accuracy equals the class-0 fraction of the balanced set
-        cfg = RunConfig(mode="full", epochs=0, seed=6)
+        cfg = RunConfig(mode="full", epochs=1, seed=6)
         model, _ = train(small_features, 2, cfg)
         model.parameters["cls.w"].data[:] = 0.0
         model.parameters["cls.b"].data[:] = 0.0
